@@ -1,5 +1,6 @@
 """Access-outcome bookkeeping shared by simulators and predictors."""
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -37,6 +38,13 @@ class AccessStats:
         if outcome not in self.counts:
             raise ValueError(f"unknown outcome {outcome!r}")
         self.counts[outcome] += 1
+
+    def record_many(self, outcomes):
+        """:meth:`record` every outcome of an iterable."""
+        for outcome, count in Counter(outcomes).items():
+            if outcome not in self.counts:
+                raise ValueError(f"unknown outcome {outcome!r}")
+            self.counts[outcome] += count
 
     @property
     def total(self):

@@ -13,12 +13,25 @@ exact reuse distance of the very line being accessed — this is where the
 accuracy gain of Figures 9/10 comes from.
 """
 
-from repro.caches.stats import HIT_WARMING, MISS_CAPACITY, MISS_COLD
+import numpy as np
+
+from repro.caches.stats import (
+    HIT_WARMING,
+    MISS_CAPACITY,
+    MISS_COLD,
+    MISS_CONFLICT,
+)
 from repro.statmodel.statstack import StatStack
 
 #: Sentinel reuse distance for key lines never found in the warm-up
 #: interval (their last use predates the previous detailed region).
 COLD_DISTANCE = -1
+
+#: Outcome labels indexed by :meth:`DirectedCapacityPredictor.predict_many`'s
+#: internal codes.
+_WARMING, _CAPACITY, _COLD, _CONFLICT = range(4)
+_LABELS = np.array([HIT_WARMING, MISS_CAPACITY, MISS_COLD, MISS_CONFLICT],
+                   dtype=object)
 
 
 class DirectedCapacityPredictor:
@@ -30,6 +43,13 @@ class DirectedCapacityPredictor:
         self.statstack = StatStack(vicinity_histogram)
         self.lookups = 0
         self.unknown_lines = 0
+        # The same table sorted by line, for predict_many's searchsorted.
+        n_keys = len(self.key_reuse_distances)
+        keys = np.fromiter(self.key_reuse_distances, np.int64, count=n_keys)
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._distances = np.fromiter(self.key_reuse_distances.values(),
+                                      np.int64, count=n_keys)[order]
 
     def __call__(self, pc, line, effective_llc_lines):
         self.lookups += 1
@@ -46,6 +66,36 @@ class DirectedCapacityPredictor:
         if stack_distance >= effective_llc_lines:
             return MISS_CAPACITY
         return HIT_WARMING
+
+    def predict_many(self, lines, effective_lines, llc_lines):
+        """Outcomes of a batch of accesses, with the full-capacity recheck.
+
+        Element ``i`` is what the classifier derives from per-access
+        calls: ``self(pc, lines[i], effective_lines[i])``, and, for a
+        capacity miss under a stride-limited ``effective_lines[i] <
+        llc_lines``, a second call at ``llc_lines`` that turns the miss
+        into ``MISS_CONFLICT`` when the full cache would have held the
+        line.  The counters advance as those calls would advance them.
+        Returns an object array of outcome labels.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
+        effective_lines = np.asarray(effective_lines, dtype=np.int64)
+        slot = np.searchsorted(self._keys, lines)
+        known = slot < self._keys.shape[0]
+        known[known] = self._keys[slot[known]] == lines[known]
+        distance = np.full(lines.shape[0], COLD_DISTANCE, dtype=np.int64)
+        distance[known] = self._distances[slot[known]]
+        warm = distance != COLD_DISTANCE
+        stack = np.full(lines.shape[0], np.inf)
+        stack[warm] = self.statstack.stack_distance(distance[warm])
+        capacity = warm & (stack >= effective_lines)
+        codes = np.where(capacity, _CAPACITY,
+                         np.where(warm, _WARMING, _COLD))
+        recheck = capacity & (effective_lines < llc_lines)
+        codes[recheck & (stack < llc_lines)] = _CONFLICT
+        self.lookups += lines.shape[0] + int(np.count_nonzero(recheck))
+        self.unknown_lines += lines.shape[0] - int(np.count_nonzero(known))
+        return _LABELS[codes]
 
     def predicted_stack_distance(self, line):
         """Expected stack distance for a key line (inf if cold/unknown)."""

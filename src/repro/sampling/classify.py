@@ -19,14 +19,19 @@ distance + vicinity StatStack); it is injected as a callable.
 
 Classification dispatches on the kernel backend.  The vector path
 pre-computes the L1 hit mask and the LLC hit/occupancy stream with the
-batch LRU kernel and drops to per-access Python only for the residual
-accesses that reach MSHR / stride-detector / predictor state.  The one
-sequential wrinkle is an MSHR hit, which *skips* the LLC fetch the
-kernel assumed: the kernel run is valid up to that access, so the LLC
-state is rolled back, the accepted prefix replayed, and the stream
-resumed after the skipped access.  MSHR hits require a line to be
-evicted within its own miss window, so in practice this costs nothing —
-and the scalar path remains bit-identical and selectable by flag.
+batch LRU kernel, and every L1 miss's stride-limited capacity with one
+stride query over the region (the detector observes every access
+whatever its outcome).  Predictors with a ``predict_many`` method (the
+DSW predictor) then resolve the residual accesses — those that reach
+the MSHR and predictor — in numpy; only the MSHR lookup/allocate walk
+stays per access.  Other predictors (CoolSim's Bernoulli draws) are
+still called once per residual, in order.  The one sequential wrinkle
+is an MSHR hit, which *skips* the LLC fetch the kernel assumed: the
+kernel run is valid up to that access, so the LLC state is rolled back,
+the accepted prefix replayed, and the stream resumed after the skipped
+access.  MSHR hits require a line to be evicted within its own miss
+window, so in practice this costs nothing — and the scalar path remains
+bit-identical and selectable by flag.
 """
 
 import time
@@ -130,15 +135,13 @@ class WarmingClassifier:
                     lines, pcs, instr_offsets)
             t0 = time.perf_counter()
             out = self._classify_region_vector(lines, pcs, instr_offsets)
-            s.add_time("kernel.classify_region",
-                       time.perf_counter() - t0)
+            s.add_time("classify.region", time.perf_counter() - t0)
             return out
         if s is None:
             return self._classify_region_scalar(lines, pcs, instr_offsets)
         t0 = time.perf_counter()
         out = self._classify_region_scalar(lines, pcs, instr_offsets)
-        s.add_time("kernel.classify_region.scalar",
-                   time.perf_counter() - t0)
+        s.add_time("classify.region.scalar", time.perf_counter() - t0)
         return out
 
     # -- scalar reference --------------------------------------------------
@@ -193,107 +196,166 @@ class WarmingClassifier:
     def _classify_region_vector(self, lines, pcs, instr_offsets):
         result = ClassifiedRegion(stats=AccessStats())
         llc = self.lukewarm.llc
-        llc_lines_total = llc.config.n_lines
-        llc_assoc = llc.assoc
-        n_sets = llc.config.n_sets
-        detector = self.stride_detector
         n = lines.shape[0]
         if n == 0:
             return result
 
         # Phase 1: the L1 sees every access unconditionally.
         _, l1_mask, _ = self.lukewarm.l1d.warm_profile(lines)
+        candidates = np.flatnonzero(~l1_mask)
+        effective = self._effective_lines(pcs, lines, candidates)
 
         # Phase 2: the LLC sees the L1-miss substream (hits update
         # recency, classified misses fetch) *except* MSHR hits.
-        candidates = np.flatnonzero(~l1_mask)
         llc_hit_positions = []
         warming_positions = []
-        observed_upto = 0                   # stride observations fed so far
-        lines_list = lines.tolist()
-        pcs_list = pcs.tolist()
-        instr_list = instr_offsets.tolist()
-
         start = 0
         while start < candidates.shape[0]:
             block = candidates[start:]
-            saved_sets = [list(s) for s in llc._sets]
+            # The kernels replace a touched set's list instead of
+            # mutating it, so the set references alone are an exact
+            # snapshot: no set's contents need copying.
+            saved_sets = list(llc._sets)
             saved_hits, saved_misses = llc.hits, llc.misses
             _, block_mask, block_occ = llc.warm_profile(lines[block])
 
-            # Walk the residual (non-resident) accesses in order,
-            # validating the no-MSHR-hit assumption the kernel made.
-            mshr_break = None
-            for k in np.flatnonzero(~block_mask).tolist():
-                position = int(block[k])
-                line = lines_list[position]
-                pc = pcs_list[position]
-                instr = instr_list[position]
-                if detector is not None:
-                    detector.observe_many(
-                        pcs[observed_upto:position + 1],
-                        lines[observed_upto:position + 1])
-                    observed_upto = position + 1
-                if self.mshr.lookup(line, position):
-                    result.stats.record(HIT_MSHR)
-                    result.outcomes.append(HIT_MSHR)
-                    result.outcome_instr.append(instr)
-                    mshr_break = k
-                    break
-                outcome = self._beyond_lukewarm(
-                    line, pc, llc_lines_total, n_sets,
-                    set_full=block_occ[k] >= llc_assoc)
-                result.stats.record(outcome)
-                result.outcomes.append(outcome)
-                result.outcome_instr.append(instr)
-                if outcome == HIT_WARMING:
-                    warming_positions.append(position)
-                else:
-                    self.mshr.allocate(line, position)
+            residual = np.flatnonzero(~block_mask)
+            positions = block[residual]
+            outcomes, mshr_break = self._resolve_residuals(
+                positions, lines[positions], pcs[positions],
+                effective[start + residual],
+                block_occ[residual] >= llc.assoc)
+            resolved = positions[:len(outcomes)]
+            result.stats.record_many(outcomes)
+            result.outcomes.extend(outcomes)
+            result.outcome_instr.extend(instr_offsets[resolved].tolist())
+            warming_positions.append(
+                resolved[np.asarray(outcomes, dtype=object) == HIT_WARMING])
 
             if mshr_break is None:
                 llc_hit_positions.append(block[block_mask])
-                start = candidates.shape[0]
-            else:
-                # The access at the break skipped the LLC; everything
-                # before it went through as assumed.  Roll back, replay
-                # the accepted prefix, resume after the skipped access.
-                for idx, entries in enumerate(saved_sets):
-                    llc._sets[idx] = entries
-                llc.hits, llc.misses = saved_hits, saved_misses
-                accepted = block[:mshr_break]
-                _, accepted_mask, _ = llc.warm_profile(lines[accepted])
-                llc_hit_positions.append(accepted[accepted_mask])
-                start += mshr_break + 1
-
-        if detector is not None and observed_upto < n:
-            detector.observe_many(pcs[observed_upto:], lines[observed_upto:])
+                break
+            result.stats.record(HIT_MSHR)
+            result.outcomes.append(HIT_MSHR)
+            result.outcome_instr.append(
+                int(instr_offsets[positions[mshr_break]]))
+            # The access at the break skipped the LLC; everything before
+            # it went through as assumed.  Roll back, replay the
+            # accepted prefix, resume after the skipped access.
+            llc._sets[:] = saved_sets
+            llc.hits, llc.misses = saved_hits, saved_misses
+            skipped = int(residual[mshr_break])
+            accepted = block[:skipped]
+            _, accepted_mask, _ = llc.warm_profile(lines[accepted])
+            llc_hit_positions.append(accepted[accepted_mask])
+            start += skipped + 1
 
         # Lukewarm hits: every L1 hit plus every LLC-resident access.
-        llc_hit_positions = (np.concatenate(llc_hit_positions)
-                             if llc_hit_positions
-                             else np.empty(0, dtype=np.int64))
         n_beyond = len(result.outcomes)
         result.stats.counts[HIT_LUKEWARM] += n - n_beyond
         hit_instr = np.sort(np.concatenate(
-            (llc_hit_positions,
-             np.asarray(warming_positions, dtype=np.int64))))
+            [np.empty(0, dtype=np.int64)]
+            + llc_hit_positions + warming_positions))
         result.llc_hit_instr.extend(
             instr_offsets[hit_instr].tolist())
         return result
 
-    def _beyond_lukewarm(self, line, pc, llc_lines, n_sets, set_full=None):
+    def _effective_lines(self, pcs, lines, candidates):
+        """Stride-limited LLC capacity at each candidate position.
+
+        The detector observes every access of the region, whatever its
+        outcome, so one stride query answers for every L1 miss (and
+        leaves the detector as the per-access loop would).
+        """
+        config = self.lukewarm.llc.config
+        effective = np.full(candidates.shape[0], config.n_lines,
+                            dtype=np.int64)
+        if self.stride_detector is None:
+            return effective
+        strides = self.stride_detector.dominant_strides_at(
+            pcs, lines, candidates)
+        strided = strides > 0
+        # effective_cache_lines(), element-wise.
+        effective[strided] = (
+            config.n_sets // np.gcd(strides[strided], config.n_sets)
+            * (config.n_lines // config.n_sets))
+        return effective
+
+    def _resolve_residuals(self, positions, lines, pcs, effective,
+                           set_full):
+        """Walk one block's residual accesses through the MSHRs in order.
+
+        Returns ``(outcomes, mshr_break)``: the outcome of every residual
+        before the first MSHR hit, and that hit's index (None if the
+        block has none).  A ``predict_many`` predictor resolves each run
+        of residuals up to the next one that *could* hit an MSHR in one
+        call, so it sees exactly the accesses the per-access walk would
+        have asked it about.
+        """
+        n_res = positions.shape[0]
+        llc_lines = self.lukewarm.llc.config.n_lines
+        predict_many = getattr(self.capacity_predictor, "predict_many", None)
+        if predict_many is not None:
+            stops = np.append(self._mshr_suspects(positions, lines), n_res)
+        else:
+            pcs_list = pcs.tolist()
+            effective_list = effective.tolist()
+            full_list = set_full.tolist()
+        lines_list = lines.tolist()
+        positions_list = positions.tolist()
+        lookup = self.mshr.lookup
+        allocate = self.mshr.allocate
+        outcomes = [None] * n_res
+        ready = 0
+        for k in range(n_res):
+            line = lines_list[k]
+            position = positions_list[k]
+            if lookup(line, position):
+                return outcomes[:k], k
+            if k >= ready:
+                if predict_many is None:
+                    ready = k + 1
+                    outcomes[k] = (MISS_CONFLICT if full_list[k] else
+                                   self._capacity_outcome(
+                                       pcs_list[k], line, effective_list[k],
+                                       llc_lines))
+                else:
+                    ready = int(stops[np.searchsorted(stops, k, "right")])
+                    run = np.full(ready - k, MISS_CONFLICT, dtype=object)
+                    open_ = ~set_full[k:ready]
+                    if open_.any():
+                        run[open_] = predict_many(
+                            lines[k:ready][open_],
+                            effective[k:ready][open_], llc_lines)
+                    outcomes[k:ready] = run.tolist()
+            if outcomes[k] != HIT_WARMING:
+                allocate(line, position)
+        return outcomes, None
+
+    def _mshr_suspects(self, positions, lines):
+        """Residual indices whose access might hit an outstanding miss:
+        its line is outstanding already, or missed earlier in the block
+        less than an MSHR window before."""
+        suspect = np.isin(lines, list(self.mshr._outstanding))
+        order = np.argsort(lines, kind="stable")
+        repeat = ((lines[order[1:]] == lines[order[:-1]])
+                  & (positions[order[1:]] - positions[order[:-1]]
+                     < self.mshr.window))
+        suspect[order[1:][repeat]] = True
+        return np.flatnonzero(suspect)
+
+    def _beyond_lukewarm(self, line, pc, llc_lines, n_sets):
         # Conflict: the referenced set is full in the lukewarm cache.
-        if set_full is None:
-            set_full = self.lukewarm.llc.set_is_full(line)
-        if set_full:
+        if self.lukewarm.llc.set_is_full(line):
             return MISS_CONFLICT
 
         effective_lines = llc_lines
         if self.stride_detector is not None:
             effective_lines = self.stride_detector.effective_lines_for(
                 pc, llc_lines, n_sets)
+        return self._capacity_outcome(pc, line, effective_lines, llc_lines)
 
+    def _capacity_outcome(self, pc, line, effective_lines, llc_lines):
         outcome = self.capacity_predictor(pc, line, effective_lines)
         if outcome == MISS_CAPACITY and effective_lines < llc_lines:
             # Capacity exceeded only because of the stride-limited

@@ -62,46 +62,121 @@ class StrideDetector:
         if len(history) > self.max_history:
             del history[0]
 
-    #: Below this many observations the per-access loop beats numpy setup.
-    _VECTOR_MIN = 64
+    #: Upper bound on window-matrix cells per chunk of query rows (each
+    #: transient matrix of a chunk stays below 1 MiB).
+    _CHUNK_CELLS = 1 << 16
 
-    def observe_many(self, pcs, lines):
-        """Vector version of :meth:`observe` (same result, batched).
+    def dominant_strides_at(self, pcs, lines, positions):
+        """Observe a whole access stream; dominant strides at ``positions``.
 
-        Groups the batch by PC and computes each PC's line deltas in one
-        shot.  Because only the most recent ``max_history`` non-zero
-        deltas survive, trimming once at the end is equivalent to the
-        per-access update.
+        Equivalent to calling :meth:`observe` on every ``(pc, line)`` in
+        order and, right after each access whose index is in
+        ``positions``, :meth:`dominant_stride` for that access's PC.
+        Returns an ``int64`` array aligned with ``positions``, ``0``
+        where :meth:`dominant_stride` would return None.  Prior state
+        carries in, and the detector ends in the state the per-access
+        loop leaves behind.
+
+        Each PC's non-zero deltas (its prior history first) form one
+        stream; a query's history is the last ``max_history`` entries of
+        its PC's stream up to the query, and its dominant stride is the
+        mode of that window, found by sorting the window's row.
         """
-        pcs = np.asarray(pcs)
-        lines = np.asarray(lines)
-        if pcs.shape[0] < self._VECTOR_MIN:
-            for pc, line in zip(pcs.tolist(), lines.tolist()):
-                self.observe(pc, line)
-            return
+        pcs = np.asarray(pcs, dtype=np.int64)
+        lines = np.asarray(lines, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
+        n = pcs.shape[0]
+        if n == 0:
+            return np.zeros(positions.shape[0], dtype=np.int64)
+
         order = np.argsort(pcs, kind="stable")
-        sorted_pcs = pcs[order]
         sorted_lines = lines[order]
-        group_starts = np.concatenate(
-            ([0], np.flatnonzero(sorted_pcs[1:] != sorted_pcs[:-1]) + 1,
-             [sorted_pcs.shape[0]]))
-        for g in range(group_starts.shape[0] - 1):
-            lo, hi = int(group_starts[g]), int(group_starts[g + 1])
-            pc = int(sorted_pcs[lo])
-            seg = sorted_lines[lo:hi]
-            last = self._last_line.get(pc)
-            if last is None:
-                deltas = np.diff(seg)
-            else:
-                deltas = np.diff(np.concatenate(([last], seg)))
-            self._last_line[pc] = int(seg[-1])
-            deltas = deltas[deltas != 0]
-            if deltas.shape[0] == 0:
+        sorted_pcs = pcs[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], sorted_pcs[1:] != sorted_pcs[:-1])))
+        ends = np.append(starts[1:], n)
+        group_pcs = sorted_pcs[starts].tolist()
+        prior_last = [self._last_line.get(pc) for pc in group_pcs]
+        prior = [self._deltas.get(pc, ()) for pc in group_pcs]
+
+        # Delta of every access from its PC's previous line; an access
+        # appends to its PC's stream iff it has a predecessor and moved.
+        deltas = np.empty(n, dtype=np.int64)
+        deltas[1:] = sorted_lines[1:] - sorted_lines[:-1]
+        unseen = np.asarray([last is None for last in prior_last])
+        deltas[starts] = sorted_lines[starts] - np.asarray(
+            [0 if last is None else last for last in prior_last],
+            dtype=np.int64)
+        fresh = deltas != 0
+        fresh[starts[unseen]] = False
+
+        # Stream length of each access's PC once the access is observed.
+        group = np.repeat(np.arange(starts.shape[0]), ends - starts)
+        fresh_before = np.cumsum(fresh) - fresh
+        prior_len = np.asarray([len(h) for h in prior], dtype=np.int64)
+        length = (prior_len - fresh_before[starts])[group] + \
+            fresh_before + fresh
+        stream_sizes = length[ends - 1]
+        offsets = np.concatenate(([0], np.cumsum(stream_sizes)[:-1]))
+        stream = np.empty(int(stream_sizes.sum()), dtype=np.int64)
+        for g, deltas_before in enumerate(prior):
+            if deltas_before:
+                stream[offsets[g]:offsets[g] + len(deltas_before)] = \
+                    deltas_before
+        stream[(offsets[group] + length - 1)[fresh]] = deltas[fresh]
+
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        queried = rank[positions]
+        strides = self._window_modes(
+            np.abs(stream), offsets[group[queried]] + length[queried],
+            np.minimum(length[queried], self.max_history))
+
+        stream_list = stream.tolist()
+        last_lines = sorted_lines[ends - 1].tolist()
+        for g, pc in enumerate(group_pcs):
+            self._last_line[pc] = last_lines[g]
+            size = int(stream_sizes[g])
+            if size > len(prior[g]):
+                lo = int(offsets[g])
+                self._deltas[pc] = stream_list[
+                    lo + max(0, size - self.max_history):lo + size]
+        return strides
+
+    def _window_modes(self, magnitudes, window_ends, sizes):
+        """Dominant stride of each window ``magnitudes[end - size:end]``
+        (``0`` for none), over chunks of at most ``_CHUNK_CELLS`` cells."""
+        history = self.max_history
+        out = np.zeros(sizes.shape[0], dtype=np.int64)
+        columns = np.arange(history, dtype=np.int64)
+        rows = max(1, self._CHUNK_CELLS // max(history, 1))
+        for r0 in range(0, sizes.shape[0], rows):
+            take = np.flatnonzero(sizes[r0:r0 + rows] >= 4)
+            if take.shape[0] == 0:
                 continue
-            history = self._deltas.setdefault(pc, [])
-            history.extend(deltas[-self.max_history:].tolist())
-            if len(history) > self.max_history:
-                del history[:len(history) - self.max_history]
+            size = sizes[r0 + take]
+            cells = (window_ends[r0 + take] - history)[:, None] + columns
+            padding = columns < (history - size)[:, None]
+            np.maximum(cells, 0, out=cells)
+            window = magnitudes[cells]
+            window[padding] = 0            # magnitudes are >= 1
+            window.sort(axis=1)
+            # Run length at every cell of the sorted row; the first
+            # longest run is the smallest most frequent magnitude, as
+            # np.unique + argmax picks it.
+            new_run = np.ones(window.shape, dtype=bool)
+            new_run[:, 1:] = window[:, 1:] != window[:, :-1]
+            run_start = np.maximum.accumulate(
+                np.where(new_run, columns, 0), axis=1)
+            runs = columns - run_start + 1
+            runs[window == 0] = 0
+            best = np.argmax(runs, axis=1)
+            row = np.arange(take.shape[0])
+            count = runs[row, best]
+            stride = window[row, best]
+            dominant = (count / size >= self.threshold) & (stride > 1)
+            out[r0 + take[dominant]] = stride[dominant]
+        return out
 
     def dominant_stride(self, pc):
         """Dominant line stride of ``pc``, or None.

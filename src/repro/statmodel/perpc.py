@@ -21,6 +21,9 @@ class PerPCReuseStats:
         self._by_pc = {}
         self.global_histogram = ReuseHistogram()
         self._models = None
+        #: ``miss_probability`` results per ``(pc, cache_lines)``; valid
+        #: until the next :meth:`add`.
+        self._probabilities = {}
 
     def add(self, pc, distance):
         """Record one sampled reuse (``distance < 0`` counts as cold)."""
@@ -35,6 +38,7 @@ class PerPCReuseStats:
             histogram.add(distance)
             self.global_histogram.add(distance)
         self._models = None
+        self._probabilities.clear()
 
     @property
     def n_samples(self):
@@ -71,6 +75,14 @@ class PerPCReuseStats:
         reuse distance whose expected stack distance reaches the cache
         size under the global conversion model.
         """
+        key = (int(pc), cache_lines)
+        probability = self._probabilities.get(key)
+        if probability is None:
+            probability = self._probabilities[key] = \
+                self._miss_probability(pc, cache_lines)
+        return probability
+
+    def _miss_probability(self, pc, cache_lines):
         r_star = self._conversion_model().reuse_for_stack(cache_lines)
         histogram = self._by_pc.get(int(pc))
         if histogram is None or histogram.total < self.min_samples:

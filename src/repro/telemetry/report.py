@@ -134,6 +134,11 @@ class RunReport:
     def kernels(self):
         return self.timers_with_prefix("kernel.")
 
+    def classification(self):
+        """Whole-region Figure 3 classification timers (the Analyst's
+        and CoolSim's classifier, kernels and statistical model)."""
+        return self.timers_with_prefix("classify.")
+
     def store_totals(self):
         hits = self.counter("store.hit")
         misses = self.counter("store.miss")
@@ -295,6 +300,9 @@ class RunReport:
         table("kernels (wall / calls):", [
             f"  {name:<34s} {cell['wall_s']:>9.3f}s {cell['calls']:>9d}"
             for name, cell in kernels.items()])
+        table("classification (wall / calls):", [
+            f"  {name:<34s} {cell['wall_s']:>9.3f}s {cell['calls']:>9d}"
+            for name, cell in self.classification().items()])
         store = self.store_totals()
         rate = store["hit_rate"]
         table("store:", [

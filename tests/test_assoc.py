@@ -1,6 +1,8 @@
 """Tests for the limited-associativity (dominant stride) model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.statmodel.assoc import (
     StrideDetector,
@@ -91,9 +93,81 @@ def test_history_bounded():
     assert len(detector._deltas[1]) == 8
 
 
-def test_observe_many():
+def test_dominant_strides_at_example():
     detector = StrideDetector()
     pcs = [5] * 10
     lines = [100 + 8 * k for k in range(10)]
-    detector.observe_many(pcs, lines)
+    strides = detector.dominant_strides_at(pcs, lines, [0, 3, 4, 9])
+    # Four deltas are needed before a stride can dominate.
+    assert strides.tolist() == [0, 0, 8, 8]
     assert detector.dominant_stride(5) == 8
+    assert detector._last_line == {5: 172}
+
+
+def interleaved_strides(detector, pcs, lines, positions):
+    """The reference: observe access by access, query after each one
+    whose index is in ``positions`` (``0`` for None)."""
+    queried = set(positions)
+    strides = []
+    for k, (pc, line) in enumerate(zip(pcs, lines)):
+        detector.observe(pc, line)
+        if k in queried:
+            stride = detector.dominant_stride(pc)
+            strides.append(0 if stride is None else stride)
+    return strides
+
+
+@st.composite
+def _stride_stream(draw):
+    """A short (pc, line) stream: a few PCs walking mostly by a handful
+    of strides (so windows have real modes and ties), plus jumps."""
+    n = draw(st.integers(0, 160))
+    n_pcs = draw(st.integers(1, 4))
+    steps = st.sampled_from([0, 1, 2, 8, 8, 8, -8, 16, 3, 40])
+    pcs = draw(st.lists(st.integers(0, n_pcs - 1), min_size=n, max_size=n))
+    deltas = draw(st.lists(steps, min_size=n, max_size=n))
+    lines, position = [], {}
+    for pc, delta in zip(pcs, deltas):
+        position[pc] = position.get(pc, 1000 * pc) + delta
+        lines.append(position[pc])
+    queried = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return pcs, lines, [k for k in range(n) if queried[k]]
+
+
+@pytest.mark.parametrize("max_history", [16, 64])
+@pytest.mark.parametrize("threshold", [0.5, 0.6])
+@settings(max_examples=40, deadline=None)
+@given(prior=_stride_stream(), stream=_stride_stream())
+def test_dominant_strides_at_matches_interleaved_observe(
+        max_history, threshold, prior, stream):
+    reference = StrideDetector(threshold=threshold, max_history=max_history)
+    batch = StrideDetector(threshold=threshold, max_history=max_history)
+    prior_pcs, prior_lines, _ = prior
+    for detector in (reference, batch):
+        for pc, line in zip(prior_pcs, prior_lines):
+            detector.observe(pc, line)
+    pcs, lines, positions = stream
+    expected = interleaved_strides(reference, pcs, lines, positions)
+    got = batch.dominant_strides_at(np.asarray(pcs, dtype=np.int64),
+                                    np.asarray(lines, dtype=np.int64),
+                                    np.asarray(positions, dtype=np.int64))
+    assert got.tolist() == expected
+    assert batch._deltas == reference._deltas
+    assert batch._last_line == reference._last_line
+
+
+def test_dominant_strides_at_chunks_query_rows(monkeypatch):
+    """Chunking the window matrix leaves every answer unchanged."""
+    rng = np.random.default_rng(3)
+    pcs = rng.integers(0, 3, 400)
+    lines = np.empty(400, dtype=np.int64)
+    for pc in range(3):
+        mine = pcs == pc
+        lines[mine] = pc * 10**6 + np.cumsum(
+            rng.choice([8, 8, 8, 5, 0], int(mine.sum())))
+    positions = np.arange(400)
+    whole = StrideDetector().dominant_strides_at(pcs, lines, positions)
+    monkeypatch.setattr(StrideDetector, "_CHUNK_CELLS", 64 * 7)
+    chunked = StrideDetector().dominant_strides_at(pcs, lines, positions)
+    assert np.array_equal(whole, chunked)
+    assert np.count_nonzero(whole == 8) > 100

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from repro.caches.hierarchy import paper_hierarchy
-from repro.caches.stats import HIT_WARMING, MISS_CAPACITY, MISS_COLD
+from repro.caches.stats import (
+    HIT_WARMING,
+    MISS_CAPACITY,
+    MISS_COLD,
+    MISS_CONFLICT,
+)
 from repro.core.delorean import DeLorean
 from repro.core.dse import DesignSpaceExploration
 from repro.core.explorer import DEFAULT_EXPLORERS, ExplorerChain, ExplorerSpec
@@ -154,6 +159,44 @@ def test_directed_predictor_decisions():
     assert predictor(0, 300, 1000) == MISS_COLD
     assert predictor(0, 999, 1000) == MISS_COLD     # unknown line
     assert predictor.unknown_lines == 1
+
+
+def test_directed_predictor_predict_many_matches_calls():
+    """The batch form equals per-access calls plus the classifier's
+    full-capacity recheck, element by element and counter by counter."""
+    rng = np.random.default_rng(4)
+    vicinity = ReuseHistogram()
+    vicinity.add_many(rng.integers(0, 200, 300).tolist())
+    for _ in range(40):
+        vicinity.add_cold()
+    keys = np.arange(400, dtype=np.int64) * 3
+    distances = rng.integers(0, 8000, keys.shape[0])
+    distances[::7] = COLD_DISTANCE
+    table = dict(zip(keys.tolist(), distances.tolist()))
+    lines = rng.integers(0, 1300, 600)          # a third are not keys
+    llc_lines = 512
+    effective = rng.choice([512, 256, 64, 32], 600)
+
+    batch = DirectedCapacityPredictor(table, vicinity)
+    single = DirectedCapacityPredictor(table, vicinity)
+    expected = []
+    for line, capacity in zip(lines.tolist(), effective.tolist()):
+        outcome = single(0, line, capacity)
+        if (outcome == MISS_CAPACITY and capacity < llc_lines
+                and single(0, line, llc_lines) == HIT_WARMING):
+            outcome = MISS_CONFLICT
+        expected.append(outcome)
+    got = batch.predict_many(lines, effective, llc_lines).tolist()
+    assert got == expected
+    assert (batch.lookups, batch.unknown_lines) == \
+        (single.lookups, single.unknown_lines)
+    assert set(expected) == {HIT_WARMING, MISS_CAPACITY, MISS_COLD,
+                             MISS_CONFLICT}
+    assert single.unknown_lines > 0
+    assert batch.predict_many([], [], llc_lines).tolist() == []
+    empty = DirectedCapacityPredictor({}, vicinity)
+    assert empty.predict_many([5], [10], 10).tolist() == [MISS_COLD]
+    assert (empty.lookups, empty.unknown_lines) == (1, 1)
 
 
 def test_directed_predictor_stack_distance():

@@ -9,6 +9,8 @@ the non-LRU policies (which share one code path — the dispatch must hand
 them to it unchanged under either backend).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from repro.caches.stack import (
     reuse_and_stack_distances,
     reuse_and_stack_distances_scalar,
 )
-from repro.caches.stats import HIT_WARMING, MISS_CAPACITY
+from repro.caches.stats import (
+    HIT_WARMING,
+    MISS_CAPACITY,
+    MISS_COLD,
+)
+from repro.core.warming import COLD_DISTANCE, DirectedCapacityPredictor
 from repro.kernels.lru import warm_lru_sets
 from repro.kernels.stackdist import (
     count_earlier_greater,
@@ -30,6 +37,7 @@ from repro.sampling.classify import WarmingClassifier
 from repro.sampling.coolsim import CoolSim
 from repro.sampling.plan import SamplingPlan
 from repro.statmodel.assoc import StrideDetector
+from repro.statmodel.histogram import ReuseHistogram
 from repro.trace.engines import (
     MultiWorkingSetEngine,
     PointerChaseEngine,
@@ -232,11 +240,51 @@ def bernoulli_predictor(seed):
     return predict
 
 
+def directed_predictor(lines, seed):
+    """A DSW predictor over the footprint of ``lines``: most lines get a
+    reuse distance on either side of the LLC size, some are cold and
+    some are not key lines at all (unknown)."""
+    rng = np.random.default_rng(seed)
+    footprint = np.unique(lines)
+    keys = footprint[rng.random(footprint.shape[0]) < 0.9]
+    distances = rng.integers(0, 5000, keys.shape[0])
+    distances[rng.random(keys.shape[0]) < 0.1] = COLD_DISTANCE
+    vicinity = ReuseHistogram()
+    vicinity.add_many(rng.integers(0, 120, 140).tolist())
+    for _ in range(60):
+        vicinity.add_cold()
+    return DirectedCapacityPredictor(
+        dict(zip(keys.tolist(), distances.tolist())), vicinity)
+
+
+#: Capacity predictors the classifier kernels are checked with: a
+#: stateful per-call one and the batch-capable DSW one.
+PREDICTORS = {
+    "bernoulli": lambda lines, seed: bernoulli_predictor(seed),
+    "directed": directed_predictor,
+}
+
+
+def classify_traces(seed, n):
+    """The engine traces plus a long strided sweep that the warm-up
+    window never covers, so its residuals meet the stride-limited
+    capacity (and the full-capacity recheck)."""
+    yield from engine_traces(seed, n)
+    k = np.arange(n, dtype=np.int64)
+    yield "StridedSweep", (1 << 20) + 2 * k, np.zeros(n, dtype=np.int64)
+
+
+def predictor_state(predictor):
+    """The DSW predictor's counters (the per-call one has none)."""
+    return (getattr(predictor, "lookups", None),
+            getattr(predictor, "unknown_lines", None))
+
+
 def classify_once(lines, pcs, instr, hierarchy_config, mshrs=4,
-                  mshr_window=24, seed=0):
+                  mshr_window=24, seed=0, predictor="bernoulli"):
     classifier = WarmingClassifier(
         hierarchy_config,
-        capacity_predictor=bernoulli_predictor(seed + 1),
+        capacity_predictor=PREDICTORS[predictor](lines, seed + 1),
         stride_detector=StrideDetector(),
         mshrs=mshrs, mshr_window=mshr_window, seed=seed)
     classifier.warm_detailed(lines[:400], lines[250:400])
@@ -250,56 +298,114 @@ class TestClassifyKernel:
         l1i=CacheConfig(1024, assoc=2),
         llc=CacheConfig(4 * 1024, assoc=4),
     )
+    #: An LLC the engines' footprints fit in, so residuals reach the
+    #: predictor instead of ending as full-set conflict misses.
+    ROOMY = HierarchyConfig(
+        l1d=CacheConfig(1024, assoc=2),
+        l1i=CacheConfig(1024, assoc=2),
+        llc=CacheConfig(64 * 1024, assoc=8),
+    )
 
     def test_bit_identical_across_engines(self):
-        for name, lines, pcs in engine_traces(seed=47, n=2400):
+        for name, lines, pcs in classify_traces(seed=47, n=2400):
             instr = np.arange(lines.shape[0], dtype=np.int64) * 3
-            outputs = {}
-            for backend in kernels.BACKENDS:
-                with kernels.use_backend(backend):
-                    classifier, region = classify_once(
-                        lines, pcs, instr, self.HIERARCHY, seed=13)
-                    outputs[backend] = (
-                        region.stats.counts, region.outcomes,
-                        region.outcome_instr, region.llc_hit_instr,
-                        classifier.lukewarm.llc._sets,
-                        classifier.lukewarm.l1d._sets,
-                        classifier.mshr._outstanding,
-                        classifier.stride_detector._deltas,
-                        classifier.stride_detector._last_line,
-                    )
-            for backend in kernels.BACKENDS:
-                assert outputs[backend] == outputs["scalar"], (name, backend)
+            for hierarchy, predictor in itertools.product(
+                    (self.HIERARCHY, self.ROOMY), PREDICTORS):
+                outputs = {}
+                for backend in kernels.BACKENDS:
+                    with kernels.use_backend(backend):
+                        classifier, region = classify_once(
+                            lines, pcs, instr, hierarchy, seed=13,
+                            predictor=predictor)
+                        outputs[backend] = (
+                            region.stats.counts, region.outcomes,
+                            region.outcome_instr, region.llc_hit_instr,
+                            classifier.lukewarm.llc._sets,
+                            classifier.lukewarm.l1d._sets,
+                            classifier.mshr._outstanding,
+                            classifier.stride_detector._deltas,
+                            classifier.stride_detector._last_line,
+                            predictor_state(classifier.capacity_predictor),
+                        )
+                for backend in kernels.BACKENDS:
+                    assert outputs[backend] == outputs["scalar"], \
+                        (name, hierarchy.llc.size_bytes, predictor, backend)
+
+    def test_directed_predictor_covers_every_decision(self):
+        """The engine sweep above reaches every DSW branch: warming
+        hits, capacity and cold misses, unknown lines, and the
+        full-capacity recheck of stride-limited capacity misses."""
+        seen = {}
+        unknown = extra_lookups = 0
+        for name, lines, pcs in classify_traces(seed=47, n=2400):
+            instr = np.arange(lines.shape[0], dtype=np.int64) * 3
+            classifier, region = classify_once(
+                lines, pcs, instr, self.ROOMY, seed=13,
+                predictor="directed")
+            for outcome, count in region.stats.counts.items():
+                seen[outcome] = seen.get(outcome, 0) + count
+            predictor = classifier.capacity_predictor
+            unknown += predictor.unknown_lines
+            # Every call beyond one per predicted outcome is a recheck.
+            extra_lookups += predictor.lookups - sum(
+                region.stats.counts[o]
+                for o in (HIT_WARMING, MISS_CAPACITY, MISS_COLD))
+        assert seen[HIT_WARMING] and seen[MISS_CAPACITY] and seen[MISS_COLD]
+        assert unknown > 0 and extra_lookups > 0
 
     def test_mshr_hit_exercises_block_replay(self):
-        # Engineer a delayed hit: tiny 1-set caches, line 0 misses, its
-        # LLC set is flooded within the MSHR window, then 0 returns —
-        # non-resident but outstanding, so it must skip the LLC fetch.
-        config = HierarchyConfig(
+        # Engineer a delayed hit: tiny caches, line 0 misses, its LLC set
+        # is flooded within the MSHR window, then 0 returns — non-resident
+        # but outstanding, so it must skip the LLC fetch.  In the two-set
+        # variant, odd lines after the break land in the other, non-full
+        # set, so the DSW predictor is asked about them in the replayed
+        # block only (its counters would show a double count).
+        one_set = HierarchyConfig(
             l1d=CacheConfig(128, assoc=2),
             l1i=CacheConfig(128, assoc=2),
             llc=CacheConfig(256, assoc=4),
         )
-        lines = np.asarray([0, 4, 8, 12, 16, 0, 4, 20, 0], dtype=np.int64)
-        pcs = np.zeros(len(lines), dtype=np.int64)
-        instr = np.arange(len(lines), dtype=np.int64)
-        outputs = {}
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
-                classifier = WarmingClassifier(
-                    config, capacity_predictor=bernoulli_predictor(2),
-                    stride_detector=StrideDetector(), mshrs=8,
-                    mshr_window=24)
-                region = classifier.classify_region(lines, pcs, instr)
-                outputs[backend] = (
-                    region.stats.counts, region.outcomes,
-                    region.outcome_instr, region.llc_hit_instr,
-                    classifier.lukewarm.llc._sets,
-                    classifier.mshr._outstanding,
-                )
-        assert outputs["scalar"][0]["mshr_hit"] >= 1
-        for backend in kernels.BACKENDS:
-            assert outputs[backend] == outputs["scalar"], backend
+        two_sets = HierarchyConfig(
+            l1d=CacheConfig(128, assoc=2),
+            l1i=CacheConfig(128, assoc=2),
+            llc=CacheConfig(512, assoc=4),
+        )
+        vicinity = ReuseHistogram()
+        vicinity.add_many([0, 1, 1, 2, 3, 5, 8])
+        # Line 0 is cold (it allocates an MSHR); 16 is unknown.
+        distances = {0: COLD_DISTANCE, 4: 2, 8: 50, 12: 1, 20: 3,
+                     2: 1, 6: 2, 1: 2, 3: 40, 5: COLD_DISTANCE}
+        cases = [
+            (one_set, [0, 4, 8, 12, 16, 0, 4, 20, 0],
+             lambda: bernoulli_predictor(2)),
+            (one_set, [0, 4, 8, 12, 16, 0, 4, 20, 0],
+             lambda: DirectedCapacityPredictor(distances, vicinity)),
+            (two_sets, [0, 2, 4, 6, 8, 0, 1, 3, 5, 7, 0],
+             lambda: DirectedCapacityPredictor(distances, vicinity)),
+        ]
+        for case, (config, lines, factory) in enumerate(cases):
+            lines = np.asarray(lines, dtype=np.int64)
+            pcs = np.zeros(len(lines), dtype=np.int64)
+            instr = np.arange(len(lines), dtype=np.int64)
+            outputs = {}
+            for backend in kernels.BACKENDS:
+                with kernels.use_backend(backend):
+                    classifier = WarmingClassifier(
+                        config, capacity_predictor=factory(),
+                        stride_detector=StrideDetector(), mshrs=8,
+                        mshr_window=24)
+                    region = classifier.classify_region(lines, pcs, instr)
+                    outputs[backend] = (
+                        region.stats.counts, region.outcomes,
+                        region.outcome_instr, region.llc_hit_instr,
+                        classifier.lukewarm.llc._sets,
+                        classifier.mshr._outstanding,
+                        predictor_state(classifier.capacity_predictor),
+                    )
+            assert outputs["scalar"][0]["mshr_hit"] >= 1, case
+            for backend in kernels.BACKENDS:
+                assert outputs[backend] == outputs["scalar"], \
+                    (case, backend)
 
     def test_warm_detailed_tail_split(self):
         # The former dead-conditional path: an empty LLC tail must warm
@@ -520,38 +626,6 @@ class TestGapProfileKernel:
                 )
         for backend in kernels.BACKENDS:
             assert outputs[backend] == outputs["scalar"], backend
-
-
-class TestStrideDetectorBatch:
-    def test_observe_many_matches_scalar(self):
-        rng = np.random.default_rng(21)
-        for n in (0, 1, 63, 64, 500):
-            pcs = rng.integers(0, 6, n)
-            lines = rng.integers(0, 50, n)
-            one = StrideDetector(max_history=16)
-            for pc, line in zip(pcs.tolist(), lines.tolist()):
-                one.observe(pc, line)
-            many = StrideDetector(max_history=16)
-            many.observe_many(pcs, lines)
-            assert one._deltas == many._deltas
-            assert one._last_line == many._last_line
-            for pc in range(6):
-                assert one.dominant_stride(pc) == many.dominant_stride(pc)
-
-    def test_observe_many_carries_prior_state(self):
-        rng = np.random.default_rng(22)
-        pcs = rng.integers(0, 3, 300)
-        lines = rng.integers(0, 40, 300)
-        one = StrideDetector()
-        many = StrideDetector()
-        for pc, line in zip(pcs[:50].tolist(), lines[:50].tolist()):
-            one.observe(pc, line)
-            many.observe(pc, line)
-        for pc, line in zip(pcs[50:].tolist(), lines[50:].tolist()):
-            one.observe(pc, line)
-        many.observe_many(pcs[50:], lines[50:])
-        assert one._deltas == many._deltas
-        assert one._last_line == many._last_line
 
 
 class TestBackendRegistry:

@@ -71,3 +71,18 @@ def test_cold_only_pc():
 def test_empty_stats():
     stats = PerPCReuseStats()
     assert stats.miss_probability(1, cache_lines=10) == 0.0
+
+
+def test_miss_probability_follows_new_samples():
+    """Answers are memoized per (pc, cache size) but never outlive an
+    add(): a query after new samples sees them."""
+    stats = PerPCReuseStats(min_samples=1)
+    for _ in range(20):
+        stats.add(1, 5)
+    short = stats.miss_probability(1, cache_lines=10)
+    assert stats.miss_probability(1, cache_lines=10) == short
+    for _ in range(20):
+        stats.add(1, 5000)
+    assert stats.miss_probability(1, cache_lines=10) > short + 0.3
+    assert stats.miss_probability(2, cache_lines=10) == \
+        stats.miss_probability(1, cache_lines=10)   # global fallback

@@ -202,6 +202,12 @@ def test_store_counters_reconcile_with_store_ledger(tmp_path):
     assert strategy_cell["calls"] == 1
     assert 0 < strategy_cell["wall_s"] <= report.wall_seconds() + 1e-6
     assert report.kernels()                   # kernel timers were recorded
+    # The Analyst's whole-region classification has its own timer and
+    # its own section of the text report.
+    assert set(report.classification()) <= {"classify.region",
+                                            "classify.region.scalar"}
+    assert report.classification()
+    assert "classification (wall / calls):" in report.render_text()
 
 
 def test_run_matrix_merges_parent_and_worker_files(tmp_path, monkeypatch):

@@ -12,6 +12,8 @@ Time is measured in *access indices*: a miss occupies an entry for
 latency divided by the per-access cycle cost.
 """
 
+import math
+
 
 class MSHRFile:
     """Fixed-capacity table of outstanding line misses."""
@@ -24,16 +26,21 @@ class MSHRFile:
         self.n_entries = int(n_entries)
         self.window = int(window)
         self._outstanding = {}
+        #: A lower bound on every outstanding deadline: nothing expires
+        #: before it, so :meth:`_expire` scans only once it is reached.
+        self._next_expiry = math.inf
         self.mshr_hits = 0
         self.allocations = 0
         self.allocation_failures = 0
 
     def _expire(self, now):
-        if not self._outstanding:
+        if now < self._next_expiry:
             return
-        expired = [line for line, t in self._outstanding.items() if t <= now]
+        outstanding = self._outstanding
+        expired = [line for line, t in outstanding.items() if t <= now]
         for line in expired:
-            del self._outstanding[line]
+            del outstanding[line]
+        self._next_expiry = min(outstanding.values(), default=math.inf)
 
     def lookup(self, line, now):
         """True if ``line`` has an outstanding miss at access index ``now``."""
@@ -53,7 +60,10 @@ class MSHRFile:
         if len(self._outstanding) >= self.n_entries:
             self.allocation_failures += 1
             return False
-        self._outstanding[line] = now + self.window
+        deadline = now + self.window
+        self._outstanding[line] = deadline
+        if deadline < self._next_expiry:
+            self._next_expiry = deadline
         self.allocations += 1
         return True
 
@@ -63,6 +73,7 @@ class MSHRFile:
 
     def reset(self):
         self._outstanding.clear()
+        self._next_expiry = math.inf
         self.mshr_hits = 0
         self.allocations = 0
         self.allocation_failures = 0

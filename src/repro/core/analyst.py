@@ -12,8 +12,9 @@ Analysts for design-space exploration are nearly free (Section 6.4.2).
 
 import numpy as np
 
+from repro.caches.cache import SetAssocCache
 from repro.sampling.base import StrategyBase
-from repro.sampling.classify import WarmingClassifier
+from repro.sampling.classify import RegionFrontEnd, WarmingClassifier
 from repro.sampling.results import RegionResult
 from repro.statmodel.assoc import StrideDetector
 
@@ -41,8 +42,21 @@ class AnalystPass(StrategyBase):
             return self.context.window(instr_lo, instr_hi)
         return self.machine.access_window(instr_lo, instr_hi)
 
-    def run_region(self, spec, capacity_predictor):
-        """Evaluate one region given the DSW capacity predictor."""
+    def new_front_end(self):
+        """A :class:`~repro.sampling.classify.RegionFrontEnd` for one
+        region, to share among the Analysts with this Analyst's L1: its
+        own L1 and the fresh stride detector each region starts from."""
+        return RegionFrontEnd(
+            SetAssocCache(self.hierarchy_config.l1d, seed=self.seed),
+            StrideDetector())
+
+    def run_region(self, spec, capacity_predictor, front_end=None):
+        """Evaluate one region given the DSW capacity predictor.
+
+        ``front_end`` (from :meth:`new_front_end`) shares the region's L1
+        and stride work with other Analysts of the same L1; this
+        Analyst still charges its full detailed warming.
+        """
         machine = self.machine
         machine.switch_state()      # receive state from Explorer-N
 
@@ -55,6 +69,7 @@ class AnalystPass(StrategyBase):
             seed=self.seed,
             prefetcher=(self.prefetcher_factory()
                         if self.prefetcher_factory else None),
+            front_end=front_end,
         )
         machine.meter.detailed(spec.paper_warming_instructions)
         l1_warming = self._window(spec.l1_warming_start, spec.region_start)

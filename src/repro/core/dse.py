@@ -6,7 +6,11 @@ each simulating a different cache (or processor) configuration.  The
 marginal cost of an extra configuration is just its Analyst — tiny next
 to the warm-up work (the paper reports warm-up : detailed time of ~235x
 and a marginal cost below 1.05x for 10 parallel Analysts, versus 10x for
-rerunning the whole simulation per configuration).
+rerunning the whole simulation per configuration).  On the host, the
+Analysts with one L1 configuration also share each region's L1 and
+stride work (one :class:`~repro.sampling.classify.RegionFrontEnd`), so
+an extra LLC size runs only its own LLC phase; each Analyst's ledger
+still charges its full detailed warming.
 
 With an artifact ``store`` attached the amortization extends across
 *calls*: the warm-up products are persisted by
@@ -104,12 +108,17 @@ class DesignSpaceExploration(StrategyBase):
 
         for spec, warm in zip(plan.regions(), warm_regions):
             # One predictor serves every configuration: reuse distance is
-            # microarchitecture-independent (Section 3.3).
+            # microarchitecture-independent (Section 3.3).  Likewise the
+            # L1 and stride work serves every Analyst with the same L1.
             predictor = warm.predictor()
+            front_ends = {}
             for k, analyst in enumerate(analysts):
+                l1 = analyst.hierarchy_config.l1d
+                if l1 not in front_ends:
+                    front_ends[l1] = analyst.new_front_end()
                 mark = analyst_machines[k].meter.ledger.total_seconds
                 per_config_regions[k].append(
-                    analyst.run_region(spec, predictor))
+                    analyst.run_region(spec, predictor, front_ends[l1]))
                 analyst_stage_times[k].append(
                     analyst_machines[k].meter.ledger.total_seconds - mark)
 

@@ -17,21 +17,30 @@ The capacity predictor is the only piece that differs between CoolSim
 (per-PC reuse distributions, probabilistic) and DeLorean (exact key reuse
 distance + vicinity StatStack); it is injected as a callable.
 
-Classification dispatches on the kernel backend.  The vector path
-pre-computes the L1 hit mask and the LLC hit/occupancy stream with the
-batch LRU kernel, and every L1 miss's stride-limited capacity with one
-stride query over the region (the detector observes every access
-whatever its outcome).  Predictors with a ``predict_many`` method (the
-DSW predictor) then resolve the residual accesses — those that reach
-the MSHR and predictor — in numpy; only the MSHR lookup/allocate walk
-stays per access.  Other predictors (CoolSim's Bernoulli draws) are
-still called once per residual, in order.  The one sequential wrinkle
-is an MSHR hit, which *skips* the LLC fetch the kernel assumed: the
-kernel run is valid up to that access, so the LLC state is rolled back,
-the accepted prefix replayed, and the stream resumed after the skipped
-access.  MSHR hits require a line to be evicted within its own miss
-window, so in practice this costs nothing — and the scalar path remains
+Classification dispatches on the kernel backend.  The vector path runs
+in two parts.  Its :class:`RegionFrontEnd` does everything that does
+not depend on the LLC: the L1 hit masks of the detailed warming and of
+the region (batch LRU kernel), and every L1 miss's dominant stride from
+one stride query over the region (the detector observes every access
+whatever its outcome).  The per-LLC phase then warms the LLC with the
+warming tail's L1 misses, runs the region's L1-miss substream through
+the LLC kernel, and turns the strides into stride-limited capacities.
+Predictors with a ``predict_many`` method (the DSW predictor) resolve
+the residual accesses — those that reach the MSHR and predictor — in
+numpy; only the MSHR lookup/allocate walk stays per access.  Other
+predictors (CoolSim's Bernoulli draws) are still called once per
+residual, in order.  The one sequential wrinkle is an MSHR hit, which
+*skips* the LLC fetch the kernel assumed: the kernel run is valid up
+to that access, so the LLC state is rolled back, the accepted prefix
+replayed, and the stream resumed after the skipped access.  MSHR hits
+require a line to be evicted within its own miss window, so in
+practice this costs nothing — and the scalar path remains
 bit-identical and selectable by flag.
+
+A classifier builds its front end on its own L1 and stride detector
+unless it is handed one: the Analysts of a design-space sweep share
+one front end per region and L1 configuration, so an extra LLC size
+costs only its LLC phase.
 """
 
 import time
@@ -66,6 +75,62 @@ class ClassifiedRegion:
     llc_hit_instr: list = field(default_factory=list)
 
 
+def _warm_head(l1, l1_window_lines, llc_window_lines):
+    """Warm ``l1`` with the part of the L1 window before the LLC tail."""
+    n_tail = llc_window_lines.shape[0]
+    head = l1_window_lines[:-n_tail] if n_tail else l1_window_lines
+    if head.shape[0]:
+        l1.warm(head)
+
+
+class RegionFrontEnd:
+    """The LLC-independent half of one region's vector classification.
+
+    Built on an L1 cache and an optional stride detector, it computes on
+    first use — and returns unchanged to every later caller — the
+    L1-miss substream of the detailed-warming tail (the lines the tail
+    feeds the LLC) and the region's L1-miss positions with their
+    dominant strides.  Every classifier handed the same front end must
+    warm with the same windows and classify the same region behind the
+    same L1 configuration.
+    """
+
+    def __init__(self, l1, stride_detector=None):
+        self.l1 = l1
+        self.stride_detector = stride_detector
+        self._tail_misses = None
+        self._region = None
+
+    def warm(self, l1_window_lines, llc_window_lines):
+        """Warm the L1 with the whole window; return the lines of the
+        LLC-warming tail that miss it (the LLC's warming stream)."""
+        if self._tail_misses is None:
+            _warm_head(self.l1, l1_window_lines, llc_window_lines)
+            _, hit_mask, _ = self.l1.warm_profile(llc_window_lines)
+            self._tail_misses = llc_window_lines[~hit_mask]
+        return self._tail_misses
+
+    def region(self, lines, pcs):
+        """``(candidates, strides)``: the region's L1-miss positions and
+        each one's dominant stride (``0`` for none)."""
+        s = telemetry.session()
+        if self._region is not None:
+            if s is not None:
+                s.count("classify.front.shared")
+            return self._region
+        _, hit_mask, _ = self.l1.warm_profile(lines)
+        candidates = np.flatnonzero(~hit_mask)
+        if self.stride_detector is None:
+            strides = np.zeros(candidates.shape[0], dtype=np.int64)
+        else:
+            strides = self.stride_detector.dominant_strides_at(
+                pcs, lines, candidates)
+        self._region = candidates, strides
+        if s is not None:
+            s.count("classify.front.built")
+        return self._region
+
+
 class WarmingClassifier:
     """Classify detailed-region accesses given a capacity predictor.
 
@@ -82,11 +147,16 @@ class WarmingClassifier:
         limited-associativity conflict model.
     mshrs / mshr_window:
         L1-D MSHR file configuration (Table 1: 8 entries).
+    front_end:
+        Optional :class:`RegionFrontEnd` shared with other classifiers
+        of the same region and L1 configuration; the vector path then
+        takes the L1 and stride results from it instead of computing
+        them on this classifier's own L1 and ``stride_detector``.
     """
 
     def __init__(self, hierarchy_config, capacity_predictor,
                  stride_detector=None, mshrs=8, mshr_window=24, seed=0,
-                 prefetcher=None):
+                 prefetcher=None, front_end=None):
         self.hierarchy_config = hierarchy_config
         self.capacity_predictor = capacity_predictor
         self.stride_detector = stride_detector
@@ -97,6 +167,20 @@ class WarmingClassifier:
         #: LLC so later accesses hit; prefetches to predicted-present
         #: lines are nullified.
         self.prefetcher = prefetcher
+        self.front_end = front_end
+
+    def _vector_path(self):
+        return (kernels.get_backend() != "scalar"
+                and self.prefetcher is None
+                and self.lukewarm.l1d._is_lru
+                and self.lukewarm.llc._is_lru)
+
+    def _front(self):
+        """The shared front end, or a fresh one on this classifier's own
+        L1 and stride detector (which carry the state between calls)."""
+        if self.front_end is not None:
+            return self.front_end
+        return RegionFrontEnd(self.lukewarm.l1d, self.stride_detector)
 
     def warm_detailed(self, l1_window_lines, llc_window_lines=None):
         """Run detailed warming through the lukewarm hierarchy.
@@ -109,12 +193,12 @@ class WarmingClassifier:
         see the same window.
         """
         if llc_window_lines is None:
-            self.lukewarm.warm(l1_window_lines)
+            llc_window_lines = l1_window_lines
+        if self._vector_path():
+            self.lukewarm.llc.warm(
+                self._front().warm(l1_window_lines, llc_window_lines))
             return
-        n_tail = llc_window_lines.shape[0]
-        head = l1_window_lines[:-n_tail] if n_tail else l1_window_lines
-        if head.shape[0]:
-            self.lukewarm.l1d.warm(head)
+        _warm_head(self.lukewarm.l1d, l1_window_lines, llc_window_lines)
         self.lukewarm.warm(llc_window_lines)
 
     def classify_region(self, lines, pcs, instr_offsets):
@@ -126,10 +210,7 @@ class WarmingClassifier:
         block" arrow).
         """
         s = telemetry.session()
-        if (kernels.get_backend() != "scalar"
-                and self.prefetcher is None
-                and self.lukewarm.l1d._is_lru
-                and self.lukewarm.llc._is_lru):
+        if self._vector_path():
             if s is None:
                 return self._classify_region_vector(
                     lines, pcs, instr_offsets)
@@ -200,12 +281,11 @@ class WarmingClassifier:
         if n == 0:
             return result
 
-        # Phase 1: the L1 sees every access unconditionally.
-        _, l1_mask, _ = self.lukewarm.l1d.warm_profile(lines)
-        candidates = np.flatnonzero(~l1_mask)
-        effective = self._effective_lines(pcs, lines, candidates)
+        # Front end: the L1 sees every access unconditionally.
+        candidates, strides = self._front().region(lines, pcs)
+        effective = self._effective_lines(strides)
 
-        # Phase 2: the LLC sees the L1-miss substream (hits update
+        # LLC phase: the LLC sees the L1-miss substream (hits update
         # recency, classified misses fetch) *except* MSHR hits.
         llc_hit_positions = []
         warming_positions = []
@@ -260,20 +340,12 @@ class WarmingClassifier:
             instr_offsets[hit_instr].tolist())
         return result
 
-    def _effective_lines(self, pcs, lines, candidates):
-        """Stride-limited LLC capacity at each candidate position.
-
-        The detector observes every access of the region, whatever its
-        outcome, so one stride query answers for every L1 miss (and
-        leaves the detector as the per-access loop would).
-        """
+    def _effective_lines(self, strides):
+        """Stride-limited LLC capacity of each L1 miss, given its
+        dominant stride (``0`` for none)."""
         config = self.lukewarm.llc.config
-        effective = np.full(candidates.shape[0], config.n_lines,
+        effective = np.full(strides.shape[0], config.n_lines,
                             dtype=np.int64)
-        if self.stride_detector is None:
-            return effective
-        strides = self.stride_detector.dominant_strides_at(
-            pcs, lines, candidates)
         strided = strides > 0
         # effective_cache_lines(), element-wise.
         effective[strided] = (

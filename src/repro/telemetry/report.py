@@ -300,9 +300,12 @@ class RunReport:
         table("kernels (wall / calls):", [
             f"  {name:<34s} {cell['wall_s']:>9.3f}s {cell['calls']:>9d}"
             for name, cell in kernels.items()])
+        # Front-end counts (built, shared) print in the calls column.
         table("classification (wall / calls):", [
             f"  {name:<34s} {cell['wall_s']:>9.3f}s {cell['calls']:>9d}"
-            for name, cell in self.classification().items()])
+            for name, cell in self.classification().items()] + [
+            f"  {name:<34s} {'':>10s} {value:>9d}"
+            for name, value in self.counters_with_prefix("classify.").items()])
         store = self.store_totals()
         rate = store["hit_rate"]
         table("store:", [
@@ -321,7 +324,8 @@ class RunReport:
                                 for name, value in faults.items()])
         other = {
             name: value for name, value in sorted(self.counters.items())
-            if not name.startswith(("store.", "pool.", "fault.", "kernel."))
+            if not name.startswith(("store.", "pool.", "fault.", "kernel.",
+                                    "classify."))
         }
         table("counters:", [f"  {name:<34s} {value:>9d}"
                             for name, value in other.items()])

@@ -288,6 +288,35 @@ def test_dse_matches_single_config_delorean(small_workload, small_plan,
     assert report.results[0].mpki == pytest.approx(single.mpki, abs=0.5)
 
 
+def _config_signature(result):
+    """What one DSE configuration reports, except the sweep's wall time
+    (the slowest Analyst's)."""
+    return (result.cpi, result.mpki, result.meter.ledger.as_dict(),
+            [(region.index, region.stats.counts, region.timing.total_cycles)
+             for region in result.regions])
+
+
+@pytest.mark.parametrize("configs", [
+    [paper_hierarchy(size << 20) for size in (1, 8, 64, 512)],
+    # Interleaved L1 sizes: front ends are shared per L1 configuration.
+    [paper_hierarchy(size << 20, l1_scale=l1_scale)
+     for size in (8, 64) for l1_scale in (0.25, 0.5)],
+], ids=["llc-sizes", "two-l1-sizes"])
+def test_dse_configs_match_one_config_sweeps(small_workload, small_plan,
+                                             small_index, configs):
+    sweep = DesignSpaceExploration().run(
+        small_workload, small_plan, configs, index=small_index, seed=2)
+    for config, result in zip(configs, sweep.results):
+        alone = DesignSpaceExploration().run(
+            small_workload, small_plan, [config], index=small_index, seed=2)
+        assert _config_signature(result) == \
+            _config_signature(alone.results[0])
+    # The first two configurations differ in one cache (the LLC, or the
+    # L1 alone), and their results show it.
+    assert _config_signature(sweep.results[0]) != \
+        _config_signature(sweep.results[1])
+
+
 def test_dse_requires_configs(small_workload, small_plan, small_index):
     with pytest.raises(ValueError):
         DesignSpaceExploration().run(small_workload, small_plan, [],

@@ -33,7 +33,7 @@ from repro.kernels.stackdist import (
     reuse_and_stack_distances_vector,
 )
 from repro.caches.hierarchy import paper_hierarchy
-from repro.sampling.classify import WarmingClassifier
+from repro.sampling.classify import RegionFrontEnd, WarmingClassifier
 from repro.sampling.coolsim import CoolSim
 from repro.sampling.plan import SamplingPlan
 from repro.statmodel.assoc import StrideDetector
@@ -383,29 +383,60 @@ class TestClassifyKernel:
             (two_sets, [0, 2, 4, 6, 8, 0, 1, 3, 5, 7, 0],
              lambda: DirectedCapacityPredictor(distances, vicinity)),
         ]
-        for case, (config, lines, factory) in enumerate(cases):
+
+        def make(config, factory, front_end=None):
+            return WarmingClassifier(
+                config, capacity_predictor=factory(),
+                stride_detector=StrideDetector(), mshrs=8, mshr_window=24,
+                front_end=front_end)
+
+        def classify(classifier, lines):
             lines = np.asarray(lines, dtype=np.int64)
-            pcs = np.zeros(len(lines), dtype=np.int64)
-            instr = np.arange(len(lines), dtype=np.int64)
+            region = classifier.classify_region(
+                lines, np.zeros(len(lines), dtype=np.int64),
+                np.arange(len(lines), dtype=np.int64))
+            return (
+                region.stats.counts, region.outcomes,
+                region.outcome_instr, region.llc_hit_instr,
+                classifier.lukewarm.llc._sets,
+                classifier.mshr._outstanding,
+                predictor_state(classifier.capacity_predictor),
+            )
+
+        for case, (config, lines, factory) in enumerate(cases):
             outputs = {}
             for backend in kernels.BACKENDS:
                 with kernels.use_backend(backend):
-                    classifier = WarmingClassifier(
-                        config, capacity_predictor=factory(),
-                        stride_detector=StrideDetector(), mshrs=8,
-                        mshr_window=24)
-                    region = classifier.classify_region(lines, pcs, instr)
-                    outputs[backend] = (
-                        region.stats.counts, region.outcomes,
-                        region.outcome_instr, region.llc_hit_instr,
-                        classifier.lukewarm.llc._sets,
-                        classifier.mshr._outstanding,
-                        predictor_state(classifier.capacity_predictor),
-                    )
+                    outputs[backend] = classify(make(config, factory), lines)
             assert outputs["scalar"][0]["mshr_hit"] >= 1, case
             for backend in kernels.BACKENDS:
                 assert outputs[backend] == outputs["scalar"], \
                     (case, backend)
+
+        # Both LLCs sit behind one L1, so one front end can serve both
+        # classifications of a region, as it serves a DSE sweep.  The
+        # warming fills the L1 and, through its misses, seeds the LLC;
+        # both classifiers warm before either classifies, so a front end
+        # that re-warmed its L1 would feed the second LLC nothing.
+        assert one_set.l1d == two_sets.l1d
+        directed = cases[1][2]
+        warming = np.asarray([30, 31], dtype=np.int64)
+        for _, lines, _ in cases[1:]:
+            for backend in kernels.BACKENDS:
+                with kernels.use_backend(backend):
+                    front = RegionFrontEnd(SetAssocCache(one_set.l1d),
+                                           StrideDetector())
+                    runs = {}
+                    for label, front_end in (("shared", front),
+                                             ("unshared", None)):
+                        classifiers = [make(config, directed, front_end)
+                                       for config in (one_set, two_sets)]
+                        for classifier in classifiers:
+                            classifier.warm_detailed(warming)
+                        runs[label] = [classify(classifier, lines)
+                                       for classifier in classifiers]
+                assert runs["shared"] == runs["unshared"], (lines, backend)
+                assert all(out[0]["mshr_hit"] >= 1 for out in runs["shared"])
 
     def test_warm_detailed_tail_split(self):
         # The former dead-conditional path: an empty LLC tail must warm

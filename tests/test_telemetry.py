@@ -27,6 +27,7 @@ import pytest
 
 from repro import kernels, telemetry
 from repro.core import DeLorean
+from repro.core.dse import DesignSpaceExploration
 from repro.caches.hierarchy import paper_hierarchy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SuiteRunner
@@ -208,6 +209,35 @@ def test_store_counters_reconcile_with_store_ledger(tmp_path):
                                             "classify.region.scalar"}
     assert report.classification()
     assert "classification (wall / calls):" in report.render_text()
+
+
+@pytest.mark.parametrize("backend", kernels.BACKENDS)
+def test_dse_sweep_counts_shared_front_ends(tmp_path, backend):
+    workload = make_small_workload()
+    plan = SamplingPlan(n_instructions=workload.trace.n_instructions,
+                        n_regions=2)
+    configs = [paper_hierarchy(size << 20) for size in (1, 8, 64)]
+    telemetry.configure("trace", directory=str(tmp_path))
+    with kernels.use_backend(backend):
+        DesignSpaceExploration().run(workload, plan, configs,
+                                     index=TraceIndex(workload.trace))
+    telemetry.flush()
+    workload.release()
+
+    report = RunReport.from_dir(telemetry.run_dir())
+    built = report.counter("classify.front.built")
+    shared = report.counter("classify.front.shared")
+    if backend == "scalar":
+        # The scalar reference classifies on each Analyst's own caches.
+        assert (built, shared) == (0, 0)
+        return
+    # One front end per region; the other two Analysts reuse it.
+    assert (built, shared) == (plan.n_regions, 2 * plan.n_regions)
+    text = report.render_text()
+    section = text[text.index("classification (wall / calls):"):]
+    section = section[:section.index("\n\n")]
+    assert "classify.front.built" in section
+    assert "classify.front.shared" in section
 
 
 def test_run_matrix_merges_parent_and_worker_files(tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ from repro.vff.machine import VirtualMachine
 #: ``REPRO_INDEX_SPILL`` values (default ``auto``): ``auto`` spills the
 #: index for streaming workloads with an enabled store; ``always``
 #: forces chunked/spilled construction for every workload; ``never``
-#: restores the in-RAM argsort build unconditionally.
+#: restores the in-RAM build unconditionally.
 SPILL_MODES = ("auto", "always", "never")
 
 _NEVER_VALUES = ("never", "off", "0", "false", "no")

@@ -4,12 +4,14 @@ A real DeLorean run discovers reuses by executing with watchpoints; the
 trace-driven substitute answers the same questions from a sorted index:
 *when was line L last accessed before access position P?* and *how many
 accesses hit page G inside a window?* (the stop count a page-protection
-watchpoint would have taken).  Building the index is two argsorts; every
-query is a binary search.
+watchpoint would have taken).  Building the index is one sort per
+granularity; every query is a binary search.  Each builder groups
+positions by key through :func:`_group_by_key`, which packs key and
+position into one int64 so that a plain sort yields the stable order.
 
-Two construction modes exist:
+Three construction modes exist:
 
-* the classic in-RAM argsort (``TraceIndex(trace)``), still the default
+* the classic in-RAM build (``TraceIndex(trace)``), still the default
   for synthetic workloads whose traces are RAM-resident anyway;
 * a **chunked, spillable** build (:func:`build_index_tables` /
   :meth:`TraceIndex.build_spilled`): the trace is scanned in bounded
@@ -19,7 +21,10 @@ Two construction modes exist:
   npz, and served back as read-only memory maps
   (:meth:`TraceIndex.open`).  Queries then touch only the table pages
   the watchpoints direct them to, so a strategy run's resident set
-  scales with the sampled regions rather than the trace length.
+  scales with the sampled regions rather than the trace length;
+* an **append/seal** build over a live feed
+  (:class:`LiveIndexBuilder`): each sealed epoch equals a from-scratch
+  build of the prefix consumed so far.
 """
 
 import os
@@ -49,25 +54,82 @@ def _as_int64(array):
     return array
 
 
+def _group_by_key(keys):
+    """Group the positions ``0..n-1`` of ``keys`` by key, stably.
+
+    Returns ``(order, unique, starts, lengths)``: ``order`` is what
+    ``np.argsort(keys, kind="stable")`` returns, ``unique`` the distinct
+    keys ascending (in ``keys``' dtype), and ``starts``/``lengths`` each
+    key's run within ``order``.  The position rides in the low bits of
+    one packed int64, ``(key - min) << bits | position``, so a single
+    unstable sort yields the stable order.  When that packed key would
+    not fit in 63 bits the stable argsort runs instead — the rule
+    ``kernels/lru.py::_link_reuses`` applies.
+    """
+    keys = np.asarray(keys)
+    n = keys.shape[0]
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, keys[:0].copy(), empty, empty
+    bits = (n - 1).bit_length()
+    lo = int(keys.min())
+    # Python ints: the span of int64 keys may itself overflow int64.
+    if int(keys.max()) - lo < 1 << (63 - bits):
+        packed = keys.astype(np.int64)
+        packed -= lo
+        packed <<= bits
+        packed |= np.arange(n, dtype=np.int64)
+        packed.sort()
+        order = packed & ((1 << bits) - 1)
+        sorted_keys = packed
+        sorted_keys >>= bits              # in place: key - min per slot
+    else:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    lengths = np.diff(starts, append=n)
+    return order, keys[order[starts]], starts, lengths
+
+
+def _insert_keys(keys, unique, *columns):
+    """Merge the sorted distinct ``unique`` into the sorted key table.
+
+    Each column is a ``(state, fill)`` pair: a per-key array aligned
+    with ``keys`` and the value a newly inserted key starts with.
+    Returns the merged keys, the realigned state arrays and the slot of
+    every ``unique`` key in the merged table.
+    """
+    slot = np.searchsorted(keys, unique)
+    fresh = slot == keys.shape[0]
+    fresh[~fresh] = keys[slot[~fresh]] != unique[~fresh]
+    states = [state for state, _ in columns]
+    if fresh.any():
+        at = slot[fresh]
+        keys = np.insert(keys, at, unique[fresh])
+        states = [np.insert(state, at, fill) for state, fill in columns]
+        slot = np.searchsorted(keys, unique)
+    return keys, states, slot
+
+
 class _PositionIndex:
     """Sorted access positions grouped by key (line or page)."""
 
     def __init__(self, keys):
         keys = np.asarray(keys)
-        order = np.argsort(keys, kind="stable")
-        self._positions = order.astype(np.int64)
-        sorted_keys = keys[order]
-        unique, starts = np.unique(sorted_keys, return_index=True)
+        order, unique, starts, _ = _group_by_key(keys)
+        self._positions = order
         self._keys = unique
-        self._starts = np.concatenate(
-            (starts, [keys.shape[0]])).astype(np.int64)
+        self._starts = np.append(starts, keys.shape[0])
         self._successors = None
         self._ranks = None
 
     @classmethod
     def from_tables(cls, positions, keys, starts, successors=None,
                     ranks=None):
-        """Rebuild from persisted tables, skipping the argsort.
+        """Rebuild from persisted tables, skipping the sort.
 
         ``positions``/``keys``/``starts`` may be memory-mapped views —
         they are adopted as-is (no copy) when already the right dtype,
@@ -293,16 +355,16 @@ def build_index_tables(trace, chunk_accesses=None, allocate=None):
 
     Scans ``trace.mem_line`` (which may be a memory map) in windows of
     ``chunk_accesses`` and produces, for both granularities, the same
-    ``positions``/``keys``/``starts`` tables an in-RAM argsort would —
+    ``positions``/``keys``/``starts`` tables the in-RAM build does —
     *plus* the ``successors`` and ``ranks`` tables the batched
     watchpoint kernels otherwise build lazily in RAM.  Output arrays
     come from ``allocate(name, shape, dtype)`` so callers choose where
     the O(accesses) product lives (heap, or spill-file memmaps); the
     builder itself only ever materializes O(chunk + unique keys).
 
-    Equivalence to the argsort build: the scatter is a counting sort —
+    Equivalence to the in-RAM build: the scatter is a counting sort —
     chunks are scanned in ascending position order and each chunk's
-    occurrences are placed in key-run order behind per-key cursors, so
+    occurrences, grouped by key, are placed behind per-key cursors, so
     every run holds its positions ascending, exactly like a stable
     argsort by key.
 
@@ -331,14 +393,10 @@ def build_index_tables(trace, chunk_accesses=None, allocate=None):
         transient = sum(a.nbytes for a in batch.values())
         for name in granularities:
             unique, chunk_counts = np.unique(batch[name], return_counts=True)
-            merged = np.concatenate((keys[name], unique))
-            weights = np.concatenate((counts[name], chunk_counts))
-            merged_keys, inverse = np.unique(merged, return_inverse=True)
-            merged_counts = np.zeros(merged_keys.shape[0], dtype=np.int64)
-            np.add.at(merged_counts, inverse, weights)
-            keys[name], counts[name] = merged_keys, merged_counts
-            transient += (unique.nbytes + chunk_counts.nbytes
-                          + merged.nbytes + weights.nbytes + inverse.nbytes)
+            keys[name], (counts[name],), slot = _insert_keys(
+                keys[name], unique, (counts[name], 0))
+            counts[name][slot] += chunk_counts
+            transient += unique.nbytes + chunk_counts.nbytes + slot.nbytes
         peak_transient = max(peak_transient, transient)
 
     tables = {}
@@ -366,20 +424,16 @@ def build_index_tables(trace, chunk_accesses=None, allocate=None):
         batch = chunk_keys(lo, hi)
         transient = sum(a.nbytes for a in batch.values())
         for name in granularities:
-            chunk_arr = batch[name]
-            slot = np.searchsorted(keys[name], chunk_arr)
-            order = np.argsort(chunk_arr, kind="stable")
-            sorted_slot = slot[order]
-            run_slot, run_start, run_count = np.unique(
-                sorted_slot, return_index=True, return_counts=True)
-            within = (np.arange(hi - lo, dtype=np.int64)
-                      - np.repeat(run_start, run_count))
-            dest = cursors[name][sorted_slot] + within
-            tables[f"{name}_positions"][dest] = (
-                lo + order.astype(np.int64))
+            order, unique, run_start, run_count = _group_by_key(batch[name])
+            run_slot = np.searchsorted(keys[name], unique)
+            dest = (np.repeat(cursors[name][run_slot] - run_start, run_count)
+                    + np.arange(hi - lo, dtype=np.int64))
+            tables[f"{name}_positions"][dest] = lo + order
             cursors[name][run_slot] += run_count
-            transient += (slot.nbytes + order.nbytes + sorted_slot.nbytes
-                          + within.nbytes + dest.nbytes)
+            # The packed sort key is as large as ``order``.
+            transient += (2 * order.nbytes + dest.nbytes + unique.nbytes
+                          + run_start.nbytes + run_count.nbytes
+                          + run_slot.nbytes)
         peak_transient = max(peak_transient, transient)
 
     # Pass 3: successors and ranks from the grouped positions table.
@@ -511,27 +565,29 @@ class LiveIndexBuilder:
     (sorted keys, occurrence counts, last-occurrence positions) plus
     live successor/rank columns, and :meth:`seal` materializes the full
     grouped table set for the prefix consumed so far — bit-identical to
-    what :func:`build_index_tables` (or the in-RAM argsort) produces on
+    what :func:`build_index_tables` (or the in-RAM build) produces on
     that prefix.
 
     Incrementality invariants that make the seal cheap and exact:
 
     * *ranks* are prefix-independent (the rank of access ``p`` within
       its key's run counts only earlier accesses), so they are computed
-      once at append time and copied at seal;
+      once at append time;
     * *successors* are appended provisionally (``-1``) and patched in
       place when the key's next access arrives — at a seal taken at the
       stream position every entry is either a real in-prefix successor
       or ``-1``, exactly the batch semantics;
     * the grouped *positions* table of epoch ``k`` is the epoch-``k-1``
-      table with each run extended by the pending accesses, so sealing
-      copies the previous epoch run-by-run into its new offsets and
-      counting-sort scatters only the pending tail.
+      table with each run extended by the pending accesses: those take
+      the tail slots of their key's run, and the previous epoch's table
+      fills every other slot in order, so sealing is one sequential
+      merge.
 
     Sealed epochs spill through the existing
-    ``save_arrays``/``put_stream`` path when a store is given, so the
-    builder's resident set stays O(chunk + unique keys) while the feed
-    grows without bound.
+    ``save_arrays``/``put_stream`` path when a store is given (the
+    successor and rank columns stream straight from their growable
+    spill files), so the builder's resident set stays O(chunk + pending
+    + unique keys) while the feed grows without bound.
     """
 
     _GRANULARITIES = ("lines", "pages")
@@ -552,84 +608,63 @@ class LiveIndexBuilder:
         self._prev_pos = {}
         self._succ = {}
         self._rank = {}
-        self._pending = {}
         for name in self._GRANULARITIES:
             self._keys[name] = np.empty(0, dtype=np.int64)
             self._counts[name] = np.empty(0, dtype=np.int64)
             self._prev_pos[name] = np.empty(0, dtype=np.int64)
             self._succ[name] = _GrowColumn(directory, name + "_succ")
             self._rank[name] = _GrowColumn(directory, name + "_rank")
-            self._pending[name] = []
-        #: Per-granularity previous sealed epoch: (keys, starts, positions).
+        #: Line chunks appended since the last seal.
+        self._pending = []
+        #: Per-granularity positions table of the previous sealed epoch.
         self._sealed = {}
-        self._sealed_watermark = 0
 
     def append(self, chunk):
         """Fold one feed chunk (a TraceChunk or a raw line array) into
         the live tables."""
         mem_line = getattr(chunk, "mem_line", chunk)
-        lines = np.asarray(mem_line, dtype=np.int64)
+        lines = np.array(mem_line, dtype=np.int64)
         m = lines.shape[0]
         if m == 0:
             return
         telemetry.counter("live.index.chunks")
         n0 = self.n_accesses
-        for name in self._GRANULARITIES:
-            chunk_arr = (lines if name == "lines"
-                         else lines >> _PAGE_OF_LINE_SHIFT)
-            self._fold(name, chunk_arr, n0)
-            self._pending[name].append(chunk_arr.copy())
+        self._fold("lines", lines, n0)
+        self._fold("pages", lines >> _PAGE_OF_LINE_SHIFT, n0)
+        self._pending.append(lines)
         self.n_accesses = n0 + m
 
     def _fold(self, name, chunk_arr, n0):
         m = chunk_arr.shape[0]
-        unique, chunk_counts = np.unique(chunk_arr, return_counts=True)
-        keys = self._keys[name]
-        # Merge new keys into the sorted state (counts/prev_pos realign).
-        if keys.shape[0] == 0 or not np.all(np.isin(unique, keys)):
-            merged = np.unique(np.concatenate((keys, unique)))
-            if merged.shape[0] != keys.shape[0]:
-                old_slot = np.searchsorted(merged, keys)
-                counts = np.zeros(merged.shape[0], dtype=np.int64)
-                counts[old_slot] = self._counts[name]
-                prev_pos = np.full(merged.shape[0], -1, dtype=np.int64)
-                prev_pos[old_slot] = self._prev_pos[name]
-                self._keys[name] = keys = merged
-                self._counts[name] = counts
-                self._prev_pos[name] = prev_pos
-        counts = self._counts[name]
-        prev_pos = self._prev_pos[name]
-
-        slot = np.searchsorted(keys, chunk_arr)
-        order = np.argsort(chunk_arr, kind="stable")
-        sorted_slot = slot[order]
-        run_slot, run_start, run_count = np.unique(
-            sorted_slot, return_index=True, return_counts=True)
-        within = (np.arange(m, dtype=np.int64)
-                  - np.repeat(run_start, run_count))
+        order, unique, run_start, run_count = _group_by_key(chunk_arr)
+        self._keys[name], (counts, prev_pos), run_slot = _insert_keys(
+            self._keys[name], unique,
+            (self._counts[name], 0), (self._prev_pos[name], -1))
+        self._counts[name], self._prev_pos[name] = counts, prev_pos
 
         # Ranks: prefix count before the chunk + within-chunk rank.
         rank_chunk = np.empty(m, dtype=np.int64)
-        rank_chunk[order] = counts[sorted_slot] + within
+        rank_chunk[order] = (np.repeat(counts[run_slot] - run_start,
+                                       run_count)
+                             + np.arange(m, dtype=np.int64))
         self._rank[name].append(rank_chunk)
 
         # Successors: in-chunk chains now, cross-chunk patched in place.
-        pos_sorted = n0 + order.astype(np.int64)
+        pos_sorted = n0 + order
+        run_last = run_start + run_count - 1
         succ_sorted = np.empty(m, dtype=np.int64)
-        if m:
-            succ_sorted[:-1] = pos_sorted[1:]
-            succ_sorted[-1] = -1
-            succ_sorted[run_start + run_count - 1] = -1
+        succ_sorted[:-1] = pos_sorted[1:]
+        succ_sorted[run_last] = -1
         succ_chunk = np.empty(m, dtype=np.int64)
         succ_chunk[order] = succ_sorted
         self._succ[name].append(succ_chunk)
-        first_pos = pos_sorted[run_start]
         prev = prev_pos[run_slot]
         has_prev = prev >= 0
         if np.any(has_prev):
-            self._succ[name].patch(prev[has_prev], first_pos[has_prev])
+            self._succ[name].patch(prev[has_prev],
+                                   pos_sorted[run_start[has_prev]])
 
-        prev_pos[run_slot] = pos_sorted[run_start + run_count - 1]
+        prev_pos[run_slot] = pos_sorted[run_last]
         counts[run_slot] += run_count
 
     def seal(self, trace, key=None, label="live-index",
@@ -663,87 +698,67 @@ class LiveIndexBuilder:
                 os.path.join(spill_dir, table_name + ".npy"), mode="w+",
                 dtype=dtype, shape=shape)
 
+        pending = (np.concatenate(self._pending) if self._pending
+                   else np.empty(0, dtype=np.int64))
         try:
             tables = {}
             for name in self._GRANULARITIES:
-                self._seal_granularity(name, n, chunk, allocate, tables)
+                keys = (pending if name == "lines"
+                        else pending >> _PAGE_OF_LINE_SHIFT)
+                self._seal_granularity(name, keys, n, chunk, allocate,
+                                       tables, spill_dir is not None)
             index = self._publish(trace, tables, key, label)
         finally:
             if spill_dir is not None:
                 shutil.rmtree(spill_dir, ignore_errors=True)
-        self._sealed_watermark = n
         s = telemetry.session()
         if s is not None:
             s.add_time("live.index.seal", time.perf_counter() - t0)
             s.count("live.index.seals")
         return index
 
-    def _seal_granularity(self, name, n, chunk, allocate, tables):
+    def _seal_granularity(self, name, pending, n, chunk, allocate, tables,
+                          publish_views):
         keys_now = self._keys[name]
-        counts_now = self._counts[name]
-        n_keys = keys_now.shape[0]
-        starts_now = np.empty(n_keys + 1, dtype=np.int64)
+        starts_now = np.empty(keys_now.shape[0] + 1, dtype=np.int64)
         starts_now[0] = 0
-        np.cumsum(counts_now, out=starts_now[1:])
+        np.cumsum(self._counts[name], out=starts_now[1:])
 
-        key_table = allocate(f"{name}_keys", (n_keys,), np.int64)
-        key_table[:] = keys_now
-        start_table = allocate(f"{name}_starts", (n_keys + 1,), np.int64)
-        start_table[:] = starts_now
-        positions = allocate(f"{name}_positions", (n,), np.int64)
-
-        base_counts = np.zeros(n_keys, dtype=np.int64)
-        prev = self._sealed.get(name)
-        if prev is not None:
-            pkeys, pstarts, ppositions = prev
-            pstarts = np.asarray(pstarts, dtype=np.int64)
-            n_prev = int(pstarts[-1])
-            slot = np.searchsorted(keys_now, np.asarray(pkeys))
-            run_lengths = np.diff(pstarts)
-            base_counts[slot] = run_lengths
-            new_run_base = starts_now[slot]
-            # Copy epoch k-1's runs into their (shifted) epoch-k offsets.
-            for lo in range(0, n_prev, chunk):
-                hi = min(n_prev, lo + chunk)
-                idx = np.arange(lo, hi, dtype=np.int64)
-                run_of = np.searchsorted(pstarts, idx, side="right") - 1
-                dest = new_run_base[run_of] + (idx - pstarts[run_of])
-                positions[dest] = np.asarray(ppositions[lo:hi],
-                                             dtype=np.int64)
-        n_prev = int(base_counts.sum())
-
-        # Counting-sort scatter of the pending tail behind per-key
-        # cursors seeded past the copied runs.
-        cursors = starts_now[:-1] + base_counts
-        pend_lo = 0
-        for chunk_arr in self._pending[name]:
-            for lo in range(0, chunk_arr.shape[0], chunk):
-                hi = min(chunk_arr.shape[0], lo + chunk)
-                window = chunk_arr[lo:hi]
-                slot = np.searchsorted(keys_now, window)
-                order = np.argsort(window, kind="stable")
-                sorted_slot = slot[order]
-                run_slot, run_start, run_count = np.unique(
-                    sorted_slot, return_index=True, return_counts=True)
-                within = (np.arange(hi - lo, dtype=np.int64)
-                          - np.repeat(run_start, run_count))
-                dest = cursors[sorted_slot] + within
-                positions[dest] = (n_prev + pend_lo + lo
-                                   + order.astype(np.int64))
-                cursors[run_slot] += run_count
-            pend_lo += chunk_arr.shape[0]
-        if n_prev + pend_lo != n:
+        # Pending accesses take the tail slots of their key's run, in
+        # position order; grouped by key their destinations ascend.
+        prev = self._sealed.get(name, np.empty(0, dtype=np.int64))
+        n_prev = n - pending.shape[0]
+        if prev.shape[0] != n_prev:
             raise AssertionError("pending buffer out of sync with feed")
+        order, unique, run_start, run_count = _group_by_key(pending)
+        run_end = starts_now[np.searchsorted(keys_now, unique) + 1]
+        dest = (np.repeat(run_end - run_count - run_start, run_count)
+                + np.arange(pending.shape[0], dtype=np.int64))
+        value = n_prev + order
 
-        successors = allocate(f"{name}_successors", (n,), np.int64)
-        ranks = allocate(f"{name}_ranks", (n,), np.int64)
+        # Sequential merge: the previous epoch's table fills every slot
+        # the pending accesses do not take, in order, chunk by chunk.
+        positions = allocate(f"{name}_positions", (n,), np.int64)
+        taken_lo = 0
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
-            successors[lo:hi] = self._succ[name].view(n)[lo:hi]
-            ranks[lo:hi] = self._rank[name].view(n)[lo:hi]
+            taken_hi = int(np.searchsorted(dest, hi))
+            taken = np.zeros(hi - lo, dtype=bool)
+            taken[dest[taken_lo:taken_hi] - lo] = True
+            window = positions[lo:hi]
+            window[taken] = value[taken_lo:taken_hi]
+            window[~taken] = prev[lo - taken_lo:hi - taken_hi]
+            taken_lo = taken_hi
 
-        tables[f"{name}_keys"] = key_table
-        tables[f"{name}_starts"] = start_table
+        # With a store the live columns stream straight into the blob;
+        # a heap epoch copies them, since later appends patch them.
+        successors = self._succ[name].view(n)
+        ranks = self._rank[name].view(n)
+        if not publish_views:
+            successors, ranks = np.array(successors), np.array(ranks)
+
+        tables[f"{name}_keys"] = keys_now
+        tables[f"{name}_starts"] = starts_now
         tables[f"{name}_positions"] = positions
         tables[f"{name}_successors"] = successors
         tables[f"{name}_ranks"] = ranks
@@ -756,16 +771,15 @@ class LiveIndexBuilder:
         if published is not None:
             tables = published
         else:
-            # Heap fallback (no store/key, or a racing sweep): copy any
-            # spill memmaps so the epoch survives the spill cleanup.
+            # Heap fallback (no store/key, or a dropped publish): copy
+            # any spill or live-column memmaps, so the epoch survives
+            # the spill cleanup and later appends.
             tables = {name: (np.array(table) if isinstance(table, np.memmap)
                              else table)
                       for name, table in tables.items()}
         for name in self._GRANULARITIES:
-            self._sealed[name] = (tables[f"{name}_keys"],
-                                  tables[f"{name}_starts"],
-                                  tables[f"{name}_positions"])
-            self._pending[name] = []
+            self._sealed[name] = tables[f"{name}_positions"]
+        self._pending = []
         return TraceIndex.from_tables(trace, tables)
 
     def close(self):
@@ -787,7 +801,7 @@ class LiveIndexBuilder:
 class TraceIndex:
     """Line- and page-granularity position indices for one trace."""
 
-    #: Set by the chunked/spilled constructors (None for argsort builds).
+    #: Set by the chunked/spilled constructors (None for in-RAM builds).
     build_stats = None
 
     def __init__(self, trace):
@@ -797,7 +811,7 @@ class TraceIndex:
         self.lines = _PositionIndex(trace.mem_line)
         self.pages = _PositionIndex(trace.mem_page)
         if s is not None:
-            s.add_time("index.build.argsort", time.perf_counter() - t0)
+            s.add_time("index.build.sort", time.perf_counter() - t0)
 
     def tables(self):
         """Flat array mapping for the artifact store (npz-friendly)."""
@@ -805,7 +819,7 @@ class TraceIndex:
 
     @classmethod
     def from_tables(cls, trace, tables):
-        """Rebuild an index from persisted tables (no argsorts).
+        """Rebuild an index from persisted tables (no sorting).
 
         ``successors``/``ranks`` entries are optional — legacy
         position-only artifacts still load, with those tables rebuilt

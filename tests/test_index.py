@@ -1,9 +1,21 @@
 """Tests for the trace position index (the profiling oracle)."""
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+import warnings
+from unittest import mock
 
-from repro.vff.index import TraceIndex
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.reliability import clear_plan, inject
+from repro.store import ArtifactStore
+from repro.util.units import CACHELINE_SHIFT, PAGE_SHIFT
+from repro.vff.index import (
+    LiveIndexBuilder,
+    TraceIndex,
+    _group_by_key,
+    build_index_tables,
+)
 from tests.test_record import make_trace
 
 
@@ -146,7 +158,107 @@ def test_multi_page_stops_matches_per_window():
                                 [0], [800]).tolist() == [0]
 
 
+# -- the grouping helper every builder sorts with ----------------------------
+
+@st.composite
+def grouping_keys(draw):
+    """Key arrays biased to the helper's edges: spans just inside and
+    just outside the packed key's 63 bits at the lengths ``2**k`` and
+    ``2**k + 1`` where the position width changes, spans that overflow
+    int64, and empty, single-element and all-equal inputs."""
+    shape = draw(st.sampled_from(("small", "edge", "wide", "equal")))
+    if shape == "small":
+        return np.asarray(draw(st.lists(st.integers(-50, 50), max_size=200)),
+                          dtype=np.int64)
+    if shape == "equal":
+        return np.full(draw(st.integers(0, 40)),
+                       draw(st.integers(-2**63, 2**63 - 1)), dtype=np.int64)
+    if shape == "wide":
+        n = draw(st.integers(2, 64))
+        lo = draw(st.integers(-2**63, -2**61))
+        span = draw(st.integers(2**62, 2**63 - 1 - lo))
+    else:
+        n = 2 ** draw(st.integers(0, 9)) + draw(st.integers(0, 1))
+        span = (1 << (63 - (n - 1).bit_length())) - draw(st.integers(0, 1))
+        lo = draw(st.integers(-2**63, 2**63 - 1 - span))
+    pool = [lo, lo + span] + draw(st.lists(st.integers(lo, lo + span),
+                                           max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = np.asarray(pool, dtype=np.int64)[
+        rng.integers(0, len(pool), size=n)]
+    keys[:2] = [lo, lo + span][:n]        # realize the full span
+    return rng.permutation(keys)
+
+
+def test_group_by_key_matches_stable_argsort():
+    """One packed sort (or its argsort fallback) groups exactly like a
+    stable argsort followed by ``np.unique``."""
+    branches = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouping_keys())
+    @example(np.asarray([3, 1, 3, 2, 1], dtype=np.int64))
+    @example(np.asarray([-2**62, 2**62, -2**62], dtype=np.int64))
+    @example(np.empty(0, dtype=np.int64))
+    def check(keys):
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            order, unique, starts, lengths = _group_by_key(keys)
+        if keys.shape[0]:
+            branches.add("fallback" if argsort.called else "packed")
+        expected = np.argsort(keys, kind="stable")
+        exp_unique, exp_starts, exp_lengths = np.unique(
+            keys[expected], return_index=True, return_counts=True)
+        assert order.dtype == np.int64 and unique.dtype == keys.dtype
+        assert np.array_equal(order, expected)
+        assert np.array_equal(unique, exp_unique)
+        assert np.array_equal(starts, exp_starts)
+        assert np.array_equal(lengths, exp_lengths)
+
+    check()
+    assert branches == {"packed", "fallback"}
+
+
 # -- chunked / spillable construction ----------------------------------------
+
+_PAGE_OF_LINE_SHIFT = PAGE_SHIFT - CACHELINE_SHIFT
+
+
+def reference_tables(lines):
+    """All ten index tables of ``lines``, from a stable argsort and a
+    per-key walk — an oracle that shares no code with the builders."""
+    lines = np.asarray(lines, dtype=np.int64)
+    tables = {}
+    for name, keys in (("lines", lines),
+                       ("pages", lines >> _PAGE_OF_LINE_SHIFT)):
+        n = keys.shape[0]
+        order = np.argsort(keys, kind="stable")
+        unique, first = np.unique(keys[order], return_index=True)
+        starts = np.append(first, n).astype(np.int64)
+        successors = np.full(n, -1, dtype=np.int64)
+        ranks = np.empty(n, dtype=np.int64)
+        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            run = order[lo:hi]
+            successors[run[:-1]] = run[1:]
+            ranks[run] = np.arange(hi - lo)
+        tables.update({f"{name}_positions": order, f"{name}_keys": unique,
+                       f"{name}_starts": starts,
+                       f"{name}_successors": successors,
+                       f"{name}_ranks": ranks})
+    return tables
+
+
+def assert_matches_reference(index, reference, context=""):
+    for name in ("lines", "pages"):
+        part = getattr(index, name)
+        for table, array in (("positions", part._positions),
+                             ("keys", part._keys),
+                             ("starts", part._starts),
+                             ("successors", part.successors()),
+                             ("ranks", part.ranks())):
+            expected = reference[f"{name}_{table}"]
+            assert array.dtype == np.int64, (context, name, table)
+            assert np.array_equal(array, expected), (context, name, table)
+
 
 def _assert_indices_identical(a, b, context=""):
     for name, left, right in (("lines", a.lines, b.lines),
@@ -167,23 +279,39 @@ def _assert_indices_identical(a, b, context=""):
 @given(st.lists(st.integers(0, 400), min_size=0, max_size=300),
        st.integers(1, 64))
 def test_chunked_build_matches_argsort(lines, chunk):
-    """The counting-sort scatter is equivalent to the stable argsort."""
-    from repro.vff.index import build_index_tables
-
+    """The counting-sort scatter and the in-RAM build both equal the
+    stable-argsort reference."""
     lines = np.asarray(lines, dtype=np.int64) * 5    # span several pages
     trace = make_trace(list(range(len(lines))), lines,
                        n_instructions=max(1, len(lines)))
     tables, stats = build_index_tables(trace, chunk_accesses=chunk)
-    _assert_indices_identical(
-        TraceIndex(trace), TraceIndex.from_tables(trace, tables),
-        f"chunk={chunk}")
+    reference = reference_tables(lines)
+    assert_matches_reference(TraceIndex(trace), reference, "in-RAM")
+    assert_matches_reference(TraceIndex.from_tables(trace, tables),
+                             reference, f"chunk={chunk}")
     assert stats.n_accesses == len(lines)
+
+
+def test_wide_span_index_matches_argsort():
+    """Keys too far apart to pack with their positions take the stable
+    argsort fallback, in the in-RAM and the chunked build alike."""
+    rng = np.random.default_rng(5)
+    lines = (rng.choice([0, 1, 7, 2**40, 2**61, 2**62 - 8], size=400)
+             + rng.integers(0, 3, size=400)).astype(np.int64)
+    trace = make_trace(list(range(len(lines))), lines,
+                       n_instructions=len(lines))
+    reference = reference_tables(lines)
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        index = TraceIndex(trace)
+    assert argsort.call_count == 2       # both granularities fell back
+    assert_matches_reference(index, reference, "in-RAM")
+    tables, _ = build_index_tables(trace, chunk_accesses=97)
+    assert_matches_reference(TraceIndex.from_tables(trace, tables),
+                             reference, "chunked")
 
 
 def test_chunked_build_transients_are_bounded():
     """Peak per-chunk RAM stays O(chunk + keys) while tables are O(n)."""
-    from repro.vff.index import build_index_tables
-
     rng = np.random.default_rng(0)
     n = 200_000
     lines = rng.integers(0, 4_000, size=n).astype(np.int64)
@@ -203,11 +331,9 @@ def test_chunked_build_transients_are_bounded():
 
 
 def test_spilled_index_round_trip(tmp_path):
-    """build_spilled publishes once, serves memory-mapped, and answers
-    every query identically to the in-RAM argsort index."""
-    from repro.store import ArtifactStore
-    from repro.vff.index import build_index_tables
-
+    """build_spilled publishes once, serves memory-mapped, matches the
+    stable-argsort reference, and answers every query identically to
+    the in-RAM index."""
     rng = np.random.default_rng(1)
     lines = rng.integers(0, 900, size=30_000).astype(np.int64) * 3
     trace = make_trace(list(range(len(lines))), lines,
@@ -219,8 +345,10 @@ def test_spilled_index_round_trip(tmp_path):
                                        chunk_accesses=1_000)
     assert spilled.mapped
     assert spilled.build_stats is not None
+    argsorted = reference_tables(lines)
+    assert_matches_reference(spilled, argsorted, "spilled")
     reference = TraceIndex(trace)
-    _assert_indices_identical(reference, spilled, "spilled")
+    assert_matches_reference(reference, argsorted, "in-RAM")
 
     positions = rng.integers(0, len(lines), size=256)
     limit = len(lines) - 100
@@ -252,8 +380,6 @@ def test_spilled_index_round_trip(tmp_path):
 
 
 def test_spilled_build_without_store_falls_back_chunked(tmp_path):
-    from repro.store import ArtifactStore
-
     lines = np.arange(500, dtype=np.int64) % 17
     trace = make_trace(list(range(500)), lines, n_instructions=500)
     store = ArtifactStore(root=tmp_path / "s", enabled=False)
@@ -262,3 +388,59 @@ def test_spilled_build_without_store_falls_back_chunked(tmp_path):
     assert not index.mapped
     assert index.build_stats is not None
     _assert_indices_identical(TraceIndex(trace), index, "fallback")
+
+
+# -- live append/seal ---------------------------------------------------------
+
+@pytest.fixture
+def _no_fault_plan(monkeypatch):
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    clear_plan()
+    yield
+    clear_plan()
+
+
+@pytest.mark.parametrize("mode", ["published", "heap", "dropped"])
+def test_live_builder_seals_match_reference(mode, tmp_path, _no_fault_plan):
+    """Every seal equals the reference on its prefix, however the feed
+    was chunked, and no sealed epoch changes as later appends patch
+    the live successor column.  ``published`` streams the live columns
+    into a store blob; ``dropped`` loses that publish to ENOSPC, so the
+    seal falls back to heap copies."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1_000, 4_000))
+        span = int(rng.choice([40, 3_000, 1 << 50]))
+        lines = rng.integers(0, span, size=n).astype(np.int64)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=24, replace=False))
+        bounds = [0, *cuts.tolist(), n]
+        seal_after = set(rng.choice(len(bounds) - 1, size=6,
+                                    replace=False).tolist())
+        seal_after.add(len(bounds) - 2)
+        store = (None if mode == "heap" else
+                 ArtifactStore(root=tmp_path / f"store-{seed}", enabled=True))
+        sealed = []
+        with LiveIndexBuilder(store=store) as builder:
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                builder.append(lines[lo:hi])
+                if i not in seal_after:
+                    continue
+                if mode == "dropped":
+                    inject("store.write:enospc@n=1")
+                trace = make_trace(list(range(hi)), lines[:hi],
+                                   n_instructions=hi)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    index = builder.seal(
+                        trace, key=None if store is None
+                        else {"seed": seed, "accesses": hi},
+                        chunk_accesses=int(rng.integers(1, 700)))
+                assert index.mapped == (mode == "published")
+                if mode == "dropped":
+                    assert store.write_errors == len(sealed) + 1
+                reference = reference_tables(lines[:hi])
+                assert_matches_reference(index, reference, (mode, seed, hi))
+                sealed.append((index, reference, hi))
+            for index, reference, hi in sealed:
+                assert_matches_reference(index, reference,
+                                         (mode, seed, hi, "after appends"))

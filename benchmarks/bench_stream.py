@@ -5,12 +5,15 @@ with the scalability trajectory of the spillable-index execution core,
 written to ``BENCH_stream.json``.  For each trace size (1M and 10M
 memory accesses by default):
 
-* ``index_build`` — chunked spilled construction vs the in-RAM argsort
-  build: wall-clock, peak additional RSS, and the builder's own
-  ``peak_transient_bytes`` accounting (the honest algorithmic bound —
-  memory-mapped output pages are file-backed and reclaimable, so the
-  OS-level number is an upper bound that still lands far below the
-  argsort build's).
+* ``index_build`` — the bounded, spilled construction
+  (``TraceIndex.build_spilled``: one ``LiveIndexBuilder`` append of the
+  whole trace and one seal) vs the in-RAM sort build: wall-clock, peak
+  additional RSS, and the builder's own ``peak_transient_bytes``
+  accounting (the honest algorithmic bound — memory-mapped output pages
+  are file-backed and reclaimable, so the OS-level number is an upper
+  bound that still lands far below the in-RAM build's).  The record
+  keeps the key ``chunked_spilled`` for this leg, so its history lines
+  up across builders.
 * ``delorean_run`` — a DeLorean run on the imported container, fully
   materialized + in-RAM index vs streamed (memory-mapped trace) +
   spilled memory-mapped index.  The streamed run touches only the
@@ -368,7 +371,7 @@ def collect():
     if not QUICK_PROFILE:
         largest = report["sizes"][-1]
         build = largest["index_build"]
-        # The algorithmic bound: the chunked builder's in-RAM working
+        # The algorithmic bound: the bounded builder's in-RAM working
         # set is a tiny fraction of the tables it produces.  (The quick
         # profile's trace is smaller than one default chunk, so the
         # ratio is only meaningful at the real sizes.)

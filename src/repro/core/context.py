@@ -10,7 +10,7 @@ execution-side resources of one run:
   :class:`~repro.traceio.reader.TraceReader` view rather than RAM
   arrays);
 * the **TraceIndex**, built lazily under the spill policy
-  (``REPRO_INDEX_SPILL``): streamed traces get a chunked, store-spilled,
+  (``REPRO_INDEX_SPILL``): streamed traces get a bounded, store-spilled,
   memory-mapped index so queries never require the O(accesses) tables
   in RAM;
 * the artifact **store** and the run **seed** (strategies derive their
@@ -35,7 +35,7 @@ from repro.vff.machine import VirtualMachine
 
 #: ``REPRO_INDEX_SPILL`` values (default ``auto``): ``auto`` spills the
 #: index for streaming workloads with an enabled store; ``always``
-#: forces chunked/spilled construction for every workload; ``never``
+#: forces the bounded (spilled) build for every workload; ``never``
 #: restores the in-RAM build unconditionally.
 SPILL_MODES = ("auto", "always", "never")
 
@@ -168,10 +168,10 @@ class ExecutionContext:
         store = self.store
         if not wants_spill(self.workload, self._spill):
             return TraceIndex(self.trace)
-        if store is None or not getattr(store, "enabled", False):
-            return TraceIndex.build_chunked(self.trace)
-        return TraceIndex.build_spilled(self.trace, store,
-                                        self._default_index_key())
+        # A store-less build never reads the key: skip its fingerprint.
+        key = (self._default_index_key()
+               if getattr(store, "enabled", False) else None)
+        return TraceIndex.build_spilled(self.trace, store, key)
 
     def _default_index_key(self):
         if self._index_key is not None:

@@ -46,12 +46,12 @@ traceback the pool happened to surface first.
 Imported workloads run **end-to-end in streaming mode**: every strategy
 executes on one shared :class:`~repro.core.context.ExecutionContext`
 whose trace is the container's memory-mapped view and whose
-:class:`~repro.vff.index.TraceIndex` is built chunked and *spilled*
-through the store (``REPRO_INDEX_SPILL``, default ``auto``), then served
-back as memory-mapped tables.  Pool workers open readers and mapped
-indices by content digest from the shared store root — arrays never
-cross the process boundary, and a run's resident set scales with the
-sampled regions rather than the trace length.
+:class:`~repro.vff.index.TraceIndex` is built in bounded windows and
+*spilled* through the store (``REPRO_INDEX_SPILL``, default ``auto``),
+then served back as memory-mapped tables.  Pool workers open readers
+and mapped indices by content digest from the shared store root —
+arrays never cross the process boundary, and a run's resident set
+scales with the sampled regions rather than the trace length.
 """
 
 import json
@@ -339,19 +339,16 @@ class SuiteRunner:
         if self._active_index is not None:
             return self._active_index
         if wants_spill(workload):
-            # Streaming mode: chunked construction, spilled through the
+            # Streaming mode: bounded construction, spilled through the
             # store, served as memory-mapped tables.  Pool workers
             # sharing the store root open the same blob by digest — the
             # first builder publishes, everyone else maps.
-            key = self._index_store_key(name, artifact="trace-index-spill")
+            key = (self._index_store_key(name, artifact="trace-index-spill")
+                   if self.store.enabled else None)
             with telemetry.span("phase.index", rss=True, benchmark=name,
                                 spilled=self.store.enabled):
-                if self.store.enabled:
-                    self._active_index = TraceIndex.build_spilled(
-                        workload.trace, self.store, key)
-                else:
-                    self._active_index = TraceIndex.build_chunked(
-                        workload.trace)
+                self._active_index = TraceIndex.build_spilled(
+                    workload.trace, self.store, key)
         else:
             key = self._index_store_key(name)
             tables = self.store.load(key, label="trace-index")

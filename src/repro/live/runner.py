@@ -49,7 +49,7 @@ from repro.sampling.plan import (
 from repro.store.fingerprint import fingerprint_arrays
 from repro.trace.record import Trace
 from repro.traceio.container import TraceStreamWriter
-from repro.vff.index import TraceIndex
+from repro.vff.index import LiveIndexBuilder
 
 
 def default_strategies():
@@ -215,12 +215,13 @@ class LiveRunner:
         mode = spill if spill is not None else index_spill_mode()
         # streaming workload: "auto" spills whenever a store is
         # available, "always" demands one, "never" keeps tables on the
-        # heap (exactly the batch build_chunked/build_spilled split).
+        # heap (the same builder a batch build_spilled runs, with or
+        # without a store).
         spill_store = (store if store is not None and store.enabled
                        and mode != "never" else None)
         self.writer = TraceStreamWriter(spill_dir=spill_dir)
-        self.builder = TraceIndex.appendable(store=spill_store,
-                                             spill_dir=spill_dir)
+        self.builder = LiveIndexBuilder(store=spill_store,
+                                        spill_dir=spill_dir)
         self.lineage = artifacts.live_lineage(
             self.workload.name, self.workload.seed, self.gap_instructions,
             self.region_instructions, self.warming_instructions,

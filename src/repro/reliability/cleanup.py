@@ -1,18 +1,19 @@
-"""Scratch-directory cleanup that survives interrupts and SIGTERM.
+"""Scratch cleanup that survives interrupts and SIGTERM.
 
 The chunked pipelines (streamed import, synthetic generation, index
-spilling) stage gigabytes in scratch directories.  Their ``finally``
-blocks already clean up on exceptions — including ``KeyboardInterrupt``
-— but a SIGTERM (a batch scheduler's kill, a supervisor timeout) tears
-the process down without unwinding the stack, leaving orphaned spill
-files behind.
+building) stage gigabytes in scratch directories, and store publishes
+write each blob to a temp file first.  Their ``finally`` blocks already
+clean up on exceptions — including ``KeyboardInterrupt`` — but a
+SIGTERM (a batch scheduler's kill, a supervisor timeout, a process pool
+tearing down its workers) tears the process down without unwinding the
+stack, leaving orphaned spill and temp files behind.
 
-This registry closes that hole: every owned scratch directory is
-registered at creation and unregistered when its owner removes it; an
-``atexit`` hook plus a chaining SIGTERM handler sweep whatever is still
-registered when the process dies.  The handler re-raises the default
-SIGTERM disposition after sweeping, so exit codes and parent-observed
-signals are unchanged.
+This registry closes that hole: every owned scratch directory or temp
+file is registered at creation and unregistered when its owner removes
+or renames it; an ``atexit`` hook plus a chaining SIGTERM handler sweep
+whatever is still registered when the process dies.  The handler
+re-raises the default SIGTERM disposition after sweeping, so exit codes
+and parent-observed signals are unchanged.
 """
 
 import atexit
@@ -22,18 +23,26 @@ import signal
 import threading
 
 _REGISTRY = set()
-_LOCK = threading.Lock()
+# Reentrant: the SIGTERM handler sweeps on the main thread, which may be
+# holding the lock in register/unregister when the signal arrives.
+_LOCK = threading.RLock()
 _INSTALLED = False
 _PREVIOUS_HANDLER = None
 
 
 def _sweep():
-    """Remove every still-registered scratch directory (idempotent)."""
+    """Remove every still-registered scratch path (idempotent)."""
     with _LOCK:
         paths = sorted(_REGISTRY)
         _REGISTRY.clear()
     for path in paths:
-        shutil.rmtree(path, ignore_errors=True)
+        if os.path.isdir(path):
+            shutil.rmtree(path, ignore_errors=True)
+            continue
+        try:
+            os.remove(path)
+        except OSError:
+            pass
 
 
 def _on_sigterm(signum, frame):
@@ -63,7 +72,8 @@ def _install():
 
 
 def register_scratch(path):
-    """Track ``path`` for sweep-on-exit; returns ``path`` unchanged."""
+    """Track ``path`` (a directory or a file) for sweep-on-exit;
+    returns ``path`` unchanged."""
     with _LOCK:
         _REGISTRY.add(str(path))
     _install()
@@ -71,7 +81,7 @@ def register_scratch(path):
 
 
 def unregister_scratch(path):
-    """Stop tracking ``path`` (its owner removed it normally)."""
+    """Stop tracking ``path`` (its owner removed or renamed it)."""
     with _LOCK:
         _REGISTRY.discard(str(path))
 

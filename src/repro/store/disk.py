@@ -45,6 +45,7 @@ import struct
 import time
 
 from repro import telemetry
+from repro.reliability.cleanup import register_scratch, unregister_scratch
 from repro.reliability.faults import fault_point
 from repro.reliability.locks import FileLock
 
@@ -283,8 +284,9 @@ class DiskStore:
         checksum field is patched afterwards by re-reading the temp
         file (the payload may have been written out of order — zipfile
         seeks back to fix member headers — so hashing the write stream
-        would be wrong).  The temp file is removed on any failure: a
-        crashed or ENOSPC'd publish leaves zero partial entries.
+        would be wrong).  The temp file is removed on any failure and
+        registered for the SIGTERM sweep: a crashed, killed or ENOSPC'd
+        publish leaves zero partial entries.
         """
         path.parent.mkdir(parents=True, exist_ok=True)
         fault = fault_point("store.write")
@@ -292,7 +294,7 @@ class DiskStore:
             raise fault.os_error()
         header = self._header_bytes(kind, label, _SHA_PLACEHOLDER)
         sha_field = header.index(_SHA_PLACEHOLDER.encode())
-        tmp = self._tmp_path(path)
+        tmp = register_scratch(self._tmp_path(path))
         try:
             with open(tmp, "w+b") as handle:
                 handle.write(MAGIC)
@@ -309,6 +311,7 @@ class DiskStore:
                 os.remove(tmp)
             except OSError:
                 pass
+            unregister_scratch(tmp)
             raise
         try:
             os.replace(tmp, path)
@@ -317,6 +320,8 @@ class DiskStore:
             # Every artifact is recomputable, so a lost publish is
             # harmless — don't abort the experiment run over it.
             pass
+        finally:
+            unregister_scratch(tmp)
         return path
 
     def put(self, digest, kind, payload, label=""):

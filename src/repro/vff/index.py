@@ -5,37 +5,37 @@ trace-driven substitute answers the same questions from a sorted index:
 *when was line L last accessed before access position P?* and *how many
 accesses hit page G inside a window?* (the stop count a page-protection
 watchpoint would have taken).  Building the index is one sort per
-granularity; every query is a binary search.  Each builder groups
+granularity; every query is a binary search.  Both builders group
 positions by key through :func:`_group_by_key`, which packs key and
 position into one int64 so that a plain sort yields the stable order.
 
-Three construction modes exist:
+Two construction paths exist:
 
-* the classic in-RAM build (``TraceIndex(trace)``), still the default
-  for synthetic workloads whose traces are RAM-resident anyway;
-* a **chunked, spillable** build (:func:`build_index_tables` /
-  :meth:`TraceIndex.build_spilled`): the trace is scanned in bounded
-  windows, the grouped position tables — *including* the successor and
-  rank tables the batched watchpoint kernels need — are written to
-  spill files, published through the artifact store as an uncompressed
-  npz, and served back as read-only memory maps
-  (:meth:`TraceIndex.open`).  Queries then touch only the table pages
-  the watchpoints direct them to, so a strategy run's resident set
-  scales with the sampled regions rather than the trace length;
-* an **append/seal** build over a live feed
-  (:class:`LiveIndexBuilder`): each sealed epoch equals a from-scratch
-  build of the prefix consumed so far.
+* the in-RAM build (``TraceIndex(trace)``) sorts each granularity in
+  one go — the fastest build, for traces that are RAM-resident anyway;
+* the bounded **append/seal** build (:class:`LiveIndexBuilder`) folds
+  accesses in windows of ``chunk_accesses`` and seals the grouped
+  tables — *including* the successor and rank tables the batched
+  watchpoint kernels need — for the prefix consumed so far.  A live
+  feed seals at every watermark; a batch build
+  (:meth:`TraceIndex.build_spilled`) is one append of the whole trace
+  and one seal.  With a store the tables are written to spill files,
+  published as an uncompressed npz and served back as read-only memory
+  maps (:meth:`TraceIndex.open`): queries then touch only the table
+  pages the watchpoints direct them to, so a strategy run's resident
+  set scales with the sampled regions rather than the trace length.
 """
 
 import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro import kernels, telemetry
+from repro.reliability.cleanup import register_scratch, unregister_scratch
 from repro.util.units import CACHELINE_SHIFT, PAGE_SHIFT
 
 #: Default accesses per construction chunk (~24 MiB of transient arrays
@@ -226,67 +226,32 @@ class _PositionIndex:
         """Window counts and last positions for many keys at once.
 
         Equivalent to per-key ``count_in`` / ``last_in`` over ``[lo,
-        hi)`` but batched: every key's position run is gathered with
-        one grouped-arange, masked against the window, and reduced.
-        Gathering is window-independent (it touches every occurrence of
-        every key), so when the runs dwarf the per-key binary-search
-        cost the loop is used instead — results are identical either
-        way.  Returns ``(counts, last)`` aligned with ``keys`` (``-1``
-        marks a key unseen in the window).
+        hi)``: :meth:`multi_counts_and_last` with one window shared by
+        every key.  Returns ``(counts, last)`` aligned with ``keys``
+        (``-1`` marks a key unseen in the window).
         """
-        keys = np.asarray(keys, dtype=np.int64)
-        n_keys = keys.shape[0]
-        counts = np.zeros(n_keys, dtype=np.int64)
-        last = np.full(n_keys, -1, dtype=np.int64)
-        if n_keys == 0 or hi <= lo or self._keys.shape[0] == 0:
-            return counts, last
-        slot = np.minimum(np.searchsorted(self._keys, keys),
-                          self._keys.shape[0] - 1)
-        present = self._keys[slot] == keys
-        starts = np.where(present, self._starts[slot], 0)
-        lengths = np.where(present, self._starts[slot + 1] - starts, 0)
-        total = int(lengths.sum())
-        if total == 0:
-            return counts, last
-        if total > 256 * n_keys:
-            for k in np.flatnonzero(present).tolist():
-                run = self._positions[starts[k]:starts[k] + lengths[k]]
-                at_hi = int(np.searchsorted(run, hi, side="left"))
-                at_lo = int(np.searchsorted(run, lo, side="left"))
-                counts[k] = at_hi - at_lo
-                if at_hi > at_lo:
-                    last[k] = int(run[at_hi - 1])
-            return counts, last
-        key_of = np.repeat(np.arange(n_keys, dtype=np.int64), lengths)
-        cum = np.cumsum(lengths) - lengths
-        flat = (np.repeat(starts - cum, lengths)
-                + np.arange(total, dtype=np.int64))
-        positions = self._positions[flat]
-        in_window = (positions >= lo) & (positions < hi)
-        matched_key = key_of[in_window]
-        matched_pos = positions[in_window]
-        counts += np.bincount(matched_key, minlength=n_keys)
-        np.maximum.at(last, matched_key, matched_pos)
-        return counts, last
+        return self.multi_counts_and_last(keys, lo, hi)
 
     def multi_counts_and_last(self, keys, los, his):
         """Per-entry window counts and last positions, many windows at
         once.
 
         Aligned arrays: entry ``i`` asks for ``keys[i]`` over
-        ``[los[i], his[i])`` — the multi-window generalization of
-        :meth:`batch_counts_and_last` (which this reduces to when every
-        entry shares one window).  One gather serves *all* windows, so
-        a planner profiling every region's window in a single call
+        ``[los[i], his[i])``; scalar ``los``/``his`` give every entry
+        the same window.  Every key's position run is gathered with one
+        grouped-arange, masked against its window, and reduced, so a
+        planner profiling every region's window in a single call
         touches each mapped position run once instead of once per
-        region.  The same run-size escape applies: when the gathered
-        runs dwarf the per-entry binary searches, the loop wins and
-        produces identical values.  Returns ``(counts, last)`` aligned
+        region.  Gathering is window-independent (it touches every
+        occurrence of every key), so when the gathered runs dwarf the
+        per-entry binary searches the loop is used instead — results
+        are identical either way.  Returns ``(counts, last)`` aligned
         with ``keys`` (``-1`` marks an entry unseen in its window).
         """
         keys = np.asarray(keys, dtype=np.int64)
         los = np.asarray(los, dtype=np.int64)
         his = np.asarray(his, dtype=np.int64)
+        per_entry = los.ndim > 0
         n_keys = keys.shape[0]
         counts = np.zeros(n_keys, dtype=np.int64)
         last = np.full(n_keys, -1, dtype=np.int64)
@@ -302,9 +267,10 @@ class _PositionIndex:
             return counts, last
         if total > 256 * n_keys:
             for k in np.flatnonzero(lengths).tolist():
+                lo, hi = (los[k], his[k]) if per_entry else (los, his)
                 run = self._positions[starts[k]:starts[k] + lengths[k]]
-                at_hi = int(np.searchsorted(run, his[k], side="left"))
-                at_lo = int(np.searchsorted(run, los[k], side="left"))
+                at_hi = int(np.searchsorted(run, hi, side="left"))
+                at_lo = int(np.searchsorted(run, lo, side="left"))
                 counts[k] = at_hi - at_lo
                 if at_hi > at_lo:
                     last[k] = int(run[at_hi - 1])
@@ -314,8 +280,9 @@ class _PositionIndex:
         flat = (np.repeat(starts - cum, lengths)
                 + np.arange(total, dtype=np.int64))
         positions = self._positions[flat]
-        in_window = ((positions >= los[key_of])
-                     & (positions < his[key_of]))
+        if per_entry:
+            los, his = los[key_of], his[key_of]
+        in_window = (positions >= los) & (positions < his)
         matched_key = key_of[in_window]
         counts += np.bincount(matched_key, minlength=n_keys)
         np.maximum.at(last, matched_key, positions[in_window])
@@ -324,11 +291,13 @@ class _PositionIndex:
 
 @dataclass
 class IndexBuildStats:
-    """What the chunked builder materialized, for bounded-RSS proofs.
+    """What a bounded build materialized, for bounded-RSS proofs.
 
     ``peak_transient_bytes`` is the largest sum of in-RAM temporaries
-    any single chunk step allocated — the builder's working set beyond
-    the (spillable) output tables and the O(unique keys) merge state.
+    any single fold or seal window held at once — the builder's working
+    set beyond the (spillable) output tables and the O(unique keys)
+    per-key state.  A seal over a previous epoch also holds its pending
+    accesses' destinations (O(pending)) while it merges.
     """
 
     n_accesses: int
@@ -340,155 +309,22 @@ class IndexBuildStats:
 
 
 def default_chunk_accesses():
-    """Chunk length from ``REPRO_INDEX_CHUNK`` (accesses), or default."""
-    raw = os.environ.get("REPRO_INDEX_CHUNK", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_CHUNK_ACCESSES
+    """Chunk length from ``REPRO_INDEX_CHUNK`` (accesses), or default.
 
-
-def build_index_tables(trace, chunk_accesses=None, allocate=None):
-    """Build the full grouped table set in bounded chunks.
-
-    Scans ``trace.mem_line`` (which may be a memory map) in windows of
-    ``chunk_accesses`` and produces, for both granularities, the same
-    ``positions``/``keys``/``starts`` tables the in-RAM build does —
-    *plus* the ``successors`` and ``ranks`` tables the batched
-    watchpoint kernels otherwise build lazily in RAM.  Output arrays
-    come from ``allocate(name, shape, dtype)`` so callers choose where
-    the O(accesses) product lives (heap, or spill-file memmaps); the
-    builder itself only ever materializes O(chunk + unique keys).
-
-    Equivalence to the in-RAM build: the scatter is a counting sort —
-    chunks are scanned in ascending position order and each chunk's
-    occurrences, grouped by key, are placed behind per-key cursors, so
-    every run holds its positions ascending, exactly like a stable
-    argsort by key.
-
-    Returns ``(tables, stats)``.
+    A value that is not a positive integer raises ``ValueError`` rather
+    than silently meaning the default or a one-access chunk.
     """
-    build_t0 = time.perf_counter()
-    n = int(trace.n_accesses)
-    chunk = max(1, int(chunk_accesses if chunk_accesses is not None
-                       else default_chunk_accesses()))
-    if allocate is None:
-        def allocate(name, shape, dtype):
-            return np.empty(shape, dtype=dtype)
-    mem_line = trace.mem_line
-    peak_transient = 0
-    granularities = ("lines", "pages")
-
-    def chunk_keys(lo, hi):
-        lines = np.asarray(mem_line[lo:hi], dtype=np.int64)
-        return {"lines": lines, "pages": lines >> _PAGE_OF_LINE_SHIFT}
-
-    # Pass 1: per-key occurrence counts (merged chunk-by-chunk).
-    keys = {name: np.empty(0, dtype=np.int64) for name in granularities}
-    counts = {name: np.empty(0, dtype=np.int64) for name in granularities}
-    for lo in range(0, n, chunk):
-        batch = chunk_keys(lo, min(n, lo + chunk))
-        transient = sum(a.nbytes for a in batch.values())
-        for name in granularities:
-            unique, chunk_counts = np.unique(batch[name], return_counts=True)
-            keys[name], (counts[name],), slot = _insert_keys(
-                keys[name], unique, (counts[name], 0))
-            counts[name][slot] += chunk_counts
-            transient += unique.nbytes + chunk_counts.nbytes + slot.nbytes
-        peak_transient = max(peak_transient, transient)
-
-    tables = {}
-    starts = {}
-    for name in granularities:
-        n_keys = keys[name].shape[0]
-        run_starts = np.empty(n_keys + 1, dtype=np.int64)
-        run_starts[0] = 0
-        np.cumsum(counts[name], out=run_starts[1:])
-        starts[name] = run_starts
-        key_table = allocate(f"{name}_keys", (n_keys,), np.int64)
-        key_table[:] = keys[name]
-        start_table = allocate(f"{name}_starts", (n_keys + 1,), np.int64)
-        start_table[:] = run_starts
-        tables[f"{name}_keys"] = key_table
-        tables[f"{name}_starts"] = start_table
-        for part in ("positions", "successors", "ranks"):
-            tables[f"{name}_{part}"] = allocate(f"{name}_{part}", (n,),
-                                                np.int64)
-
-    # Pass 2: counting-sort scatter of positions behind per-key cursors.
-    cursors = {name: starts[name][:-1].copy() for name in granularities}
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        batch = chunk_keys(lo, hi)
-        transient = sum(a.nbytes for a in batch.values())
-        for name in granularities:
-            order, unique, run_start, run_count = _group_by_key(batch[name])
-            run_slot = np.searchsorted(keys[name], unique)
-            dest = (np.repeat(cursors[name][run_slot] - run_start, run_count)
-                    + np.arange(hi - lo, dtype=np.int64))
-            tables[f"{name}_positions"][dest] = lo + order
-            cursors[name][run_slot] += run_count
-            # The packed sort key is as large as ``order``.
-            transient += (2 * order.nbytes + dest.nbytes + unique.nbytes
-                          + run_start.nbytes + run_count.nbytes
-                          + run_slot.nbytes)
-        peak_transient = max(peak_transient, transient)
-
-    # Pass 3: successors and ranks from the grouped positions table.
-    for name in granularities:
-        positions = tables[f"{name}_positions"]
-        run_starts = starts[name]
-        successors = tables[f"{name}_successors"]
-        ranks = tables[f"{name}_ranks"]
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            pos = np.asarray(positions[lo:hi], dtype=np.int64)
-            grouped_idx = np.arange(lo, hi, dtype=np.int64)
-            run_of = np.searchsorted(run_starts, grouped_idx,
-                                     side="right") - 1
-            nxt = np.empty(hi - lo, dtype=np.int64)
-            if hi < n:
-                nxt[:] = positions[lo + 1:hi + 1]
-            elif hi - lo:
-                nxt[:-1] = positions[lo + 1:hi]
-                nxt[-1] = -1
-            run_end = run_starts[run_of + 1]
-            succ = np.where(grouped_idx + 1 < run_end, nxt, -1)
-            rank = grouped_idx - run_starts[run_of]
-            successors[pos] = succ
-            ranks[pos] = rank
-            peak_transient = max(
-                peak_transient,
-                pos.nbytes + grouped_idx.nbytes + run_of.nbytes
-                + nxt.nbytes + run_end.nbytes + succ.nbytes + rank.nbytes)
-
-    for table in tables.values():
-        if isinstance(table, np.memmap):
-            table.flush()
-    stats = IndexBuildStats(
-        n_accesses=n,
-        chunk_accesses=chunk,
-        n_chunks=max(1, -(-n // chunk)) if n else 0,
-        peak_transient_bytes=int(peak_transient),
-        key_state_bytes=int(sum(keys[g].nbytes + counts[g].nbytes
-                                + starts[g].nbytes
-                                for g in granularities)),
-        table_bytes=int(sum(t.nbytes for t in tables.values())),
-    )
-    s = telemetry.session()
-    if s is not None:
-        s.add_time("index.build", time.perf_counter() - build_t0)
-        s.count("index.build.chunks", stats.n_chunks)
-        s.event("index.build", {
-            "n_accesses": stats.n_accesses,
-            "n_chunks": stats.n_chunks,
-            "chunk_accesses": stats.chunk_accesses,
-            "peak_transient_bytes": stats.peak_transient_bytes,
-            "table_bytes": stats.table_bytes,
-        })
-    return tables, stats
+    raw = os.environ.get("REPRO_INDEX_CHUNK", "").strip()
+    if not raw:
+        return DEFAULT_CHUNK_ACCESSES
+    try:
+        chunk = int(raw)
+    except ValueError:
+        chunk = 0
+    if chunk < 1:
+        raise ValueError(
+            f"REPRO_INDEX_CHUNK must be a positive integer, got {raw!r}")
+    return chunk
 
 
 class _GrowColumn:
@@ -519,23 +355,32 @@ class _GrowColumn:
         return np.memmap(self._path, mode="r+", dtype=np.int64,
                          shape=(capacity,))
 
-    def _grow_to(self, rows):
-        if rows <= self._capacity:
-            return
+    def _move(self, capacity):
+        old = self._data
+        self._data = self._allocate(capacity)
+        if self._path is None:
+            self._data[:self.rows] = old[:self.rows]
+        # A remapped file already holds the previous rows.
+        self._capacity = capacity
+
+    def reserve(self, rows):
+        """Grow the capacity, doubling, until it holds ``rows``."""
         capacity = self._capacity
         while capacity < rows:
             capacity *= 2
-        old = self._data
-        data = self._allocate(capacity)
+        if capacity > self._capacity:
+            self._move(capacity)
+
+    def detach(self):
+        """Move heap rows to a fresh buffer, so views taken before stop
+        seeing later patches (file-backed views are copied by whoever
+        keeps them)."""
         if self._path is None:
-            data[:self.rows] = old[:self.rows]
-        # A remapped file already holds the previous rows.
-        self._data = data
-        self._capacity = capacity
+            self._move(self._capacity)
 
     def append(self, values):
         values = np.asarray(values, dtype=np.int64)
-        self._grow_to(self.rows + values.shape[0])
+        self.reserve(self.rows + values.shape[0])
         self._data[self.rows:self.rows + values.shape[0]] = values
         self.rows += values.shape[0]
 
@@ -545,7 +390,7 @@ class _GrowColumn:
 
     def view(self, n):
         """Live (mutable-underneath) view of the first ``n`` rows —
-        copy before keeping across further appends."""
+        copy or :meth:`detach` before keeping across further appends."""
         return self._data[:n]
 
     def close(self):
@@ -557,18 +402,21 @@ class _GrowColumn:
                 pass
 
 
+_NOT_APPENDED = "the prefix snapshot's pending accesses differ from the feed"
+
+
 class LiveIndexBuilder:
-    """Incrementally maintained index tables over an append-only feed.
+    """Bounded append/seal builder of the index tables.
 
-    Generalizes the chunked counting-sort build to an *unbounded* access
-    stream: :meth:`append` folds each chunk into merged per-key state
-    (sorted keys, occurrence counts, last-occurrence positions) plus
-    live successor/rank columns, and :meth:`seal` materializes the full
-    grouped table set for the prefix consumed so far — bit-identical to
-    what :func:`build_index_tables` (or the in-RAM build) produces on
-    that prefix.
+    :meth:`append` folds accesses, ``chunk_accesses`` at a time, into
+    merged per-key state (sorted keys, occurrence counts, the counts
+    the previous epoch sealed, last-occurrence positions) plus live
+    successor/rank columns; :meth:`seal` materializes the full grouped
+    table set for the prefix consumed so far — bit-identical to the
+    in-RAM build of that prefix.  A batch build is one append and one
+    seal.
 
-    Incrementality invariants that make the seal cheap and exact:
+    Invariants that make the seal cheap and exact:
 
     * *ranks* are prefix-independent (the rank of access ``p`` within
       its key's run counts only earlier accesses), so they are computed
@@ -577,106 +425,140 @@ class LiveIndexBuilder:
       place when the key's next access arrives — at a seal taken at the
       stream position every entry is either a real in-prefix successor
       or ``-1``, exactly the batch semantics;
-    * the grouped *positions* table of epoch ``k`` is the epoch-``k-1``
-      table with each run extended by the pending accesses: those take
-      the tail slots of their key's run, and the previous epoch's table
-      fills every other slot in order, so sealing is one sequential
-      merge.
+    * the builder keeps no copy of the accesses: a seal reads the ones
+      appended since the previous epoch (the *pending* accesses) back
+      from the prefix snapshot it is given.  They take the tail slots
+      of their key's run, filled by a counting sort window by window
+      behind per-key cursors that start past what the previous epoch
+      sealed; every cursor must end at its run end, or the snapshot is
+      not the appended feed;
+    * the previous epoch's positions table fills every other slot (the
+      run heads) in order, so that part of a seal is one sequential
+      merge over the sorted pending destinations.
 
-    Sealed epochs spill through the existing
-    ``save_arrays``/``put_stream`` path when a store is given (the
-    successor and rank columns stream straight from their growable
-    spill files), so the builder's resident set stays O(chunk + pending
-    + unique keys) while the feed grows without bound.
+    With a store the successor and rank columns live in growable spill
+    files and sealed epochs spill through the existing
+    ``save_arrays``/``put_stream`` path (the columns stream straight
+    into the blob), so the builder's resident set stays O(chunk +
+    pending + unique keys) while the feed grows without bound.
     """
 
     _GRANULARITIES = ("lines", "pages")
 
-    def __init__(self, store=None, spill_dir=None):
+    def __init__(self, store=None, spill_dir=None, chunk_accesses=None):
         self.store = store if store is not None and store.enabled else None
+        self.chunk_accesses = (default_chunk_accesses()
+                               if chunk_accesses is None
+                               else max(1, int(chunk_accesses)))
         self.n_accesses = 0
         self._scratch = None
         directory = None
         if self.store is not None or spill_dir is not None:
             parent = spill_dir if spill_dir is not None else self.store.root
             os.makedirs(parent, exist_ok=True)
-            self._scratch = tempfile.mkdtemp(prefix="live-index-",
-                                             dir=parent)
+            self._scratch = register_scratch(
+                tempfile.mkdtemp(prefix="live-index-", dir=parent))
             directory = self._scratch
         self._keys = {}
         self._counts = {}
+        self._sealed_counts = {}
         self._prev_pos = {}
         self._succ = {}
         self._rank = {}
         for name in self._GRANULARITIES:
             self._keys[name] = np.empty(0, dtype=np.int64)
             self._counts[name] = np.empty(0, dtype=np.int64)
+            self._sealed_counts[name] = np.empty(0, dtype=np.int64)
             self._prev_pos[name] = np.empty(0, dtype=np.int64)
             self._succ[name] = _GrowColumn(directory, name + "_succ")
             self._rank[name] = _GrowColumn(directory, name + "_rank")
-        #: Line chunks appended since the last seal.
-        self._pending = []
-        #: Per-granularity positions table of the previous sealed epoch.
+        #: Accesses and per-granularity positions table of the previous
+        #: sealed epoch.
+        self._n_sealed = 0
         self._sealed = {}
+        #: True while a heap epoch holds views of the heap columns.
+        self._columns_shared = False
+        self._peak_transient = 0
+
+    def _hold(self, nbytes):
+        """Record a window's temporaries for ``build_stats``."""
+        self._peak_transient = max(self._peak_transient, int(nbytes))
 
     def append(self, chunk):
-        """Fold one feed chunk (a TraceChunk or a raw line array) into
-        the live tables."""
-        mem_line = getattr(chunk, "mem_line", chunk)
-        lines = np.array(mem_line, dtype=np.int64)
-        m = lines.shape[0]
+        """Fold feed accesses (a TraceChunk or a raw line array) into
+        the live tables, ``chunk_accesses`` at a time."""
+        mem_line = np.asarray(getattr(chunk, "mem_line", chunk))
+        m = mem_line.shape[0]
         if m == 0:
             return
         telemetry.counter("live.index.chunks")
+        columns = [*self._succ.values(), *self._rank.values()]
+        if self._columns_shared:
+            # A heap epoch reads these rows; the patches below must not.
+            for column in columns:
+                column.detach()
+            self._columns_shared = False
         n0 = self.n_accesses
-        self._fold("lines", lines, n0)
-        self._fold("pages", lines >> _PAGE_OF_LINE_SHIFT, n0)
-        self._pending.append(lines)
+        for column in columns:
+            column.reserve(n0 + m)
+        for lo in range(0, m, self.chunk_accesses):
+            lines = np.asarray(mem_line[lo:lo + self.chunk_accesses],
+                               dtype=np.int64)
+            pages = lines >> _PAGE_OF_LINE_SHIFT
+            folded = max(self._fold("lines", lines, n0 + lo),
+                         self._fold("pages", pages, n0 + lo))
+            self._hold(lines.nbytes + pages.nbytes + folded)
         self.n_accesses = n0 + m
 
-    def _fold(self, name, chunk_arr, n0):
-        m = chunk_arr.shape[0]
-        order, unique, run_start, run_count = _group_by_key(chunk_arr)
-        self._keys[name], (counts, prev_pos), run_slot = _insert_keys(
-            self._keys[name], unique,
-            (self._counts[name], 0), (self._prev_pos[name], -1))
-        self._counts[name], self._prev_pos[name] = counts, prev_pos
+    def _fold(self, name, keys, n0):
+        """Fold one window of ``keys`` starting at stream position
+        ``n0``; returns the bytes of the temporaries it held at once."""
+        m = keys.shape[0]
+        order, unique, run_start, run_count = _group_by_key(keys)
+        self._keys[name], (counts, sealed, prev_pos), run_slot = _insert_keys(
+            self._keys[name], unique, (self._counts[name], 0),
+            (self._sealed_counts[name], 0), (self._prev_pos[name], -1))
+        self._counts[name], self._sealed_counts[name] = counts, sealed
+        self._prev_pos[name] = prev_pos
 
-        # Ranks: prefix count before the chunk + within-chunk rank.
-        rank_chunk = np.empty(m, dtype=np.int64)
-        rank_chunk[order] = (np.repeat(counts[run_slot] - run_start,
-                                       run_count)
-                             + np.arange(m, dtype=np.int64))
-        self._rank[name].append(rank_chunk)
+        # Ranks: prefix count before the window + within-window rank.
+        by_key = np.repeat(counts[run_slot] - run_start, run_count)
+        by_key += np.arange(m, dtype=np.int64)
+        column = np.empty(m, dtype=np.int64)
+        column[order] = by_key
+        self._rank[name].append(column)
 
-        # Successors: in-chunk chains now, cross-chunk patched in place.
-        pos_sorted = n0 + order
+        # Successors: in-window chains now, cross-window patched in place.
         run_last = run_start + run_count - 1
-        succ_sorted = np.empty(m, dtype=np.int64)
-        succ_sorted[:-1] = pos_sorted[1:]
-        succ_sorted[run_last] = -1
-        succ_chunk = np.empty(m, dtype=np.int64)
-        succ_chunk[order] = succ_sorted
-        self._succ[name].append(succ_chunk)
+        np.add(order[1:], n0, out=by_key[:-1])
+        by_key[run_last] = -1
+        column[order] = by_key
+        self._succ[name].append(column)
         prev = prev_pos[run_slot]
         has_prev = prev >= 0
         if np.any(has_prev):
             self._succ[name].patch(prev[has_prev],
-                                   pos_sorted[run_start[has_prev]])
+                                   n0 + order[run_start[has_prev]])
 
-        prev_pos[run_slot] = pos_sorted[run_last]
+        prev_pos[run_slot] = n0 + order[run_last]
         counts[run_slot] += run_count
+        # At most three window-sized arrays live at once (the packed
+        # sort key or the arange beside order and by_key or the
+        # column), and a handful of per-distinct-key ones.
+        return 3 * column.nbytes + 8 * unique.nbytes
 
-    def seal(self, trace, key=None, label="live-index",
-             chunk_accesses=None):
+    def seal(self, trace, key=None, label="live-index"):
         """Materialize the index for the prefix consumed so far.
 
-        ``trace`` is the prefix snapshot (``trace.n_accesses`` must equal
-        the accesses appended); with a store and ``key`` the tables are
-        published via ``save_arrays`` and served back memory-mapped,
-        otherwise they stay heap-resident.  Returns a
-        :class:`TraceIndex` bit-identical to a from-scratch build of the
-        same prefix.
+        ``trace`` is the prefix snapshot: ``trace.n_accesses`` must
+        equal the accesses appended, and the seal reads the accesses
+        appended since the previous epoch back from ``trace.mem_line``
+        (``ValueError`` if they are not what was appended).  With a
+        store and ``key`` the tables are published via ``save_arrays``
+        and served back memory-mapped, otherwise they stay
+        heap-resident.  Returns a :class:`TraceIndex` bit-identical to
+        a from-scratch build of the same prefix, with the epoch's
+        :class:`IndexBuildStats` as its ``build_stats``.
         """
         t0 = time.perf_counter()
         n = self.n_accesses
@@ -684,84 +566,103 @@ class LiveIndexBuilder:
             raise ValueError(
                 f"prefix snapshot has {trace.n_accesses} accesses, "
                 f"builder consumed {n}")
-        chunk = max(1, int(chunk_accesses if chunk_accesses is not None
-                           else default_chunk_accesses()))
         spill_dir = None
         if self.store is not None and key is not None:
-            spill_dir = tempfile.mkdtemp(prefix="live-seal-",
-                                         dir=self.store.root)
-
-        def allocate(table_name, shape, dtype):
-            if spill_dir is None or not shape[0]:
-                return np.empty(shape, dtype=dtype)
-            return np.lib.format.open_memmap(
-                os.path.join(spill_dir, table_name + ".npy"), mode="w+",
-                dtype=dtype, shape=shape)
-
-        pending = (np.concatenate(self._pending) if self._pending
-                   else np.empty(0, dtype=np.int64))
+            spill_dir = register_scratch(tempfile.mkdtemp(
+                prefix="live-seal-", dir=self.store.root))
         try:
             tables = {}
             for name in self._GRANULARITIES:
-                keys = (pending if name == "lines"
-                        else pending >> _PAGE_OF_LINE_SHIFT)
-                self._seal_granularity(name, keys, n, chunk, allocate,
-                                       tables, spill_dir is not None)
+                self._seal_granularity(name, trace.mem_line, spill_dir,
+                                       tables)
+            stats = IndexBuildStats(
+                n_accesses=n,
+                chunk_accesses=self.chunk_accesses,
+                n_chunks=-(-(n - self._n_sealed) // self.chunk_accesses),
+                peak_transient_bytes=self._peak_transient,
+                key_state_bytes=int(sum(
+                    self._keys[g].nbytes + self._counts[g].nbytes
+                    + self._sealed_counts[g].nbytes
+                    + self._prev_pos[g].nbytes
+                    + tables[f"{g}_starts"].nbytes
+                    for g in self._GRANULARITIES)),
+                table_bytes=int(sum(t.nbytes for t in tables.values())))
             index = self._publish(trace, tables, key, label)
         finally:
             if spill_dir is not None:
                 shutil.rmtree(spill_dir, ignore_errors=True)
+                unregister_scratch(spill_dir)
+        index.build_stats = stats
+        self._peak_transient = 0
         s = telemetry.session()
         if s is not None:
             s.add_time("live.index.seal", time.perf_counter() - t0)
             s.count("live.index.seals")
         return index
 
-    def _seal_granularity(self, name, pending, n, chunk, allocate, tables,
-                          publish_views):
+    def _seal_granularity(self, name, mem_line, spill_dir, tables):
+        n, n_prev = self.n_accesses, self._n_sealed
+        chunk = self.chunk_accesses
         keys_now = self._keys[name]
-        starts_now = np.empty(keys_now.shape[0] + 1, dtype=np.int64)
-        starts_now[0] = 0
+        sealed = self._sealed_counts[name]
+        starts_now = np.zeros(keys_now.shape[0] + 1, dtype=np.int64)
         np.cumsum(self._counts[name], out=starts_now[1:])
+        if spill_dir is None or not n:
+            positions = np.empty(n, dtype=np.int64)
+        else:
+            positions = np.lib.format.open_memmap(
+                os.path.join(spill_dir, name + "_positions.npy"),
+                mode="w+", dtype=np.int64, shape=(n,))
 
-        # Pending accesses take the tail slots of their key's run, in
-        # position order; grouped by key their destinations ascend.
-        prev = self._sealed.get(name, np.empty(0, dtype=np.int64))
-        n_prev = n - pending.shape[0]
-        if prev.shape[0] != n_prev:
-            raise AssertionError("pending buffer out of sync with feed")
-        order, unique, run_start, run_count = _group_by_key(pending)
-        run_end = starts_now[np.searchsorted(keys_now, unique) + 1]
-        dest = (np.repeat(run_end - run_count - run_start, run_count)
-                + np.arange(pending.shape[0], dtype=np.int64))
-        value = n_prev + order
+        # Counting sort: the pending accesses take the tail slots of
+        # their key's run in position order, behind per-key cursors.
+        cursors = starts_now[:-1] + sealed
+        for lo in range(n_prev, n, chunk):
+            keys = np.asarray(mem_line[lo:lo + chunk], dtype=np.int64)
+            if name == "pages":
+                keys = keys >> _PAGE_OF_LINE_SHIFT
+            order, unique, run_start, run_count = _group_by_key(keys)
+            run_slot = np.searchsorted(keys_now, unique)
+            if (run_slot[-1] == keys_now.shape[0]
+                    or not np.array_equal(keys_now[run_slot], unique)):
+                raise ValueError(_NOT_APPENDED)
+            dest = np.repeat(cursors[run_slot] - run_start, run_count)
+            dest += np.arange(keys.shape[0], dtype=np.int64)
+            order += lo
+            positions[dest] = order
+            cursors[run_slot] += run_count
+            # The line window (or its page shift), the packed sort key,
+            # order, dest and the arange, and per-distinct-key arrays.
+            self._hold(5 * dest.nbytes + 8 * unique.nbytes)
+        if not np.array_equal(cursors, starts_now[1:]):
+            raise ValueError(_NOT_APPENDED)
 
-        # Sequential merge: the previous epoch's table fills every slot
-        # the pending accesses do not take, in order, chunk by chunk.
-        positions = allocate(f"{name}_positions", (n,), np.int64)
-        taken_lo = 0
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            taken_hi = int(np.searchsorted(dest, hi))
-            taken = np.zeros(hi - lo, dtype=bool)
-            taken[dest[taken_lo:taken_hi] - lo] = True
-            window = positions[lo:hi]
-            window[taken] = value[taken_lo:taken_hi]
-            window[~taken] = prev[lo - taken_lo:hi - taken_hi]
-            taken_lo = taken_hi
-
-        # With a store the live columns stream straight into the blob;
-        # a heap epoch copies them, since later appends patch them.
-        successors = self._succ[name].view(n)
-        ranks = self._rank[name].view(n)
-        if not publish_views:
-            successors, ranks = np.array(successors), np.array(ranks)
+        if n_prev:
+            # Sequential merge: the previous epoch's table fills every
+            # slot the pending accesses did not take, in order.  In
+            # grouped order, pending access i of key k lands at i plus
+            # the sealed accesses of the keys up to k.
+            pending = self._counts[name] - sealed
+            dest = np.repeat(np.cumsum(sealed), pending)
+            dest += np.arange(n - n_prev, dtype=np.int64)
+            prev = self._sealed[name]
+            taken_lo = 0
+            for lo in range(0, n, chunk):
+                hi = min(n, lo + chunk)
+                taken_hi = int(np.searchsorted(dest, hi))
+                taken = np.zeros(hi - lo, dtype=bool)
+                taken[dest[taken_lo:taken_hi] - lo] = True
+                window = positions[lo:hi]
+                window[~taken] = prev[lo - taken_lo:hi - taken_hi]
+                taken_lo = taken_hi
+            # dest, the mask and its negation, and one window of dest.
+            self._hold(dest.nbytes + 10 * min(n, chunk))
 
         tables[f"{name}_keys"] = keys_now
         tables[f"{name}_starts"] = starts_now
         tables[f"{name}_positions"] = positions
-        tables[f"{name}_successors"] = successors
-        tables[f"{name}_ranks"] = ranks
+        tables[f"{name}_successors"] = self._succ[name].view(n)
+        tables[f"{name}_ranks"] = self._rank[name].view(n)
 
     def _publish(self, trace, tables, key, label):
         published = None
@@ -771,15 +672,18 @@ class LiveIndexBuilder:
         if published is not None:
             tables = published
         else:
-            # Heap fallback (no store/key, or a dropped publish): copy
-            # any spill or live-column memmaps, so the epoch survives
-            # the spill cleanup and later appends.
+            # Heap epoch (no store/key, or a dropped publish): copy the
+            # spill and file-backed column memmaps, so the epoch
+            # survives the spill cleanup and later patches; heap
+            # columns are detached at the next append instead.
             tables = {name: (np.array(table) if isinstance(table, np.memmap)
                              else table)
                       for name, table in tables.items()}
+            self._columns_shared = True
         for name in self._GRANULARITIES:
             self._sealed[name] = tables[f"{name}_positions"]
-        self._pending = []
+            self._sealed_counts[name] = self._counts[name].copy()
+        self._n_sealed = self.n_accesses
         return TraceIndex.from_tables(trace, tables)
 
     def close(self):
@@ -789,6 +693,7 @@ class LiveIndexBuilder:
         self._sealed = {}
         if self._scratch is not None:
             shutil.rmtree(self._scratch, ignore_errors=True)
+            unregister_scratch(self._scratch)
             self._scratch = None
 
     def __enter__(self):
@@ -801,7 +706,7 @@ class LiveIndexBuilder:
 class TraceIndex:
     """Line- and page-granularity position indices for one trace."""
 
-    #: Set by the chunked/spilled constructors (None for in-RAM builds).
+    #: Set by :meth:`LiveIndexBuilder.seal` (None for in-RAM builds).
     build_stats = None
 
     def __init__(self, trace):
@@ -840,14 +745,6 @@ class TraceIndex:
     # -- spill / memory-mapped mode ---------------------------------------
 
     @classmethod
-    def appendable(cls, store=None, spill_dir=None):
-        """A :class:`LiveIndexBuilder`: ``append(chunk)`` folds feed
-        chunks incrementally, ``seal(trace)`` materializes a
-        :class:`TraceIndex` for the consumed prefix that is bit-identical
-        to a from-scratch build."""
-        return LiveIndexBuilder(store=store, spill_dir=spill_dir)
-
-    @classmethod
     def open(cls, trace, store, key):
         """Open a spilled index as memory-mapped views, or None on miss.
 
@@ -860,51 +757,34 @@ class TraceIndex:
         return cls.from_tables(trace, tables)
 
     @classmethod
-    def build_chunked(cls, trace, chunk_accesses=None):
-        """Chunked in-RAM build (bounded transients, heap-resident
-        tables) — the store-less fallback of :meth:`build_spilled`."""
-        tables, stats = build_index_tables(trace, chunk_accesses)
-        index = cls.from_tables(trace, tables)
-        index.build_stats = stats
-        return index
-
-    @classmethod
     def build_spilled(cls, trace, store, key, chunk_accesses=None):
-        """Build (or reopen) a spilled, memory-mapped index.
+        """Build (or reopen) an index with bounded transients.
 
-        Tables are constructed chunk-by-chunk into spill files next to
-        the store (same filesystem — ``/tmp`` may be RAM-backed), then
-        streamed into an uncompressed-npz store blob and served back as
-        read-only memory maps.  Peak construction RSS is O(chunk +
-        unique keys), not O(accesses).  Without an enabled store this
-        degrades to :meth:`build_chunked` (bounded transients, tables in
-        RAM).
+        The build is one :class:`LiveIndexBuilder` append of the whole
+        trace and one seal, so peak construction RSS is O(chunk +
+        unique keys), not O(accesses).  With an enabled ``store`` the
+        tables are constructed in spill files next to it (same
+        filesystem — ``/tmp`` may be RAM-backed), streamed into an
+        uncompressed-npz blob under ``key`` and served back as
+        read-only memory maps.  With a missing or disabled store (or a
+        dropped publish) the tables stay on the heap and ``key`` is
+        unused.
         """
-        existing = cls.open(trace, store, key)
-        if existing is not None:
-            return existing
-        if not store.enabled:
-            return cls.build_chunked(trace, chunk_accesses)
-        os.makedirs(store.root, exist_ok=True)
-        spill_dir = tempfile.mkdtemp(prefix="index-spill-", dir=store.root)
-        try:
-            def allocate(name, shape, dtype):
-                if not shape[0]:
-                    return np.empty(shape, dtype=dtype)
-                return np.lib.format.open_memmap(
-                    os.path.join(spill_dir, name + ".npy"), mode="w+",
-                    dtype=dtype, shape=shape)
-
-            tables, stats = build_index_tables(trace, chunk_accesses,
-                                               allocate)
-            store.save_arrays(key, tables, label="trace-index-spill")
-            del tables
-        finally:
-            shutil.rmtree(spill_dir, ignore_errors=True)
-        index = cls.open(trace, store, key)
-        if index is None:          # racing gc/clear swept the blob
-            return cls.build_chunked(trace, chunk_accesses)
-        index.build_stats = stats
+        if store is not None:
+            existing = cls.open(trace, store, key)
+            if existing is not None:
+                return existing
+        t0 = time.perf_counter()
+        with LiveIndexBuilder(store, chunk_accesses=chunk_accesses) \
+                as builder:
+            builder.append(trace.mem_line)
+            index = builder.seal(trace, key, label="trace-index-spill")
+        s = telemetry.session()
+        if s is not None:
+            stats = index.build_stats
+            s.add_time("index.build", time.perf_counter() - t0)
+            s.count("index.build.chunks", stats.n_chunks)
+            s.event("index.build", asdict(stats))
         return index
 
     @property

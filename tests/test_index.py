@@ -11,10 +11,11 @@ from repro.reliability import clear_plan, inject
 from repro.store import ArtifactStore
 from repro.util.units import CACHELINE_SHIFT, PAGE_SHIFT
 from repro.vff.index import (
+    DEFAULT_CHUNK_ACCESSES,
     LiveIndexBuilder,
     TraceIndex,
     _group_by_key,
-    build_index_tables,
+    default_chunk_accesses,
 )
 from tests.test_record import make_trace
 
@@ -218,7 +219,7 @@ def test_group_by_key_matches_stable_argsort():
     assert branches == {"packed", "fallback"}
 
 
-# -- chunked / spillable construction ----------------------------------------
+# -- bounded / spillable construction ----------------------------------------
 
 _PAGE_OF_LINE_SHIFT = PAGE_SHIFT - CACHELINE_SHIFT
 
@@ -284,17 +285,16 @@ def test_chunked_build_matches_argsort(lines, chunk):
     lines = np.asarray(lines, dtype=np.int64) * 5    # span several pages
     trace = make_trace(list(range(len(lines))), lines,
                        n_instructions=max(1, len(lines)))
-    tables, stats = build_index_tables(trace, chunk_accesses=chunk)
+    index = TraceIndex.build_spilled(trace, None, None, chunk_accesses=chunk)
     reference = reference_tables(lines)
     assert_matches_reference(TraceIndex(trace), reference, "in-RAM")
-    assert_matches_reference(TraceIndex.from_tables(trace, tables),
-                             reference, f"chunk={chunk}")
-    assert stats.n_accesses == len(lines)
+    assert_matches_reference(index, reference, f"chunk={chunk}")
+    assert index.build_stats.n_accesses == len(lines)
 
 
 def test_wide_span_index_matches_argsort():
     """Keys too far apart to pack with their positions take the stable
-    argsort fallback, in the in-RAM and the chunked build alike."""
+    argsort fallback, in the in-RAM and the bounded build alike."""
     rng = np.random.default_rng(5)
     lines = (rng.choice([0, 1, 7, 2**40, 2**61, 2**62 - 8], size=400)
              + rng.integers(0, 3, size=400)).astype(np.int64)
@@ -305,9 +305,9 @@ def test_wide_span_index_matches_argsort():
         index = TraceIndex(trace)
     assert argsort.call_count == 2       # both granularities fell back
     assert_matches_reference(index, reference, "in-RAM")
-    tables, _ = build_index_tables(trace, chunk_accesses=97)
-    assert_matches_reference(TraceIndex.from_tables(trace, tables),
-                             reference, "chunked")
+    assert_matches_reference(
+        TraceIndex.build_spilled(trace, None, None, chunk_accesses=97),
+        reference, "bounded")
 
 
 def test_chunked_build_transients_are_bounded():
@@ -317,7 +317,8 @@ def test_chunked_build_transients_are_bounded():
     lines = rng.integers(0, 4_000, size=n).astype(np.int64)
     trace = make_trace(list(range(n)), lines, n_instructions=n)
     chunk = 4_096
-    tables, stats = build_index_tables(trace, chunk_accesses=chunk)
+    index = TraceIndex.build_spilled(trace, None, None, chunk_accesses=chunk)
+    stats = index.build_stats
     # Six O(n) int64 tables were produced (positions/successors/ranks
     # at both granularities)...
     assert stats.table_bytes > 6 * n * 8
@@ -325,9 +326,8 @@ def test_chunked_build_transients_are_bounded():
     # multiple of the chunk length (merge state is O(unique keys)).
     assert stats.peak_transient_bytes < 16 * chunk * 8
     assert stats.peak_transient_bytes < stats.table_bytes / 20
-    _assert_indices_identical(
-        TraceIndex(trace), TraceIndex.from_tables(trace, tables),
-        "bounded")
+    assert stats.n_chunks == -(-n // chunk)
+    _assert_indices_identical(TraceIndex(trace), index, "bounded")
 
 
 def test_spilled_index_round_trip(tmp_path):
@@ -371,10 +371,7 @@ def test_spilled_index_round_trip(tmp_path):
     assert spilled.lines is None     # closed indices drop their tables
 
     # Legacy position-only tables still load (lazy successor rebuild).
-    legacy = {name: table for name, table in
-              build_index_tables(trace)[0].items()
-              if "successors" not in name and "ranks" not in name}
-    legacy_index = TraceIndex.from_tables(trace, legacy)
+    legacy_index = TraceIndex.from_tables(trace, TraceIndex(trace).tables())
     assert np.array_equal(legacy_index.lines.successors(),
                           reference.lines.successors())
 
@@ -403,10 +400,12 @@ def _no_fault_plan(monkeypatch):
 @pytest.mark.parametrize("mode", ["published", "heap", "dropped"])
 def test_live_builder_seals_match_reference(mode, tmp_path, _no_fault_plan):
     """Every seal equals the reference on its prefix, however the feed
-    was chunked, and no sealed epoch changes as later appends patch
-    the live successor column.  ``published`` streams the live columns
-    into a store blob; ``dropped`` loses that publish to ENOSPC, so the
-    seal falls back to heap copies."""
+    was chunked and whatever the builder's window, and no sealed epoch
+    changes as later appends patch the live successor column.
+    ``published`` streams the live columns into a store blob;
+    ``dropped`` loses that publish to ENOSPC, so the seal falls back to
+    heap copies."""
+    multi_window = set()
     for seed in range(4):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1_000, 4_000))
@@ -417,10 +416,14 @@ def test_live_builder_seals_match_reference(mode, tmp_path, _no_fault_plan):
         seal_after = set(rng.choice(len(bounds) - 1, size=6,
                                     replace=False).tolist())
         seal_after.add(len(bounds) - 2)
+        # Odd streams fold whole appends at once; even ones split every
+        # seal's pending accesses into several windows.
+        chunk = int(rng.integers(1, 700) if seed % 2 else
+                    rng.integers(1, 40))
         store = (None if mode == "heap" else
                  ArtifactStore(root=tmp_path / f"store-{seed}", enabled=True))
         sealed = []
-        with LiveIndexBuilder(store=store) as builder:
+        with LiveIndexBuilder(store=store, chunk_accesses=chunk) as builder:
             for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 builder.append(lines[lo:hi])
                 if i not in seal_after:
@@ -429,13 +432,16 @@ def test_live_builder_seals_match_reference(mode, tmp_path, _no_fault_plan):
                     inject("store.write:enospc@n=1")
                 trace = make_trace(list(range(hi)), lines[:hi],
                                    n_instructions=hi)
+                pending = hi - (sealed[-1][2] if sealed else 0)
+                if pending > chunk:
+                    multi_window.add("later" if sealed else "first")
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     index = builder.seal(
                         trace, key=None if store is None
-                        else {"seed": seed, "accesses": hi},
-                        chunk_accesses=int(rng.integers(1, 700)))
+                        else {"seed": seed, "accesses": hi})
                 assert index.mapped == (mode == "published")
+                assert index.build_stats.n_chunks == -(-pending // chunk)
                 if mode == "dropped":
                     assert store.write_errors == len(sealed) + 1
                 reference = reference_tables(lines[:hi])
@@ -444,3 +450,51 @@ def test_live_builder_seals_match_reference(mode, tmp_path, _no_fault_plan):
             for index, reference, hi in sealed:
                 assert_matches_reference(index, reference,
                                          (mode, seed, hi, "after appends"))
+    assert multi_window == {"first", "later"}
+
+
+@pytest.mark.parametrize("sealed_before", [False, True])
+@pytest.mark.parametrize("wrong_line", [7, 10**6])
+def test_seal_rejects_a_snapshot_that_is_not_the_feed(sealed_before,
+                                                      wrong_line):
+    """A seal reads its pending accesses back from the snapshot; when
+    they are not what was appended (another appended line, or one never
+    seen) it raises instead of returning a wrong index, and a seal over
+    the right snapshot still succeeds."""
+    lines = np.arange(300, dtype=np.int64) % 13
+    wrong = lines.copy()
+    wrong[250] = wrong_line
+    with LiveIndexBuilder(chunk_accesses=32) as builder:
+        if sealed_before:
+            builder.append(lines[:100])
+            builder.seal(make_trace(list(range(100)), lines[:100],
+                                    n_instructions=100))
+            builder.append(lines[100:])
+        else:
+            builder.append(lines)
+        with pytest.raises(ValueError, match="differ from the feed"):
+            builder.seal(make_trace(list(range(300)), wrong,
+                                    n_instructions=300))
+        index = builder.seal(make_trace(list(range(300)), lines,
+                                        n_instructions=300))
+    assert_matches_reference(index, reference_tables(lines))
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-3"])
+def test_malformed_index_chunk_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_INDEX_CHUNK", raw)
+    with pytest.raises(ValueError, match="REPRO_INDEX_CHUNK"):
+        default_chunk_accesses()
+
+
+@pytest.mark.parametrize("raw, chunk", [
+    ("4096", 4096), ("", DEFAULT_CHUNK_ACCESSES),
+    (None, DEFAULT_CHUNK_ACCESSES)])
+def test_index_chunk_from_environment(monkeypatch, raw, chunk):
+    if raw is None:
+        monkeypatch.delenv("REPRO_INDEX_CHUNK", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_INDEX_CHUNK", raw)
+    assert default_chunk_accesses() == chunk
+    with LiveIndexBuilder() as builder:
+        assert builder.chunk_accesses == chunk

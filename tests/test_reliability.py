@@ -377,6 +377,57 @@ class TestScratchCleanup:
         # the default disposition was re-raised: died *by* SIGTERM
         assert child.returncode == -signal.SIGTERM
 
+    def test_sigterm_sweeps_store_temp_and_index_scratch(self, tmp_path):
+        """A worker killed mid-publish (a pool tearing down its workers
+        sends SIGTERM) leaves neither the blob's temp file nor the index
+        builder's spill directories under the store root."""
+        script = textwrap.dedent("""
+            import signal, sys
+            import numpy as np
+            import repro.store.store as store_module
+            from repro.store import ArtifactStore
+            from repro.trace.record import Trace
+            from repro.vff.index import LiveIndexBuilder
+
+            def blocked(handle, arrays):
+                handle.write(b"partial payload")
+                print("blocked", flush=True)
+                signal.pause()
+
+            store_module.write_arrays_stream = blocked
+            store = ArtifactStore(root=sys.argv[1], enabled=True)
+            lines = np.arange(5_000, dtype=np.int64) % 97
+            trace = Trace(kind=np.zeros(5_000, dtype=np.uint8),
+                          mem_instr=np.arange(5_000, dtype=np.int64),
+                          mem_line=lines,
+                          mem_pc=np.zeros(5_000, dtype=np.int32),
+                          mem_store=np.zeros(5_000, dtype=bool),
+                          branch_instr=np.empty(0, dtype=np.int64),
+                          branch_mispred=np.empty(0, dtype=bool))
+            builder = LiveIndexBuilder(store=store, chunk_accesses=1_000)
+            builder.append(lines)
+            builder.seal(trace, key={"index": 1})
+        """)
+        root = tmp_path / "store"
+        child = subprocess.Popen([sys.executable, "-c", script, str(root)],
+                                 stdout=subprocess.PIPE, text=True,
+                                 env=dict(os.environ))
+        try:
+            assert child.stdout.readline().strip() == "blocked"
+            litter = sorted(p.name for p in root.rglob("*") if p.is_file())
+            assert any(name.endswith(".tmp") for name in litter), litter
+            assert any(name.endswith("_positions.npy")
+                       for name in litter), litter
+            assert any(name.endswith("_succ.bin") for name in litter), litter
+            child.send_signal(signal.SIGTERM)
+            child.wait(timeout=10)
+        finally:
+            child.kill()
+            child.wait()
+        assert [p for p in root.rglob("*") if p.is_file()] == []
+        assert not list(root.glob("live-*"))
+        assert child.returncode == -signal.SIGTERM
+
     def test_orderly_exit_sweeps_unclosed_scratch(self):
         script = textwrap.dedent("""
             import numpy as np
@@ -538,9 +589,11 @@ class TestResilientPool:
         a round, not a recomputation."""
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
         # the task seam is visited at entry (hit 1) and exit (hit 2):
-        # n=2 crashes exactly one worker after its results are on disk
+        # n=2 crashes exactly one worker after its results are on disk.
+        # One worker runs the tasks in turn, so no second task is caught
+        # mid-run (recorded as a crash and re-run) when the pool dies.
         spec = f"state={tmp_path / 'faults'};pool.task:crash@n=2,times=1"
-        matrix, runner = chaos_matrix(tmp_path, spec)
+        matrix, runner = chaos_matrix(tmp_path, spec, max_workers=1)
         assert_identical(matrix, baseline)
         report = runner.last_matrix_report
         assert report.rounds >= 2

@@ -1,7 +1,7 @@
 """Unified benchmark runner: one schema, one history, one gate.
 
 ``bench.py`` fronts the perf suites that seed the repo's perf
-trajectory — ``kernels`` (vector-vs-scalar kernel timings), ``store``
+trajectory — ``kernels`` (native-vs-scalar kernel timings), ``store``
 (cold-vs-warm artifact-store wins), ``stream`` (bounded-memory
 scaling) and ``live`` (incremental watermark latency vs the batch
 reference) — behind one history-carrying record written to the repo

@@ -1,22 +1,21 @@
 """Kernel performance benchmark: per-backend columns, one record.
 
-Times each kernel on fixed 1M-access traces across every available
-backend — ``scalar`` (per-access Python reference), ``vector`` (numpy
-batch kernels) and ``native`` (compiled C extension, measured only when
-built) — and writes ``BENCH_kernels.json`` at the repo root with
-seconds / accesses-per-second per kernel *and* backend.  Entries that
-gate the perf trajectory (full profile):
+Times each kernel on fixed 1M-access traces on both backends —
+``scalar`` (per-access Python reference) and ``native`` (the compiled
+extension, built on first use; measured only when it builds) — and
+writes ``BENCH_kernels.json`` at the repo root with seconds /
+accesses-per-second per kernel *and* backend.  Native speedup floors
+that gate the perf trajectory (full profile):
 
-* ``bulk_warm`` — the batch LRU warm kernel on a steady-state warm LLC,
-  the functional-warming common case; vector must be >= 5x, native too.
+* ``bulk_warm`` — the LRU warm kernel on a steady-state warm LLC, the
+  functional-warming common case: >= 5x.
 * ``stack_distances`` — the Bennett-Kruskal kernel on a mixed
-  hot/uniform/streaming trace; vector must be >= 3x.
-* ``bulk_warm_thrash`` — the thrash-heavy regime where the raw vector
-  kernel *loses* to the scalar loop (the reason the dispatcher's
-  adaptive bailout existed); the native backend must win >= 1.5x, so
-  no regime is left where scalar wins.
-* ``hierarchy_warm`` — the fused two-phase L1+LLC warm behind the
-  classify/Smarts region kernels; native must be >= 5x.
+  hot/uniform/streaming trace: >= 3x.
+* ``bulk_warm_thrash`` — the thrash-heavy regime, where every reuse has
+  a long set-local window (a numpy batch formulation lost to the scalar
+  loop here): >= 1.5x, so no regime is left where scalar wins.
+* ``hierarchy_warm`` — the fused L1+LLC warm behind the classify/Smarts
+  region paths: >= 5x.
 
 Run standalone (``python benchmarks/bench_perf_kernels.py``), through
 pytest (``python -m pytest benchmarks/bench_perf_kernels.py``) or via
@@ -25,7 +24,7 @@ the schema, the history and the regression gate.  Equivalence is
 asserted on every measurement — the speedups only count because the
 results are bit-identical.  ``REPRO_BENCH_PROFILE=quick`` shrinks the
 traces for the CI perf gate (the speedup floors only gate the full
-profile; short traces under-amortize the vector setup).
+profile; short traces under-amortize the per-call setup).
 """
 
 import os
@@ -46,8 +45,6 @@ from repro.caches.cache import CacheConfig, SetAssocCache
 from repro.caches.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.caches.stack import reuse_and_stack_distances_scalar
 from repro.kernels import native as native_kernels
-from repro.kernels.lru import warm_lru_sets
-from repro.kernels.stackdist import reuse_and_stack_distances_vector
 from repro.vff.index import TraceIndex
 from repro.vff.watchpoint import WatchpointEngine
 
@@ -97,14 +94,11 @@ def timed(f):
 
 
 def _warm_kernel(backend, cache, lines):
-    """One raw warm-kernel call for ``backend`` (no dispatch, no
-    bailout — the thrash entry must document the raw vector regime)."""
+    """One raw warm-kernel call for ``backend`` (no dispatch)."""
     if backend == "scalar":
         return cache.warm_scalar(lines)[0]
-    if backend == "native":
-        return native_kernels.warm_lru(
-            cache._sets, lines, cache._mask, cache.assoc)[0]
-    return warm_lru_sets(cache._sets, lines, cache._mask, cache.assoc)[0]
+    return native_kernels.warm_lru(
+        cache._sets, lines, cache._mask, cache.assoc)[0]
 
 
 def _bench_warm(resident, lines, config):
@@ -140,7 +134,6 @@ def bench_stack(rng):
     lines = mixed_trace(rng)
     impls = {
         "scalar": reuse_and_stack_distances_scalar,
-        "vector": reuse_and_stack_distances_vector,
         "native": native_kernels.reuse_and_stack_distances_native,
     }
     times = {}
@@ -229,8 +222,8 @@ def collect():
             if backend != "scalar":
                 entry[f"{backend}_speedup"] = round(
                     times["scalar"] / times[backend], 2)
-        # Legacy column: the vector speedup under its historical name.
-        entry["speedup"] = entry["vector_speedup"]
+        # Legacy column: the native speedup under its historical name.
+        entry["speedup"] = entry.get("native_speedup")
         report["kernels"][name] = entry
         line = " ".join(f"{b} {times[b]:.3f}s" for b in MEASURED)
         print(f"{name}: {line}")
@@ -248,17 +241,17 @@ def test_perf_kernels():
     entries = doc["metrics"]["kernels"]
     if QUICK_PROFILE:
         return
-    vector = {name: entry["vector_speedup"]
+    if "native" not in doc["metrics"]["backends"]:
+        import pytest
+        pytest.skip("no native backend: "
+                    f"{native_kernels.unavailable_cause()}")
+    native = {name: entry["native_speedup"]
               for name, entry in entries.items()}
-    assert vector["bulk_warm"] >= 5.0, vector
-    assert vector["stack_distances"] >= 3.0, vector
-    if "native" in doc["metrics"]["backends"]:
-        native = {name: entry["native_speedup"]
-                  for name, entry in entries.items()}
-        # No regime where scalar wins: the thrash bailout is retired.
-        assert native["bulk_warm_thrash"] >= 1.5, native
-        assert native["bulk_warm"] >= 5.0, native
-        assert native["hierarchy_warm"] >= 5.0, native
+    assert native["bulk_warm"] >= 5.0, native
+    assert native["stack_distances"] >= 3.0, native
+    # No regime where scalar wins.
+    assert native["bulk_warm_thrash"] >= 1.5, native
+    assert native["hierarchy_warm"] >= 5.0, native
 
 
 if __name__ == "__main__":

@@ -1,50 +1,11 @@
 """Legacy setup shim: enables `pip install -e .` on hosts without the
-`wheel` package (offline PEP 517 editable installs need bdist_wheel),
-and declares the optional compiled kernel extension
-(`repro.kernels._native`, the `native` backend).  All metadata lives in
-pyproject.toml (PEP 621); setuptools reads it.
+`wheel` package (offline PEP 517 editable installs need bdist_wheel).
+All metadata lives in pyproject.toml (PEP 621); setuptools reads it.
 
-The extension is best-effort: a missing compiler (or missing numpy
-headers) degrades to a pure-Python install and the kernel registry
-resolves `native` to `vector` at runtime.  Build it in place with
-`python setup.py build_ext --inplace`.
+Installing builds no extension: the compiled kernel backend
+(`repro.kernels._native`) is built from the shipped `_native.c` on
+first use, into the cache directory (see `repro.kernels.native`).
 """
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
+from setuptools import setup
 
-
-class optional_build_ext(build_ext):
-    """Build the native kernels if we can; never fail the install."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:           # no compiler / headers
-            self._skip(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._skip(exc)
-
-    def _skip(self, exc):
-        print(f"warning: skipping optional extension build ({exc}); "
-              "the 'native' kernel backend will fall back to 'vector'")
-
-
-def native_extension():
-    try:
-        import numpy
-    except ImportError:
-        return []
-    return [Extension(
-        "repro.kernels._native",
-        sources=["src/repro/kernels/_native.c"],
-        include_dirs=[numpy.get_include()],
-        optional=True,
-    )]
-
-
-setup(ext_modules=native_extension(),
-      cmdclass={"build_ext": optional_build_ext})
+setup()

@@ -5,10 +5,9 @@ Two internal representations are used, chosen at construction:
 * LRU (the paper's Table 1 policy) keeps each set as a Python list in
   recency order (LRU at index 0).  Bulk warming — simulating every access
   of a warm-up interval, the very overhead the paper attacks — dispatches
-  through the kernel backend (:mod:`repro.kernels`): the vector backend
-  computes hits from per-set stack distances in numpy and falls back to
-  the scalar loop for thrash-heavy batches where the loop is
-  competitive; the scalar backend is the per-access reference.
+  through the kernel backend (:mod:`repro.kernels`): the native backend
+  runs the per-access loop compiled, the scalar backend is the Python
+  reference; both are bit-identical.
 * Other policies (random, tree-PLRU, NMRU) use a way-table plus a
   pluggable :mod:`~repro.caches.replacement` policy object.
 """
@@ -21,12 +20,7 @@ import numpy as np
 from repro import kernels, telemetry
 from repro.caches.replacement import make_policy
 from repro.kernels import native
-from repro.kernels.lru import warm_lru_sets
 from repro.util.units import CACHELINE_BYTES, format_size
-
-#: Long-window batch fraction beyond which the vector warm kernel defers
-#: to the scalar loop (see ``warm_lru_sets(max_long_window_fraction=...)``).
-VECTOR_BAILOUT_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -133,35 +127,22 @@ class SetAssocCache:
         """Access every line of a numpy array; return (hits, misses).
 
         This is the functional-warming hot loop.  For LRU caches the
-        vector backend resolves the batch in numpy (bit-identical to the
-        scalar loop); the native backend runs the fused C loop (exact in
-        every regime — no bailout); the scalar backend — and
-        thrash-heavy batches the vector kernel bails out of — run the
-        per-access reference loop.
+        native backend runs it compiled; the scalar backend, and every
+        other policy, runs the per-access reference loop.
         """
         s = telemetry.session()
-        backend = kernels.get_backend()
-        if self._is_lru and len(lines) and backend != "scalar":
+        if self._is_lru and len(lines) and kernels.get_backend() == "native":
             t0 = time.perf_counter() if s is not None else 0.0
-            if backend == "native":
-                result = native.warm_lru(
-                    self._sets, lines, self._mask, self.assoc)
-            else:
-                result = warm_lru_sets(
-                    self._sets, lines, self._mask, self.assoc,
-                    max_long_window_fraction=VECTOR_BAILOUT_FRACTION)
+            hits = native.warm_lru(
+                self._sets, lines, self._mask, self.assoc)[0]
             if s is not None:
                 s.add_time("kernel.bulk_warm",
                            time.perf_counter() - t0)
                 s.count("kernel.bulk_warm.calls")
-                if result is None:
-                    s.count("kernel.bulk_warm.bailout")
-            if result is not None:
-                hits = result[0]
-                misses = len(lines) - hits
-                self.hits += hits
-                self.misses += misses
-                return hits, misses
+            misses = len(lines) - hits
+            self.hits += hits
+            self.misses += misses
+            return hits, misses
         if s is not None:
             t0 = time.perf_counter()
             out = self.warm_scalar(lines)
@@ -211,18 +192,12 @@ class SetAssocCache:
         if not self._is_lru:
             raise ValueError("warm_profile requires an LRU cache")
         n = len(lines)
-        backend = kernels.get_backend()
-        if n and backend != "scalar":
+        if n and kernels.get_backend() == "native":
             s = telemetry.session()
             t0 = time.perf_counter() if s is not None else 0.0
-            if backend == "native":
-                hits, hit_mask, occupancy = native.warm_lru(
-                    self._sets, lines, self._mask, self.assoc,
-                    want_access_info=True)
-            else:
-                hits, hit_mask, occupancy = warm_lru_sets(
-                    self._sets, lines, self._mask, self.assoc,
-                    want_access_info=True)
+            hits, hit_mask, occupancy = native.warm_lru(
+                self._sets, lines, self._mask, self.assoc,
+                want_access_info=True)
             if s is not None:
                 s.add_time("kernel.warm_profile",
                            time.perf_counter() - t0)

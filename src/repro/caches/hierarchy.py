@@ -7,20 +7,16 @@ configuration completeness and reports zero accesses; this is recorded in
 DESIGN.md as part of the workload substitution.
 
 ``warm`` is the functional-warming hot path: it inlines the L1-D and LLC
-LRU updates into one loop.
+LRU updates into one interleaved loop, compiled under the native kernel
+backend and in Python (the reference) under the scalar one.
 """
 
 import time
 from dataclasses import dataclass, field
 
 from repro import kernels, telemetry
-from repro.caches.cache import (
-    CacheConfig,
-    SetAssocCache,
-    VECTOR_BAILOUT_FRACTION,
-)
+from repro.caches.cache import CacheConfig, SetAssocCache
 from repro.kernels import native
-from repro.kernels.lru import warm_lru_sets
 from repro.util.units import KIB, MIB
 
 
@@ -78,12 +74,9 @@ class CacheHierarchy:
         valid for LRU caches (the Table 1 configuration); other policies
         fall back to per-access calls.
 
-        Under the vector kernel backend the two levels run as separate
-        batch kernels: the L1 kernel yields the per-access hit mask, and
-        the LLC kernel consumes the L1-miss substream — exactly the
-        stream the interleaved scalar loop feeds it, since L1 hits never
-        reach the LLC.  The native backend fuses both levels into one
-        compiled interleaved loop (no bailout regime).
+        The native kernel backend runs both levels in one compiled
+        interleaved loop; the scalar backend runs the same loop below,
+        the reference.  The LLC sees exactly the L1-miss substream.
         """
         if not (self.l1d._is_lru and self.llc._is_lru):
             l1_hits = llc_hits = mem = 0
@@ -97,8 +90,7 @@ class CacheHierarchy:
                     mem += 1
             return l1_hits, llc_hits, mem
 
-        backend = kernels.get_backend()
-        if len(lines) and backend == "native":
+        if len(lines) and kernels.get_backend() == "native":
             s = telemetry.session()
             t0 = time.perf_counter() if s is not None else 0.0
             l1_hits, llc_hits = native.warm_hierarchy(
@@ -118,31 +110,6 @@ class CacheHierarchy:
             self.llc_hits += llc_hits
             self.mem_misses += mem
             return l1_hits, llc_hits, mem
-
-        if len(lines) and backend == "vector":
-            s = telemetry.session()
-            t0 = time.perf_counter() if s is not None else 0.0
-            result = warm_lru_sets(
-                self.l1d._sets, lines, self.l1d._mask, self.l1d.assoc,
-                want_access_info=True,
-                max_long_window_fraction=VECTOR_BAILOUT_FRACTION)
-            if s is not None:
-                s.add_time("kernel.hierarchy_warm",
-                           time.perf_counter() - t0)
-                s.count("kernel.hierarchy_warm.calls")
-                if result is None:
-                    s.count("kernel.hierarchy_warm.bailout")
-            if result is not None:
-                l1_hits, l1_mask, _ = result
-                self.l1d.hits += l1_hits
-                self.l1d.misses += len(lines) - l1_hits
-                miss_lines = lines[~l1_mask]
-                llc_hits, _ = self.llc.warm(miss_lines)
-                mem = len(lines) - l1_hits - llc_hits
-                self.l1_hits += l1_hits
-                self.llc_hits += llc_hits
-                self.mem_misses += mem
-                return l1_hits, llc_hits, mem
 
         l1_sets = self.l1d._sets
         l1_mask = self.l1d._mask

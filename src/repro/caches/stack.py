@@ -5,7 +5,9 @@ approximates (Section 2.2): *stack distance* is the number of unique
 cachelines between two accesses to the same line; *reuse distance* is the
 raw access count between them.  A Fenwick tree over trace positions gives
 exact stack distances in O(log n) per access (the classic
-Bennett–Kruskal algorithm); reuse distances are computed fully vectorized.
+Bennett–Kruskal algorithm) — compiled under the native kernel backend,
+in Python under the scalar one; reuse distances are computed fully
+vectorized.
 
 These routines serve three roles:
 
@@ -23,6 +25,7 @@ import time
 import numpy as np
 
 from repro import kernels, telemetry
+from repro.kernels import native
 
 
 def previous_access_index(lines):
@@ -68,34 +71,22 @@ def reuse_and_stack_distances(lines):
     immediate re-reference has reuse == stack == 0 and a fully-associative
     LRU cache of ``C`` lines hits iff ``stack < C``.
 
-    Dispatches on the kernel backend: the vector backend uses the
-    merge-count kernel (:mod:`repro.kernels.stackdist`), the native
-    backend the compiled Fenwick loop (:mod:`repro.kernels.native`),
-    the scalar backend the Fenwick-tree reference below; results are
-    bit-identical.
+    Dispatches on the kernel backend: the native backend runs the
+    compiled Fenwick loop (:mod:`repro.kernels.native`), the scalar
+    backend the Fenwick-tree reference below; results are bit-identical.
     """
+    if kernels.get_backend() == "native":
+        kernel = native.reuse_and_stack_distances_native
+        timer = "kernel.stack_distances"
+    else:
+        kernel = reuse_and_stack_distances_scalar
+        timer = "kernel.stack_distances.scalar"
     s = telemetry.session()
-    backend = kernels.get_backend()
-    if backend != "scalar":
-        if backend == "native":
-            from repro.kernels.native import (
-                reuse_and_stack_distances_native as kernel,
-            )
-        else:
-            from repro.kernels.stackdist import (
-                reuse_and_stack_distances_vector as kernel,
-            )
-        if s is None:
-            return kernel(lines)
-        t0 = time.perf_counter()
-        out = kernel(lines)
-        s.add_time("kernel.stack_distances", time.perf_counter() - t0)
-        return out
     if s is None:
-        return reuse_and_stack_distances_scalar(lines)
+        return kernel(lines)
     t0 = time.perf_counter()
-    out = reuse_and_stack_distances_scalar(lines)
-    s.add_time("kernel.stack_distances.scalar", time.perf_counter() - t0)
+    out = kernel(lines)
+    s.add_time(timer, time.perf_counter() - t0)
     return out
 
 

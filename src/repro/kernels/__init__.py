@@ -1,82 +1,76 @@
-"""Vectorized simulation kernels and backend selection.
+"""Simulation kernels and backend selection.
 
-The hot paths of the reproduction — bulk LRU warming, stack-distance
-profiling, warming classification and watchpoint resolution — exist in
-three equivalent implementations:
+The cache hot paths — bulk LRU warming, the fused L1+LLC hierarchy warm
+and stack-distance profiling — exist in two equivalent implementations:
 
 * ``scalar`` — the original per-access Python loops, kept as the
-  reference semantics;
-* ``vector`` — numpy batch kernels (this package) that produce
-  bit-identical hits, misses, distances and final cache state;
-* ``native`` — a compiled C extension (:mod:`repro.kernels._native`,
-  built via ``python setup.py build_ext --inplace``) running the
-  per-access reference loops fused in C: exact in every regime, so the
-  vector backend's thrash bailout does not exist there.
+  reference semantics and as the path of hosts without a C compiler;
+* ``native`` (the default) — the same loops compiled from
+  ``_native.c`` (:mod:`repro.kernels.native` builds it on first use
+  into ``<cache>/kernels/``), bit-identical to ``scalar`` in every
+  regime.
+
+Under any backend but ``scalar`` the numpy batch paths of
+classification, Scout, vicinity sampling, warm-up, the trace index and
+watchpoint profiling also engage; they are equivalent to their scalar
+loops too.
 
 The active backend is chosen per process: the ``REPRO_KERNEL_BACKEND``
 environment variable seeds the default, :func:`set_backend` switches it,
 and :func:`use_backend` scopes a switch.  Call sites dispatch through
 :func:`get_backend`, so the scalar reference stays one flag away for
-equivalence testing and for platforms where numpy batching misbehaves.
+equivalence testing.
 
-Selecting ``native`` never hard-fails: when the extension is not built
-the selection resolves to ``vector`` at dispatch time — one
-:class:`RuntimeWarning` plus a ``kernel.native.unavailable`` telemetry
-counter on the first resolution, never an import error.
+Selecting ``native`` never hard-fails: when the extension cannot be
+built or loaded the selection resolves to ``scalar`` at dispatch time —
+one :class:`RuntimeWarning` naming the cause plus a
+``kernel.native.unavailable`` telemetry counter on the first resolution,
+never an import error.
 """
 
 import contextlib
 import os
 import warnings
 
-BACKENDS = ("scalar", "vector", "native")
+from repro.kernels import native
 
-_backend = os.environ.get("REPRO_KERNEL_BACKEND", "vector")
+BACKENDS = ("scalar", "native")
+DEFAULT_BACKEND = "native"
+
+_backend = os.environ.get("REPRO_KERNEL_BACKEND", DEFAULT_BACKEND)
 if _backend not in BACKENDS:
     raise ValueError(
         f"REPRO_KERNEL_BACKEND must be one of {BACKENDS}, got {_backend!r}")
 
-#: Lazy import-probe cache for the compiled extension (None = unprobed).
-_native_probe = None
-#: True once the native->vector fallback has been reported.
+#: True once the native->scalar fallback has been reported.
 _native_fallback_reported = False
 
 
 def native_available():
-    """True when the compiled extension imports on this host (cached)."""
-    global _native_probe
-    if _native_probe is None:
-        try:
-            from repro.kernels import _native  # noqa: F401
-            _native_probe = True
-        except ImportError:
-            _native_probe = False
-    return _native_probe
+    """True when the compiled extension is loaded on this host, building
+    it on the first call (resolved once per process)."""
+    return native.load() is not None
 
 
 def _resolve(name):
-    """Degrade ``native`` to ``vector`` when the extension is absent."""
+    """Degrade ``native`` to ``scalar`` when the extension is absent."""
     global _native_fallback_reported
     if name != "native" or native_available():
         return name
     if not _native_fallback_reported:
         _native_fallback_reported = True
         warnings.warn(
-            "kernel backend 'native' requested but the compiled "
-            "extension repro.kernels._native is not built; falling back "
-            "to 'vector' (build it with "
-            "'python setup.py build_ext --inplace')",
+            "kernel backend 'native' is unavailable "
+            f"({native.unavailable_cause()}); falling back to 'scalar'",
             RuntimeWarning, stacklevel=3)
         from repro import telemetry
-        session = telemetry.session()
-        if session is not None:
-            session.count("kernel.native.unavailable")
-    return "vector"
+        telemetry.counter("kernel.native.unavailable")
+    return "scalar"
 
 
 def get_backend():
-    """The active kernel backend (``"scalar"``, ``"vector"`` or
-    ``"native"``), after fallback resolution."""
+    """The active kernel backend (``"scalar"`` or ``"native"``), after
+    fallback resolution."""
     return _resolve(_backend)
 
 

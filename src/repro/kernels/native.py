@@ -1,31 +1,181 @@
-"""Python face of the compiled ``native`` backend.
+"""The compiled ``native`` backend: first-use build, loader, wrappers.
 
-Thin wrappers over :mod:`repro.kernels._native` (built from
-``src/repro/kernels/_native.c`` via ``python setup.py build_ext
---inplace``) that normalize inputs and keep the call shapes of the
-vector kernels, so the dispatch sites in :mod:`repro.caches` stay
-three-way one-liners.  Import of this module never fails: when the
-extension is absent :data:`AVAILABLE` is False and the registry in
-:mod:`repro.kernels` resolves ``native`` to ``vector`` instead.
+:mod:`repro.kernels._native` is compiled from ``_native.c`` (shipped
+beside this module) the first time a process resolves the ``native``
+backend, into ``<cache>/kernels/<key>/_native<EXT_SUFFIX>`` under the
+store's default root (:func:`repro.store.default_cache_dir`).  ``<key>``
+hashes the C source, the interpreter's extension suffix (its ABI) and
+the numpy version, whose C API the source uses, so changing any of them
+builds into a new directory.  The build is not a store artifact:
+``REPRO_CACHE=off`` does not turn it off.
+
+setuptools' ``build_ext`` runs in a child interpreter (this process
+never imports setuptools) with its output captured, into a registered
+scratch directory beside the target, and the result moves into place
+with :func:`os.replace`.  An exclusive lock on ``<key>.lock`` is held
+meanwhile and the target is checked for again once it is taken, so
+concurrent processes compile once and never load a half-written file.
+Resolution happens once per process; forked workers inherit it and
+spawned ones find the published file.  Any failure — no compiler, no
+setuptools, an unwritable root, a compile or import error — makes
+:func:`load` return None, leaves nothing under ``kernels/`` and is named
+by :func:`unavailable_cause`; :mod:`repro.kernels` then runs ``scalar``.
 """
+
+import contextlib
+import hashlib
+import importlib.machinery
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
+import time
 
 import numpy as np
 
-try:
-    from repro.kernels import _native
-except ImportError:              # extension not built on this host
-    _native = None
+MODULE_NAME = "repro.kernels._native"
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "_native.c")
+#: Seconds one compile may take, and a process may wait on another's.
+BUILD_TIMEOUT_S = 300
 
-#: True when the compiled extension imported successfully.
-AVAILABLE = _native is not None
+#: Run by ``sys.executable`` in the build child: compile ``argv[1]``
+#: with the numpy headers in ``argv[2]`` under the scratch directory
+#: ``argv[3]``; print the built file's path, or exit naming the error.
+_BUILD_SCRIPT = """\
+import os, sys
+source, include, build_dir = sys.argv[1:4]
+try:
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+    command = build_ext(Distribution({"ext_modules": [Extension(
+        "repro.kernels._native", [source], include_dirs=[include])]}))
+    command.build_lib = build_dir
+    command.build_temp = os.path.join(build_dir, "tmp")
+    command.ensure_finalized()
+    command.run()
+except Exception as exc:
+    sys.exit(f"{type(exc).__name__}: {exc}")
+print(command.get_ext_fullpath("repro.kernels._native"))
+"""
+
+#: The loaded extension once :func:`load` succeeded.
+_native = None
+#: Why the extension is unavailable, once a resolution failed.
+_cause = None
+_resolved = False
+
+
+class NativeBuildError(RuntimeError):
+    """The child ``build_ext`` run failed (the message is its error)."""
+
+
+def build_key():
+    """SHA-256 over the C source, the extension suffix and numpy's
+    version: the name of this host's build directory."""
+    digest = hashlib.sha256()
+    with open(SOURCE, "rb") as handle:
+        digest.update(handle.read())
+    for part in (sysconfig.get_config_var("EXT_SUFFIX"), np.__version__):
+        digest.update(b"\0" + str(part).encode())
+    return digest.hexdigest()
+
+
+def load():
+    """The compiled extension, built on first use; None when this host
+    cannot build or load it.  Resolves once per process."""
+    global _native, _cause, _resolved
+    if not _resolved:
+        _resolved = True
+        try:
+            path = _ensure_built()
+            loader = importlib.machinery.ExtensionFileLoader(
+                MODULE_NAME, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(MODULE_NAME, loader))
+            loader.exec_module(module)
+            _native = module
+        except Exception as exc:
+            _cause = f"{type(exc).__name__}: {exc}"
+    return _native
+
+
+def unavailable_cause():
+    """Why :func:`load` returned None (None while it has not failed)."""
+    return _cause
+
+
+def _ensure_built():
+    """Path of the published extension, compiling it first if absent."""
+    from repro.reliability.locks import FileLock
+    from repro.store import default_cache_dir
+
+    key_dir = os.path.join(os.path.expanduser(default_cache_dir()),
+                           "kernels", build_key())
+    target = os.path.join(
+        key_dir, "_native" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if os.path.exists(target):
+        return target
+    lock = FileLock(key_dir + ".lock")
+    if not lock.acquire(exclusive=True, timeout=BUILD_TIMEOUT_S):
+        raise NativeBuildError(f"timed out waiting for {lock.path}")
+    try:
+        if not os.path.exists(target):    # or another process built it
+            _build(target)
+    finally:
+        if not os.path.exists(target):
+            # A failed build leaves nothing under kernels/.
+            with contextlib.suppress(OSError):
+                os.rmdir(key_dir)
+            with contextlib.suppress(OSError):
+                os.remove(lock.path)
+        lock.release()
+    return target
+
+
+def _build(target):
+    """Compile the extension in a child process and publish it at
+    ``target``; timed as ``kernel.native.build`` in telemetry."""
+    from repro import telemetry
+    from repro.reliability.cleanup import register_scratch, unregister_scratch
+
+    key_dir = os.path.dirname(target)
+    os.makedirs(key_dir, exist_ok=True)
+    scratch = register_scratch(tempfile.mkdtemp(prefix=".build-",
+                                                dir=key_dir))
+    start = time.perf_counter()
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", _BUILD_SCRIPT, SOURCE, np.get_include(),
+             scratch],
+            cwd=scratch, capture_output=True, text=True,
+            timeout=BUILD_TIMEOUT_S)
+        if child.returncode != 0:
+            lines = (child.stderr or child.stdout).strip().splitlines()
+            raise NativeBuildError(
+                lines[-1] if lines
+                else f"build_ext exited with status {child.returncode}")
+        os.replace(child.stdout.strip().splitlines()[-1], target)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+        unregister_scratch(scratch)
+        telemetry.add_time("kernel.native.build",
+                           time.perf_counter() - start)
+    telemetry.counter("kernel.native.built")
 
 
 def warm_lru(state_sets, lines, mask, assoc, want_access_info=False):
-    """Batch-access an LRU cache; the compiled ``warm_lru_sets``.
+    """Batch-access an LRU set-associative cache in one C loop.
 
-    Same contract as :func:`repro.kernels.lru.warm_lru_sets` minus the
-    bailout: the per-access C loop is exact in every regime, so there
-    is no thrash heuristic and the result is never ``None``.
+    ``state_sets`` holds each set's resident lines LRU->MRU (the
+    representation of :class:`~repro.caches.cache.SetAssocCache`) and is
+    updated in place to the post-batch state; ``mask`` is
+    ``n_sets - 1``.  Returns ``(hits, hit_mask, occupancy_before)``:
+    the per-access hit mask and the set's valid ways before each access,
+    in batch order, when ``want_access_info``, else ``None`` for both.
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     if lines.shape[0] == 0:
@@ -52,21 +202,19 @@ def warm_hierarchy(l1_sets, llc_sets, lines, l1_mask, l1_assoc,
                                   int(llc_mask), int(llc_assoc))
 
 
-def reuse_and_stack_distances_native(lines, prev=None):
+def reuse_and_stack_distances_native(lines):
     """Exact ``(reuse, stack)`` distances via the compiled Fenwick loop.
 
-    ``prev`` comes from the vectorized ``previous_access_index`` (one
-    argsort); the Bennett-Kruskal walk itself — the part that is
-    merge-bound in numpy — runs in C.  Bit-identical to the scalar
-    reference.
+    The previous-access links come from the vectorized
+    ``previous_access_index`` (one argsort); the Bennett-Kruskal walk
+    itself runs in C.  Bit-identical to the scalar reference.
     """
     from repro.caches.stack import previous_access_index
 
     lines = np.asarray(lines)
     n = lines.shape[0]
-    if prev is None:
-        prev = previous_access_index(lines)
-    prev = np.ascontiguousarray(prev, dtype=np.int64)
+    prev = np.ascontiguousarray(previous_access_index(lines),
+                                dtype=np.int64)
     reuse = np.where(prev >= 0,
                      np.arange(n, dtype=np.int64) - prev - 1, -1)
     return reuse, _native.stack_from_prev(prev)

@@ -14,6 +14,10 @@ or renames it; an ``atexit`` hook plus a chaining SIGTERM handler sweep
 whatever is still registered when the process dies.  The handler
 re-raises the default SIGTERM disposition after sweeping, so exit codes
 and parent-observed signals are unchanged.
+
+A forked child starts with an empty registry: it inherits the handler
+but none of its parent's paths, so a pool tearing down its forked
+workers never sweeps scratch the parent still reads.
 """
 
 import atexit
@@ -69,6 +73,16 @@ def _install():
         # Not the main thread (or no signal support): atexit still
         # covers orderly interpreter shutdown.
         _PREVIOUS_HANDLER = None
+
+
+def _after_fork_in_child():
+    global _LOCK
+    _LOCK = threading.RLock()      # another parent thread may hold it
+    _REGISTRY.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def register_scratch(path):

@@ -100,15 +100,17 @@ def _active_backend():
     """The resolved kernel backend for snapshot records.
 
     Uses the registry (not the raw environment variable) so a
-    ``native`` selection that fell back to ``vector`` is reported as
+    ``native`` selection that fell back to ``scalar`` is reported as
     what actually ran.  Imported lazily to keep this module free of
     package dependencies at import time.
     """
+    from repro import kernels
+
     try:
-        from repro import kernels
         return kernels.get_backend()
     except Exception:
-        return os.environ.get("REPRO_KERNEL_BACKEND", "vector")
+        return os.environ.get("REPRO_KERNEL_BACKEND",
+                              kernels.DEFAULT_BACKEND)
 
 
 class TelemetrySession:

@@ -62,9 +62,9 @@ def _group_by_key(keys):
     keys ascending (in ``keys``' dtype), and ``starts``/``lengths`` each
     key's run within ``order``.  The position rides in the low bits of
     one packed int64, ``(key - min) << bits | position``, so a single
-    unstable sort yields the stable order.  When that packed key would
-    not fit in 63 bits the stable argsort runs instead — the rule
-    ``kernels/lru.py::_link_reuses`` applies.
+    unstable sort yields the stable order.  The packed key must fit in
+    63 bits, so it stays non-negative: when the key span ``max - min``
+    needs more than ``63 - bits`` bits, the stable argsort runs instead.
     """
     keys = np.asarray(keys)
     n = keys.shape[0]

@@ -27,10 +27,9 @@ from repro.vff.index import TraceIndex
 def pytest_addoption(parser):
     parser.addoption(
         "--backend", choices=kernels.BACKENDS, default=None,
-        help="Kernel backend for the whole session "
-             "(scalar|vector|native); defaults to REPRO_KERNEL_BACKEND "
-             "or 'vector'.  The kernel-equivalence tests exercise every "
-             "backend regardless.")
+        help="Kernel backend for the whole session (scalar|native); "
+             "defaults to REPRO_KERNEL_BACKEND or 'native'.  The "
+             "kernel-equivalence tests exercise every backend regardless.")
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -40,11 +39,11 @@ def _session_kernel_backend(request):
         yield
         return
     if choice == "native" and not kernels.native_available():
-        # A requested-but-unbuilt extension must skip loudly, not let
-        # the silent vector fallback masquerade as native coverage.
+        # An extension that cannot be built must skip loudly, not let
+        # the silent scalar fallback masquerade as native coverage.
         pytest.skip("compiled kernel extension (repro.kernels._native) "
-                    "is not built; run 'python setup.py build_ext "
-                    "--inplace'")
+                    "could not be built: "
+                    f"{kernels.native.unavailable_cause()}")
     with kernels.use_backend(choice):
         yield
 

@@ -1,15 +1,23 @@
-"""Kernel-equivalence property tests: vector backends vs. scalar reference.
+"""Kernel-equivalence property tests: native backend vs. scalar reference.
 
-Every vectorized kernel must be *bit-identical* to the per-access scalar
-implementation it replaces: hits, misses, distances, per-access masks,
-final cache state, classifier outcomes and side-band state (MSHR, stride
-detector, predictor call sequence).  Randomized traces come from all the
-address engines in :mod:`repro.trace.engines`, and caches cover LRU and
-the non-LRU policies (which share one code path — the dispatch must hand
-them to it unchanged under either backend).
+Every compiled kernel and every numpy batch path that engages under the
+native backend must be *bit-identical* to the per-access scalar
+implementation: hits, misses, distances, per-access masks, final cache
+state, classifier outcomes and side-band state (MSHR, stride detector,
+predictor call sequence).  Randomized traces come from all the address
+engines in :mod:`repro.trace.engines`, and caches cover LRU and the
+non-LRU policies (which share one code path — the dispatch must hand
+them to it unchanged under either backend).  The loader tests build the
+extension in child processes against a private cache root.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import sysconfig
+import textwrap
 
 import numpy as np
 import pytest
@@ -27,11 +35,7 @@ from repro.caches.stats import (
     MISS_COLD,
 )
 from repro.core.warming import COLD_DISTANCE, DirectedCapacityPredictor
-from repro.kernels.lru import warm_lru_sets
-from repro.kernels.stackdist import (
-    count_earlier_greater,
-    reuse_and_stack_distances_vector,
-)
+from repro.kernels import native
 from repro.caches.hierarchy import paper_hierarchy
 from repro.sampling.classify import RegionFrontEnd, WarmingClassifier
 from repro.sampling.coolsim import CoolSim
@@ -93,14 +97,15 @@ class TestWarmKernel:
             batch = lines[150:]
             ref, ref_hits, ref_mask, ref_occ = scalar_reference_warm(
                 config, pre, batch)
-            vec = SetAssocCache(config)
-            vec.warm_scalar(pre)
-            hits, mask, occ = warm_lru_sets(
-                vec._sets, batch, vec._mask, assoc, want_access_info=True)
-            assert hits == ref_hits, name
-            assert np.array_equal(mask, ref_mask), name
-            assert np.array_equal(occ, ref_occ), name
-            assert vec._sets == ref._sets, name
+            for backend in kernels.BACKENDS:
+                with kernels.use_backend(backend):
+                    cache = SetAssocCache(config)
+                    cache.warm_scalar(pre)
+                    hits, mask, occ = cache.warm_profile(batch)
+                assert hits == ref_hits, (name, backend)
+                assert np.array_equal(mask, ref_mask), (name, backend)
+                assert np.array_equal(occ, ref_occ), (name, backend)
+                assert cache._sets == ref._sets, (name, backend)
 
     def test_randomized_small_cases(self):
         rng = np.random.default_rng(11)
@@ -113,13 +118,14 @@ class TestWarmKernel:
             batch = rng.integers(0, pool, int(rng.integers(0, 300)))
             ref, ref_hits, ref_mask, ref_occ = scalar_reference_warm(
                 config, pre, batch)
-            vec = SetAssocCache(config)
-            vec.warm_scalar(pre)
-            hits, mask, occ = warm_lru_sets(
-                vec._sets, batch, vec._mask, assoc, want_access_info=True)
-            assert (hits, vec._sets) == (ref_hits, ref._sets)
-            assert np.array_equal(mask, ref_mask)
-            assert np.array_equal(occ, ref_occ)
+            for backend in kernels.BACKENDS:
+                with kernels.use_backend(backend):
+                    cache = SetAssocCache(config)
+                    cache.warm_scalar(pre)
+                    hits, mask, occ = cache.warm_profile(batch)
+                assert (hits, cache._sets) == (ref_hits, ref._sets), backend
+                assert np.array_equal(mask, ref_mask), backend
+                assert np.array_equal(occ, ref_occ), backend
 
     def test_dispatch_equivalence_all_policies(self):
         rng = np.random.default_rng(5)
@@ -139,33 +145,15 @@ class TestWarmKernel:
     def test_empty_and_tiny_batches(self):
         config = CacheConfig(1024, assoc=2)
         cache = SetAssocCache(config)
-        assert warm_lru_sets(cache._sets, np.empty(0, dtype=np.int64),
-                             cache._mask, 2) == (0, None, None)
-        hits, mask, occ = warm_lru_sets(
-            cache._sets, np.asarray([7]), cache._mask, 2,
-            want_access_info=True)
-        assert hits == 0 and not mask[0] and occ[0] == 0
-        assert cache._sets[7 & cache._mask] == [7]
-
-    def test_bailout_leaves_state_untouched(self):
-        rng = np.random.default_rng(9)
-        config = CacheConfig(2048, assoc=2)
-        cache = SetAssocCache(config)
-        # Thrash pattern: every reuse has a long set-local window.
-        lines = np.tile(np.arange(2048, dtype=np.int64), 5)
-        before = [list(s) for s in cache._sets]
-        result = warm_lru_sets(cache._sets, lines, cache._mask, 2,
-                               max_long_window_fraction=0.01)
-        assert result is None
-        assert cache._sets == before
-        # The dispatcher falls back to the scalar loop and still matches.
-        with kernels.use_backend("vector"):
-            a = SetAssocCache(config)
-            a_counts = a.warm(lines)
-        with kernels.use_backend("scalar"):
-            b = SetAssocCache(config)
-            b_counts = b.warm(lines)
-        assert a_counts == b_counts and a._sets == b._sets
+        assert native.warm_lru(cache._sets, np.empty(0, dtype=np.int64),
+                               cache._mask, 2) == (0, None, None)
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                cache = SetAssocCache(config)
+                assert cache.warm(np.empty(0, dtype=np.int64)) == (0, 0)
+                hits, mask, occ = cache.warm_profile(np.asarray([7]))
+            assert hits == 0 and not mask[0] and occ[0] == 0, backend
+            assert cache._sets[7 & cache._mask] == [7], backend
 
 
 class TestHierarchyKernel:
@@ -189,13 +177,22 @@ class TestHierarchyKernel:
                 assert counts[backend] == counts["scalar"], (name, backend)
 
 
+def stack_distances_by_backend(lines):
+    """``reuse_and_stack_distances`` under every backend."""
+    out = {}
+    for backend in kernels.BACKENDS:
+        with kernels.use_backend(backend):
+            out[backend] = reuse_and_stack_distances(lines)
+    return out
+
+
 class TestStackKernel:
     def test_bit_identical_across_engines(self):
         for name, lines, _ in engine_traces(seed=31, n=1200):
             r_ref, s_ref = reuse_and_stack_distances_scalar(lines)
-            r_vec, s_vec = reuse_and_stack_distances_vector(lines)
-            assert np.array_equal(r_ref, r_vec), name
-            assert np.array_equal(s_ref, s_vec), name
+            for backend, (r, s) in stack_distances_by_backend(lines).items():
+                assert np.array_equal(r_ref, r), (name, backend)
+                assert np.array_equal(s_ref, s), (name, backend)
 
     def test_randomized_and_edges(self):
         rng = np.random.default_rng(17)
@@ -206,27 +203,17 @@ class TestStackKernel:
             cases.append(rng.integers(0, max(1, int(rng.integers(1, 60))), n))
         for lines in cases:
             r_ref, s_ref = reuse_and_stack_distances_scalar(lines)
-            r_vec, s_vec = reuse_and_stack_distances_vector(lines)
-            assert np.array_equal(r_ref, r_vec)
-            assert np.array_equal(s_ref, s_vec)
-
-    def test_count_earlier_greater_brute_force(self):
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            n = int(rng.integers(0, 300))
-            values = rng.integers(-1, 40, n)
-            expected = np.asarray(
-                [int(np.count_nonzero(values[:i] > values[i]))
-                 for i in range(n)], dtype=np.int64)
-            assert np.array_equal(count_earlier_greater(values), expected)
+            for backend, (r, s) in stack_distances_by_backend(lines).items():
+                assert np.array_equal(r_ref, r), backend
+                assert np.array_equal(s_ref, s), backend
 
     def test_dispatch_honours_backend(self):
         lines = np.random.default_rng(0).integers(0, 30, 500)
         with kernels.use_backend("scalar"):
             scalar = reuse_and_stack_distances(lines)
-        with kernels.use_backend("vector"):
-            vector = reuse_and_stack_distances(lines)
-        assert np.array_equal(scalar[1], vector[1])
+        with kernels.use_backend("native"):
+            compiled = reuse_and_stack_distances(lines)
+        assert np.array_equal(scalar[1], compiled[1])
 
 
 def bernoulli_predictor(seed):
@@ -665,14 +652,18 @@ class TestBackendRegistry:
         previous = kernels.set_backend("scalar")
         assert previous == original
         assert kernels.get_backend() == "scalar"
-        with kernels.use_backend("vector"):
-            assert kernels.get_backend() == "vector"
+        with kernels.use_backend("native"):
+            assert kernels.requested_backend() == "native"
+            assert kernels.get_backend() == (
+                "native" if kernels.native_available() else "scalar")
         assert kernels.get_backend() == "scalar"
         kernels.set_backend(original)
 
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
+        # "vector" was the numpy backend; it is an unknown name now.
+        for name in ("cuda", "vector"):
+            with pytest.raises(ValueError, match="scalar.*native"):
+                kernels.set_backend(name)
 
 
 class TestSmartsRegionKernel:
@@ -731,7 +722,7 @@ class TestSmartsRegionKernel:
             assert streams[backend] == streams["scalar"], backend
 
     def test_prefetcher_falls_back_to_scalar(self):
-        """With a prefetcher the vector dispatch must not engage (and
+        """With a prefetcher the batch region path must not engage (and
         results stay backend-independent by falling back)."""
         from repro.sampling.smarts import Smarts
 
@@ -808,14 +799,16 @@ class TestScoutVicinityBatch:
             assert outputs[backend] == outputs["scalar"], backend
 
 
-@pytest.mark.skipif(not kernels.native_available(),
-                    reason="compiled kernel extension not built")
+requires_native = pytest.mark.skipif(
+    not kernels.native_available(),
+    reason="the compiled kernel extension cannot be built on this host")
+
+
+@requires_native
 class TestNativeBackend:
     """The compiled backend: direct kernels, dispatch, no bailout."""
 
     def test_warm_lru_matches_scalar_reference(self):
-        from repro.kernels import native
-
         for assoc, n_sets in [(1, 4), (2, 8), (4, 4), (8, 16), (16, 2)]:
             config = CacheConfig(n_sets * assoc * 64, assoc=assoc)
             for name, lines, _ in engine_traces(seed=assoc * 53 + n_sets,
@@ -835,9 +828,9 @@ class TestNativeBackend:
                 assert nat._sets == ref._sets, name
 
     def test_no_bailout_on_thrash(self):
-        """The vector kernel's bailout pattern resolves natively with
-        bit-identical results and without ever entering the scalar
-        fallback (no bailout parameter exists)."""
+        """A thrash pattern (every reuse has a long set-local window)
+        resolves natively with bit-identical results; the compiled loop
+        has no bailout into the scalar path."""
         config = CacheConfig(2048, assoc=2)
         lines = np.tile(np.arange(2048, dtype=np.int64), 5)
         outputs = {}
@@ -848,8 +841,6 @@ class TestNativeBackend:
         assert outputs["native"] == outputs["scalar"]
 
     def test_stack_distances_match_scalar(self):
-        from repro.kernels.native import reuse_and_stack_distances_native
-
         rng = np.random.default_rng(41)
         cases = [np.empty(0, dtype=np.int64), np.asarray([5]),
                  np.asarray([5, 5, 5]), np.arange(130)[::-1].copy()]
@@ -861,7 +852,7 @@ class TestNativeBackend:
                                       n))
         for lines in cases:
             r_ref, s_ref = reuse_and_stack_distances_scalar(lines)
-            r_nat, s_nat = reuse_and_stack_distances_native(lines)
+            r_nat, s_nat = native.reuse_and_stack_distances_native(lines)
             assert np.array_equal(r_ref, r_nat)
             assert np.array_equal(s_ref, s_nat)
 
@@ -889,26 +880,31 @@ class TestNativeBackend:
 
 
 class TestNativeFallback:
-    """Absence of the extension degrades to vector, never an error."""
+    """An extension that cannot be built degrades to scalar, never an
+    error."""
 
-    def test_resolves_to_vector_with_one_warning(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_native_probe", False)
+    @pytest.fixture(autouse=True)
+    def unavailable(self, monkeypatch):
+        monkeypatch.setattr(native, "_resolved", True)
+        monkeypatch.setattr(native, "_native", None)
+        monkeypatch.setattr(native, "_cause", "NativeBuildError: no cc")
         monkeypatch.setattr(kernels, "_native_fallback_reported", False)
+
+    def test_resolves_to_scalar_with_one_warning(self):
         with kernels.use_backend("native"):
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                assert kernels.get_backend() == "vector"
+            with pytest.warns(RuntimeWarning,
+                              match=r"\(NativeBuildError: no cc\)"):
+                assert kernels.get_backend() == "scalar"
             assert kernels.requested_backend() == "native"
             # Warn-once: later resolutions stay silent.
             import warnings as warnings_module
             with warnings_module.catch_warnings():
                 warnings_module.simplefilter("error")
-                assert kernels.get_backend() == "vector"
+                assert kernels.get_backend() == "scalar"
 
     def test_fallback_counted_in_telemetry(self, monkeypatch, tmp_path):
         from repro import telemetry
 
-        monkeypatch.setattr(kernels, "_native_probe", False)
-        monkeypatch.setattr(kernels, "_native_fallback_reported", False)
         session = telemetry.TelemetrySession(
             "counters", sink_dir=str(tmp_path))
         monkeypatch.setattr(telemetry, "_session", session)
@@ -919,13 +915,140 @@ class TestNativeFallback:
         assert session.counters.get("kernel.native.unavailable") == 1
 
     def test_set_backend_native_never_raises(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_native_probe", False)
         monkeypatch.setattr(kernels, "_native_fallback_reported", True)
         previous = kernels.set_backend("native")
         try:
-            assert kernels.get_backend() == "vector"
-            # Dispatch sites keep working on the vector path.
+            assert kernels.get_backend() == "scalar"
+            # Dispatch sites keep working on the scalar path.
             cache = SetAssocCache(CacheConfig(1024, assoc=2))
             cache.warm(np.arange(32, dtype=np.int64))
         finally:
             kernels.set_backend(previous)
+
+
+#: Seconds a child may take to build and probe the extension.
+BUILD_WAIT_S = 300
+
+#: Child-process probe: resolve the default backend and report what ran
+#: and what telemetry recorded about the build.
+PROBE = textwrap.dedent("""
+    import json, warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        from repro import kernels, telemetry
+        backend = kernels.get_backend()
+    session = telemetry.session()
+    print(json.dumps({
+        "backend": backend,
+        "warnings": [str(w.message) for w in caught
+                     if w.category is RuntimeWarning],
+        "unavailable": session.counters.get("kernel.native.unavailable", 0),
+        "built": session.counters.get("kernel.native.built", 0),
+        "timed_builds": session.timers.get("kernel.native.build", [0])[0],
+    }))
+""")
+
+
+@requires_native
+class TestNativeLoader:
+    """First-use build of the extension, in child processes that share a
+    private cache root and count compiler runs through a logging CC."""
+
+    @pytest.fixture
+    def env(self, tmp_path):
+        log = tmp_path / "cc.log"
+        wrapper = tmp_path / "cc-logged"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f"case \" $* \" in *\" -c \"*) echo compile >> '{log}';; esac\n"
+            f"exec {sysconfig.get_config_var('CC')} \"$@\"\n")
+        wrapper.chmod(0o755)
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(REPRO_CACHE_DIR=str(tmp_path / "cache"), CC=str(wrapper),
+                   REPRO_TELEMETRY="counters")
+        return env
+
+    @staticmethod
+    def compiles(tmp_path):
+        log = tmp_path / "cc.log"
+        return len(log.read_text().split()) if log.exists() else 0
+
+    @staticmethod
+    def kernel_files(env):
+        root = os.path.join(env["REPRO_CACHE_DIR"], "kernels")
+        return sorted(os.path.relpath(os.path.join(d, f), root)
+                      for d, _, files in os.walk(root) for f in files)
+
+    @staticmethod
+    def probe(env, script=PROBE):
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=BUILD_WAIT_S)
+        return json.loads(out.stdout)
+
+    def test_first_use_builds_one_file(self, env, tmp_path):
+        assert self.probe(env) == {"backend": "native", "warnings": [],
+                                   "unavailable": 0, "built": 1,
+                                   "timed_builds": 1}
+        assert self.compiles(tmp_path) == 1
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        key_dir = os.path.join(env["REPRO_CACHE_DIR"], "kernels",
+                               native.build_key())
+        assert os.listdir(key_dir) == ["_native" + suffix]
+        assert self.kernel_files(env) == sorted([
+            os.path.join(native.build_key(), "_native" + suffix),
+            native.build_key() + ".lock"])
+
+    def test_second_process_reuses_the_build(self, env, tmp_path):
+        self.probe(env)
+        files = self.kernel_files(env)
+        report = self.probe(env)
+        assert (report["backend"], report["built"]) == ("native", 0)
+        assert report["timed_builds"] == 0
+        assert self.compiles(tmp_path) == 1
+        assert self.kernel_files(env) == files
+
+    def test_concurrent_first_use_compiles_once(self, env, tmp_path):
+        # Three at once: more than a 2-vCPU host has cores.
+        children = [subprocess.Popen([sys.executable, "-c", PROBE], env=env,
+                                     stdout=subprocess.PIPE, text=True)
+                    for _ in range(3)]
+        outputs = [child.communicate(timeout=BUILD_WAIT_S)[0]
+                   for child in children]
+        assert [child.returncode for child in children] == [0, 0, 0]
+        assert [json.loads(out)["backend"] for out in outputs] == \
+            ["native"] * 3
+        assert self.compiles(tmp_path) == 1
+
+    def test_no_compiler_falls_back_to_scalar(self, env):
+        env["CC"] = "false"
+        report = self.probe(env)
+        assert report["backend"] == "scalar"
+        assert (report["unavailable"], report["built"]) == (1, 0)
+        [warning] = report["warnings"]
+        assert "CompileError" in warning and "'scalar'" in warning
+        assert self.kernel_files(env) == []
+
+    def test_new_key_builds_a_new_directory(self, env, tmp_path):
+        self.probe(env)
+        edited = tmp_path / "_native.c"
+        with open(native.SOURCE, "rb") as handle:
+            edited.write_bytes(handle.read() + b"\n/* edited */\n")
+        script = ("from repro.kernels import native\n"
+                  f"native.SOURCE = {str(edited)!r}\n" + PROBE)
+        assert self.probe(env, script)["backend"] == "native"
+        assert self.compiles(tmp_path) == 2
+        keys = {path.split(os.sep)[0] for path in self.kernel_files(env)
+                if os.sep in path}
+        assert len(keys) == 2 and native.build_key() in keys
+
+    def test_vector_backend_is_rejected(self, env):
+        env["REPRO_KERNEL_BACKEND"] = "vector"
+        out = subprocess.run([sys.executable, "-c", "import repro.kernels"],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode != 0
+        assert ("REPRO_KERNEL_BACKEND must be one of ('scalar', 'native'), "
+                "got 'vector'") in out.stderr
+        assert self.kernel_files(env) == []
+

@@ -7,7 +7,7 @@ same strategy over the same prefix — for all four strategies, all
 three index spill modes, and degenerate chunkings (one instruction per
 chunk, one chunk bigger than the whole feed).  The kernel-backend axis
 comes from the pytest session pin (``--backend``): CI runs this file
-under scalar, vector and native.
+under scalar and native.
 
 Bounded-RSS checks ride in a child process: the live path's transient
 heap must stay far below a materialized batch build while the feed

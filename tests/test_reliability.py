@@ -428,6 +428,38 @@ class TestScratchCleanup:
         assert not list(root.glob("live-*"))
         assert child.returncode == -signal.SIGTERM
 
+    def test_forked_child_never_sweeps_parent_scratch(self, tmp_path):
+        """A forked worker inherits the SIGTERM handler but not its
+        parent's registry: killing it sweeps its own scratch only."""
+        script = textwrap.dedent("""
+            import os, signal, sys
+            from repro.reliability.cleanup import register_scratch
+            parent_dir, child_file = sys.argv[1:3]
+            os.makedirs(parent_dir)
+            register_scratch(parent_dir)
+            ready, notify = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                open(child_file, "w").close()
+                register_scratch(child_file)
+                os.write(notify, b"x")
+                while True:
+                    signal.pause()
+            os.read(ready, 1)
+            os.kill(pid, signal.SIGTERM)
+            _, status = os.waitpid(pid, 0)
+            print(os.WIFSIGNALED(status)
+                  and os.WTERMSIG(status) == signal.SIGTERM,
+                  os.path.exists(child_file), os.path.isdir(parent_dir))
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "parent-scratch"),
+             str(tmp_path / "child.tmp")],
+            capture_output=True, text=True, env=dict(os.environ),
+            check=True, timeout=60)
+        # died by SIGTERM, its file swept, the parent's directory intact
+        assert out.stdout.split() == ["True", "False", "True"]
+
     def test_orderly_exit_sweeps_unclosed_scratch(self):
         script = textwrap.dedent("""
             import numpy as np

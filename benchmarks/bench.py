@@ -32,8 +32,8 @@ as the new baseline.
 When ``REPRO_TELEMETRY`` is enabled and *all* runnable suites ran, a
 fourth record — the ``behavior`` pseudo-suite, ``BENCH_behavior.json``
 — derives behavioral gate metrics from the run's telemetry counters
-(kernel bailout rate, store hit rate overall and per label, pool
-retry/requeue and failure counts, fault firings).  Those counts are
+(store hit rate overall and per label, pool retry/requeue and
+failure counts, fault firings).  Those counts are
 deterministic for a fixed profile, so behavioral drift fails the gate
 even when wall time stays flat.
 
@@ -312,8 +312,8 @@ def behavior_doc(suites_run):
     """The derived ``behavior`` record, or ``None`` when unavailable.
 
     Only attached when telemetry captured the run *and* every runnable
-    suite ran — a partial sweep would skew the aggregate hit/bailout
-    rates against a full-sweep baseline.
+    suite ran — a partial sweep would skew the aggregate hit rates
+    against a full-sweep baseline.
     """
     if not telemetry.enabled() or set(suites_run) != set(RUNNABLE):
         return None

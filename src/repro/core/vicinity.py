@@ -18,7 +18,7 @@ equivalent density over the explorer's paper-scale window.
 import numpy as np
 
 from repro import kernels
-from repro.statmodel.histogram import ReuseHistogram
+from repro.vff.watchpoint import count_samples
 
 #: Paper default: one vicinity sample per 100 k memory instructions.
 DEFAULT_DENSITY = 1.0 / 100_000
@@ -83,31 +83,32 @@ class VicinitySampler:
         # dropped, or they would inflate the distribution's cold tail and
         # push borderline stack distances over the capacity threshold.
         censor_horizon = (access_lo + access_limit) // 2
-        projected_stops = 0.0
+        cap = self.max_stops_per_watchpoint
         if kernels.get_backend() != "scalar":
-            # One batched pass resolves every vicinity watchpoint's
-            # reuse and stop count (identical values to the per-sample
-            # binary searches); the cheap per-sample histogram
-            # bookkeeping below stays sequential, preserving the
-            # observation order bit-for-bit.
-            reuses, stop_counts = machine.watchpoints.await_next_reuse_many(
-                positions, access_limit)
-            resolutions = zip(positions.tolist(), reuses.tolist(),
-                              stop_counts.tolist())
+            batch = machine.watchpoints.resolve_samples(
+                positions, access_limit, positions <= censor_horizon, cap,
+                scale, self.footprint_scale)
+            histogram.add_many(batch.distances[batch.kept])
+            projected_stops = batch.projected_stops
+            tally = batch.tally()
         else:
-            resolutions = (
-                (pos, *machine.watchpoints.await_next_reuse(
-                    int(trace.mem_line[pos]), pos, access_limit))
-                for pos in positions.tolist())
-        for pos, reuse_pos, stops in resolutions:
-            if reuse_pos >= 0:
-                histogram.add(reuse_pos - pos - 1)
-                projected_stops += min(stops, self.max_stops_per_watchpoint)
-            else:
-                if pos <= censor_horizon:
-                    histogram.add_cold()
-                projected_stops += min(stops * scale * self.footprint_scale,
-                                       self.max_stops_per_watchpoint)
+            projected_stops = 0.0
+            resolved = dangling = 0
+            for pos in positions.tolist():
+                reuse_pos, stops = machine.watchpoints.await_next_reuse(
+                    int(trace.mem_line[pos]), pos, access_limit)
+                if reuse_pos >= 0:
+                    histogram.add(reuse_pos - pos - 1)
+                    projected_stops += min(stops, cap)
+                    resolved += 1
+                else:
+                    if pos <= censor_horizon:
+                        histogram.add_cold()
+                        dangling += 1
+                    projected_stops += min(
+                        stops * scale * self.footprint_scale, cap)
+            tally = (resolved, dangling, n_samples - resolved - dangling)
+        count_samples("vicinity.samples", *tally)
         machine.meter.watchpoint_setups(paper_samples, scaled=False)
         machine.meter.watchpoint_stops(
             projected_stops * per_sample_weight, scaled=False)

@@ -4,16 +4,16 @@ One place decides what "regressed" means for every gate metric the
 bench schema carries, so ``benchmarks/bench.py --check``, the trend
 report's drift flags and ``python -m repro report gate`` agree:
 
-* **Direction.**  Wall seconds, peak RSS, bailout rates, pool
-  retry/requeue counts and fault firings are *lower is better*; store
+* **Direction.**  Wall seconds, peak RSS, pool retry/requeue
+  counts, fault firings and other rates are *lower is better*; store
   hit rates (``store.hit_rate`` and ``store.hit_rate.<label>``) are
   *higher is better*.  Direction is derived from the metric name.
 * **Floors.**  A change only counts when it clears both a relative
   ratio (15%) and an absolute floor sized to the metric's unit —
   0.25 s wall, 8 MB RSS, 0.02 for rates (which live in [0, 1]) and
   2 events for behavioral counts — so scheduler jitter and one stray
-  retry never trip the gate, while a doubled bailout rate or a halved
-  warm-start hit rate does, even when wall time is flat.
+  retry never trip the gate, while a halved warm-start hit rate does,
+  even when wall time is flat.
 """
 
 #: A gate metric regresses when it worsens past BOTH bounds: >15%

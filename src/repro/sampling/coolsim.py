@@ -29,6 +29,7 @@ from repro.sampling.results import RegionResult, StrategyResult
 from repro.statmodel.assoc import StrideDetector
 from repro.statmodel.perpc import PerPCReuseStats
 from repro.vff.costmodel import CostMeter
+from repro.vff.watchpoint import count_samples
 
 #: The paper's adaptive schedule: (fraction of gap, samples per memory
 #: instruction at paper scale).
@@ -98,8 +99,10 @@ class CoolSim(StrategyBase):
         footprint = footprint_scale
         sample_weight = scale / self.density_boost  # paper samples per model sample
 
-        collected = 0
-        projected_stops = 0.0
+        # The schedule's segments draw their samples in order; the
+        # segments tile the gap, so the sorted draws concatenate into
+        # one sorted batch.
+        segments = []
         segment_start = spec.warmup_start
         for fraction, density in self.schedule:
             density = density * self.density_calibration
@@ -110,47 +113,57 @@ class CoolSim(StrategyBase):
             expected = n_accesses * density * self.density_boost
             n_samples = int(rng.poisson(expected)) if expected > 0 else 0
             if n_samples > 0:
-                positions = np.sort(rng.integers(lo, hi, size=n_samples))
-                if kernels.get_backend() != "scalar":
-                    # One batched pass resolves every watchpoint's reuse
-                    # and stop count (identical values to the per-sample
-                    # binary searches); only the cheap per-sample
-                    # bookkeeping below stays sequential, preserving the
-                    # stats/stride observation order bit-for-bit.
-                    reuses, stop_counts = (
-                        machine.watchpoints.await_next_reuse_many(
-                            positions, region_access_lo))
-                    resolutions = zip(positions.tolist(), reuses.tolist(),
-                                      stop_counts.tolist())
-                else:
-                    resolutions = (
-                        (pos, *machine.watchpoints.await_next_reuse(
-                            int(trace.mem_line[pos]), pos, region_access_lo))
-                        for pos in positions.tolist())
-                for pos, reuse_pos, stops in resolutions:
-                    if reuse_pos >= 0:
-                        projected_stops += min(
-                            stops, self.max_stops_per_watchpoint)
-                        distance = reuse_pos - pos - 1
-                        pc = int(trace.mem_pc[reuse_pos])
-                        stats.add(pc, distance)
-                        stride_detector.observe(pc, int(
-                            trace.mem_line[reuse_pos]))
-                    else:
-                        projected_stops += min(
-                            stops * scale * footprint,
-                            self.max_stops_per_watchpoint)
-                        # A watchpoint still pending at the region boundary
-                        # is only evidence of a *long* reuse if it was set
-                        # early; late samples are censored by the boundary
-                        # and recording them as cold would inflate the
-                        # fallback distribution's miss tail.
-                        gap_mid = (spec.warmup_start
-                                   + spec.region_start) // 2
-                        if trace.mem_instr[pos] < gap_mid:
-                            stats.add(int(trace.mem_pc[pos]), -1)
-                    collected += 1
+                segments.append(np.sort(rng.integers(lo, hi,
+                                                     size=n_samples)))
             segment_start = segment_end
+        positions = np.concatenate(segments or [np.empty(0, np.int64)])
+        collected = positions.shape[0]
+
+        cap = self.max_stops_per_watchpoint
+        # A watchpoint still pending at the region boundary is only
+        # evidence of a *long* reuse if it was set early; late samples
+        # are censored by the boundary and recording them as cold would
+        # inflate the fallback distribution's miss tail.
+        gap_mid = (spec.warmup_start + spec.region_start) // 2
+        if kernels.get_backend() != "scalar":
+            # One batched pass resolves the gap's samples; the per-PC
+            # statistics are order-free and the stride detector sees
+            # the reuses in sample order.
+            batch = machine.watchpoints.resolve_samples(
+                positions, region_access_lo,
+                np.asarray(trace.mem_instr[positions]) < gap_mid,
+                cap, scale, footprint)
+            projected_stops = batch.projected_stops
+            found = batch.reuses >= 0
+            reuses = batch.reuses[found]
+            stride_detector.observe_many(trace.mem_pc[reuses],
+                                         trace.mem_line[reuses])
+            # A cold sample counts for the PC that set it.
+            owners = np.where(found, batch.reuses, positions)
+            stats.add_many(trace.mem_pc[owners[batch.kept]],
+                           batch.distances[batch.kept])
+            tally = batch.tally()
+        else:
+            projected_stops = 0.0
+            resolved = dangling = 0
+            for pos in positions.tolist():
+                reuse_pos, stops = machine.watchpoints.await_next_reuse(
+                    int(trace.mem_line[pos]), pos, region_access_lo)
+                if reuse_pos >= 0:
+                    projected_stops += min(stops, cap)
+                    distance = reuse_pos - pos - 1
+                    pc = int(trace.mem_pc[reuse_pos])
+                    stats.add(pc, distance)
+                    stride_detector.observe(pc, int(
+                        trace.mem_line[reuse_pos]))
+                    resolved += 1
+                else:
+                    projected_stops += min(stops * scale * footprint, cap)
+                    if trace.mem_instr[pos] < gap_mid:
+                        stats.add(int(trace.mem_pc[pos]), -1)
+                        dangling += 1
+            tally = (resolved, dangling, collected - resolved - dangling)
+        count_samples("coolsim.samples", *tally)
         machine.meter.watchpoint_setups(
             collected * sample_weight, scaled=False)
         machine.meter.watchpoint_stops(

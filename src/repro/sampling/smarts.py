@@ -7,14 +7,18 @@ bounds overall speed.  The paper uses SMARTS as the accuracy reference
 for CPI (Figures 9/10) and for working-set curves (Figure 13), and as the
 speed baseline (= 1.0) in Figure 5.
 
-Region simulation dispatches on the kernel backend: the vector path
-pre-computes the L1 hit mask and the LLC hit stream with the batch LRU
-kernel and walks per-access Python only for the residual misses that
-reach MSHR / cold-classification state.  Unlike the DSW classifier there
-is no rollback wrinkle — the scalar loop touches the LLC *before* the
-MSHR lookup, so the LLC substream is exactly the L1-miss substream
-either way and the two paths are bit-identical by construction (enforced
-in ``tests/test_kernels.py``).
+Region simulation has two paths.  The batch path (native backend, LRU
+caches, no prefetcher) pre-computes the L1 hit mask and the LLC hit
+stream with the batch LRU kernel and walks per-access Python only for
+the residual misses that reach MSHR state.  It labels a residual miss
+cold when it is its line's first access in the trace, read from the
+trace index: a run refines its regions in order from the trace start,
+so every access before the miss has been simulated.  The scalar
+reference walks every access and keeps the set of lines seen.  Unlike
+the DSW classifier there is no rollback wrinkle — the scalar loop
+touches the LLC *before* the MSHR lookup, so the LLC substream is
+exactly the L1-miss substream either way and the two paths are
+bit-identical by construction (enforced in ``tests/test_kernels.py``).
 """
 
 import numpy as np
@@ -65,12 +69,16 @@ class Smarts(StrategyBase):
 
     # -- region simulation (stateless helpers, shared with SmartsRun) ------
 
-    def _simulate_region(self, window, hierarchy, prefetcher, seen_lines):
-        """Cycle-level region simulation over the warmed hierarchy."""
-        if (kernels.get_backend() != "scalar" and prefetcher is None
-                and hierarchy.l1d._is_lru and hierarchy.llc._is_lru):
-            return self._simulate_region_vector(window, hierarchy,
-                                                seen_lines)
+    def _simulate_region(self, window, hierarchy, prefetcher, seen_lines,
+                         index=None):
+        """Cycle-level region simulation over the warmed hierarchy.
+
+        With a ``seen_lines`` set the scalar reference runs and updates
+        it.  With ``None`` the batch path runs (LRU caches, no
+        prefetcher) and reads first accesses from ``index``.
+        """
+        if seen_lines is None:
+            return self._simulate_region_batch(window, hierarchy, index)
         return self._simulate_region_scalar(window, hierarchy, prefetcher,
                                             seen_lines)
 
@@ -112,18 +120,16 @@ class Smarts(StrategyBase):
                     hierarchy.llc.insert(target)
         return result
 
-    # -- vectorized two-phase path -----------------------------------------
+    # -- batch two-phase path ----------------------------------------------
 
-    def _simulate_region_vector(self, window, hierarchy, seen_lines):
+    def _simulate_region_batch(self, window, hierarchy, index):
         """Batch-kernel region simulation (LRU, no prefetcher).
 
         The L1 sees every access and the LLC sees exactly the L1-miss
         substream — both run as batch LRU kernels.  Only the residual
-        LLC misses walk per-access Python for the MSHR state machine and
-        the cold/capacity split.  Cold misses are precisely the
-        first-in-region occurrences of never-seen lines: a line resident
-        in any cache — or in the MSHR file — was necessarily accessed
-        before, so a first touch always reaches the miss stage.
+        LLC misses walk per-access Python for the MSHR state machine.
+        A residual miss is cold when it is its line's first access in
+        the trace, which ``index`` answers in one batched query.
         """
         lines = np.asarray(window.lines)
         instr = window.rel_instr()
@@ -136,12 +142,8 @@ class Smarts(StrategyBase):
         candidates = np.flatnonzero(~l1_mask)
         _, llc_mask, _ = hierarchy.llc.warm_profile(lines[candidates])
         misses = candidates[~llc_mask]
-
-        unique, first_idx = np.unique(lines, return_index=True)
-        cold_positions = {
-            int(first_idx[k]) for k, line in enumerate(unique.tolist())
-            if line not in seen_lines}
-        seen_lines.update(unique.tolist())
+        cold = (index.lines.first_positions(lines[misses])
+                == window.lo + misses).tolist()
 
         mshr = MSHRFile(self.processor_config.mshrs_l1d,
                         window=self.mshr_window)
@@ -155,8 +157,7 @@ class Smarts(StrategyBase):
                 result.outcomes.append(HIT_MSHR)
                 result.outcome_instr.append(rel_instr)
                 continue
-            outcome = (MISS_COLD if position in cold_positions
-                       else MISS_CAPACITY)
+            outcome = MISS_COLD if cold[k] else MISS_CAPACITY
             mshr.allocate(line, position)
             result.stats.record(outcome)
             result.outcomes.append(outcome)
@@ -187,32 +188,51 @@ class SmartsRun:
                                         seed=context.seed)
         self.prefetcher = (StridePrefetcher(n_streams=8)
                            if strategy.prefetcher_enabled else None)
-        self.seen_lines = set()
+        batch = (kernels.get_backend() != "scalar"
+                 and self.prefetcher is None
+                 and self.hierarchy.l1d._is_lru
+                 and self.hierarchy.llc._is_lru)
+        #: Lines accessed so far, for the scalar reference's cold-miss
+        #: labels; the batch path reads first accesses from the index.
+        self.seen_lines = None if batch else set()
+        #: Instruction where the next region's gap must start.
+        self.next_instruction = 0
         self.regions = []
 
     def refine(self, spec):
         """Consume one region window: warm across the gap, simulate the
-        detailed region, append its :class:`RegionResult`."""
+        detailed region, append its :class:`RegionResult`.
+
+        Regions must come in plan order from the trace start, each gap
+        starting where the previous region ended: both cold-miss rules
+        rely on every earlier access having been simulated.
+        """
+        if spec.warmup_start != self.next_instruction:
+            raise ValueError(
+                f"SMARTS refines regions in order from the trace start: "
+                f"expected a gap starting at instruction "
+                f"{self.next_instruction}, got {spec.warmup_start}")
         context = self.context
         machine = self.machine
+        seen_lines = self.seen_lines
         # Functional warming across the gap (the expensive part).
         machine.functional_warm(
             self.hierarchy, spec.warmup_start, spec.warming_start)
-        gap = context.gap_window(spec)
-        self.seen_lines.update(
-            np.unique(np.asarray(gap.lines)).tolist())
+        if seen_lines is not None:
+            gap = context.gap_window(spec)
+            seen_lines.update(np.unique(np.asarray(gap.lines)).tolist())
         # Detailed warming: detailed simulation that also warms caches
         # (cost charged at the paper's 30 k instructions).
         machine.meter.detailed(spec.paper_warming_instructions)
         warming = context.warming_window(spec)
-        self.seen_lines.update(
-            np.unique(np.asarray(warming.lines)).tolist())
+        if seen_lines is not None:
+            seen_lines.update(np.unique(np.asarray(warming.lines)).tolist())
         self.hierarchy.warm(np.asarray(warming.lines))
 
         machine.detailed(spec.region_start, spec.region_end)
         classified = self.strategy._simulate_region(
             context.region_window(spec), self.hierarchy, self.prefetcher,
-            self.seen_lines)
+            seen_lines, machine.index)
         timing = self.strategy.region_timing(context, spec, classified)
         self.regions.append(RegionResult(
             index=spec.index,
@@ -220,6 +240,7 @@ class SmartsRun:
             stats=classified.stats,
             timing=timing,
         ))
+        self.next_instruction = spec.region_end
         return self.regions[-1]
 
     def result(self, plan):

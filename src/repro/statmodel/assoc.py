@@ -62,6 +62,14 @@ class StrideDetector:
         if len(history) > self.max_history:
             del history[0]
 
+    def observe_many(self, pcs, lines):
+        """:meth:`observe` on every ``(pc, line)`` in order.
+
+        This is :meth:`dominant_strides_at` with no query positions,
+        which leaves exactly the state the per-access loop leaves.
+        """
+        self.dominant_strides_at(pcs, lines, np.empty(0, dtype=np.int64))
+
     #: Upper bound on window-matrix cells per chunk of query rows (each
     #: transient matrix of a chunk stays below 1 MiB).
     _CHUNK_CELLS = 1 << 16

@@ -10,14 +10,25 @@ import numpy as np
 
 
 class ReuseHistogram:
-    """A weighted histogram over finite reuse distances plus infinite mass."""
+    """A weighted histogram over finite reuse distances plus infinite mass.
+
+    The state is two arrays, the sorted distinct finite distances and
+    their weights.  Adds append to a pending buffer, and the first query
+    folds the buffer in, in add order: each bin's weight is summed
+    exactly in the order its adds arrived (``np.bincount`` adds
+    sequentially per bin), so :meth:`state` does not depend on how the
+    adds were batched — fractional weights included.
+    """
 
     def __init__(self):
-        self._counts = {}
         self.cold = 0.0
-        self._dirty = True
-        self._distances = None
-        self._weights = None
+        self._distances = np.empty(0, dtype=np.int64)
+        self._weights = np.empty(0, dtype=np.float64)
+        #: ``(distances, weights)`` array pairs not yet folded, in add
+        #: order; single adds collect in the two lists below first.
+        self._pending = []
+        self._pending_distances = []
+        self._pending_weights = []
 
     # -- construction -------------------------------------------------------
 
@@ -25,33 +36,52 @@ class ReuseHistogram:
         """Record one finite reuse distance (``distance >= 0``)."""
         if distance < 0:
             raise ValueError("reuse distance must be non-negative")
-        key = int(distance)
-        self._counts[key] = self._counts.get(key, 0.0) + weight
-        self._dirty = True
+        self._pending_distances.append(int(distance))
+        self._pending_weights.append(weight)
 
     def add_cold(self, weight=1.0):
         """Record a sample whose line was never reused (infinite distance)."""
         self.cold += weight
-        self._dirty = True
 
     def add_many(self, distances, weight=1.0):
-        """Record an array of finite distances (negatives count as cold)."""
-        distances = np.asarray(distances)
-        finite = distances[distances >= 0]
-        values, counts = np.unique(finite, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
-            self._counts[int(value)] = (
-                self._counts.get(int(value), 0.0) + weight * count)
-        self.cold += weight * int(np.count_nonzero(distances < 0))
-        self._dirty = True
+        """Record an array of distances, each with ``weight``: the same
+        as :meth:`add` on every non-negative one and :meth:`add_cold` on
+        every negative one, in order."""
+        distances = np.asarray(distances, dtype=np.int64)
+        cold = distances < 0
+        n_cold = int(np.count_nonzero(cold))
+        if n_cold:
+            # Sequential, like repeated add_cold (np.cumsum accumulates
+            # in order; a pairwise sum could differ in the last bit).
+            self.cold = float(np.cumsum(np.concatenate(
+                ([self.cold], np.full(n_cold, weight, dtype=np.float64))))[-1])
+        finite = distances[~cold] if n_cold else distances
+        if finite.shape[0]:
+            self._append(finite, np.full(finite.shape[0], weight,
+                                         dtype=np.float64))
 
     def merge(self, other):
-        """Accumulate another histogram into this one (returns self)."""
-        for distance, weight in other._counts.items():
-            self._counts[distance] = self._counts.get(distance, 0.0) + weight
+        """Accumulate another histogram into this one (returns self).
+
+        Each of ``other``'s bins adds as one weight, its folded total.
+        """
+        distances, weights = other._materialize()
+        if distances.shape[0]:
+            self._append(distances, weights)
         self.cold += other.cold
-        self._dirty = True
         return self
+
+    def _append(self, distances, weights):
+        self._flush_single_adds()
+        self._pending.append((distances, weights))
+
+    def _flush_single_adds(self):
+        if self._pending_distances:
+            self._pending.append((
+                np.asarray(self._pending_distances, dtype=np.int64),
+                np.asarray(self._pending_weights, dtype=np.float64)))
+            self._pending_distances = []
+            self._pending_weights = []
 
     # -- persistence ---------------------------------------------------------
 
@@ -68,30 +98,35 @@ class ReuseHistogram:
     @classmethod
     def from_state(cls, distances, weights, cold):
         """Rebuild a histogram from a :meth:`state` snapshot."""
+        distances = np.array(distances, dtype=np.int64)
+        weights = np.array(weights, dtype=np.float64)
+        if distances.shape != weights.shape or np.any(
+                distances[1:] <= distances[:-1]):
+            raise ValueError("state distances must be sorted and distinct, "
+                             "one weight each")
         histogram = cls()
-        for distance, weight in zip(np.asarray(distances).tolist(),
-                                    np.asarray(weights).tolist()):
-            histogram._counts[int(distance)] = float(weight)
+        histogram._distances = distances
+        histogram._weights = weights
         histogram.cold = float(cold)
         return histogram
 
     # -- queries -------------------------------------------------------------
 
     def _materialize(self):
-        if self._dirty:
-            if self._counts:
-                distances = np.fromiter(
-                    self._counts.keys(), dtype=np.int64, count=len(self._counts))
-                weights = np.fromiter(
-                    self._counts.values(), dtype=np.float64,
-                    count=len(self._counts))
-                order = np.argsort(distances)
-                self._distances = distances[order]
-                self._weights = weights[order]
-            else:
-                self._distances = np.empty(0, dtype=np.int64)
-                self._weights = np.empty(0, dtype=np.float64)
-            self._dirty = False
+        """Fold the pending adds in; the sorted distances and weights."""
+        self._flush_single_adds()
+        if self._pending:
+            # The folded bins go first, so every bin's sum starts from
+            # its current weight and continues in add order.
+            distances = np.concatenate(
+                [self._distances] + [d for d, _ in self._pending])
+            weights = np.concatenate(
+                [self._weights] + [w for _, w in self._pending])
+            self._pending = []
+            self._distances, inverse = np.unique(distances,
+                                                 return_inverse=True)
+            self._weights = np.bincount(inverse, weights=weights,
+                                        minlength=self._distances.shape[0])
         return self._distances, self._weights
 
     @property
@@ -147,8 +182,8 @@ class ReuseHistogram:
         return float((distances * weights).sum() / weights.sum())
 
     def __len__(self):
-        return len(self._counts)
+        return self._materialize()[0].shape[0]
 
     def __repr__(self):
         return (f"ReuseHistogram(n_finite={self.n_finite:.0f}, "
-                f"cold={self.cold:.0f}, bins={len(self._counts)})")
+                f"cold={self.cold:.0f}, bins={len(self)})")

@@ -9,6 +9,8 @@ sparse for PC-rich programs (soplex) — the source of CoolSim's
 mispredictions in Figures 9 and 10.
 """
 
+import numpy as np
+
 from repro.statmodel.histogram import ReuseHistogram
 from repro.statmodel.statstack import StatStack
 
@@ -22,7 +24,7 @@ class PerPCReuseStats:
         self.global_histogram = ReuseHistogram()
         self._models = None
         #: ``miss_probability`` results per ``(pc, cache_lines)``; valid
-        #: until the next :meth:`add`.
+        #: until the next :meth:`add` or :meth:`add_many`.
         self._probabilities = {}
 
     def add(self, pc, distance):
@@ -37,6 +39,38 @@ class PerPCReuseStats:
         else:
             histogram.add(distance)
             self.global_histogram.add(distance)
+        self._models = None
+        self._probabilities.clear()
+
+    def add_many(self, pcs, distances):
+        """Record many sampled reuses: :meth:`add` on every aligned
+        ``(pc, distance)`` pair.
+
+        The batch is grouped by PC once, and each distinct PC's
+        histogram takes its distances in one call.  The result equals
+        the :meth:`add` loop over the pairs in any order: every sample
+        has unit weight, so bin weights and cold masses add up exactly,
+        and nothing iterates the per-PC map (only lookups and its size
+        are read), so the order PCs enter it does not matter.
+        """
+        pcs = np.asarray(pcs, dtype=np.int64)
+        distances = np.asarray(distances, dtype=np.int64)
+        n = pcs.shape[0]
+        if n == 0:
+            return
+        order = np.argsort(pcs, kind="stable")
+        sorted_pcs = pcs[order]
+        sorted_distances = distances[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], sorted_pcs[1:] != sorted_pcs[:-1])))
+        ends = np.append(starts[1:], n)
+        for pc, lo, hi in zip(sorted_pcs[starts].tolist(), starts.tolist(),
+                              ends.tolist()):
+            histogram = self._by_pc.get(pc)
+            if histogram is None:
+                histogram = self._by_pc[pc] = ReuseHistogram()
+            histogram.add_many(sorted_distances[lo:hi])
+        self.global_histogram.add_many(distances)
         self._models = None
         self._probabilities.clear()
 

@@ -13,8 +13,8 @@ RSS, and any ``matrix-reports.jsonl`` the pool dispatcher left
 behind.  Renderers cover text, JSON, CSV, and a static standalone
 HTML page built on the shared :mod:`repro.reporting.html`
 primitives.  :meth:`RunReport.gate_metrics` derives the behavioral
-regression surface (bailout rate, store hit rates, pool retries,
-fault firings) that ``benchmarks/bench.py`` gates alongside wall/RSS.
+regression surface (store hit rates, pool retries, fault firings) that
+``benchmarks/bench.py`` gates alongside wall/RSS.
 """
 
 import io
@@ -23,6 +23,12 @@ import os
 
 MERGED_NAME = "merged.jsonl"
 MATRIX_NAME = "matrix-reports.jsonl"
+
+#: Counter prefixes of the sampled watchpoints (CoolSim's gap profiling
+#: and vicinity sampling), each with ``.resolved``, ``.dangling`` (kept
+#: as cold) and ``.censored`` (dropped) totals.
+SAMPLE_PREFIXES = ("coolsim.samples", "vicinity.samples")
+SAMPLE_OUTCOMES = ("resolved", "dangling", "censored")
 
 
 def list_runs(directory):
@@ -164,29 +170,30 @@ class RunReport:
     def fault_totals(self):
         return self.counters_with_prefix("fault.")
 
-    def bailout_rate(self):
-        calls = self.counter("kernel.bulk_warm.calls")
-        bailouts = self.counter("kernel.bulk_warm.bailout")
-        return (bailouts / calls) if calls else None
+    def sample_totals(self):
+        """``{prefix: {outcome: count}}`` for each sampled-watchpoint
+        prefix the run counted."""
+        return {
+            prefix: {outcome: self.counter(f"{prefix}.{outcome}")
+                     for outcome in SAMPLE_OUTCOMES}
+            for prefix in SAMPLE_PREFIXES
+            if any(f"{prefix}.{outcome}" in self.counters
+                   for outcome in SAMPLE_OUTCOMES)}
 
     def gate_metrics(self):
         """The flat behavioral gate surface derived from this run.
 
         ``benchmarks/bench.py`` records these as the ``behavior``
         pseudo-suite and checks them against the committed baseline:
-        kernel bailout rate, store hit rate (overall and per label),
-        pool retry/requeue and failure counts, fault firings.  The
-        counts are deterministic for a fixed workload, so they catch
-        behavioral drift — a change that silently doubles scalar
-        bailouts or halves warm-start hits — even when wall time and
+        store hit rate (overall and per label), pool retry/requeue and
+        failure counts, fault firings.  The counts are deterministic
+        for a fixed workload, so they catch behavioral drift — a change
+        that silently halves warm-start hits — even when wall time and
         RSS stay flat.
         """
         if not self.counters:
             return {}
         metrics = {}
-        bail = self.bailout_rate()
-        if bail is not None:
-            metrics["kernel.bulk_warm.bailout_rate"] = round(bail, 4)
         totals = self.store_totals()
         if totals["hit_rate"] is not None:
             metrics["store.hit_rate"] = round(totals["hit_rate"], 4)
@@ -243,7 +250,6 @@ class RunReport:
             "store": self.store_totals(),
             "pool": self.pool_totals(),
             "faults": self.fault_totals(),
-            "bulk_warm_bailout_rate": self.bailout_rate(),
             "rss": self.rss_by_process(),
             "matrix_reports": len(self.matrix_reports()),
         }
@@ -265,7 +271,6 @@ class RunReport:
         store = self.store_totals()
         wall = self.wall_seconds()
         rate = store["hit_rate"]
-        bail = self.bailout_rate()
         parts = [
             f"{len(self.processes)} process(es)",
             f"{len(self.events)} event(s)",
@@ -273,8 +278,6 @@ class RunReport:
             (f"store {store['hits']}/{store['hits'] + store['misses']} hits"
              + (f" ({rate:.0%})" if rate is not None else "")),
         ]
-        if bail is not None:
-            parts.append(f"bailout {bail:.0%}")
         fired = sum(self.fault_totals().values())
         if fired:
             parts.append(f"{fired} fault(s) fired")
@@ -306,6 +309,10 @@ class RunReport:
             for name, cell in self.classification().items()] + [
             f"  {name:<34s} {'':>10s} {value:>9d}"
             for name, value in self.counters_with_prefix("classify.").items()])
+        table("sampled watchpoints (resolved / dangling / censored):", [
+            f"  {prefix:<34s} {cell['resolved']:>9d} {cell['dangling']:>9d} "
+            f"{cell['censored']:>9d}"
+            for prefix, cell in self.sample_totals().items()])
         store = self.store_totals()
         rate = store["hit_rate"]
         table("store:", [
@@ -325,7 +332,7 @@ class RunReport:
         other = {
             name: value for name, value in sorted(self.counters.items())
             if not name.startswith(("store.", "pool.", "fault.", "kernel.",
-                                    "classify."))
+                                    "classify.") + SAMPLE_PREFIXES)
         }
         table("counters:", [f"  {name:<34s} {value:>9d}"
                             for name, value in other.items()])

@@ -222,6 +222,23 @@ class _PositionIndex:
             return -1
         return int(positions[idx])
 
+    def first_positions(self, keys):
+        """First access position of each key (-1 for a key never seen).
+
+        One gather, ``positions[starts[slot]]``.  Later accesses never
+        change a key's first one, so a prefix index (in RAM, spilled or
+        live) answers every key it holds as the whole trace would.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        first = np.full(keys.shape[0], -1, dtype=np.int64)
+        if keys.shape[0] == 0 or self._keys.shape[0] == 0:
+            return first
+        slot = np.minimum(np.searchsorted(self._keys, keys),
+                          self._keys.shape[0] - 1)
+        present = self._keys[slot] == keys
+        first[present] = self._positions[self._starts[slot[present]]]
+        return first
+
     def batch_counts_and_last(self, keys, lo, hi):
         """Window counts and last positions for many keys at once.
 

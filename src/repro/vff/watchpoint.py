@@ -16,6 +16,7 @@ window access-by-access.
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,39 @@ class WatchpointProfile:
     @property
     def total_stops(self):
         return self.true_stops + self.false_stops
+
+
+class SampledReuses(NamedTuple):
+    """One batch of sampled watchpoints, resolved; arrays align with the
+    samples (see :meth:`WatchpointEngine.resolve_samples`)."""
+
+    #: Next access position of each sample's line before the limit
+    #: (-1: the watchpoint is still dangling at the limit).
+    reuses: np.ndarray
+    #: Reuse distance of each sample; -1 marks a dangling one.
+    distances: np.ndarray
+    #: The samples to record: every resolved one, and each dangling one
+    #: the caller's censoring rule keeps as a cold sample.
+    kept: np.ndarray
+    #: Total projected stops of the batch, summed in sample order.
+    projected_stops: float
+
+    def tally(self):
+        """``(resolved, dangling, censored)``: samples that found their
+        reuse, dangling ones kept as cold, dangling ones dropped."""
+        resolved = int(np.count_nonzero(self.reuses >= 0))
+        kept = int(np.count_nonzero(self.kept))
+        return resolved, kept - resolved, self.kept.shape[0] - kept
+
+
+def count_samples(prefix, resolved, dangling, censored):
+    """Count one batch of sampled watchpoints as ``<prefix>.resolved``,
+    ``.dangling`` (kept as cold) and ``.censored`` (dropped)."""
+    s = telemetry.session()
+    if s is not None:
+        s.count(f"{prefix}.resolved", resolved)
+        s.count(f"{prefix}.dangling", dangling)
+        s.count(f"{prefix}.censored", censored)
 
 
 class WatchpointEngine:
@@ -193,3 +227,34 @@ class WatchpointEngine:
         identical values to the per-sample loop.
         """
         return self.index.batch_await_reuse(access_positions, access_limit)
+
+    def resolve_samples(self, access_positions, access_limit, keep_dangling,
+                        stop_cap, scale, footprint_scale):
+        """Resolve a batch of sampled watchpoints in one pass.
+
+        The batched form of the per-sample RSW loop of CoolSim's gap
+        profiling and vicinity sampling: every watchpoint armed at a
+        sorted sampled position runs until its line's next access or
+        ``access_limit`` (:meth:`await_next_reuse_many`).  A sample's
+        projected stops are ``min(stops, stop_cap)`` when it found its
+        reuse; a dangling one waits out the rest of the gap, whose
+        paper equivalent is ``min(stops * scale * footprint_scale,
+        stop_cap)`` (DESIGN.md §6); the batch total adds them in
+        sample order, as the loop adds them.  ``keep_dangling`` is the
+        caller's censoring rule: which samples, if dangling, still
+        count as cold.  Returns :class:`SampledReuses`.
+        """
+        positions = np.asarray(access_positions, dtype=np.int64)
+        reuses, stops = self.await_next_reuse_many(positions, access_limit)
+        found = reuses >= 0
+        projected = np.where(
+            found, np.minimum(stops, stop_cap),
+            np.minimum(stops * scale * footprint_scale, stop_cap))
+        # np.cumsum accumulates in order, so the float total equals the
+        # loop's; a pairwise np.sum could differ in the last bits.
+        total = float(np.cumsum(np.concatenate(([0.0], projected)))[-1])
+        return SampledReuses(
+            reuses=reuses,
+            distances=np.where(found, reuses - positions - 1, -1),
+            kept=found | keep_dangling,
+            projected_stops=total)

@@ -171,3 +171,26 @@ def test_dominant_strides_at_chunks_query_rows(monkeypatch):
     chunked = StrideDetector().dominant_strides_at(pcs, lines, positions)
     assert np.array_equal(whole, chunked)
     assert np.count_nonzero(whole == 8) > 100
+
+
+@pytest.mark.parametrize("max_history", [8, 64])
+@settings(max_examples=40, deadline=None)
+@given(prior=_stride_stream(), stream=_stride_stream())
+def test_observe_many_matches_observe_loop(max_history, prior, stream):
+    """Batched observation leaves the per-access loop's state, with
+    prior state carried in and histories truncated to max_history."""
+    reference = StrideDetector(max_history=max_history)
+    batch = StrideDetector(max_history=max_history)
+    prior_pcs, prior_lines, _ = prior
+    for detector in (reference, batch):
+        for pc, line in zip(prior_pcs, prior_lines):
+            detector.observe(pc, line)
+    pcs, lines, _ = stream
+    for pc, line in zip(pcs, lines):
+        reference.observe(pc, line)
+    batch.observe_many(np.asarray(pcs, dtype=np.int64),
+                       np.asarray(lines, dtype=np.int64))
+    assert batch._deltas == reference._deltas
+    assert batch._last_line == reference._last_line
+    for pc in set(pcs) | set(prior_pcs):
+        assert batch.dominant_stride(pc) == reference.dominant_stride(pc)

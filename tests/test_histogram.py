@@ -96,3 +96,87 @@ def test_ccdf_monotone_nonincreasing(distances, n_cold):
     ks = np.arange(0, 60)
     values = h.ccdf(ks)
     assert np.all(np.diff(values) <= 1e-12)
+
+
+class _DictHistogram:
+    """Plain-Python reference: one weight per distance in a dict, summed
+    in add order, and a scalar cold mass."""
+
+    def __init__(self, counts=None, cold=0.0):
+        self.counts = dict(counts or {})
+        self.cold = cold
+
+    def add(self, distance, weight=1.0):
+        self.counts[distance] = self.counts.get(distance, 0.0) + weight
+
+    def add_cold(self, weight=1.0):
+        self.cold += weight
+
+    def add_many(self, distances, weight=1.0):
+        for distance in distances:
+            if distance < 0:
+                self.add_cold(weight)
+            else:
+                self.add(distance, weight)
+
+    def merge(self, other):
+        for distance, weight in other.counts.items():
+            self.add(distance, weight)
+        self.cold += other.cold
+
+    def state(self):
+        keys = sorted(self.counts)
+        return keys, [self.counts[k] for k in keys], self.cold
+
+
+# Few distinct distances and weights whose sums round, so bins collide
+# and the order of their additions shows in the last bits.
+_weights = st.one_of(st.just(1.0), st.sampled_from([0.1, 0.2, 0.7, 1 / 3]),
+                     st.floats(0.01, 5.0))
+_histogram_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 1), st.integers(0, 5),
+              _weights),
+    st.tuples(st.just("add_cold"), st.integers(0, 1), _weights),
+    st.tuples(st.just("add_many"), st.integers(0, 1),
+              st.lists(st.integers(-2, 5), max_size=12), _weights),
+    st.tuples(st.just("merge"), st.integers(0, 1)),
+    st.tuples(st.just("from_state"), st.integers(0, 1)),
+    st.tuples(st.just("query"), st.integers(0, 1)),
+), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_histogram_ops)
+def test_state_bit_identical_to_dict_reference(ops):
+    """Any interleaving of adds, merges, state round trips and queries
+    (which fold the pending adds midway) gives the reference's state,
+    bit for bit, with fractional weights."""
+    hists = [ReuseHistogram(), ReuseHistogram()]
+    refs = [_DictHistogram(), _DictHistogram()]
+    for op, target, *args in ops:
+        if op == "merge":
+            hists[target].merge(hists[1 - target])
+            refs[target].merge(refs[1 - target])
+        elif op == "from_state":
+            hists[target] = ReuseHistogram.from_state(
+                *hists[target].state())
+            distances, weights, cold = refs[target].state()
+            refs[target] = _DictHistogram(zip(distances, weights), cold)
+        elif op == "query":
+            hists[target].ccdf(5)
+        elif op == "add_many":
+            hists[target].add_many(np.asarray(args[0], dtype=np.int64),
+                                   weight=args[1])
+            refs[target].add_many(*args)
+        else:
+            getattr(hists[target], op)(*args)
+            getattr(refs[target], op)(*args)
+    for hist, ref in zip(hists, refs):
+        distances, weights, cold = hist.state()
+        assert (distances.tolist(), weights.tolist(), cold) == ref.state()
+        assert len(hist) == len(ref.counts)
+
+
+def test_from_state_rejects_unsorted_distances():
+    with pytest.raises(ValueError):
+        ReuseHistogram.from_state([3, 1], [1.0, 1.0], 0.0)

@@ -576,6 +576,33 @@ class TestExplorerPlanBatch:
         for backend in kernels.BACKENDS:
             assert results[backend] == results["scalar"], backend
 
+    def test_naive_dsw_identical_across_backends(self):
+        """Whole-gap vicinity sampling resolves in one batch per region
+        on native; every observable equals the per-sample loop's."""
+        from repro.core import NaiveDirectedWarming
+        from repro.core.context import ExecutionContext
+
+        results = {}
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                workload = make_small_workload(seed=43,
+                                               n_instructions=90_000)
+                plan = SamplingPlan(n_instructions=90_000, n_regions=3)
+                context = ExecutionContext(workload, seed=3)
+                r = NaiveDirectedWarming().run(
+                    workload, plan, paper_hierarchy(8 << 20),
+                    context=context)
+                results[backend] = (
+                    r.cpi, r.mpki, r.total_seconds,
+                    r.meter.ledger.as_dict(),
+                    repr(sorted(r.extras.items())),
+                    [(repr(sorted(reg.stats.counts.items())),
+                      reg.timing.total_cycles, repr(reg.extras))
+                     for reg in r.regions])
+                context.release()
+        for backend in kernels.BACKENDS:
+            assert results[backend] == results["scalar"], backend
+
 
 class TestGapProfileKernel:
     """The batched RSW primitive behind CoolSim's gap profiling."""
@@ -691,7 +718,10 @@ class TestSmartsRegionKernel:
             assert a.meter.ledger.as_dict() == b.meter.ledger.as_dict()
 
     def test_region_outcome_streams_identical(self):
-        """Outcome/instruction streams — not just the counts."""
+        """Outcome/instruction streams — not just the counts.  The
+        scalar leg labels cold misses from the set of lines seen, the
+        native leg from each line's first access in the index."""
+        from repro.caches.stats import MISS_COLD
         from repro.core.context import ExecutionContext
         from repro.sampling.smarts import Smarts
 
@@ -704,22 +734,44 @@ class TestSmartsRegionKernel:
                 context = ExecutionContext(workload, index=index, seed=2)
                 strategy = Smarts()
                 hierarchy = CacheHierarchy(paper_hierarchy(8 << 20), seed=2)
-                seen = set()
+                seen = set() if backend == "scalar" else None
                 records = []
                 for spec in plan.regions():
                     gap = context.window(spec.warmup_start,
                                          spec.region_start)
-                    seen.update(np.unique(np.asarray(gap.lines)).tolist())
+                    if seen is not None:
+                        seen.update(
+                            np.unique(np.asarray(gap.lines)).tolist())
                     hierarchy.warm(np.asarray(gap.lines))
                     classified = strategy._simulate_region(
-                        context.region_window(spec), hierarchy, None, seen)
+                        context.region_window(spec), hierarchy, None, seen,
+                        index)
                     records.append((classified.outcomes,
                                     classified.outcome_instr,
                                     classified.llc_hit_instr,
                                     classified.stats.counts))
                 streams[backend] = records
+        # Cold misses after the first region exercise the labels across
+        # region boundaries.
+        assert any(MISS_COLD in outcomes
+                   for outcomes, *_ in streams["scalar"][1:])
         for backend in kernels.BACKENDS:
             assert streams[backend] == streams["scalar"], backend
+
+    def test_regions_must_be_refined_in_order(self):
+        from repro.core.context import ExecutionContext
+        from repro.sampling.smarts import Smarts
+
+        workload = make_small_workload(seed=17, n_instructions=60_000)
+        plan = SamplingPlan(n_instructions=60_000, n_regions=3)
+        context = ExecutionContext(workload, seed=2)
+        run = Smarts().begin(context, plan, paper_hierarchy(8 << 20))
+        first, second, _ = plan.regions()
+        with pytest.raises(ValueError, match="in order"):
+            run.refine(second)
+        run.refine(first)
+        run.refine(second)
+        context.release()
 
     def test_prefetcher_falls_back_to_scalar(self):
         """With a prefetcher the batch region path must not engage (and

@@ -1,6 +1,8 @@
 """Tests for per-PC reuse statistics (the CoolSim substrate)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.statmodel.perpc import PerPCReuseStats
 
@@ -86,3 +88,36 @@ def test_miss_probability_follows_new_samples():
     assert stats.miss_probability(1, cache_lines=10) > short + 0.3
     assert stats.miss_probability(2, cache_lines=10) == \
         stats.miss_probability(1, cache_lines=10)   # global fallback
+
+
+_samples = st.lists(st.tuples(st.integers(0, 5),
+                              st.one_of(st.just(-1), st.integers(0, 400))),
+                    max_size=80)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prior=_samples, batches=st.lists(_samples, max_size=4))
+def test_add_many_matches_add_loop(prior, batches):
+    """Batches grouped by PC give what the per-sample loop gives, also
+    when queries run between batches."""
+    reference = PerPCReuseStats(min_samples=3)
+    batched = PerPCReuseStats(min_samples=3)
+    for pc, distance in prior:
+        reference.add(pc, distance)
+        batched.add(pc, distance)
+    sizes = (1, 4, 16, 64, 256)
+    for batch in batches:
+        for pc, distance in batch:
+            reference.add(pc, distance)
+        batched.add_many(np.asarray([pc for pc, _ in batch], dtype=np.int64),
+                         np.asarray([d for _, d in batch], dtype=np.int64))
+        assert batched.n_pcs == reference.n_pcs
+        assert batched.n_samples == reference.n_samples
+        for pc in range(7):
+            assert batched.samples_for(pc) == reference.samples_for(pc)
+            for size in sizes:
+                assert batched.miss_probability(pc, size) == \
+                    reference.miss_probability(pc, size), (pc, size)
+    a, b = batched.global_histogram.state(), reference.global_histogram.state()
+    assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+    assert a[2] == b[2]

@@ -10,7 +10,7 @@ The load-bearing properties:
   report's drift flags and ``python -m repro report gate`` share
   :mod:`repro.reporting.gates`: direction-aware (hit rates are
   higher-is-better), floored per unit, 15% ratio.  A behavioral
-  regression (bailout rate up, hit rate down) trips the gate even
+  regression (error rate up, hit rate down) trips the gate even
   when every wall-clock metric is flat.
 * **Idempotent history.**  Re-writing a bench record never
   double-appends its history; trends render from the committed
@@ -113,8 +113,7 @@ def test_gate_direction_and_floors():
     assert gates.classify("store.hit_rate", 0.44, 0.9) == -1
     assert gates.classify("store.hit_rate", 0.9, 0.44) == 1
     # sub-floor jitter on a rate stays green despite a >15% ratio
-    assert gates.classify("kernel.bulk_warm.bailout_rate",
-                          0.0118, 0.01) == 0
+    assert gates.classify("x.error_rate", 0.0118, 0.01) == 0
     # behavioral counts: one stray retry is under the floor, a real
     # failure burst is not
     assert gates.classify("pool.task.failures", 2.0, 1.0) == 0
@@ -123,16 +122,16 @@ def test_gate_direction_and_floors():
 
 
 def test_check_gate_formats_and_flat_wall_behavioral_trip():
-    gate = {"kernel.bulk_warm.bailout_rate": 0.22,
+    gate = {"x.error_rate": 0.22,
             "store.hit_rate": 0.44,
             "wall_seconds": 10.0}
-    base = {"kernel.bulk_warm.bailout_rate": 0.10,
+    base = {"x.error_rate": 0.10,
             "store.hit_rate": 0.90,
             "wall_seconds": 10.0,
             "gone_metric": 1.0}
     regressions, notes = gates.check_gate("behavior", gate, base)
     assert len(regressions) == 2          # wall flat, behavior trips
-    assert any("bailout_rate" in r for r in regressions)
+    assert any("error_rate" in r for r in regressions)
     assert any("hit_rate" in r and "-51%" in r for r in regressions)
     assert any("in baseline but not measured" in n for n in notes)
 
@@ -183,7 +182,7 @@ def test_bench_history_dedupe(tmp_path, monkeypatch):
 def test_bench_behavior_suite_roundtrip(tmp_path, monkeypatch):
     bench = _bench()
     monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
-    metrics = {"derived": {"kernel.bulk_warm.bailout_rate": 0.1,
+    metrics = {"derived": {"x.error_rate": 0.1,
                            "store.hit_rate": 0.9}}
     doc = bench.write_suite("behavior", metrics, profile="quick")
     assert doc["gate"] == metrics["derived"]
@@ -192,7 +191,7 @@ def test_bench_behavior_suite_roundtrip(tmp_path, monkeypatch):
     assert len(doc2["history"]) == 1
     baseline = {"profiles": {"quick": {"behavior": doc["gate"]}}}
     assert bench.check_doc(doc2, baseline) == ([], [])
-    worse = dict(doc2, gate={"kernel.bulk_warm.bailout_rate": 0.22,
+    worse = dict(doc2, gate={"x.error_rate": 0.22,
                              "store.hit_rate": 0.44})
     regressions, _ = bench.check_doc(worse, baseline)
     assert len(regressions) == 2
@@ -221,7 +220,8 @@ def test_run_report_gate_metrics(tmp_path):
         "fault.fired.store_save.io_error": 2,
     })
     metrics = RunReport.from_dir(run, write_merged=False).gate_metrics()
-    assert metrics["kernel.bulk_warm.bailout_rate"] == 0.1
+    # The retired bulk-warm bailout counters derive nothing.
+    assert not any("bailout" in name for name in metrics)
     assert metrics["store.hit_rate"] == 0.8
     assert metrics["store.hit_rate.delorean_run"] == 0.75
     assert metrics["store.hit_rate.dse_sweep"] == 1.0
@@ -229,6 +229,18 @@ def test_run_report_gate_metrics(tmp_path):
     assert metrics["pool.task.resubmitted"] == 3
     assert metrics["pool.task.failures"] == 2
     assert metrics["fault.fired"] == 2
+
+
+def test_run_report_text_shows_sampled_watchpoints(tmp_path):
+    run = _run_dir(tmp_path, {"coolsim.samples.resolved": 70,
+                              "coolsim.samples.dangling": 2,
+                              "coolsim.samples.censored": 5})
+    text = RunReport.from_dir(run, write_merged=False).render_text()
+    title = "sampled watchpoints (resolved / dangling / censored):"
+    row = text.splitlines()[text.splitlines().index(title) + 1]
+    assert row.split() == ["coolsim.samples", "70", "2", "5"]
+    assert "vicinity.samples" not in text
+    assert text.count("coolsim.samples") == 1
 
 
 def test_run_report_html_escaped_and_empty_tolerant(tmp_path):

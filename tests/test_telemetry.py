@@ -342,6 +342,79 @@ def test_counters_overhead_under_two_percent():
     assert best["counters"] <= best["off"] * 1.02 + 0.01, best
 
 
+def _tally(samples, keeps_cold):
+    """``(resolved, dangling, censored)`` of ``(position, reuse)``
+    samples, one sample at a time."""
+    resolved = sum(1 for _, reuse in samples if reuse >= 0)
+    dangling = sum(1 for position, reuse in samples
+                   if reuse < 0 and keeps_cold(position))
+    return resolved, dangling, len(samples) - resolved - dangling
+
+
+@pytest.mark.parametrize("backend", kernels.BACKENDS)
+def test_sampled_watchpoint_counts_match_per_sample_tally(backend,
+                                                          monkeypatch):
+    """CoolSim's and vicinity sampling's resolved / dangling / censored
+    counters equal a per-sample tally of the samples they resolved."""
+    import numpy as np
+
+    from repro.core.vicinity import VicinitySampler
+    from repro.sampling.coolsim import CoolSim
+    from repro.statmodel.assoc import StrideDetector
+    from repro.statmodel.histogram import ReuseHistogram
+    from repro.statmodel.perpc import PerPCReuseStats
+    from repro.vff.machine import VirtualMachine
+    from repro.vff.watchpoint import WatchpointEngine
+
+    samples = []
+    one, many = (WatchpointEngine.await_next_reuse,
+                 WatchpointEngine.await_next_reuse_many)
+
+    def record_one(self, line, position, limit):
+        reuse, stops = one(self, line, position, limit)
+        samples.append((position, reuse))
+        return reuse, stops
+
+    def record_many(self, positions, limit):
+        reuse, stops = many(self, positions, limit)
+        samples.extend(zip(np.asarray(positions).tolist(), reuse.tolist()))
+        return reuse, stops
+
+    monkeypatch.setattr(WatchpointEngine, "await_next_reuse", record_one)
+    monkeypatch.setattr(WatchpointEngine, "await_next_reuse_many",
+                        record_many)
+    # A cold set with reuses longer than the windows, so every outcome
+    # occurs.
+    workload = make_small_workload(seed=5, n_instructions=90_000,
+                                   cold_lines=1024)
+    trace = workload.trace
+    session = telemetry.configure("counters")
+    with kernels.use_backend(backend):
+        machine = VirtualMachine(trace, index=TraceIndex(trace))
+        spec = SamplingPlan(n_instructions=90_000, n_regions=3).regions()[1]
+        CoolSim()._profile_gap(machine, spec, PerPCReuseStats(),
+                               StrideDetector(), np.random.default_rng(1),
+                               1.0 / 64.0)
+        gap_mid = (spec.warmup_start + spec.region_start) // 2
+        coolsim = _tally(samples,
+                         lambda position: trace.mem_instr[position] < gap_mid)
+        samples.clear()
+        n = trace.n_accesses
+        VicinitySampler(machine, density=1e-3, density_boost=50.0,
+                        rng=np.random.default_rng(7)).sample_window(
+            ReuseHistogram(), n // 8, n // 2, (3 * n) // 4,
+            paper_window_instructions=5e6, model_window_instructions=30_000)
+        horizon = (n // 8 + (3 * n) // 4) // 2
+        vicinity = _tally(samples, lambda position: position <= horizon)
+    workload.release()
+    for prefix, expected in (("coolsim.samples", coolsim),
+                             ("vicinity.samples", vicinity)):
+        counted = tuple(session.counters[f"{prefix}.{outcome}"]
+                        for outcome in ("resolved", "dangling", "censored"))
+        assert counted == expected, (prefix, backend)
+        assert all(expected), (prefix, expected)
+
+
 # -- warn-once diagnostics still count every occurrence --------------------
 
 def test_degraded_root_warns_once_counts_twice(tmp_path):

@@ -15,12 +15,16 @@ wall-clock follows the pipeline recurrence of
 passes — this is how the reduction in profiling work becomes the 5.7x
 speedup over CoolSim and the 126 MIPS headline.
 
-The Scout/Explorer work is delegated to
-:class:`~repro.core.warmup.WarmupPipeline`: with an artifact ``store``
-attached, the warm-up products (which are microarchitecture-independent)
-are persisted on first computation and replayed bit-identically for any
-later run of the same workload/plan/seed at a different LLC
-configuration — only the Analyst re-executes.
+The Analyst's region step lives in one place, :meth:`DeLoreanRun.refine`.
+A live run (:meth:`DeLorean.begin`) refines the region's Scout/Explorer
+warm-up there too.  The batch :meth:`DeLorean.run` first records or
+replays the plan's warm-up bundle through
+:class:`~repro.core.warmup.WarmupPipeline`, which refines the same
+warm-up loop over every region, then refines a :class:`DeLoreanRun` fed
+from that bundle.  With an artifact ``store`` attached the bundle (which
+is microarchitecture-independent) is persisted on first computation and
+replayed bit-identically for any later run of the same workload/plan/seed
+at a different LLC configuration — only the Analyst re-executes.
 """
 
 import numpy as np
@@ -55,27 +59,15 @@ class DeLorean(StrategyBase):
             store=None, context=None):
         context = self.context_for(workload, index=index, seed=seed,
                                    store=store, context=context)
-        base_meter = CostMeter(scale=plan.scale)
-
-        warmup = WarmupPipeline(
+        bundle = WarmupPipeline(
             "delorean-vicinity", context, plan, self.explorer_specs,
-            self.vicinity_density, self.vicinity_boost, base_meter)
-        warm_regions = warmup.run_all()
-
-        analyst_machine = context.machine(base_meter.fork())
-        analyst = self._analyst(context, hierarchy_config, analyst_machine)
-
-        analyst_times = []
-        regions = []
-        for spec, warm in zip(plan.regions(), warm_regions):
-            mark = analyst_machine.meter.ledger.total_seconds
-            regions.append(analyst.run_region(spec, warm.predictor()))
-            analyst_times.append(
-                analyst_machine.meter.ledger.total_seconds - mark)
-
-        return self._assemble_result(
-            workload.name, plan, warmup, warm_regions, regions,
-            analyst_times, analyst_machine.meter.ledger, base_meter)
+            self.vicinity_density, self.vicinity_boost,
+            CostMeter(scale=plan.scale)).run_all()
+        run = DeLoreanRun(self, context, plan, hierarchy_config,
+                          bundle=bundle)
+        for spec in plan.regions():
+            run.refine(spec)
+        return run.result(plan)
 
     def begin(self, context, plan, hierarchy_config):
         """Start a refinable run (``refine`` per region, ``result`` at
@@ -83,10 +75,9 @@ class DeLorean(StrategyBase):
 
         Unlike :meth:`run` this never consults the warm-up bundle store
         — a live feed is by definition ahead of any recorded prefix —
-        but every value it produces is pinned to the batch path: the
-        warm-up passes are the batch pipeline's region loop
-        (:class:`~repro.core.warmup.IncrementalWarmup`) and the result
-        assembly is shared code.
+        so each ``refine`` runs the region's warm-up passes
+        (:class:`~repro.core.warmup.IncrementalWarmup`, the loop a
+        recording batch run refines) before its Analyst.
         """
         return DeLoreanRun(self, context, plan, hierarchy_config)
 
@@ -101,18 +92,10 @@ class DeLorean(StrategyBase):
             context=context,
         )
 
-    def _assemble_result(self, workload_name, plan, warmup, warm_regions,
-                         regions, analyst_times, analyst_ledger,
-                         base_meter):
-        """Aggregate warm-up records + analyst output into the result.
-
-        ``warmup`` is anything exposing the pipeline accessors
-        (``stage_times``/``pass_ledgers``/``vicinity_*``): the batch
-        :class:`WarmupPipeline` or an
-        :class:`~repro.core.warmup.IncrementalWarmup` mid-feed.  Shared
-        by both paths so the live watermark results cannot drift from
-        the batch assembly.
-        """
+    def _assemble_result(self, workload_name, plan, bundle, regions,
+                         analyst_times, analyst_ledger, base_meter):
+        """Aggregate a :class:`~repro.core.warmup.WarmupBundle` and the
+        Analyst output into the result."""
         key_counts = []
         engaged = []
         resolved_by_totals = np.zeros(len(self.explorer_specs),
@@ -122,28 +105,29 @@ class DeLorean(StrategyBase):
         key_collected_total = 0
         stops_true = 0
         stops_false = 0
-        for warm in warm_regions:
+        for warm in bundle.regions:
             key_counts.append(warm.n_key_lines)
             engaged.append(warm.engaged)
-            resolved_by_totals += np.asarray(warm.resolved_by)
+            resolved_by_totals += np.asarray(warm.resolved_by,
+                                             dtype=np.int64)
             warming_resolved_total += warm.n_warming_resolved
             cold_total += warm.n_unresolved
             key_collected_total += warm.n_key_collected
             stops_true += warm.true_stops
             stops_false += warm.false_stops
 
-        stage_times = warmup.stage_times() + [analyst_times]
+        stage_times = bundle.stage_times() + [analyst_times]
         _, wall_seconds = pipeline_schedule(stage_times)
 
         merged = CostMeter(params=base_meter.params, scale=plan.scale,
                            ledger=TimeLedger())
-        warm_ledgers = warmup.pass_ledgers()
+        warm_ledgers = bundle.pass_ledgers()
         for ledger in warm_ledgers:
             merged.ledger.merge(ledger)
         merged.ledger.merge(analyst_ledger)
 
-        vicinity_paper = warmup.vicinity_paper
-        vicinity_model = warmup.vicinity_model
+        vicinity_paper = bundle.vicinity_paper
+        vicinity_model = bundle.vicinity_model
         analyst_detailed = analyst_ledger.seconds_by_category.get(
             "detailed", 0.0)
         warming_seconds = (
@@ -182,20 +166,25 @@ class DeLorean(StrategyBase):
 
 
 class DeLoreanRun:
-    """Refinable DeLorean execution state for live feeds.
+    """Refinable DeLorean execution state.
 
-    Carries the warm-up passes (:class:`IncrementalWarmup`) and the
-    Analyst machine across regions; :meth:`refine` advances all five
-    pipeline stages over one region, :meth:`result` assembles the
-    watermark's :class:`StrategyResult` through the same code as the
-    batch path.
+    :meth:`refine` advances all five pipeline stages over one region and
+    :meth:`result` assembles the :class:`StrategyResult` of the regions
+    refined so far.  Given a recorded ``bundle`` (the batch path) the
+    run builds no Scout or Explorer machines and region ``k``'s warm-up
+    is read from the bundle, which covers the whole plan, so such a run
+    is refined over every region before :meth:`result`; without one
+    (the live path) each ``refine`` runs the region's warm-up passes on
+    an :class:`IncrementalWarmup`.
     """
 
-    def __init__(self, strategy, context, plan, hierarchy_config):
+    def __init__(self, strategy, context, plan, hierarchy_config,
+                 bundle=None):
         self.strategy = strategy
         self.context = context
         self.base_meter = CostMeter(scale=plan.scale)
-        self.warmup = IncrementalWarmup(
+        self.recorded = bundle
+        self.warmup = None if bundle is not None else IncrementalWarmup(
             "delorean-vicinity", context, strategy.explorer_specs,
             strategy.vicinity_density, strategy.vicinity_boost,
             self.base_meter, plan.footprint_scale)
@@ -207,7 +196,10 @@ class DeLoreanRun:
 
     def refine(self, spec):
         """Scout, explore and analyze one region."""
-        warm = self.warmup.refine(spec)
+        if self.recorded is None:
+            warm = self.warmup.refine(spec)
+        else:
+            warm = self.recorded.regions[len(self.regions)]
         mark = self.analyst_machine.meter.ledger.total_seconds
         self.regions.append(
             self.analyst.run_region(spec, warm.predictor()))
@@ -217,12 +209,13 @@ class DeLoreanRun:
 
     def bundle(self):
         """The warm-up bundle snapshot (watermark-publishable)."""
+        if self.recorded is not None:
+            return self.recorded
         return self.warmup.bundle()
 
     def result(self, plan):
         """The :class:`StrategyResult` over the regions refined so far."""
         return self.strategy._assemble_result(
-            self.context.workload.name, plan, self.warmup,
-            list(self.warmup.regions), list(self.regions),
-            list(self.analyst_times), self.analyst_machine.meter.ledger,
-            self.base_meter)
+            self.context.workload.name, plan, self.bundle(),
+            list(self.regions), list(self.analyst_times),
+            self.analyst_machine.meter.ledger, self.base_meter)

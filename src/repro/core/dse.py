@@ -88,10 +88,10 @@ class DesignSpaceExploration(StrategyBase):
                                    store=store, context=context)
         base_meter = CostMeter(scale=plan.scale)
 
-        warmup = WarmupPipeline(
+        bundle = WarmupPipeline(
             "dse-vicinity", context, plan, self.explorer_specs,
-            self.vicinity_density, self.vicinity_boost, base_meter)
-        warm_regions = warmup.run_all()
+            self.vicinity_density, self.vicinity_boost,
+            base_meter).run_all()
 
         analyst_machines = [
             context.machine(base_meter.fork())
@@ -106,7 +106,7 @@ class DesignSpaceExploration(StrategyBase):
         analyst_stage_times = [[] for _ in analysts]
         per_config_regions = [[] for _ in analysts]
 
-        for spec, warm in zip(plan.regions(), warm_regions):
+        for spec, warm in zip(plan.regions(), bundle.regions):
             # One predictor serves every configuration: reuse distance is
             # microarchitecture-independent (Section 3.3).  Likewise the
             # L1 and stride work serves every Analyst with the same L1.
@@ -124,13 +124,13 @@ class DesignSpaceExploration(StrategyBase):
 
         # Analysts run concurrently: the pipeline sees one analyst stage
         # whose per-region time is the slowest configuration's.
-        warmup_stage_times = warmup.stage_times()
+        warmup_stage_times = bundle.stage_times()
         analyst_parallel = np.max(
             np.asarray(analyst_stage_times), axis=0).tolist()
         _, wall_seconds = pipeline_schedule(
             [*warmup_stage_times, analyst_parallel])
 
-        warm_ledgers = warmup.pass_ledgers()
+        warm_ledgers = bundle.pass_ledgers()
         warmup_core = sum(ledger.total_seconds for ledger in warm_ledgers)
         analyst_cores = [m.meter.ledger.total_seconds
                          for m in analyst_machines]

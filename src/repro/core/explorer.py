@@ -96,80 +96,60 @@ class ExplorerChain:
         return access_lo, access_hi, region_spec.region_start - window_start
 
     def plan_regions(self, region_specs, scout_reports):
-        """Precompute every Explorer's window profile for every region.
+        """Every Explorer's window profile for each region.
 
-        The pending set an Explorer watches depends only on the scout
-        report and the *previous* Explorer's profile of the same region
-        — never on another region — so level ``k``'s windows across all
-        regions are known the moment level ``k-1`` finishes, and each
-        level collapses into one multi-window index pass
-        (:meth:`~repro.vff.watchpoint.WatchpointEngine.profile_windows`).
-        On a cold spilled index that touches the mapped position tables
-        once per Explorer instead of once per region per Explorer.
-
-        Returns ``planned[region][k]`` — the profile
-        :meth:`run_region` would compute, or ``None`` where the
-        Explorer stays disengaged — for ``run_region(...,
-        planned=...)``.  Pure index queries: no machine state, meter or
-        RNG is touched, so running the passes afterwards is
-        bit-identical to the unplanned walk.
+        The one place a region's per-level profiles are computed.  Each
+        Explorer watches the key lines the previous levels left
+        unresolved, so a region's walk goes level by level with one
+        :meth:`~repro.vff.watchpoint.WatchpointEngine.profile_window`
+        query per engaged level.  Returns ``planned[region][k]``, with
+        ``None`` where Explorer ``k`` stays disengaged.  Pure index
+        queries: no machine state, meter or RNG is touched.
         """
-        n_regions = len(region_specs)
-        planned = [[None] * len(self.specs) for _ in range(n_regions)]
-        pending = [sorted(report.unresolved_after_warming)
-                   for report in scout_reports]
-        for k, (machine, spec) in enumerate(
-                zip(self.machines, self.specs)):
-            requests = []
-            slots = []
-            for i, region_spec in enumerate(region_specs):
-                if not pending[i]:
+        planned = []
+        for region_spec, report in zip(region_specs, scout_reports):
+            pending = sorted(report.unresolved_after_warming)
+            profiles = []
+            for machine, spec in zip(self.machines, self.specs):
+                if not pending:
+                    profiles.append(None)
                     continue
                 access_lo, access_hi, _ = self._window(
                     spec, region_spec, machine.trace)
-                requests.append((pending[i], access_lo, access_hi))
-                slots.append(i)
-            if not requests:
-                break
-            for i, profile in zip(
-                    slots, machine.watchpoints.profile_windows(requests)):
-                planned[i][k] = profile
-                pending[i] = list(profile.unresolved)
+                profile = machine.watchpoints.profile_window(
+                    pending, access_lo, access_hi)
+                profiles.append(profile)
+                pending = list(profile.unresolved)
+            planned.append(profiles)
         return planned
 
-    def run_region(self, region_spec, scout_report, vicinity_histogram=None,
-                   planned=None):
+    def run_region(self, region_spec, scout_report, vicinity_histogram=None):
         """Collect key reuse distances for one region.
 
         ``scout_report`` supplies the key lines and the warming-window
-        resolutions; returns an :class:`ExplorationResult`.  ``planned``
-        optionally carries this region's precomputed window profiles
-        (:meth:`plan_regions`); profiles are identical either way, so
-        everything downstream — charges, vicinity sampling, machine
-        sync — is unchanged.
+        resolutions; the region's window profiles come from
+        :meth:`plan_regions`.  Each engaged Explorer then charges its
+        pass, samples its window's vicinity and syncs its machine, in
+        level order.  Returns an :class:`ExplorationResult`.
         """
         result = ExplorationResult(
             last_access=dict(scout_report.warming_resolved),
             resolved_by=[0] * len(self.specs),
         )
         pending = sorted(scout_report.unresolved_after_warming)
+        (profiles,) = self.plan_regions([region_spec], [scout_report])
 
-        for k, (machine, spec) in enumerate(zip(self.machines, self.specs)):
-            access_lo, access_hi, model_window = self._window(
-                spec, region_spec, machine.trace)
-
-            if not pending:
+        for k, (machine, spec, profile) in enumerate(
+                zip(self.machines, self.specs, profiles)):
+            if profile is None:
                 # This Explorer (and all deeper ones) stays disengaged for
                 # this region: it simply fast-forwards past it.
                 machine.fast_forward(
                     region_spec.warmup_start, region_spec.region_start)
                 continue
             result.engaged = k + 1
-
-            profile = (planned[k] if planned is not None
-                       and planned[k] is not None
-                       else machine.watchpoints.profile_window(
-                           pending, access_lo, access_hi))
+            access_lo, access_hi, model_window = self._window(
+                spec, region_spec, machine.trace)
             self._charge(machine, spec, region_spec, profile, model_window)
 
             if spec.functional:

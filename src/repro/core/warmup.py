@@ -1,4 +1,4 @@
-"""The shared Scout + Explorer warm-up pipeline, with record/replay.
+"""The shared Scout + Explorer warm-up: one region loop, with record/replay.
 
 Both :class:`~repro.core.delorean.DeLorean` and
 :class:`~repro.core.dse.DesignSpaceExploration` spend most of their work
@@ -9,17 +9,22 @@ vicinity distribution.  Everything those passes produce is
 enters at the Analyst — so the warm-up products for a workload/plan/seed
 are reusable across every LLC configuration of a sweep.
 
-:class:`WarmupPipeline` makes that reuse concrete.  In **live** mode it
-runs the actual passes and records, per region, the key reuse distances,
-the vicinity histogram state, the per-pass stage times and the summary
-statistics; at the end it publishes the whole
-:class:`WarmupBundle` (including each pass's cost-ledger breakdown) to
-the artifact store.  In **replay** mode — a store hit on the bundle's
-fingerprint, which deliberately excludes the hierarchy — it never builds
-a machine at all: regions are served from the bundle and the consumer's
-results are bit-identical to a live run's, because every float the live
-run would have produced (stage times, ledger categories, sampler
-totals) was recorded rather than remodeled.
+:class:`IncrementalWarmup` is the one region loop: it owns the Scout and
+Explorer machines, the shared vicinity RNG, the samplers and the chain,
+and advances one region per :meth:`~IncrementalWarmup.refine` call — a
+live feed calls it as regions arrive, a batch run calls it over the
+whole plan.  :meth:`~IncrementalWarmup.bundle` snapshots the state as a
+:class:`WarmupBundle`: per region the key reuse distances, the vicinity
+histogram state, the per-pass stage times and the summary statistics,
+plus each pass's cost-ledger breakdown and the sampler totals.
+
+:class:`WarmupPipeline` wraps the artifact store around that loop.  On
+a miss it refines a fresh :class:`IncrementalWarmup` over the plan's
+regions and publishes the bundle; on a hit — the bundle's fingerprint
+deliberately excludes the hierarchy — it never builds a machine at all,
+and the consumer's results are bit-identical to a recording run's,
+because every float that run produced (stage times, ledger categories,
+sampler totals) was recorded rather than remodeled.
 """
 
 from dataclasses import dataclass, field
@@ -102,15 +107,39 @@ class WarmupBundle:
     sampler_paper: list
     sampler_model: list
 
+    def stage_times(self):
+        """Per-pass lists of per-region stage seconds (Scout first)."""
+        return [[region.stage_seconds[k] for region in self.regions]
+                for k in range(len(self.pass_categories))]
+
+    def pass_ledgers(self):
+        """One :class:`TimeLedger` per warm-up pass, in pass order."""
+        ledgers = []
+        for categories in self.pass_categories:
+            ledger = TimeLedger()
+            ledger.seconds_by_category = dict(categories)
+            ledgers.append(ledger)
+        return ledgers
+
+    @property
+    def vicinity_paper(self):
+        return sum(self.sampler_paper)
+
+    @property
+    def vicinity_model(self):
+        return sum(self.sampler_model)
+
 
 class WarmupPipeline:
-    """Run — or replay — the Scout/Explorer warm-up for a whole plan.
+    """Record — or replay — the warm-up bundle of a whole plan.
 
     The pipeline executes on an
     :class:`~repro.core.context.ExecutionContext`: the context supplies
     the trace (possibly memory-mapped), the (possibly spilled) index,
     the artifact store and the seed, so one context threads identically
-    through DeLorean, DSE and the warm-up machinery.
+    through DeLorean, DSE and the warm-up machinery.  The constructor
+    looks the bundle up in the store; :meth:`run_all` records it on a
+    miss by refining an :class:`IncrementalWarmup` over every region.
     """
 
     def __init__(self, rng_label, context, plan, explorer_specs,
@@ -125,7 +154,6 @@ class WarmupPipeline:
         self.base_meter = base_meter
         self.seed = context.seed
         self.store = context.store
-        self.n_passes = 1 + len(self.explorer_specs)
         # The address excludes the cache hierarchy on purpose: warm-up
         # products are microarchitecture-independent, so every LLC
         # configuration of a sweep shares one bundle.
@@ -149,145 +177,39 @@ class WarmupPipeline:
             self.key["workload_seed"] = self.workload.seed
         self.bundle = (self.store.load(self.key, label="warmup")
                        if self.store is not None else None)
-        self.replayed = self.bundle is not None
-
-    # -- execution -----------------------------------------------------------
 
     def run_all(self):
-        """The per-region warm-up products, live or replayed."""
+        """The plan's :class:`WarmupBundle`, replayed or recorded."""
         if self.bundle is None:
-            self._run_live()
-        return self.bundle.regions
-
-    def _run_live(self):
-        scout_machine = self.context.machine(self.base_meter.fork())
-        explorer_machines = [
-            self.context.machine(self.base_meter.fork())
-            for _ in self.explorer_specs]
-        machines = [scout_machine] + explorer_machines
-
-        rng = self.context.rng(self.rng_label)
-        samplers = [
-            VicinitySampler(machine, density=self.vicinity_density,
-                            density_boost=self.vicinity_boost, rng=rng,
-                            footprint_scale=self.plan.footprint_scale)
-            for machine in explorer_machines]
-        scout = ScoutPass(scout_machine)
-        chain = ExplorerChain(explorer_machines, self.explorer_specs,
-                              vicinity_samplers=samplers,
-                              footprint_scale=self.plan.footprint_scale)
-
-        # Scouts first: the Scout pass is RNG-free and touches only its
-        # own machine, so every region's key set is known before any
-        # Explorer runs — which lets the chain batch each Explorer
-        # level's window profiles across all regions in one index pass.
-        # Explorer execution below keeps the original region-major
-        # order (the vicinity samplers share one RNG), consuming the
-        # precomputed profiles; both orders are bit-identical.
-        region_specs = list(self.plan.regions())
-        reports = []
-        scout_seconds = []
-        for spec in region_specs:
-            mark = scout_machine.meter.ledger.total_seconds
-            reports.append(scout.run_region(spec))
-            scout_seconds.append(
-                scout_machine.meter.ledger.total_seconds - mark)
-        from repro import kernels
-
-        planned = (chain.plan_regions(region_specs, reports)
-                   if kernels.get_backend() != "scalar" else
-                   [None] * len(region_specs))
-
-        regions = []
-        for spec, report, region_planned, scout_delta in zip(
-                region_specs, reports, planned, scout_seconds):
-            marks = [m.meter.ledger.total_seconds
-                     for m in explorer_machines]
-            vicinity = ReuseHistogram()
-            exploration = chain.run_region(spec, report, vicinity,
-                                           planned=region_planned)
-            key_distances = chain.key_reuse_distances(report, exploration)
-            stage_seconds = [scout_delta] + [
-                machine.meter.ledger.total_seconds - marks[k]
-                for k, machine in enumerate(explorer_machines)]
-
-            n_keys = len(key_distances)
-            vicinity_distances, vicinity_weights, vicinity_cold = \
-                vicinity.state()
-            regions.append(RegionWarmup(
-                key_lines=np.fromiter(
-                    key_distances.keys(), np.int64, count=n_keys),
-                key_distances=np.fromiter(
-                    key_distances.values(), np.int64, count=n_keys),
-                vicinity_distances=vicinity_distances,
-                vicinity_weights=vicinity_weights,
-                vicinity_cold=vicinity_cold,
-                n_warming_resolved=len(report.warming_resolved),
-                n_unresolved=len(exploration.unresolved),
-                engaged=exploration.engaged,
-                resolved_by=list(exploration.resolved_by),
-                true_stops=exploration.true_stops,
-                false_stops=exploration.false_stops,
-                stage_seconds=stage_seconds,
-            ))
-
-        self.bundle = WarmupBundle(
-            regions=regions,
-            pass_categories=[dict(m.meter.ledger.seconds_by_category)
-                             for m in machines],
-            sampler_paper=[s.collected_paper_equivalent for s in samplers],
-            sampler_model=[s.collected_model for s in samplers],
-        )
-        if self.store is not None:
-            self.store.save(self.key, self.bundle, label="warmup")
-
-    # -- post-run accessors ---------------------------------------------------
-
-    def stage_times(self):
-        """Per-pass lists of per-region stage seconds (Scout first)."""
-        return [[region.stage_seconds[k] for region in self.bundle.regions]
-                for k in range(self.n_passes)]
-
-    def pass_ledgers(self):
-        """One :class:`TimeLedger` per warm-up pass, in pass order."""
-        ledgers = []
-        for categories in self.bundle.pass_categories:
-            ledger = TimeLedger()
-            ledger.seconds_by_category = dict(categories)
-            ledgers.append(ledger)
-        return ledgers
-
-    @property
-    def vicinity_paper(self):
-        return sum(self.bundle.sampler_paper)
-
-    @property
-    def vicinity_model(self):
-        return sum(self.bundle.sampler_model)
+            warmup = IncrementalWarmup(
+                self.rng_label, self.context, self.explorer_specs,
+                self.vicinity_density, self.vicinity_boost,
+                self.base_meter, self.plan.footprint_scale)
+            for spec in self.plan.regions():
+                warmup.refine(spec)
+            self.bundle = warmup.bundle()
+            if self.store is not None:
+                self.store.save(self.key, self.bundle, label="warmup")
+        return self.bundle
 
 
 class IncrementalWarmup:
-    """Per-region refinable Scout/Explorer execution for live feeds.
+    """The Scout/Explorer region loop, one region per :meth:`refine`.
 
-    Carries exactly the state :meth:`WarmupPipeline._run_live`
-    accumulates — per-pass machines, the shared vicinity RNG, the
-    Explorer chain — but advances one region per :meth:`refine` call as
-    the feed covers it.  Bit-identity with a batch pipeline over the
-    same prefix holds because the Scout is RNG-free, the vicinity
-    samplers consume the shared stream strictly region-major in both
-    orders, and the batch path's cross-region window planning is a pure
-    index query (values identical to the unplanned per-region walk).
-
-    Exposes the same post-run accessors as :class:`WarmupPipeline`
-    (``stage_times``/``pass_ledgers``/``vicinity_*``) evaluated over the
-    regions refined so far, so result assembly is shared code.
+    Owns the per-pass machines, the shared vicinity RNG, the samplers
+    and the Explorer chain.  A live feed refines regions as the feed
+    covers them; :meth:`WarmupPipeline.run_all` refines the whole plan
+    back to back.  Either way each region is Scouted and then explored
+    before the next one starts, so the vicinity samplers consume their
+    shared RNG stream strictly region-major, and :meth:`bundle` over a
+    prefix of regions equals the bundle a batch run records on that
+    prefix.
     """
 
     def __init__(self, rng_label, context, explorer_specs,
                  vicinity_density, vicinity_boost, base_meter,
                  footprint_scale):
         self.explorer_specs = tuple(explorer_specs)
-        self.n_passes = 1 + len(self.explorer_specs)
         self.scout_machine = context.machine(base_meter.fork())
         self.explorer_machines = [context.machine(base_meter.fork())
                                   for _ in self.explorer_specs]
@@ -315,8 +237,7 @@ class IncrementalWarmup:
         marks = [m.meter.ledger.total_seconds
                  for m in self.explorer_machines]
         vicinity = ReuseHistogram()
-        exploration = self.chain.run_region(spec, report, vicinity,
-                                            planned=None)
+        exploration = self.chain.run_region(spec, report, vicinity)
         key_distances = self.chain.key_reuse_distances(report, exploration)
         stage_seconds = [scout_delta] + [
             machine.meter.ledger.total_seconds - marks[k]
@@ -345,8 +266,7 @@ class IncrementalWarmup:
         return region
 
     def bundle(self):
-        """A :class:`WarmupBundle` snapshot of the state so far — the
-        watermark-publishable twin of the batch pipeline's record."""
+        """A :class:`WarmupBundle` snapshot of the regions so far."""
         return WarmupBundle(
             regions=list(self.regions),
             pass_categories=[dict(m.meter.ledger.seconds_by_category)
@@ -355,26 +275,3 @@ class IncrementalWarmup:
                            for s in self.samplers],
             sampler_model=[s.collected_model for s in self.samplers],
         )
-
-    # -- batch-pipeline-compatible accessors -------------------------------
-
-    def stage_times(self):
-        return [[region.stage_seconds[k] for region in self.regions]
-                for k in range(self.n_passes)]
-
-    def pass_ledgers(self):
-        ledgers = []
-        for machine in self.machines:
-            ledger = TimeLedger()
-            ledger.seconds_by_category = dict(
-                machine.meter.ledger.seconds_by_category)
-            ledgers.append(ledger)
-        return ledgers
-
-    @property
-    def vicinity_paper(self):
-        return sum(s.collected_paper_equivalent for s in self.samplers)
-
-    @property
-    def vicinity_model(self):
-        return sum(s.collected_model for s in self.samplers)

@@ -5,8 +5,9 @@ run adds a second axis.  Every published artifact carries a
 ``(lineage, watermark)`` pair:
 
 * the *lineage* fingerprints everything that defines the run except the
-  feed's length — workload name, seed, plan geometry, hierarchy,
-  strategy roster — so every watermark of one feed shares it;
+  feed's length — workload name, seed, plan geometry, hierarchy, and
+  each strategy's name, class and configuration — so every watermark of
+  one feed shares it;
 * the *watermark* is the number of completed inter-region gaps, and the
   key also pins ``content_fp`` (the exact prefix bytes) so a replayed
   feed that diverges cannot alias an old artifact.
@@ -32,7 +33,10 @@ _LABEL_RE = re.compile(
 def live_lineage(name, seed, gap_instructions, region_instructions,
                  warming_instructions, paper_gap_instructions,
                  footprint_scale, hierarchy_config, strategies):
-    """Fingerprint of the run identity shared by every watermark."""
+    """Fingerprint of the run identity shared by every watermark.
+
+    ``strategies`` maps each name to its strategy instance.
+    """
     return fingerprint({
         "artifact": "live-lineage",
         "name": str(name),
@@ -43,8 +47,20 @@ def live_lineage(name, seed, gap_instructions, region_instructions,
         "paper_gap_instructions": int(paper_gap_instructions),
         "footprint_scale": float(footprint_scale),
         "hierarchy": hierarchy_config,
-        "strategies": sorted(strategies),
+        "strategies": {name: _strategy_identity(strategy)
+                       for name, strategy in strategies.items()},
     })
+
+
+def _strategy_identity(strategy):
+    """A strategy's class and configuration, as plain fingerprintable
+    data: every instance attribute except the derived ``core_model``."""
+    cls = type(strategy)
+    return {
+        "class": f"{cls.__module__}.{cls.__qualname__}",
+        "config": {key: value for key, value in vars(strategy).items()
+                   if key != "core_model"},
+    }
 
 
 def live_key(kind, lineage, watermark, content_fp, **extra):

@@ -4,15 +4,14 @@ A :class:`PhaseSpec` describes one contiguous stretch of execution: its
 instruction-kind mix (memory/branch/ALU fractions), its branch
 misprediction rate, and the address engine that supplies load/store
 targets.  :func:`build_trace` materializes a sequence of phases into a
-:class:`~repro.trace.record.Trace`.
+:class:`~repro.trace.record.Trace`: it is the chunk generator
+(:func:`repro.trace.stream.generate_chunks`) with one chunk per phase.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.trace.record import Kind, Trace
-from repro.util.rng import child_rng
+from repro.trace.record import trace_from_chunks
+from repro.trace.stream import generate_chunks
 
 
 @dataclass
@@ -47,68 +46,12 @@ def build_trace(phases, seed, name="trace"):
 
     Generation is fully deterministic in ``seed``; each phase consumes
     independent child streams so editing one phase never perturbs others.
+    The trace is :func:`~repro.trace.stream.generate_chunks` with one
+    chunk per phase, concatenated.
     """
-    kind_parts = []
-    mem_instr_parts = []
-    mem_line_parts = []
-    mem_pc_parts = []
-    mem_store_parts = []
-    br_instr_parts = []
-    br_mispred_parts = []
-
-    instr_offset = 0
-    for index, phase in enumerate(phases):
-        n = phase.n_instructions
-        if n == 0:
-            continue
-        rng_kind = child_rng(seed, name, index, phase.name, "kinds")
-        rng_addr = child_rng(seed, name, index, phase.name, "addrs")
-        rng_br = child_rng(seed, name, index, phase.name, "branches")
-
-        draw = rng_kind.random(n)
-        kinds = np.full(n, Kind.ALU, dtype=np.uint8)
-        mem_mask = draw < phase.mem_fraction
-        store_mask = draw < phase.mem_fraction * phase.store_fraction
-        branch_mask = (~mem_mask) & (
-            draw < phase.mem_fraction + phase.branch_fraction)
-        kinds[mem_mask] = Kind.LOAD
-        kinds[store_mask] = Kind.STORE
-        kinds[branch_mask] = Kind.BRANCH
-
-        mem_pos = np.flatnonzero(mem_mask)
-        n_mem = mem_pos.size
-        lines, pcs = phase.engine.generate(rng_addr, n_mem)
-        if lines.shape[0] != n_mem or pcs.shape[0] != n_mem:
-            raise ValueError(
-                f"engine for phase {phase.name!r} returned wrong-length arrays")
-
-        br_pos = np.flatnonzero(branch_mask)
-        mispred = rng_br.random(br_pos.size) < phase.mispredict_rate
-
-        kind_parts.append(kinds)
-        mem_instr_parts.append(mem_pos.astype(np.int64) + instr_offset)
-        mem_line_parts.append(np.asarray(lines, dtype=np.int64))
-        mem_pc_parts.append(np.asarray(pcs, dtype=np.int32))
-        mem_store_parts.append(store_mask[mem_pos])
-        br_instr_parts.append(br_pos.astype(np.int64) + instr_offset)
-        br_mispred_parts.append(mispred)
-
-        instr_offset += n
-
-    def _cat(parts, dtype):
-        if not parts:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype, copy=False)
-
-    trace = Trace(
-        kind=_cat(kind_parts, np.uint8),
-        mem_instr=_cat(mem_instr_parts, np.int64),
-        mem_line=_cat(mem_line_parts, np.int64),
-        mem_pc=_cat(mem_pc_parts, np.int32),
-        mem_store=_cat(mem_store_parts, bool),
-        branch_instr=_cat(br_instr_parts, np.int64),
-        branch_mispred=_cat(br_mispred_parts, bool),
-        name=name,
-    )
-    trace.validate()
-    return trace
+    phases = list(phases)
+    longest = max((phase.n_instructions for phase in phases), default=1)
+    return trace_from_chunks(
+        generate_chunks(phases, seed, name=name,
+                        chunk_instructions=longest),
+        name=name)

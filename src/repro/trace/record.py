@@ -199,8 +199,9 @@ def trace_from_chunks(chunks, name="trace"):
     Chunks must arrive in order and cover the trace contiguously from
     instruction 0 (what :func:`repro.trace.stream.generate_chunks` and
     :meth:`~repro.traceio.reader.TraceReader.iter_chunks` yield).  This
-    is the materializing consumer — differential tests use it to compare
-    a chunked producer against its monolithic counterpart.
+    is the materializing consumer: :func:`~repro.trace.phases.build_trace`
+    concatenates its one-chunk-per-phase stream with it, and
+    differential tests use it to compare chunked producers.
     """
     parts = {field: [] for field in (
         "kind", "mem_instr", "mem_line", "mem_pc", "mem_store",

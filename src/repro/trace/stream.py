@@ -1,14 +1,14 @@
-"""Chunk-wise synthetic trace generation, bit-identical to the monolith.
+"""Chunk-wise synthetic trace generation — the one trace generator.
 
-:func:`generate_chunks` emits the exact trace
-:func:`repro.trace.phases.build_trace` would materialize — same seed,
-same arrays, bit for bit — but as a stream of bounded
-:class:`~repro.trace.record.TraceChunk` windows, so a synthetic workload
-can flow straight into a native container (or a spilled store blob)
-without the canonical arrays ever existing in RAM at once.
+:func:`generate_chunks` emits the trace of a phase recipe as a stream of
+bounded :class:`~repro.trace.record.TraceChunk` windows, so a synthetic
+workload can flow straight into a native container (or a spilled store
+blob) without the canonical arrays ever existing in RAM at once.
+:func:`repro.trace.phases.build_trace` is the same generator with one
+chunk per phase, concatenated.
 
-Chunk-size invariance is the load-bearing property: the monolithic
-generator makes *one* engine call per phase, whose internal RNG
+Chunk-size invariance is the load-bearing property: with one chunk per
+phase, each phase makes *one* engine call, whose internal RNG
 consumption interleaves several draw blocks (mixture choices, each
 component's index block, each component's PC block).  Splitting that
 call naively would interleave the blocks differently and change the
@@ -20,11 +20,14 @@ exact; the differential harness (``tests/test_stream_equivalence.py``)
 pins the equivalence across seeds, phase mixes and chunk sizes
 (including chunk = 1 and chunk > n).
 
-The price is a second walk over the discarded blocks: chunked
-generation costs roughly twice the RNG work of the monolithic build.
-That is the bounded-memory trade — the monolithic path stays untouched
-and remains the default for RAM-resident workloads.
+The price is a second walk over the discarded blocks: a phase split
+into several chunks costs roughly twice the RNG work of a single engine
+call.  That is the bounded-memory trade, and only split phases pay it:
+a phase that fits in one chunk draws its kinds once and calls the
+engine directly.
 """
+
+import functools
 
 import numpy as np
 
@@ -81,17 +84,22 @@ def generate_phase_chunks(phase, index, seed, name="trace",
     rng_addr = child_rng(seed, name, index, phase.name, "addrs")
     rng_br = child_rng(seed, name, index, phase.name, "branches")
 
-    # Size the engine cursor: the monolithic build makes one
-    # generate(rng_addr, n_mem) call, so the cursor needs the
-    # phase's access total before the first chunk is emitted.
-    counter = clone_rng(rng_kind)
-    n_mem = 0
-    for lo in range(0, n, chunk_instructions):
-        m = min(chunk_instructions, n - lo)
-        n_mem += int(np.count_nonzero(
-            counter.random(m) < phase.mem_fraction))
-    cursor = (phase.engine.chunk_cursor(rng_addr, n_mem)
-              if n_mem else None)
+    if n <= chunk_instructions:
+        # One chunk: the phase's single generate(rng_addr, n_mem) call,
+        # with no counting pre-pass and no cursor.
+        take = functools.partial(phase.engine.generate, rng_addr)
+    else:
+        # Size the engine cursor: it replays that single call in
+        # pieces, so it needs the phase's access total before the
+        # first chunk is emitted.
+        counter = clone_rng(rng_kind)
+        n_mem = 0
+        for lo in range(0, n, chunk_instructions):
+            m = min(chunk_instructions, n - lo)
+            n_mem += int(np.count_nonzero(
+                counter.random(m) < phase.mem_fraction))
+        take = (phase.engine.chunk_cursor(rng_addr, n_mem).take
+                if n_mem else None)
 
     for lo in range(0, n, chunk_instructions):
         hi = min(n, lo + chunk_instructions)
@@ -107,7 +115,7 @@ def generate_phase_chunks(phase, index, seed, name="trace",
 
         mem_pos = np.flatnonzero(mem_mask)
         if mem_pos.size:
-            lines, pcs = cursor.take(mem_pos.size)
+            lines, pcs = take(mem_pos.size)
             if lines.shape[0] != mem_pos.size \
                     or pcs.shape[0] != mem_pos.size:
                 raise ValueError(

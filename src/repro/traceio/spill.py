@@ -94,11 +94,6 @@ class ArraySpill:
         handle.write(data.tobytes())
         self._rows[name] += data.shape[0]
 
-    def append_batch(self, batch):
-        """Append a ``{name: array}`` batch (missing columns untouched)."""
-        for name, array in batch.items():
-            self.append(name, array)
-
     def rows(self, name):
         """Rows appended to one column so far."""
         return self._rows[name]

@@ -243,40 +243,23 @@ class _PositionIndex:
         """Window counts and last positions for many keys at once.
 
         Equivalent to per-key ``count_in`` / ``last_in`` over ``[lo,
-        hi)``: :meth:`multi_counts_and_last` with one window shared by
-        every key.  Returns ``(counts, last)`` aligned with ``keys``
+        hi)``.  Every key's position run is gathered with one
+        grouped-arange, masked against the window and reduced.
+        Gathering is window-independent (it touches every occurrence of
+        every key), so when the gathered runs dwarf the per-key binary
+        searches the loop is used instead — results are identical
+        either way.  Returns ``(counts, last)`` aligned with ``keys``
         (``-1`` marks a key unseen in the window).
         """
-        return self.multi_counts_and_last(keys, lo, hi)
-
-    def multi_counts_and_last(self, keys, los, his):
-        """Per-entry window counts and last positions, many windows at
-        once.
-
-        Aligned arrays: entry ``i`` asks for ``keys[i]`` over
-        ``[los[i], his[i])``; scalar ``los``/``his`` give every entry
-        the same window.  Every key's position run is gathered with one
-        grouped-arange, masked against its window, and reduced, so a
-        planner profiling every region's window in a single call
-        touches each mapped position run once instead of once per
-        region.  Gathering is window-independent (it touches every
-        occurrence of every key), so when the gathered runs dwarf the
-        per-entry binary searches the loop is used instead — results
-        are identical either way.  Returns ``(counts, last)`` aligned
-        with ``keys`` (``-1`` marks an entry unseen in its window).
-        """
         keys = np.asarray(keys, dtype=np.int64)
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
-        per_entry = los.ndim > 0
         n_keys = keys.shape[0]
         counts = np.zeros(n_keys, dtype=np.int64)
         last = np.full(n_keys, -1, dtype=np.int64)
-        if n_keys == 0 or self._keys.shape[0] == 0:
+        if n_keys == 0 or self._keys.shape[0] == 0 or hi <= lo:
             return counts, last
         slot = np.minimum(np.searchsorted(self._keys, keys),
                           self._keys.shape[0] - 1)
-        present = (self._keys[slot] == keys) & (his > los)
+        present = self._keys[slot] == keys
         starts = np.where(present, self._starts[slot], 0)
         lengths = np.where(present, self._starts[slot + 1] - starts, 0)
         total = int(lengths.sum())
@@ -284,7 +267,6 @@ class _PositionIndex:
             return counts, last
         if total > 256 * n_keys:
             for k in np.flatnonzero(lengths).tolist():
-                lo, hi = (los[k], his[k]) if per_entry else (los, his)
                 run = self._positions[starts[k]:starts[k] + lengths[k]]
                 at_hi = int(np.searchsorted(run, hi, side="left"))
                 at_lo = int(np.searchsorted(run, lo, side="left"))
@@ -297,9 +279,7 @@ class _PositionIndex:
         flat = (np.repeat(starts - cum, lengths)
                 + np.arange(total, dtype=np.int64))
         positions = self._positions[flat]
-        if per_entry:
-            los, his = los[key_of], his[key_of]
-        in_window = (positions >= los) & (positions < his)
+        in_window = (positions >= lo) & (positions < hi)
         matched_key = key_of[in_window]
         counts += np.bincount(matched_key, minlength=n_keys)
         np.maximum.at(last, matched_key, positions[in_window])
@@ -898,34 +878,3 @@ class TraceIndex:
         """
         return self.lines.batch_counts_and_last(
             np.asarray(lines, dtype=np.int64), lo, hi)
-
-    def multi_window_access_counts(self, lines, los, his):
-        """Aligned-entry :meth:`window_access_counts` over many windows.
-
-        Entry ``i`` asks for ``lines[i]`` within ``[los[i], his[i])``;
-        one pass over the mapped line index serves every window.
-        """
-        return self.lines.multi_counts_and_last(
-            np.asarray(lines, dtype=np.int64), los, his)
-
-    def multi_page_stops(self, pages_per_window, los, his):
-        """Per-window :meth:`page_stops_in` totals in one index pass.
-
-        ``pages_per_window[i]`` is the protected page set of window
-        ``[los[i], his[i])``; returns the aligned stop totals.  Values
-        are identical to calling :meth:`page_stops_in` per window.
-        """
-        sizes = np.asarray([len(pages) for pages in pages_per_window],
-                           dtype=np.int64)
-        totals = np.zeros(sizes.shape[0], dtype=np.int64)
-        if sizes.sum() == 0:
-            return totals
-        window_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int64),
-                              sizes)
-        keys = np.concatenate([np.asarray(pages, dtype=np.int64)
-                               for pages in pages_per_window if len(pages)])
-        counts, _ = self.pages.multi_counts_and_last(
-            keys, np.repeat(np.asarray(los, dtype=np.int64), sizes),
-            np.repeat(np.asarray(his, dtype=np.int64), sizes))
-        np.add.at(totals, window_of, counts)
-        return totals

@@ -132,72 +132,6 @@ class WatchpointEngine:
         profile.unresolved = tuple(unresolved)
         return profile
 
-    def profile_windows(self, requests):
-        """Batched :meth:`profile_window` over many windows at once.
-
-        ``requests`` is a sequence of ``(watched_lines, access_lo,
-        access_hi)`` triples; returns the aligned
-        :class:`WatchpointProfile` list with values identical to the
-        per-window calls.  On a non-scalar backend the line and page
-        queries for *every* window collapse into one multi-window index
-        pass each — on a cold spilled index this touches the mapped
-        position tables once instead of once per region.  The scalar
-        backend keeps the reference per-window loop.
-        """
-        if kernels.get_backend() == "scalar" or len(requests) <= 1:
-            return [self.profile_window(watched, lo, hi)
-                    for watched, lo, hi in requests]
-        profiles = [None] * len(requests)
-        live = []
-        for slot, (watched, lo, hi) in enumerate(requests):
-            watched = np.unique(
-                np.asarray(list(watched), dtype=np.int64))
-            if watched.size == 0 or hi <= lo:
-                profile = WatchpointProfile()
-                profile.unresolved = tuple(int(l) for l in watched)
-                profiles[slot] = profile
-            else:
-                live.append((slot, watched, lo, hi))
-        if not live:
-            return profiles
-
-        s = telemetry.session()
-        t0 = time.perf_counter() if s is not None else 0.0
-        keys = np.concatenate([watched for _, watched, _, _ in live])
-        sizes = np.asarray([watched.shape[0]
-                            for _, watched, _, _ in live], dtype=np.int64)
-        los = np.repeat(np.asarray([lo for _, _, lo, _ in live],
-                                   dtype=np.int64), sizes)
-        his = np.repeat(np.asarray([hi for _, _, _, hi in live],
-                                   dtype=np.int64), sizes)
-        counts, last = self.index.multi_window_access_counts(
-            keys, los, his)
-        if s is not None:
-            s.add_time("kernel.watchpoint_profile",
-                       time.perf_counter() - t0)
-        page_stops = self.index.multi_page_stops(
-            [self.index.pages_of_lines(watched)
-             for _, watched, _, _ in live],
-            [lo for _, _, lo, _ in live],
-            [hi for _, _, _, hi in live])
-        offset = 0
-        for j, (slot, watched, lo, hi) in enumerate(live):
-            n = watched.shape[0]
-            window_counts = counts[offset:offset + n]
-            window_last = last[offset:offset + n]
-            offset += n
-            profile = WatchpointProfile()
-            resolved = window_counts > 0
-            profile.last_access = dict(zip(
-                watched[resolved].tolist(),
-                window_last[resolved].tolist()))
-            profile.true_stops = int(window_counts.sum())
-            profile.false_stops = max(
-                0, int(page_stops[j]) - profile.true_stops)
-            profile.unresolved = tuple(watched[~resolved].tolist())
-            profiles[slot] = profile
-        return profiles
-
     def await_next_reuse(self, line, access_position, access_limit):
         """Arm a watchpoint on ``line`` right after ``access_position`` and
         run until its next access or ``access_limit``.

@@ -317,6 +317,24 @@ def test_dse_configs_match_one_config_sweeps(small_workload, small_plan,
         _config_signature(sweep.results[1])
 
 
+def test_delorean_without_explorers_matches_scout_only_sweep(
+        small_workload, small_plan, small_index, hierarchy):
+    """A Scout-only DeLorean run (no Explorer coverage) works, calls
+    every key line the warming window misses cold, and draws no
+    vicinity RNG, so it equals a one-config zero-Explorer sweep."""
+    result = DeLorean(explorer_specs=()).run(
+        small_workload, small_plan, hierarchy, index=small_index, seed=2)
+    extras = result.extras
+    assert extras["resolved_by_explorer"] == []
+    assert extras["explorers_engaged"] == [0] * small_plan.n_regions
+    assert (extras["cold_key_lines"] + extras["resolved_in_warming"]
+            == sum(extras["key_lines_per_region"]))
+    sweep = DesignSpaceExploration(explorer_specs=()).run(
+        small_workload, small_plan, [hierarchy], index=small_index, seed=2)
+    assert _config_signature(result) == \
+        _config_signature(sweep.results[0])
+
+
 def test_dse_requires_configs(small_workload, small_plan, small_index):
     with pytest.raises(ValueError):
         DesignSpaceExploration().run(small_workload, small_plan, [],

@@ -87,76 +87,52 @@ def test_last_in_matches_brute_force(lines):
         assert idx.lines.last_in(key, 0, len(lines)) == expected
 
 
-# -- multi-window batched queries (the Explorer planner primitives) ----------
+# -- batched window queries (Scout, watchpoint profiles, page stops) ---------
 
-def _assert_multi_matches_per_entry(idx, keys, los, his):
-    counts, last = idx.lines.multi_counts_and_last(
-        np.asarray(keys, dtype=np.int64),
-        np.asarray(los, dtype=np.int64),
-        np.asarray(his, dtype=np.int64))
-    for i, (key, lo, hi) in enumerate(zip(keys, los, his)):
+def _assert_batch_matches_per_key(idx, keys, lo, hi):
+    counts, last = idx.lines.batch_counts_and_last(
+        np.asarray(keys, dtype=np.int64), lo, hi)
+    assert counts.shape == last.shape == (len(keys),)
+    for i, key in enumerate(keys):
         assert counts[i] == idx.lines.count_in(key, lo, hi), (i, key)
         assert last[i] == idx.lines.last_in(key, lo, hi), (i, key)
 
 
-def test_multi_counts_and_last_matches_per_entry():
+def test_batch_counts_and_last_matches_per_entry():
     rng = np.random.default_rng(11)
     lines = rng.integers(0, 40, size=500).tolist()
     idx = index_for(lines)
-    # Absent keys (>= 40), duplicate keys with different windows, empty
-    # (hi <= lo) windows, and full-trace windows all mixed together.
-    keys = rng.integers(0, 50, size=64).tolist() + [3, 3, 3]
-    los = rng.integers(0, 500, size=64).tolist() + [0, 100, 400]
-    his = [min(500, lo + int(span)) for lo, span in
-           zip(los[:64], rng.integers(0, 300, size=64))] + [500, 90, 500]
-    _assert_multi_matches_per_entry(idx, keys, los, his)
+    # Absent keys (>= 40), duplicate keys, zero-width windows and the
+    # full-trace window, one call per window.
+    windows = [(0, 500), (100, 100), (400, 500), (499, 500)]
+    for lo in rng.integers(0, 500, size=16).tolist():
+        windows.append((lo, min(500, lo + int(rng.integers(0, 300)))))
+    for lo, hi in windows:
+        keys = rng.integers(0, 50, size=24).tolist() + [3, 3]
+        _assert_batch_matches_per_key(idx, keys, lo, hi)
 
 
-def test_multi_counts_and_last_escape_path():
+def test_batch_counts_and_last_escape_path():
     # Few keys with huge runs trips the total > 256 * n_keys escape
     # (per-key binary search) — values must be identical to the gather.
     rng = np.random.default_rng(13)
     lines = rng.integers(0, 4, size=3_000).tolist()
     idx = index_for(lines)
     keys = [1, 2, 9]                      # 9 is absent
-    los = [100, 0, 0]
-    his = [2_500, 3_000, 3_000]
     assert int(sum(idx.lines.count_in(k, 0, 3_000) for k in keys)) \
         > 256 * len(keys)
-    _assert_multi_matches_per_entry(idx, keys, los, his)
+    for lo, hi in [(100, 2_500), (0, 3_000), (2_999, 3_000)]:
+        _assert_batch_matches_per_key(idx, keys, lo, hi)
 
 
-def test_multi_counts_and_last_empty_inputs():
+def test_batch_counts_and_last_empty_inputs():
     idx = index_for([5, 7, 5])
-    counts, last = idx.lines.multi_counts_and_last(
-        np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64),
-        np.asarray([], dtype=np.int64))
+    counts, last = idx.lines.batch_counts_and_last(
+        np.asarray([], dtype=np.int64), 0, 3)
     assert counts.size == 0 and last.size == 0
-    counts, last = idx.lines.multi_counts_and_last(
-        np.asarray([5], dtype=np.int64), np.asarray([2], dtype=np.int64),
-        np.asarray([2], dtype=np.int64))
+    counts, last = idx.lines.batch_counts_and_last(
+        np.asarray([5], dtype=np.int64), 2, 2)
     assert counts.tolist() == [0] and last.tolist() == [-1]
-
-
-def test_multi_page_stops_matches_per_window():
-    rng = np.random.default_rng(17)
-    lines = rng.integers(0, 300, size=800).tolist()
-    idx = index_for(lines)
-    windows = [(0, 800), (100, 700), (300, 300), (750, 800)]
-    pages_per_window = [
-        idx.pages_of_lines(rng.choice(lines, size=30)),
-        idx.pages_of_lines([0, 64, 128]),
-        idx.pages_of_lines([0]),
-        np.asarray([], dtype=np.int64),
-    ]
-    totals = idx.multi_page_stops(pages_per_window,
-                                  [lo for lo, _ in windows],
-                                  [hi for _, hi in windows])
-    for total, pages, (lo, hi) in zip(totals.tolist(), pages_per_window,
-                                      windows):
-        assert total == idx.page_stops_in(pages, lo, hi)
-    assert idx.multi_page_stops([np.asarray([], dtype=np.int64)],
-                                [0], [800]).tolist() == [0]
 
 
 # -- the grouping helper every builder sorts with ----------------------------

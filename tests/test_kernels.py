@@ -459,43 +459,9 @@ class TestWatchpointKernel:
             for backend in kernels.BACKENDS:
                 assert profiles[backend] == profiles["scalar"], backend
 
-    def test_profile_windows_matches_per_window(self):
-        """The multi-window batch == per-window calls, every backend."""
-        workload = make_small_workload(seed=37, n_instructions=40_000)
-        index = TraceIndex(workload.trace)
-        engine = WatchpointEngine(index)
-        rng = np.random.default_rng(5)
-        n_accesses = workload.trace.n_accesses
-        requests = []
-        for _ in range(6):
-            lo = int(rng.integers(0, n_accesses - 1))
-            hi = int(rng.integers(lo, n_accesses))
-            watched = np.concatenate(
-                (rng.choice(workload.trace.mem_line, size=30), [10**9]))
-            requests.append((watched, lo, hi))
-        # Degenerate entries the batch must short-circuit identically.
-        requests.append((np.asarray([], dtype=np.int64), 0, n_accesses))
-        requests.append((requests[0][0], 100, 100))
-
-        def identity(p):
-            return (p.last_access, p.unresolved, p.true_stops,
-                    p.false_stops)
-
-        outputs = {}
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
-                batched = [identity(p)
-                           for p in engine.profile_windows(requests)]
-                single = [identity(engine.profile_window(w, lo, hi))
-                          for w, lo, hi in requests]
-                assert batched == single, backend
-                outputs[backend] = batched
-        for backend in kernels.BACKENDS:
-            assert outputs[backend] == outputs["scalar"], backend
-
 
 class TestExplorerPlanBatch:
-    """The batched window planner vs the unplanned per-region walk."""
+    """The Explorer chain's one walk: per region, level by level."""
 
     def _scouted(self, seed=41, n_instructions=90_000, n_regions=3):
         from repro.core.scout import ScoutPass
@@ -511,7 +477,7 @@ class TestExplorerPlanBatch:
         reports = [scout.run_region(spec) for spec in region_specs]
         return workload, index, region_specs, reports
 
-    def test_planned_profiles_match_unplanned(self):
+    def test_plan_regions_matches_profile_window_chain(self):
         from repro.core.explorer import DEFAULT_EXPLORERS, ExplorerChain
         from repro.vff.machine import VirtualMachine
 
@@ -523,8 +489,8 @@ class TestExplorerPlanBatch:
         for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
                 planned = chain.plan_regions(region_specs, reports)
-                # Replay run_region's pending walk with per-window calls
-                # and check each planned profile against it.
+                # Replay the pending walk with per-level profile_window
+                # calls and check each planned profile against it.
                 for i, (region_spec, report) in enumerate(
                         zip(region_specs, reports)):
                     pending = sorted(report.unresolved_after_warming)
@@ -553,7 +519,7 @@ class TestExplorerPlanBatch:
             assert outputs[backend] == outputs["scalar"], backend
 
     def test_delorean_identical_across_backends(self):
-        """Scouts-first + planned profiles changes nothing observable."""
+        """The Explorer walk is identical on every backend."""
         from repro.core import DeLorean
         from repro.core.context import ExecutionContext
 

@@ -26,6 +26,10 @@ import pytest
 from conftest import make_small_workload
 
 from repro.caches.hierarchy import paper_hierarchy
+from repro.core.context import ExecutionContext
+from repro.core.delorean import DeLorean
+from repro.core.explorer import DEFAULT_EXPLORERS
+from repro.core.warmup import WarmupPipeline
 from repro.live import (
     LiveRunner,
     PrefixWorkload,
@@ -49,6 +53,7 @@ from repro.trace.phases import PhaseSpec
 from repro.trace.record import trace_from_chunks
 from repro.trace.stream import generate_chunks
 from repro.traceio.container import trace_fingerprint
+from repro.vff.costmodel import CostMeter
 
 SEED = 7
 GAP = 40_000
@@ -67,7 +72,8 @@ def _identity(result):
               r.timing.total_cycles) for r in result.regions])
 
 
-def _batch_identities(trace, watermark, plan_kwargs=None):
+def _batch_identities(trace, watermark, plan_kwargs=None,
+                      strategies=None):
     """Fresh from-scratch batch runs over the exact watermark prefix."""
     kwargs = dict(region_instructions=10_000, warming_instructions=30_000)
     kwargs.update(plan_kwargs or {})
@@ -76,7 +82,7 @@ def _batch_identities(trace, watermark, plan_kwargs=None):
                         n_regions=watermark, **kwargs)
     prefix = prefix_trace(trace, watermark * gap)
     out = {}
-    for name, strategy in default_strategies().items():
+    for name, strategy in (strategies or default_strategies()).items():
         workload = PrefixWorkload(prefix, seed=SEED)
         out[name] = _identity(strategy.run(workload, plan, HIERARCHY,
                                            seed=SEED))
@@ -130,6 +136,24 @@ class TestWatermarkEquivalence:
                         == batch_reference[(w.watermark, name)]), \
                     (spill_mode, w.watermark, name)
 
+    def test_scout_only_delorean_matches_batch(self, full_trace):
+        """DeLorean without Explorers (no Explorer coverage) refines
+        live bit-identically to its batch prefix runs."""
+        def strategies():
+            return {"DeLorean": DeLorean(explorer_specs=())}
+
+        with LiveRunner(GAP, HIERARCHY, name="small", seed=SEED,
+                        strategies=strategies()) as runner:
+            watermarks = runner.run(chunk_trace(full_trace, CHUNK))
+        assert [w.watermark for w in watermarks] == [1, 2]
+        for w in watermarks:
+            reference = _batch_identities(full_trace, w.watermark,
+                                          strategies=strategies())
+            assert w.results["DeLorean"].extras["resolved_by_explorer"] \
+                == []
+            assert _identity(w.results["DeLorean"]) == \
+                reference["DeLorean"], w.watermark
+
     def test_plans_nest_across_watermarks(self, tmp_path, full_trace):
         with LiveRunner(GAP, HIERARCHY, name="small", seed=SEED) \
                 as runner:
@@ -149,6 +173,61 @@ class TestWatermarkEquivalence:
                      for name, result in watermarks[0].results.items()}
         for name, ident in early.items():
             assert _identity(watermarks[0].results[name]) == ident
+
+
+def _bundle_fields(bundle):
+    """Every field of a warm-up bundle, as comparable plain values."""
+    regions = [
+        (region.key_lines.tolist(), region.key_distances.tolist(),
+         region.vicinity_distances.tolist(),
+         region.vicinity_weights.tolist(), region.vicinity_cold,
+         region.stage_seconds, region.n_warming_resolved,
+         region.n_unresolved, region.engaged, region.resolved_by,
+         region.true_stops, region.false_stops)
+        for region in bundle.regions]
+    return (regions, bundle.pass_categories, bundle.sampler_paper,
+            bundle.sampler_model)
+
+
+class TestWarmupBundleEquivalence:
+    """The bundle live publishes == the bundle a batch run records."""
+
+    def test_published_bundle_matches_batch_record(self, tmp_path,
+                                                   full_trace):
+        store = ArtifactStore(root=tmp_path / "live", enabled=True)
+        with LiveRunner(GAP, HIERARCHY, name="small", seed=SEED,
+                        store=store,
+                        strategies={"DeLorean": DeLorean()}) as runner:
+            watermarks = runner.run(chunk_trace(full_trace, CHUNK))
+            lineage = runner.lineage
+        assert [w.watermark for w in watermarks] == [1, 2]
+        for w in watermarks:
+            published = store.load(artifacts.live_key(
+                "warmup", lineage, w.watermark, w.content_fp,
+                strategy="DeLorean"))
+            assert published is not None
+            assert len(published.regions) == w.watermark
+
+            batch_store = ArtifactStore(
+                root=tmp_path / f"batch{w.watermark}", enabled=True)
+            plan = SamplingPlan(n_instructions=w.instructions,
+                                n_regions=w.watermark,
+                                region_instructions=10_000,
+                                warming_instructions=30_000)
+            workload = PrefixWorkload(
+                prefix_trace(full_trace, w.instructions), seed=SEED)
+            strategy = DeLorean()
+            strategy.run(workload, plan, HIERARCHY, seed=SEED,
+                         store=batch_store)
+            # A pipeline with the batch run's key reads its record back.
+            recorded = WarmupPipeline(
+                "delorean-vicinity",
+                ExecutionContext(workload, seed=SEED, store=batch_store),
+                plan, strategy.explorer_specs, strategy.vicinity_density,
+                strategy.vicinity_boost, CostMeter(scale=plan.scale)).bundle
+            assert recorded is not None
+            assert _bundle_fields(published) == _bundle_fields(recorded), \
+                w.watermark
 
 
 TINY_GAP = 1_000
@@ -261,6 +340,31 @@ class TestWatermarkArtifacts:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             artifacts.live_key("bogus", "ab" * 32, 1, "cd" * 32)
+
+    def test_strategy_options_separate_lineages(self, tmp_path,
+                                                full_trace):
+        """Runners differing only in a strategy's options never share
+        store keys: each stored result loads back as its own run's."""
+        store = ArtifactStore(root=tmp_path / "cache", enabled=True)
+        runs = []
+        for explorers in (DEFAULT_EXPLORERS, DEFAULT_EXPLORERS[:1]):
+            with LiveRunner(GAP, HIERARCHY, name="small", seed=SEED,
+                            store=store, spill="never",
+                            strategies={"DeLorean": DeLorean(
+                                explorer_specs=explorers)}) as runner:
+                runs.append((runner.lineage, runner.run(
+                    chunk_trace(full_trace, CHUNK))))
+        assert runs[0][0] != runs[1][0]
+        assert (_identity(runs[0][1][-1].results["DeLorean"])
+                != _identity(runs[1][1][-1].results["DeLorean"]))
+        for lineage, watermarks in runs:
+            for w in watermarks:
+                loaded = store.load(artifacts.live_key(
+                    "result", lineage, w.watermark, w.content_fp,
+                    strategy="DeLorean"))
+                assert loaded is not None
+                assert _identity(loaded) == \
+                    _identity(w.results["DeLorean"]), w.watermark
 
     def test_publish_and_supersede(self, tmp_path, full_trace):
         store = ArtifactStore(root=tmp_path / "cache", enabled=True)

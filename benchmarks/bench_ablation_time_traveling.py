@@ -29,7 +29,7 @@ def run_ablation(runner):
         if name not in runner.names:
             continue
         workload = runner._workload(name)
-        index = runner._index(name)
+        index = runner._context(name).index
         naive = NaiveDirectedWarming().run(
             workload, plan, hierarchy, index=index, seed=runner.config.seed)
         delorean = runner.run(name, "DeLorean")

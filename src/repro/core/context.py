@@ -10,9 +10,10 @@ execution-side resources of one run:
   :class:`~repro.traceio.reader.TraceReader` view rather than RAM
   arrays);
 * the **TraceIndex**, built lazily under the spill policy
-  (``REPRO_INDEX_SPILL``): streamed traces get a bounded, store-spilled,
-  memory-mapped index so queries never require the O(accesses) tables
-  in RAM;
+  (``REPRO_INDEX_SPILL``) inside a ``phase.index`` telemetry span:
+  streamed traces get a bounded, store-spilled, memory-mapped index so
+  queries never require the O(accesses) tables in RAM (the suite
+  runner's contexts build and own theirs this way);
 * the artifact **store** and the run **seed** (strategies derive their
   RNG streams through :meth:`rng`).
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry
 from repro.util.rng import child_rng
 from repro.vff.index import TraceIndex
 from repro.vff.machine import VirtualMachine
@@ -60,18 +62,6 @@ def index_spill_mode():
     raise ValueError(
         f"REPRO_INDEX_SPILL must be one of {SPILL_MODES} (or an alias "
         f"like 'off'/'on'), got {raw!r}")
-
-
-def wants_spill(workload, mode=None):
-    """Whether the policy asks for a spilled index for this workload.
-
-    The single place the dispatch rule lives — the suite runner and
-    :class:`ExecutionContext` both consult it.
-    """
-    mode = mode if mode is not None else index_spill_mode()
-    return (mode == "always"
-            or (mode == "auto"
-                and bool(getattr(workload, "streaming", False))))
 
 
 @dataclass
@@ -165,13 +155,23 @@ class ExecutionContext:
         return self._index
 
     def _build_index(self):
-        store = self.store
-        if not wants_spill(self.workload, self._spill):
-            return TraceIndex(self.trace)
-        # A store-less build never reads the key: skip its fingerprint.
-        key = (self._default_index_key()
-               if getattr(store, "enabled", False) else None)
-        return TraceIndex.build_spilled(self.trace, store, key)
+        """Build the index under the spill policy (``phase.index`` span).
+
+        ``always`` spills every workload and ``auto`` only streaming
+        ones; the rest sort in RAM.  A spilled build publishes through
+        an enabled store and is served back memory-mapped.
+        """
+        mode = self._spill if self._spill is not None else index_spill_mode()
+        spill = mode == "always" or (mode == "auto" and self.streaming)
+        spilled = spill and getattr(self.store, "enabled", False)
+        with telemetry.span("phase.index", rss=True, benchmark=self.name,
+                            spilled=spilled):
+            if not spill:
+                return TraceIndex(self.trace)
+            # A store-less build never reads the key: skip its
+            # fingerprint.
+            key = self._default_index_key() if spilled else None
+            return TraceIndex.build_spilled(self.trace, self.store, key)
 
     def _default_index_key(self):
         if self._index_key is not None:

@@ -7,12 +7,15 @@ lifetime of the process and keeps at most one workload's trace and index
 in memory at a time.
 
 Memoization is backed by the persistent artifact store
-(:mod:`repro.store`): results, design-space reports and trace-index
-position tables are addressed by stable fingerprints of (workload spec,
-experiment config, strategy + options), so a second ``python -m repro``
-invocation — or a DSE sweep weeks later — warm-starts from disk instead
-of re-simulating.  ``REPRO_CACHE=off`` restores purely in-process
-memoization.
+(:mod:`repro.store`): results and design-space reports are addressed by
+stable fingerprints of (workload spec, experiment config, strategy +
+options), so a second ``python -m repro`` invocation — or a DSE sweep
+weeks later — warm-starts from disk instead of re-simulating.
+``REPRO_CACHE=off`` restores purely in-process memoization.  The trace
+index is not persisted here: each benchmark's
+:class:`~repro.core.context.ExecutionContext` builds and owns it
+(sorting in RAM is faster than loading stored tables), spilling it
+through the store only in streaming mode (below).
 
 Benchmark names resolve through :mod:`repro.traceio` first — imported
 traces (and process-registered workloads) run through the identical
@@ -29,9 +32,10 @@ every requested strategy against it).  Workers share the parent's cache
 directory — the disk tier's atomic writes make that safe — and hand back
 store digests rather than pickled results when the store is enabled.
 
-The pool is **resilient** (:mod:`repro.reliability`): every dispatched
-task gets a per-task timeout (``REPRO_TASK_TIMEOUT``) and a retry
-budget (``REPRO_TASK_RETRIES``, default 2) with exponential backoff and
+The pool is **resilient** (:func:`repro.reliability.pool.run_rounds`,
+shared with ``synth export --jobs``): every dispatched task gets a
+per-task timeout (``REPRO_TASK_TIMEOUT``) and a retry budget
+(``REPRO_TASK_RETRIES``, default 2) with exponential backoff and
 deterministic jitter (``REPRO_RETRY_BACKOFF``); a killed or crashed
 worker breaks one round, not the campaign — the pool is rebuilt and the
 unfinished tasks re-dispatched, resuming from any result digests a
@@ -56,31 +60,15 @@ scales with the sampled regions rather than the trace length.
 
 import json
 import os
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
 from repro import telemetry
 from repro.caches.hierarchy import paper_hierarchy
-from repro.core.context import ExecutionContext, index_spill_mode, wants_spill
+from repro.core.context import ExecutionContext, index_spill_mode
 from repro.core.delorean import DeLorean
 from repro.core.dse import DesignSpaceExploration
 from repro.reliability.faults import active_plan, visit_task_seam
-from repro.reliability.report import (
-    KIND_ABORTED,
-    KIND_CRASH,
-    KIND_ERROR,
-    KIND_TIMEOUT,
-    MatrixExecutionError,
-    MatrixReport,
-)
-from repro.reliability.retry import (
-    kill_pool_workers,
-    pool_backoff,
-    pool_retries,
-    pool_timeout,
-    sleep_before_retry,
-)
+from repro.reliability.pool import run_rounds
+from repro.reliability.report import MatrixExecutionError, MatrixReport
 from repro.sampling.coolsim import CoolSim
 from repro.sampling.plan import SamplingPlan
 from repro.sampling.smarts import Smarts
@@ -91,23 +79,12 @@ from repro.traceio import (
     resolve_workload,
     workload_fingerprint,
 )
-from repro.vff.index import TraceIndex
 
 STRATEGIES = {
     "SMARTS": Smarts,
     "CoolSim": CoolSim,
     "DeLorean": DeLorean,
 }
-
-
-#: The shared ``pool.task`` seam visit (worker entry / exit) — see
-#: :func:`repro.reliability.faults.visit_task_seam`.
-_visit_task_seam = visit_task_seam
-
-
-#: Worker teardown on deadline breach — see
-#: :func:`repro.reliability.retry.kill_pool_workers`.
-_kill_pool_workers = kill_pool_workers
 
 
 def _run_benchmark_worker(config, name, strategies, llc, options, backend,
@@ -135,7 +112,7 @@ def _run_benchmark_worker(config, name, strategies, llc, options, backend,
 
     if fault_spec is not None:
         inject(fault_spec)
-    _visit_task_seam(name, "entry")
+    visit_task_seam(name, "entry")
     kernels.set_backend(backend)
     telemetry.counter("pool.task.started")
     with telemetry.span("pool.task", rss=True, benchmark=name,
@@ -158,7 +135,7 @@ def _run_benchmark_worker(config, name, strategies, llc, options, backend,
                 results[strategy] = ("result", result)
         runner.release()
     telemetry.counter("pool.task.completed")
-    _visit_task_seam(name, "exit")
+    visit_task_seam(name, "exit")
     # The parent merges per-PID event files whenever it reads the run;
     # flushing here (not only at interpreter exit) keeps this worker's
     # totals visible even if the pool later SIGKILLs it.
@@ -174,7 +151,6 @@ class SuiteRunner:
         self.store = store if store is not None else get_store()
         self._results = {}
         self._active_workload = None
-        self._active_index = None
         self._active_context = None
         #: The :class:`MatrixReport` of the most recent pooled
         #: ``run_matrix`` dispatch (None before the first one).
@@ -250,32 +226,6 @@ class SuiteRunner:
             **self._benchmark_identity(name),
         }
 
-    def _index_store_key(self, name, artifact="trace-index"):
-        identity = self._benchmark_identity(name)
-        if "trace_fingerprint" not in identity:
-            # Streamed synthetics are not in the registry/library but do
-            # carry a content fingerprint (from their blob manifest) —
-            # use it, so their index artifact is content-addressed like
-            # an imported trace's.
-            workload = self._active_workload
-            if workload is not None and workload.name == name:
-                fp = getattr(workload, "trace_fingerprint", None)
-                if fp is not None:
-                    identity = {"trace_fingerprint": fp}
-        if "trace_fingerprint" in identity:
-            # The position index is a pure function of the trace.  The
-            # spilled variant intentionally matches
-            # ``ExecutionContext._default_index_key`` so standalone
-            # strategy runs and suite runs share one artifact.
-            return {"artifact": artifact, **identity}
-        return {
-            "artifact": artifact,
-            "n_instructions": self.config.n_instructions,
-            "seed": self.config.seed,
-            "footprint_scale": self.config.footprint_scale,
-            **identity,
-        }
-
     # -- workload management -------------------------------------------------
 
     def _workload(self, name):
@@ -334,43 +284,17 @@ class SuiteRunner:
             footprint_scale=self.config.footprint_scale,
         )
 
-    def _index(self, name):
-        workload = self._workload(name)
-        if self._active_index is not None:
-            return self._active_index
-        if wants_spill(workload):
-            # Streaming mode: bounded construction, spilled through the
-            # store, served as memory-mapped tables.  Pool workers
-            # sharing the store root open the same blob by digest — the
-            # first builder publishes, everyone else maps.
-            key = (self._index_store_key(name, artifact="trace-index-spill")
-                   if self.store.enabled else None)
-            with telemetry.span("phase.index", rss=True, benchmark=name,
-                                spilled=self.store.enabled):
-                self._active_index = TraceIndex.build_spilled(
-                    workload.trace, self.store, key)
-        else:
-            key = self._index_store_key(name)
-            tables = self.store.load(key, label="trace-index")
-            if tables is not None:
-                self._active_index = TraceIndex.from_tables(
-                    workload.trace, tables)
-            else:
-                with telemetry.span("phase.index", rss=True,
-                                    benchmark=name, spilled=False):
-                    self._active_index = TraceIndex(workload.trace)
-                self.store.save(key, self._active_index.tables(),
-                                label="trace-index")
-        return self._active_index
-
     def _context(self, name):
-        """The shared execution context for one benchmark's runs."""
+        """The shared execution context for one benchmark's runs.
+
+        The context builds the trace index lazily, under the spill
+        policy, and owns it until :meth:`_release_active`.
+        """
         workload = self._workload(name)
         if (self._active_context is None
                 or self._active_context.workload is not workload):
             self._active_context = ExecutionContext(
-                workload, index=self._index(name), store=self.store,
-                seed=self.config.seed)
+                workload, store=self.store, seed=self.config.seed)
         return self._active_context
 
     # -- running ---------------------------------------------------------------
@@ -481,16 +405,14 @@ class SuiteRunner:
 
     def _dispatch_matrix_pool(self, missing, llc, strategy_options,
                               max_workers, opts_key):
-        """Fan the missing tasks over a process pool with fault recovery.
+        """Fan the missing tasks over the resilient pool.
 
-        Rounds of dispatch: every pending task is submitted, harvested
-        with a per-task timeout, and — on a crash, hang, or error —
-        retried in the next round against a fresh pool, after a
-        checkpoint pass that adopts any result digests a dying worker
-        already published.  Collateral casualties of a torn-down pool
-        (``aborted``) do not consume retry budget; real failures do.
-        Raises :class:`MatrixExecutionError` when tasks remain failed
-        after ``REPRO_TASK_RETRIES``.
+        :func:`~repro.reliability.pool.run_rounds` owns the rounds,
+        timeouts, retries and crash attribution; a retry round first
+        adopts any result digests a dying worker already published
+        (:meth:`_resume_from_store`).  Raises
+        :class:`MatrixExecutionError` when tasks remain failed after
+        ``REPRO_TASK_RETRIES``.
         """
         from repro import kernels
 
@@ -498,26 +420,31 @@ class SuiteRunner:
         store_root = self.store.root if self.store.enabled else None
         plan = active_plan()
         fault_spec = plan.spec if plan is not None else None
-        max_pool = max_workers or os.cpu_count() or 1
-        timeout = pool_timeout()
-        retries = pool_retries()
-        backoff = pool_backoff()
+
+        def submit(pool, name, todo):
+            return pool.submit(
+                _run_benchmark_worker, self.config, name, todo, llc,
+                strategy_options, backend, store_root, fault_spec)
+
+        def resume(pending):
+            return self._resume_from_store(pending, llc, strategy_options,
+                                           opts_key)
+
         report = MatrixReport()
         self.last_matrix_report = report
-        pending = {}
         for name, todo in missing.items():
             report.task(name, todo)
-            pending[name] = tuple(todo)
-        telemetry.counter("pool.task.queued", len(pending))
 
         span_handle = None
         s = telemetry.session()
         if s is not None:
             span_handle = s.begin("phase.pool")
         try:
-            self._dispatch_rounds(pending, report, llc, strategy_options,
-                                  opts_key, max_pool, timeout, retries,
-                                  backoff, backend, store_root, fault_spec)
+            done = run_rounds(missing, report, submit, max_workers,
+                              self.config.seed, resume=resume,
+                              site="run_matrix")
+            for name, (_, payloads) in done.items():
+                self._adopt_worker_payloads(name, payloads, llc, opts_key)
         finally:
             if s is not None:
                 s.count("pool.rounds", report.rounds)
@@ -548,56 +475,7 @@ class SuiteRunner:
         except OSError:
             pass
 
-    def _dispatch_rounds(self, pending, report, llc, strategy_options,
-                         opts_key, max_pool, timeout, retries, backoff,
-                         backend, store_root, fault_spec):
-        while pending:
-            report.rounds += 1
-            if report.rounds > 1:
-                # Checkpoint/resume: a worker that died *after*
-                # publishing costs nothing — its digests are already in
-                # the shared store.
-                pending = self._resume_from_store(
-                    pending, llc, strategy_options, opts_key, report)
-                if not pending:
-                    break
-                report.backoff_seconds += sleep_before_retry(
-                    report.rounds - 1, base=backoff,
-                    seed=self.config.seed,
-                    label=",".join(sorted(pending)))
-            workers = min(max_pool, len(pending))
-            telemetry.event("pool.round", round=report.rounds,
-                            pending=len(pending), workers=workers)
-            pool = ProcessPoolExecutor(max_workers=workers)
-            futures = {}
-            for name, todo in sorted(pending.items()):
-                report.task(name).attempts += 1
-                telemetry.counter("pool.task.submitted")
-                if report.rounds > 1:
-                    telemetry.counter("pool.task.resubmitted")
-                futures[pool.submit(
-                    _run_benchmark_worker, self.config, name, todo, llc,
-                    strategy_options, backend, store_root,
-                    fault_spec)] = name
-            completed, torn_down = self._harvest_round(
-                pool, futures, report, llc, timeout, opts_key)
-            if torn_down:
-                report.pool_rebuilds += 1
-            for name in completed:
-                report.task(name).status = "completed"
-                telemetry.counter("pool.task.done")
-                del pending[name]
-            for name in sorted(pending):
-                record = report.task(name)
-                real = [f for f in record.failures
-                        if f.kind != KIND_ABORTED]
-                if len(real) > retries:
-                    record.status = "failed"
-            pending = {name: todo for name, todo in pending.items()
-                       if report.task(name).status != "failed"}
-
-    def _resume_from_store(self, pending, llc, strategy_options, opts_key,
-                           report):
+    def _resume_from_store(self, pending, llc, strategy_options, opts_key):
         """Adopt store-resident results; the still-missing remainder."""
         remaining = {}
         for name, todo in pending.items():
@@ -615,81 +493,7 @@ class SuiteRunner:
                                    opts_key)] = cached
             if left:
                 remaining[name] = tuple(left)
-            else:
-                report.task(name).status = "completed"
         return remaining
-
-    def _harvest_round(self, pool, futures, report, llc, timeout,
-                       opts_key):
-        """Collect one dispatch round; ``(completed names, torn_down)``.
-
-        A worker death surfaces as ``BrokenProcessPool`` on *every*
-        outstanding future — tasks observed running just before are
-        recorded as ``crash`` (their work is lost either way), the rest
-        as ``aborted`` collateral that retries for free.  A task
-        exceeding the deadline gets ``timeout`` and the pool's workers
-        are killed (a running call cannot be interrupted); queued tasks
-        cancel cleanly and ride the next round as ``aborted``.
-        """
-        completed = set()
-        torn_down = False
-        not_done = set(futures)
-        deadline = (None if timeout is None
-                    else {f: time.monotonic() + timeout for f in futures})
-        try:
-            while not_done:
-                wait_for = None
-                if deadline is not None:
-                    wait_for = max(0.0,
-                                   min(deadline[f] for f in not_done)
-                                   - time.monotonic())
-                running = {f for f in not_done if f.running()}
-                done, not_done = wait(not_done, timeout=wait_for,
-                                      return_when=FIRST_COMPLETED)
-                for future in done:
-                    name = futures[future]
-                    record = report.task(name)
-                    try:
-                        _, payloads = future.result()
-                    except BrokenProcessPool:
-                        torn_down = True
-                        if future in running:
-                            record.record_failure(
-                                KIND_CRASH,
-                                "worker process died abruptly")
-                        else:
-                            record.record_failure(
-                                KIND_ABORTED,
-                                "pool torn down before the task ran")
-                    except Exception as exc:
-                        record.record_failure(
-                            KIND_ERROR, f"{type(exc).__name__}: {exc}")
-                    else:
-                        self._adopt_worker_payloads(name, payloads, llc,
-                                                    opts_key)
-                        completed.add(name)
-                if deadline is not None and not_done:
-                    now = time.monotonic()
-                    expired = {f for f in not_done if deadline[f] <= now}
-                    if expired:
-                        torn_down = True
-                        for future in not_done:
-                            record = report.task(futures[future])
-                            if future in expired and not future.cancel():
-                                record.record_failure(
-                                    KIND_TIMEOUT,
-                                    f"exceeded the {timeout:g}s "
-                                    "per-task timeout")
-                            else:
-                                record.record_failure(
-                                    KIND_ABORTED,
-                                    "pool torn down around a "
-                                    "timed-out task")
-                        _kill_pool_workers(pool)
-                        not_done = set()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return completed, torn_down
 
     def _adopt_worker_payloads(self, name, payloads, llc, opts_key):
         fingerprint = self._imported_fingerprint(name)
@@ -742,20 +546,18 @@ class SuiteRunner:
     def _release_active(self):
         """Close every resource of the active benchmark.
 
-        Order matters: the index's memory-mapped table views unmap
-        first, then the workload's streaming :class:`TraceReader` drops
-        its zip-member memmaps.  Pool-worker paths run through here too
-        (``_run_benchmark_worker`` calls :meth:`release`), so a
-        ``run_matrix`` over imported workloads leaks no mappings.
+        The context closes its index first (unmapping its table views),
+        then releases the workload, whose streaming
+        :class:`TraceReader` drops its zip-member memmaps.  Pool-worker
+        paths run through here too (``_run_benchmark_worker`` calls
+        :meth:`release`), so a ``run_matrix`` over imported workloads
+        leaks no mappings.
         """
-        if self._active_index is not None:
-            close = getattr(self._active_index, "close", None)
-            if close is not None:
-                close()
-        if self._active_workload is not None:
+        if self._active_context is not None:
+            self._active_context.release()
+        elif self._active_workload is not None:
             self._active_workload.release()
         self._active_workload = None
-        self._active_index = None
         self._active_context = None
 
     def release(self):

@@ -6,8 +6,8 @@ Three cooperating layers keep large campaigns alive (ROADMAP:
 * **Deterministic fault injection** (:mod:`repro.reliability.faults`) —
   a seedable, replayable :class:`FaultPlan` (``REPRO_FAULTS`` or
   :func:`inject`) that fires at the real seams: blob writes/reads in
-  the store, container opens in the trace reader, task entry in the
-  ``run_matrix`` pool.  The chaos differential harness
+  the store, container opens in the trace reader, task entry and exit
+  in pool workers.  The chaos differential harness
   (``tests/test_reliability.py``) uses it to pin the invariant that a
   faulted run either completes bit-identical to the fault-free run or
   fails with a structured, actionable error.
@@ -16,10 +16,13 @@ Three cooperating layers keep large campaigns alive (ROADMAP:
   locks (:mod:`repro.reliability.locks`) so maintenance cannot delete
   blobs under live memmaps, and ``python -m repro cache verify`` as the
   scrubber.
-* **Resilient pool** — per-task timeouts, retry with exponential
-  backoff + deterministic jitter (:mod:`repro.reliability.retry`),
-  ``BrokenProcessPool`` recovery, checkpoint/resume from published
-  store digests, and :class:`MatrixReport` /
+* **Resilient pool** — one round-and-harvest loop
+  (:func:`repro.reliability.pool.run_rounds`) shared by ``run_matrix``
+  and ``synth export --jobs``: per-task timeouts, retry with
+  exponential backoff + deterministic jitter
+  (:mod:`repro.reliability.retry`, whose environment readers reject
+  malformed values), ``BrokenProcessPool`` recovery, checkpoint/resume
+  from published store digests, and :class:`MatrixReport` /
   :class:`MatrixExecutionError` instead of raw tracebacks
   (:mod:`repro.reliability.report`).
 """

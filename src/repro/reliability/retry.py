@@ -9,6 +9,7 @@ original did.
 """
 
 import hashlib
+import math
 import os
 import time
 
@@ -50,17 +51,33 @@ def sleep_before_retry(attempt, base=DEFAULT_BACKOFF, cap=BACKOFF_CAP,
     return delay
 
 
-def _env_float(name, default):
+def _env_value(name, parse, valid, requirement):
+    """``name``'s parsed value, or None when unset or empty.
+
+    A value that does not parse, or that ``valid`` rejects, raises a
+    ``ValueError`` naming the variable, rather than crashing the pool
+    later or silently meaning something else.
+    """
     raw = os.environ.get(name, "").strip()
     if not raw:
-        return default
-    value = float(raw)
+        return None
+    try:
+        value = parse(raw)
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise ValueError(f"{name} must be {requirement}, got {raw!r}")
     return value
 
 
 def pool_timeout():
-    """Per-task timeout the environment implies (None = no timeout)."""
-    value = _env_float(ENV_TIMEOUT, None)
+    """Per-task timeout the environment implies (None = no timeout).
+
+    Unset, empty and values <= 0 mean no timeout; ``inf`` and ``nan``
+    are rejected (one crashes the pool's wait, the other never expires).
+    """
+    value = _env_value(ENV_TIMEOUT, float, math.isfinite,
+                       "a finite number of seconds")
     if value is None or value <= 0:
         return None
     return value
@@ -68,30 +85,14 @@ def pool_timeout():
 
 def pool_retries():
     """Retries per failed pool task the environment implies."""
-    raw = os.environ.get(ENV_RETRIES, "").strip()
-    if not raw:
-        return DEFAULT_RETRIES
-    return max(0, int(raw))
+    value = _env_value(ENV_RETRIES, int, lambda v: v >= 0,
+                       "a non-negative integer")
+    return DEFAULT_RETRIES if value is None else value
 
 
 def pool_backoff():
     """Base backoff seconds between pool retry rounds."""
-    value = _env_float(ENV_BACKOFF, DEFAULT_BACKOFF)
-    return max(0.0, value)
-
-
-def kill_pool_workers(pool):
-    """Forcibly end a pool whose task exceeded its deadline.
-
-    ``ProcessPoolExecutor`` cannot interrupt a running call; killing the
-    worker processes is the only way to reclaim a hung task.  The pool
-    is broken afterwards and discarded by the caller (the dispatch loop
-    rebuilds one for the retry round).  Shared by every resilient
-    fan-out (the matrix runner, the parallel synthetic exporter).
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except (OSError, AttributeError):
-            pass
+    value = _env_value(ENV_BACKOFF, float,
+                       lambda v: math.isfinite(v) and v >= 0,
+                       "a finite non-negative number of seconds")
+    return DEFAULT_BACKOFF if value is None else value

@@ -1,10 +1,12 @@
 """Artifact codecs: compressed bytes <-> Python objects.
 
-Three wire formats cover every artifact the pipeline persists:
+Three wire formats cover every artifact the store can persist:
 
 * ``npz`` — a flat mapping of numpy arrays (``numpy.savez_compressed``),
-  used for :class:`~repro.vff.index.TraceIndex` position tables where
-  array round-trips must be exact and pickling overhead matters;
+  chosen by :func:`encode` for any dict of arrays passed to
+  ``ArtifactStore.save``: exact round-trips, no pickling overhead.  No
+  pipeline artifact is saved this way; stores written by earlier
+  versions still hold ``trace-index`` blobs in it;
 * ``npzm`` — the same mapping stored as an *uncompressed* npz whose
   members can be memory-mapped in place inside the blob file.  This is
   the spillable-index format: tables are streamed into the blob without

@@ -21,34 +21,28 @@ predecessor); only row counts cross the process boundary.  The parent
 memory-maps the spilled columns and re-chunks them in phase order for
 the streaming writer, so peak memory stays O(chunk), same as serial.
 
-Dispatch mirrors the matrix runner's resilient pool: per-task deadlines
+Phases run on the resilient pool the matrix runner also uses
+(:func:`repro.reliability.pool.run_rounds`): per-task deadlines
 (``REPRO_TASK_TIMEOUT``), bounded retries with deterministic backoff
 (``REPRO_TASK_RETRIES`` / ``REPRO_RETRY_BACKOFF``), worker-kill on a
-hung task, and crash/abort distinction under ``BrokenProcessPool`` —
-aborted collateral retries for free.  Workers visit the shared
-``pool.task`` fault seam, so the chaos harness exercises this fan-out
-with the same spec grammar as the runner's.
+hung task, and crash/abort distinction — aborted collateral retries for
+free.  The export raises :class:`PhaseGenerationError` once every phase
+has completed or exhausted its budget, naming each failed phase.
+Workers visit the shared ``pool.task`` fault seam, so the chaos harness
+exercises this fan-out with the same spec grammar as the runner's.
 """
 
 import os
 import shutil
 import tempfile
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from repro import telemetry
 from repro.reliability.cleanup import register_scratch, unregister_scratch
 from repro.reliability.faults import active_plan, inject, visit_task_seam
-from repro.reliability.retry import (
-    kill_pool_workers,
-    pool_backoff,
-    pool_retries,
-    pool_timeout,
-    sleep_before_retry,
-)
+from repro.reliability.pool import run_rounds
+from repro.reliability.report import MatrixReport
 from repro.trace.stream import (
     DEFAULT_CHUNK_INSTRUCTIONS,
     fast_forward_engines,
@@ -159,116 +153,28 @@ def parallel_phase_chunks(benchmark, n_instructions, seed, scale,
 
 def _dispatch_phases(benchmark, n_instructions, seed, scale, chunk, jobs,
                      tasks, scratch):
-    """Resilient rounds over the phase tasks; ``{index: rows}``."""
+    """The phase tasks on the resilient pool; ``{index: rows}``."""
     plan = active_plan()
     fault_spec = plan.spec if plan is not None else None
-    timeout = pool_timeout()
-    retries = pool_retries()
-    backoff = pool_backoff()
-    offsets = {index: offset for index, offset, _ in tasks}
-    pending = set(offsets)
-    failures_seen = {index: 0 for index in pending}
-    rows_by_index = {}
-    rounds = 0
-    while pending:
-        rounds += 1
-        if rounds > 1:
-            sleep_before_retry(
-                rounds - 1, base=backoff, seed=seed,
-                label=",".join(str(i) for i in sorted(pending)))
-        telemetry.event("pool.round", round=rounds, pending=len(pending),
-                        workers=min(jobs, len(pending)),
-                        site="synth.export")
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-        futures = {}
-        for index in sorted(pending):
-            telemetry.counter("pool.task.submitted")
-            if rounds > 1:
-                telemetry.counter("pool.task.resubmitted")
-            futures[pool.submit(
-                _spill_phase_worker, benchmark, n_instructions, seed,
-                scale, index, chunk, offsets[index],
-                os.path.join(scratch, f"phase-{index}"),
-                fault_spec)] = index
-        completed, failed = _harvest_phases(pool, futures, timeout)
-        rows_by_index.update(completed)
-        pending -= set(completed)
-        for index, (kind, message) in failed.items():
-            telemetry.counter(f"pool.task.{kind}")
-            if kind == "aborted":
-                continue          # collateral of a teardown: free retry
-            failures_seen[index] += 1
-            if failures_seen[index] > retries:
-                raise PhaseGenerationError(
-                    f"phase {index} of {benchmark!r} failed "
-                    f"{failures_seen[index]} times (last: {message})")
-    return rows_by_index
 
+    def submit(pool, index, offset):
+        return pool.submit(
+            _spill_phase_worker, benchmark, n_instructions, seed, scale,
+            index, chunk, offset, os.path.join(scratch, f"phase-{index}"),
+            fault_spec)
 
-def _harvest_phases(pool, futures, timeout):
-    """Collect one round; ``(completed {index: rows}, failed {index:
-    (kind, message)})``.
-
-    Same deadline semantics as the matrix runner's harvest: a worker
-    death breaks every outstanding future — tasks observed running are
-    ``crash`` (their attempt is spent), the rest ``aborted``; a task
-    past its deadline gets ``timeout`` and the pool's workers are
-    killed, queued tasks aborting to the next round.
-    """
-    completed = {}
-    failed = {}
-    torn_down = False
-    not_done = set(futures)
-    deadline = (None if timeout is None
-                else {f: time.monotonic() + timeout for f in futures})
-    try:
-        while not_done:
-            wait_for = None
-            if deadline is not None:
-                wait_for = max(0.0, min(deadline[f] for f in not_done)
-                               - time.monotonic())
-            running = {f for f in not_done if f.running()}
-            done, not_done = wait(not_done, timeout=wait_for,
-                                  return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures[future]
-                try:
-                    _, rows = future.result()
-                except BrokenProcessPool:
-                    torn_down = True
-                    failed[index] = (
-                        ("crash", "worker process died abruptly")
-                        if future in running
-                        else ("aborted", "pool torn down around a "
-                                         "crashed sibling"))
-                except Exception as exc:
-                    failed[index] = (
-                        "error", f"{type(exc).__name__}: {exc}")
-                else:
-                    completed[index] = rows
-            if deadline is not None and not_done:
-                now = time.monotonic()
-                expired = {f for f in not_done if deadline[f] <= now}
-                if expired:
-                    for future in not_done:
-                        index = futures[future]
-                        if future in expired and not future.cancel():
-                            failed[index] = (
-                                "timeout",
-                                f"exceeded the {timeout:g}s per-task "
-                                "timeout")
-                        else:
-                            failed[index] = (
-                                "aborted",
-                                "pool torn down around a timed-out task")
-                    kill_pool_workers(pool)
-                    torn_down = True
-                    not_done = set()
-    finally:
-        # A clean round joins the pool (no atexit noise at interpreter
-        # shutdown); a torn-down one cannot — its workers are dead.
-        pool.shutdown(wait=not torn_down, cancel_futures=True)
-    return completed, failed
+    report = MatrixReport()
+    done = run_rounds({index: offset for index, offset, _ in tasks},
+                      report, submit, jobs, seed, site="synth.export")
+    failed = []
+    for index in report.failed:
+        record = report.tasks[index]
+        failed.append(f"phase {index} of {benchmark!r} failed "
+                      f"{record.attempts} times "
+                      f"(last: {record.failures[-1].message})")
+    if failed:
+        raise PhaseGenerationError("; ".join(failed))
+    return {index: rows for index, (_, rows) in done.items()}
 
 
 def _phase_windows(phase_dir, rows, offset, length, chunk, index):

@@ -127,32 +127,20 @@ class _PositionIndex:
         self._ranks = None
 
     @classmethod
-    def from_tables(cls, positions, keys, starts, successors=None,
-                    ranks=None):
-        """Rebuild from persisted tables, skipping the sort.
+    def from_tables(cls, positions, keys, starts, successors, ranks):
+        """Adopt sealed tables, skipping the sort.
 
-        ``positions``/``keys``/``starts`` may be memory-mapped views —
-        they are adopted as-is (no copy) when already the right dtype,
-        which is what keeps a spilled index out of RAM.  Persisted
-        ``successors``/``ranks`` tables short-circuit the lazy in-RAM
-        builds the batched watchpoint kernels would otherwise trigger.
+        Tables may be memory-mapped views — they are adopted as-is (no
+        copy) when already the right dtype, which is what keeps a
+        spilled index out of RAM.
         """
         index = cls.__new__(cls)
         index._positions = _as_int64(positions)
         index._keys = np.asanyarray(keys)
         index._starts = _as_int64(starts)
-        index._successors = None if successors is None else \
-            _as_int64(successors)
-        index._ranks = None if ranks is None else _as_int64(ranks)
+        index._successors = _as_int64(successors)
+        index._ranks = _as_int64(ranks)
         return index
-
-    def tables(self, prefix):
-        """The persistable position tables, namespaced by ``prefix``."""
-        return {
-            f"{prefix}_positions": self._positions,
-            f"{prefix}_keys": self._keys,
-            f"{prefix}_starts": self._starts,
-        }
 
     def successors(self):
         """Next same-key position for *every* access position (-1 if last).
@@ -160,8 +148,9 @@ class _PositionIndex:
         The grouped table already stores each key's run contiguously in
         ascending position order, so the successor of a run element is
         its right neighbour; scattering through the (permutation)
-        position table turns that into an O(1) lookup per access.  Built
-        lazily, once, in a single vectorized pass.
+        position table turns that into an O(1) lookup per access.  An
+        in-RAM sort builds it lazily, once, in a single vectorized pass;
+        sealed indices carry it.
         """
         if self._successors is None:
             n = self._positions.shape[0]
@@ -181,7 +170,8 @@ class _PositionIndex:
         ``ranks()[p]`` is the number of same-key accesses strictly
         before position ``p``; the difference of two same-key ranks is
         therefore the access count between them — the O(1) stop-count
-        primitive behind the batched watchpoint kernels.
+        primitive behind the batched watchpoint kernels.  Lazy like
+        :meth:`successors`.
         """
         if self._ranks is None:
             n = self._positions.shape[0]
@@ -715,28 +705,22 @@ class TraceIndex:
         if s is not None:
             s.add_time("index.build.sort", time.perf_counter() - t0)
 
-    def tables(self):
-        """Flat array mapping for the artifact store (npz-friendly)."""
-        return {**self.lines.tables("lines"), **self.pages.tables("pages")}
-
     @classmethod
     def from_tables(cls, trace, tables):
-        """Rebuild an index from persisted tables (no sorting).
+        """An index over sealed tables (no sorting).
 
-        ``successors``/``ranks`` entries are optional — legacy
-        position-only artifacts still load, with those tables rebuilt
-        lazily in RAM on first batched query.
+        ``tables`` holds five tables per granularity —
+        ``{lines,pages}_{positions,keys,starts,successors,ranks}`` — as
+        :meth:`LiveIndexBuilder.seal` and :meth:`open` produce them.
         """
         index = cls.__new__(cls)
         index.trace = trace
-        index.lines = _PositionIndex.from_tables(
-            tables["lines_positions"], tables["lines_keys"],
-            tables["lines_starts"], tables.get("lines_successors"),
-            tables.get("lines_ranks"))
-        index.pages = _PositionIndex.from_tables(
-            tables["pages_positions"], tables["pages_keys"],
-            tables["pages_starts"], tables.get("pages_successors"),
-            tables.get("pages_ranks"))
+        index.lines, index.pages = (
+            _PositionIndex.from_tables(
+                tables[f"{name}_positions"], tables[f"{name}_keys"],
+                tables[f"{name}_starts"], tables[f"{name}_successors"],
+                tables[f"{name}_ranks"])
+            for name in ("lines", "pages"))
         return index
 
     # -- spill / memory-mapped mode ---------------------------------------

@@ -346,11 +346,6 @@ def test_spilled_index_round_trip(tmp_path):
     spilled.close()
     assert spilled.lines is None     # closed indices drop their tables
 
-    # Legacy position-only tables still load (lazy successor rebuild).
-    legacy_index = TraceIndex.from_tables(trace, TraceIndex(trace).tables())
-    assert np.array_equal(legacy_index.lines.successors(),
-                          reference.lines.successors())
-
 
 def test_spilled_build_without_store_falls_back_chunked(tmp_path):
     lines = np.arange(500, dtype=np.int64) % 17

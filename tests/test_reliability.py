@@ -41,6 +41,7 @@ from repro.reliability.cleanup import (
     registered_scratch,
     unregister_scratch,
 )
+from repro.reliability.retry import pool_backoff, pool_retries, pool_timeout
 from repro.store import ArtifactStore
 from repro.traceio.container import TraceFormatError, write_trace
 from repro.traceio.reader import TraceReader
@@ -650,6 +651,67 @@ class TestResilientPool:
 
 # -- cache verify CLI --------------------------------------------------------
 
+class TestPoolEnvironment:
+    """The pool's three variables reject values that would crash or spin
+    it, naming the variable — and the pool reads them before any worker
+    starts."""
+
+    @pytest.mark.parametrize("name, reader, raw", [
+        ("REPRO_TASK_TIMEOUT", pool_timeout, "inf"),
+        ("REPRO_TASK_TIMEOUT", pool_timeout, "-inf"),
+        ("REPRO_TASK_TIMEOUT", pool_timeout, "nan"),
+        ("REPRO_TASK_TIMEOUT", pool_timeout, "abc"),
+        ("REPRO_TASK_RETRIES", pool_retries, "abc"),
+        ("REPRO_TASK_RETRIES", pool_retries, "-1"),
+        ("REPRO_TASK_RETRIES", pool_retries, "1.5"),
+        ("REPRO_RETRY_BACKOFF", pool_backoff, "abc"),
+        ("REPRO_RETRY_BACKOFF", pool_backoff, "-5"),
+        ("REPRO_RETRY_BACKOFF", pool_backoff, "inf"),
+        ("REPRO_RETRY_BACKOFF", pool_backoff, "nan"),
+    ])
+    def test_bad_values_name_the_variable(self, monkeypatch, name, reader,
+                                          raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=name):
+            reader()
+
+    @pytest.mark.parametrize("name, reader, raw, expected", [
+        ("REPRO_TASK_TIMEOUT", pool_timeout, None, None),
+        ("REPRO_TASK_TIMEOUT", pool_timeout, "", None),
+        ("REPRO_TASK_TIMEOUT", pool_timeout, "0", None),
+        ("REPRO_TASK_TIMEOUT", pool_timeout, "-2", None),
+        ("REPRO_TASK_TIMEOUT", pool_timeout, "2.5", 2.5),
+        ("REPRO_TASK_RETRIES", pool_retries, None, 2),
+        ("REPRO_TASK_RETRIES", pool_retries, "0", 0),
+        ("REPRO_TASK_RETRIES", pool_retries, "3", 3),
+        ("REPRO_RETRY_BACKOFF", pool_backoff, None, 0.25),
+        ("REPRO_RETRY_BACKOFF", pool_backoff, "0", 0.0),
+        ("REPRO_RETRY_BACKOFF", pool_backoff, "1.5", 1.5),
+    ])
+    def test_valid_values(self, monkeypatch, name, reader, raw, expected):
+        if raw is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, raw)
+        assert reader() == expected
+
+    def test_bad_timeout_fails_before_any_task(self, tmp_path, monkeypatch):
+        import repro.reliability.pool as pool_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "inf")
+        runner = SuiteRunner(CHAOS, store=ArtifactStore(
+            root=tmp_path / "cache", enabled=True))
+        with pytest.raises(ValueError, match="REPRO_TASK_TIMEOUT"):
+            runner.run_matrix(strategies=STRATS, max_workers=1)
+        report = runner.last_matrix_report
+        assert report.rounds == 0
+        assert all(t.attempts == 0 for t in report.tasks.values())
+
+
 class TestParallelExportChaos:
     """The parallel synth exporter rides the same resilient pool."""
 
@@ -675,6 +737,24 @@ class TestParallelExportChaos:
         reference = trace_from_chunks(self._chunks(jobs=1))
         inject(schedule.replace("STATE", f"state={tmp_path / 'faults'}"))
         faulted = trace_from_chunks(self._chunks())
+        assert (fingerprint_arrays(trace_arrays(faulted))
+                == fingerprint_arrays(trace_arrays(reference)))
+
+    def test_hung_worker_times_out_and_retries(self, tmp_path, monkeypatch):
+        from repro.store.fingerprint import fingerprint_arrays
+        from repro.trace.record import trace_from_chunks
+        from repro.traceio.container import trace_arrays
+
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "3")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
+        reference = trace_from_chunks(self._chunks(jobs=1))
+        # The 120s hang dwarfs the 60s pass bound, as in the matrix
+        # runner's hung-worker case.
+        inject(f"state={tmp_path / 'faults'};"
+               "pool.task:hang@seconds=120,times=1")
+        start = time.monotonic()
+        faulted = trace_from_chunks(self._chunks())
+        assert time.monotonic() - start < 60    # did not sit out the hang
         assert (fingerprint_arrays(trace_arrays(faulted))
                 == fingerprint_arrays(trace_arrays(reference)))
 

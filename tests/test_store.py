@@ -336,18 +336,17 @@ def test_store_get_or_create(tmp_path):
 # -- artifact round-trips over address engines -----------------------------
 
 @pytest.mark.parametrize("engine", sorted(ENGINE_WORKLOADS))
-def test_trace_index_tables_roundtrip(engine):
+def test_trace_index_tables_roundtrip(engine, tmp_path):
+    """A spilled index published to the store and reopened memory-mapped
+    answers queries like an in-RAM sort of the same trace."""
     workload = ENGINE_WORKLOADS[engine]()
     trace = workload.trace
     index = TraceIndex(trace)
-    tables = index.tables()
-    kind, payload = encode(tables)
-    restored = TraceIndex.from_tables(trace, decode(kind, payload))
-    for name in tables:
-        assert np.array_equal(tables[name],
-                              {**restored.tables()}[name])
-        assert tables[name].dtype == restored.tables()[name].dtype
-    # behavioral spot-checks against the freshly built index
+    store = ArtifactStore(root=tmp_path, enabled=True)
+    key = {"artifact": "trace-index-spill", "trace_fingerprint": engine}
+    TraceIndex.build_spilled(trace, store, key).close()
+    restored = TraceIndex.open(trace, store, key)
+    assert restored is not None and restored.mapped
     lines = np.unique(trace.mem_line)[:50]
     lo, hi = trace.n_accesses // 4, 3 * trace.n_accesses // 4
     counts_a, last_a = index.window_access_counts(lines, lo, hi)
@@ -357,6 +356,11 @@ def test_trace_index_tables_roundtrip(engine):
     for line in lines[:10].tolist():
         assert (index.last_access_before(line, hi)
                 == restored.last_access_before(line, hi))
+    positions = np.arange(0, hi, 37)
+    for a, b in zip(index.batch_await_reuse(positions, hi),
+                    restored.batch_await_reuse(positions, hi)):
+        assert np.array_equal(a, b)
+    restored.close()
     workload.release()
 
 
@@ -433,6 +437,24 @@ def test_runner_warm_start_is_bit_identical(tmp_path):
         assert result_blob(r_warm) == result_blob(off.run("bwaves", strategy))
     assert warm_store.saves == 0           # nothing was recomputed
     assert warm_store.disk_hits >= 2
+
+
+def test_runner_persists_no_position_index(tmp_path):
+    """The runner's context builds and holds the trace index; no
+    position-only ``trace-index`` artifact reaches the store, and a
+    second runner on that store still matches a store-off run."""
+    store = ArtifactStore(root=tmp_path, enabled=True)
+    cold = SuiteRunner(TINY, store=store)
+    cold.run("bwaves", "DeLorean")
+    assert cold._active_context._index is not None
+    assert "trace-index" not in store.disk.stats()["by_label"]
+
+    warm = SuiteRunner(TINY, store=ArtifactStore(root=tmp_path, enabled=True))
+    off = SuiteRunner(TINY, store=ArtifactStore(enabled=False))
+    r_warm = warm.run("bwaves", "DeLorean", llc_paper_bytes=512 * MIB)
+    r_off = off.run("bwaves", "DeLorean", llc_paper_bytes=512 * MIB)
+    assert result_blob(r_warm) == result_blob(r_off)
+    assert "trace-index" not in store.disk.stats()["by_label"]
 
 
 def test_runner_warm_start_skips_simulation(tmp_path, monkeypatch):

@@ -729,8 +729,9 @@ class TestStreamingExecutionCore:
                                   names=("matrixed",))
         runner = SuiteRunner(config, store=store)
         matrix = runner.run_matrix(("SMARTS", "DeLorean"))
-        assert runner._active_index is not None
-        assert runner._active_index.mapped
+        # ``_index`` (not ``.index``): reading it never builds one.
+        assert runner._active_context._index is not None
+        assert runner._active_context._index.mapped
 
         materialized = ImportedWorkload(
             "matrixed", TraceLibrary().path("matrixed"), streaming=False)

@@ -80,7 +80,8 @@ class ScoutPass:
         if kernels.get_backend() != "scalar" and unique_lines.size:
             # One batched window query resolves every key line's last
             # warming-window access (same values as the per-key binary
-            # searches below).
+            # searches below); it bisects each line's position run, so
+            # accesses outside the warming window cost nothing.
             _, last_access = machine.index.lines.batch_counts_and_last(
                 unique_lines, warming.lo, region.lo)
             for line, first, last in zip(unique_lines.tolist(),

@@ -121,9 +121,10 @@ def fingerprint_arrays(arrays, batch_rows=_FP_BATCH_ROWS):
     """``fingerprint({name: array})`` without holding the bytes in RAM.
 
     Bit-identical to :func:`fingerprint` on the same mapping, but the
-    array data is fed to the hash in bounded batches — so a mapping of
-    ``np.memmap`` views over spill files (a streamed trace container in
-    the making) is fingerprinted with O(batch) transient memory.  Keys
+    array data is fed to the hash in bounded batches, each contiguous
+    batch through its own buffer (only a strided one is copied) — so a
+    mapping of ``np.memmap`` views over spill files (a streamed trace
+    container in the making) is fingerprinted with no copy.  Keys
     must be strings and values one-dimensional arrays, which is all the
     trace/ index pipelines ever hash this way.
     """
@@ -145,7 +146,7 @@ def fingerprint_arrays(arrays, batch_rows=_FP_BATCH_ROWS):
                       + repr(array.shape).encode() + b"|")
         for lo in range(0, array.shape[0], batch_rows):
             batch = np.ascontiguousarray(array[lo:lo + batch_rows])
-            hasher.update(batch.tobytes())
+            hasher.update(batch.data)
         hasher.update(b";")
     hasher.update(b";")
     return hasher.hexdigest()

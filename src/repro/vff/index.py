@@ -233,13 +233,12 @@ class _PositionIndex:
         """Window counts and last positions for many keys at once.
 
         Equivalent to per-key ``count_in`` / ``last_in`` over ``[lo,
-        hi)``.  Every key's position run is gathered with one
-        grouped-arange, masked against the window and reduced.
-        Gathering is window-independent (it touches every occurrence of
-        every key), so when the gathered runs dwarf the per-key binary
-        searches the loop is used instead — results are identical
-        either way.  Returns ``(counts, last)`` aligned with ``keys``
-        (``-1`` marks a key unseen in the window).
+        hi)``.  One vectorized binary search finds both window edges
+        inside every key's position run, so work and transient memory
+        are O(keys · log run), independent of how often a key occurs
+        outside the window; a memory-mapped table is read only at the
+        probed entries.  Returns ``(counts, last)`` aligned with
+        ``keys`` (``-1`` marks a key unseen in the window).
         """
         keys = np.asarray(keys, dtype=np.int64)
         n_keys = keys.shape[0]
@@ -249,30 +248,30 @@ class _PositionIndex:
             return counts, last
         slot = np.minimum(np.searchsorted(self._keys, keys),
                           self._keys.shape[0] - 1)
-        present = self._keys[slot] == keys
-        starts = np.where(present, self._starts[slot], 0)
-        lengths = np.where(present, self._starts[slot + 1] - starts, 0)
-        total = int(lengths.sum())
-        if total == 0:
-            return counts, last
-        if total > 256 * n_keys:
-            for k in np.flatnonzero(lengths).tolist():
-                run = self._positions[starts[k]:starts[k] + lengths[k]]
-                at_hi = int(np.searchsorted(run, hi, side="left"))
-                at_lo = int(np.searchsorted(run, lo, side="left"))
-                counts[k] = at_hi - at_lo
-                if at_hi > at_lo:
-                    last[k] = int(run[at_hi - 1])
-            return counts, last
-        key_of = np.repeat(np.arange(n_keys, dtype=np.int64), lengths)
-        cum = np.cumsum(lengths) - lengths
-        flat = (np.repeat(starts - cum, lengths)
-                + np.arange(total, dtype=np.int64))
-        positions = self._positions[flat]
-        in_window = (positions >= lo) & (positions < hi)
-        matched_key = key_of[in_window]
-        counts += np.bincount(matched_key, minlength=n_keys)
-        np.maximum.at(last, matched_key, positions[in_window])
+        which = np.flatnonzero(self._keys[slot] == keys)
+        starts = self._starts[slot[which]]
+        lengths = self._starts[slot[which] + 1] - starts
+        # Longest runs first, each key's lower-bound searches for lo and
+        # hi side by side: the searches still bisecting are a prefix.
+        by_length = np.argsort(-lengths)
+        which = which[by_length]
+        base = np.repeat(starts[by_length], 2)
+        span = np.repeat(lengths[by_length], 2)
+        target = np.tile(np.asarray([lo, hi], dtype=np.int64), which.shape[0])
+        positions = np.asarray(self._positions)
+        active = np.count_nonzero(span > 1)
+        while active:
+            # Invariant: the edge lies in [base, base + span].
+            b, s = base[:active], span[:active]
+            half = s >> 1
+            np.add(b, half, out=b, where=positions[b + half] < target[:active])
+            s -= half
+            active = np.count_nonzero(s > 1)
+        base += positions[base] < target
+        at_lo, at_hi = base[0::2], base[1::2]
+        counts[which] = at_hi - at_lo
+        seen = at_hi > at_lo
+        last[which[seen]] = positions[at_hi[seen] - 1]
         return counts, last
 
 
@@ -844,7 +843,9 @@ class TraceIndex:
         """Total accesses landing in ``pages`` within window ``[lo, hi)``.
 
         This is exactly the number of watchpoint stops a run with those
-        pages protected would take over the window.
+        pages protected would take over the window.  Off the scalar
+        reference it is one batched window query, O(pages · log run):
+        accesses to the pages outside the window cost nothing.
         """
         pages = np.asarray(pages)
         if kernels.get_backend() != "scalar" and pages.size > 1:
@@ -858,7 +859,9 @@ class TraceIndex:
 
         Batched equivalent of per-line ``count_in`` / ``last_in`` over
         ``[lo, hi)``; lines absent from the window carry a last position
-        of ``-1``.
+        of ``-1``.  One binary search per line and window edge, so the
+        cost is O(lines · log run) however often the lines occur
+        outside the window.
         """
         return self.lines.batch_counts_and_last(
             np.asarray(lines, dtype=np.int64), lo, hi)

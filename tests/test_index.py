@@ -1,5 +1,7 @@
 """Tests for the trace position index (the profiling oracle)."""
 
+import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,6 +16,7 @@ from repro.vff.index import (
     DEFAULT_CHUNK_ACCESSES,
     LiveIndexBuilder,
     TraceIndex,
+    _PositionIndex,
     _group_by_key,
     default_chunk_accesses,
 )
@@ -112,9 +115,8 @@ def test_batch_counts_and_last_matches_per_entry():
         _assert_batch_matches_per_key(idx, keys, lo, hi)
 
 
-def test_batch_counts_and_last_escape_path():
-    # Few keys with huge runs trips the total > 256 * n_keys escape
-    # (per-key binary search) — values must be identical to the gather.
+def test_batch_counts_and_last_long_runs():
+    # Few keys with long runs: many bisection rounds per key.
     rng = np.random.default_rng(13)
     lines = rng.integers(0, 4, size=3_000).tolist()
     idx = index_for(lines)
@@ -133,6 +135,89 @@ def test_batch_counts_and_last_empty_inputs():
     counts, last = idx.lines.batch_counts_and_last(
         np.asarray([5], dtype=np.int64), 2, 2)
     assert counts.tolist() == [0] and last.tolist() == [-1]
+
+
+@st.composite
+def window_queries(draw):
+    """A line trace with keys and windows to query on it, biased to the
+    search's edges: negative keys and keys up to ``2**62``, absent and
+    duplicate query keys, a run long enough for 16 or more bisection
+    rounds, and empty, inverted, full and out-of-range windows."""
+    pool = draw(st.lists(st.integers(-2**62, 2**62), min_size=1,
+                         max_size=8, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = np.asarray(pool, dtype=np.int64)[
+        rng.integers(0, len(pool), size=draw(st.integers(1, 300)))]
+    if draw(st.booleans()):
+        # 2**15 + 1 occurrences of one line take 16 halvings.
+        lines = np.concatenate([lines, np.full(2**15 + 1, pool[0])])
+        lines = rng.permutation(lines)
+    n = lines.shape[0]
+    edge = st.integers(-3, n + 3)
+    windows = [(0, n), (n, n + 5), (n // 2, n // 2), (n, 0)] + draw(
+        st.lists(st.tuples(edge, edge), min_size=1, max_size=4))
+    absent = draw(st.lists(st.integers(-2**62, 2**62), max_size=4))
+    return lines, absent, windows
+
+
+def test_batch_counts_and_last_matches_per_key_queries(tmp_path):
+    """The batched search answers every key and window exactly as the
+    per-key ``count_in`` / ``last_in``, on lines and pages, in RAM and
+    through a spilled index reopened memory-mapped."""
+    rounds = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(window_queries())
+    @example((np.full(2**15 + 1, 7, dtype=np.int64), [8],
+              [(0, 2**15 + 1), (100, 30_000), (2**15, 2**15 + 9)]))
+    def check(case):
+        lines, absent, windows = case
+        trace = make_trace(list(range(len(lines))), lines,
+                           n_instructions=len(lines))
+        store = ArtifactStore(root=tempfile.mkdtemp(dir=tmp_path),
+                              enabled=True)
+        key = {"artifact": "window-queries"}
+        TraceIndex.build_spilled(trace, store, key, chunk_accesses=97)
+        mapped = TraceIndex.open(trace, store, key)
+        assert mapped.mapped
+        for index in (TraceIndex(trace), mapped):
+            for part, keys in ((index.lines, lines),
+                               (index.pages, lines >> _PAGE_OF_LINE_SHIFT)):
+                present = np.unique(keys)
+                query = np.concatenate(
+                    [present, present[:2], np.asarray(absent, dtype=np.int64)])
+                rounds.add(int(np.diff(part._starts).max() - 1).bit_length())
+                for lo, hi in windows:
+                    counts, last = part.batch_counts_and_last(query, lo, hi)
+                    assert counts.dtype == last.dtype == np.int64
+                    for i, k in enumerate(query.tolist()):
+                        # An inverted window is empty (count_in would
+                        # return a negative difference).
+                        assert counts[i] == max(0, part.count_in(k, lo, hi))
+                        assert last[i] == part.last_in(k, lo, hi)
+        mapped.close()
+
+    check()
+    assert max(rounds) >= 16
+
+
+def test_batch_counts_and_last_transient_is_bounded_by_window():
+    """All 4,096 keys of a 250-occurrence-per-key index queried over a
+    1,000-access window: the search allocates O(keys * log run), not a
+    gather of every occurrence (26.8 MB here)."""
+    rng = np.random.default_rng(5)
+    index = _PositionIndex(rng.permutation(
+        np.repeat(np.arange(4_096, dtype=np.int64), 250)))
+    keys = np.arange(4_096, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        counts, last = index.batch_counts_and_last(keys, 500_000, 501_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert counts.sum() == 1_000
+    assert np.array_equal(last >= 0, counts > 0)
 
 
 # -- the grouping helper every builder sorts with ----------------------------

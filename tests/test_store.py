@@ -12,6 +12,7 @@ hand-picked workload.
 import os
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.store import (
     fingerprint,
     memo_key,
 )
+from repro.store.fingerprint import fingerprint_arrays
 from repro.trace.address_space import AddressSpace
 from repro.trace.engines import (
     MultiWorkingSetEngine,
@@ -137,6 +139,36 @@ def test_fingerprint_sets_and_rejects_opaque_objects():
     assert fingerprint({1, 2, 3}) == fingerprint({3, 2, 1})
     with pytest.raises(TypeError):
         fingerprint(object())
+
+
+def test_fingerprint_arrays_hashes_columns_in_place(tmp_path):
+    """Batched column hashing equals the monolithic encoding for mapped,
+    strided, bool and empty columns, and hashes a contiguous mapped
+    column through its buffer: no batch is copied onto the heap."""
+    path = tmp_path / "column.npy"
+    column = np.lib.format.open_memmap(path, mode="w+", dtype=np.int64,
+                                       shape=(4 << 20,))
+    column[:] = np.arange(column.shape[0]) * 3
+    column.flush()
+    del column
+    mapped = np.load(path, mmap_mode="r")
+    columns = {"mapped": (mapped, 999_983),
+               "strided": (np.arange(3_000, dtype=np.int32)[::7], 5),
+               "flags": (np.arange(41) % 3 == 0, 5),
+               "empty": (np.empty(0, dtype=np.int64), 5)}
+    for name, (array, batch_rows) in columns.items():
+        assert fingerprint_arrays({name: array}, batch_rows) == \
+            fingerprint({name: array}), name
+    arrays = {name: array for name, (array, _) in columns.items()}
+    assert fingerprint_arrays(arrays) == fingerprint(arrays)
+
+    tracemalloc.start()
+    try:
+        fingerprint_arrays({"mapped": mapped})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_canonical_bytes_stable():

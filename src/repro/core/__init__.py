@@ -21,7 +21,9 @@ The paper's primary contribution, built on the substrates in
 * :class:`~repro.core.delorean.DeLorean` — the full pipelined
   time-traveling strategy (Figure 4).
 * :class:`~repro.core.dse.DesignSpaceExploration` — many parallel
-  Analysts amortizing one warm-up (Section 6.4.2).
+  Analysts amortizing one warm-up (Section 6.4.2): a DeLorean run over
+  several hierarchy configurations, driven by the same
+  :class:`~repro.core.delorean.DeLoreanRun`.
 """
 
 from repro.core.context import AccessWindow, ExecutionContext

@@ -15,16 +15,22 @@ wall-clock follows the pipeline recurrence of
 passes — this is how the reduction in profiling work becomes the 5.7x
 speedup over CoolSim and the 126 MIPS headline.
 
-The Analyst's region step lives in one place, :meth:`DeLoreanRun.refine`.
-A live run (:meth:`DeLorean.begin`) refines the region's Scout/Explorer
-warm-up there too.  The batch :meth:`DeLorean.run` first records or
-replays the plan's warm-up bundle through
+:class:`DeLoreanRun` runs every Analyst.  It refines a tuple of
+hierarchy configurations: per region one predictor feeds one Analyst
+per configuration, and the Analysts with one L1 configuration share
+that region's L1 and stride work (one
+:class:`~repro.sampling.classify.RegionFrontEnd`).  A design-space sweep
+(:class:`~repro.core.dse.DesignSpaceExploration`) is such a run over
+several configurations; :class:`DeLorean` is the one-configuration
+case.  A live run (:meth:`DeLorean.begin`) refines the region's
+Scout/Explorer warm-up there too.  A batch run first records or replays
+the plan's warm-up bundle through
 :class:`~repro.core.warmup.WarmupPipeline`, which refines the same
 warm-up loop over every region, then refines a :class:`DeLoreanRun` fed
 from that bundle.  With an artifact ``store`` attached the bundle (which
 is microarchitecture-independent) is persisted on first computation and
 replayed bit-identically for any later run of the same workload/plan/seed
-at a different LLC configuration — only the Analyst re-executes.
+at a different LLC configuration — only the Analysts re-execute.
 """
 
 import numpy as np
@@ -44,6 +50,9 @@ class DeLorean(StrategyBase):
     """Directed statistical warming through time traveling."""
 
     name = "DeLorean"
+    #: Label of the vicinity samplers' shared RNG stream (it also keys
+    #: the warm-up bundle in the store).
+    vicinity_rng = "delorean-vicinity"
 
     def __init__(self, processor_config=None, explorer_specs=DEFAULT_EXPLORERS,
                  vicinity_density=DEFAULT_DENSITY, vicinity_boost=200.0,
@@ -59,15 +68,7 @@ class DeLorean(StrategyBase):
             store=None, context=None):
         context = self.context_for(workload, index=index, seed=seed,
                                    store=store, context=context)
-        bundle = WarmupPipeline(
-            "delorean-vicinity", context, plan, self.explorer_specs,
-            self.vicinity_density, self.vicinity_boost,
-            CostMeter(scale=plan.scale)).run_all()
-        run = DeLoreanRun(self, context, plan, hierarchy_config,
-                          bundle=bundle)
-        for spec in plan.regions():
-            run.refine(spec)
-        return run.result(plan)
+        return self._sweep(context, plan, (hierarchy_config,)).result(plan)
 
     def begin(self, context, plan, hierarchy_config):
         """Start a refinable run (``refine`` per region, ``result`` at
@@ -79,7 +80,20 @@ class DeLorean(StrategyBase):
         (:class:`~repro.core.warmup.IncrementalWarmup`, the loop a
         recording batch run refines) before its Analyst.
         """
-        return DeLoreanRun(self, context, plan, hierarchy_config)
+        return DeLoreanRun(self, context, plan, (hierarchy_config,))
+
+    def _sweep(self, context, plan, hierarchy_configs):
+        """Record or replay the plan's warm-up bundle, then refine a
+        :class:`DeLoreanRun` fed from it over every region."""
+        bundle = WarmupPipeline(
+            self.vicinity_rng, context, plan, self.explorer_specs,
+            self.vicinity_density, self.vicinity_boost,
+            CostMeter(scale=plan.scale)).run_all()
+        run = DeLoreanRun(self, context, plan, hierarchy_configs,
+                          bundle=bundle)
+        for spec in plan.regions():
+            run.refine(spec)
+        return run
 
     def _analyst(self, context, hierarchy_config, machine):
         return AnalystPass(
@@ -92,10 +106,10 @@ class DeLorean(StrategyBase):
             context=context,
         )
 
-    def _assemble_result(self, workload_name, plan, bundle, regions,
-                         analyst_times, analyst_ledger, base_meter):
-        """Aggregate a :class:`~repro.core.warmup.WarmupBundle` and the
-        Analyst output into the result."""
+    def _assemble_result(self, run, plan):
+        """Aggregate the run's :class:`~repro.core.warmup.WarmupBundle`
+        and its (one) Analyst's output into the result."""
+        bundle = run.bundle()
         key_counts = []
         engaged = []
         resolved_by_totals = np.zeros(len(self.explorer_specs),
@@ -116,31 +130,22 @@ class DeLorean(StrategyBase):
             stops_true += warm.true_stops
             stops_false += warm.false_stops
 
-        stage_times = bundle.stage_times() + [analyst_times]
-        _, wall_seconds = pipeline_schedule(stage_times)
-
-        merged = CostMeter(params=base_meter.params, scale=plan.scale,
-                           ledger=TimeLedger())
-        warm_ledgers = bundle.pass_ledgers()
-        for ledger in warm_ledgers:
-            merged.ledger.merge(ledger)
-        merged.ledger.merge(analyst_ledger)
-
         vicinity_paper = bundle.vicinity_paper
         vicinity_model = bundle.vicinity_model
-        analyst_detailed = analyst_ledger.seconds_by_category.get(
-            "detailed", 0.0)
+        analyst_detailed = (run.analysts[0].machine.meter.ledger
+                            .seconds_by_category.get("detailed", 0.0))
+        warm_ledgers = bundle.pass_ledgers()
         warming_seconds = (
             warm_ledgers[0].total_seconds
             + sum(ledger.total_seconds for ledger in warm_ledgers[1:]))
 
         return StrategyResult(
             strategy=self.name,
-            workload=workload_name,
-            regions=regions,
-            meter=merged,
+            workload=run.context.workload.name,
+            regions=list(run.regions[0]),
+            meter=run.meter(0, plan),
             paper_equivalent_instructions=plan.paper_equivalent_instructions,
-            wall_seconds=wall_seconds,
+            wall_seconds=run.wall_seconds(),
             extras={
                 "collected_reuse_distances":
                     key_collected_total + vicinity_paper,
@@ -155,7 +160,7 @@ class DeLorean(StrategyBase):
                 "cold_key_lines": cold_total,
                 "watchpoint_true_stops": stops_true,
                 "watchpoint_false_stops": stops_false,
-                "stage_times": [sum(t) for t in stage_times],
+                "stage_times": [sum(t) for t in run.stage_times()],
                 "warming_seconds": warming_seconds,
                 "analyst_detailed_seconds": analyst_detailed,
                 "warmup_vs_detailed":
@@ -166,46 +171,59 @@ class DeLorean(StrategyBase):
 
 
 class DeLoreanRun:
-    """Refinable DeLorean execution state.
+    """Refinable DeLorean execution state over hierarchy configurations.
 
-    :meth:`refine` advances all five pipeline stages over one region and
-    :meth:`result` assembles the :class:`StrategyResult` of the regions
-    refined so far.  Given a recorded ``bundle`` (the batch path) the
-    run builds no Scout or Explorer machines and region ``k``'s warm-up
-    is read from the bundle, which covers the whole plan, so such a run
-    is refined over every region before :meth:`result`; without one
-    (the live path) each ``refine`` runs the region's warm-up passes on
-    an :class:`IncrementalWarmup`.
+    One Analyst per configuration.  :meth:`refine` advances every
+    pipeline stage over one region: the Scout/Explorer warm-up once,
+    then each Analyst, all fed the region's one predictor.  Given a
+    recorded ``bundle`` (the batch path) the run builds no Scout or
+    Explorer machines and region ``k``'s warm-up is read from the
+    bundle, which covers the whole plan, so such a run is refined over
+    every region before its results are read; without one (the live
+    path) each ``refine`` runs the region's warm-up passes on an
+    :class:`IncrementalWarmup`.
     """
 
-    def __init__(self, strategy, context, plan, hierarchy_config,
+    def __init__(self, strategy, context, plan, hierarchy_configs,
                  bundle=None):
         self.strategy = strategy
         self.context = context
         self.base_meter = CostMeter(scale=plan.scale)
         self.recorded = bundle
         self.warmup = None if bundle is not None else IncrementalWarmup(
-            "delorean-vicinity", context, strategy.explorer_specs,
+            strategy.vicinity_rng, context, strategy.explorer_specs,
             strategy.vicinity_density, strategy.vicinity_boost,
             self.base_meter, plan.footprint_scale)
-        self.analyst_machine = context.machine(self.base_meter.fork())
-        self.analyst = strategy._analyst(context, hierarchy_config,
-                                         self.analyst_machine)
-        self.analyst_times = []
-        self.regions = []
+        self.analysts = [
+            strategy._analyst(context, config,
+                              context.machine(self.base_meter.fork()))
+            for config in hierarchy_configs]
+        #: Per configuration, the region results and Analyst seconds.
+        self.regions = [[] for _ in self.analysts]
+        self.analyst_times = [[] for _ in self.analysts]
 
     def refine(self, spec):
-        """Scout, explore and analyze one region."""
+        """Scout, explore and analyze one region under every
+        configuration."""
         if self.recorded is None:
             warm = self.warmup.refine(spec)
         else:
-            warm = self.recorded.regions[len(self.regions)]
-        mark = self.analyst_machine.meter.ledger.total_seconds
-        self.regions.append(
-            self.analyst.run_region(spec, warm.predictor()))
-        self.analyst_times.append(
-            self.analyst_machine.meter.ledger.total_seconds - mark)
-        return self.regions[-1]
+            warm = self.recorded.regions[len(self.regions[0])]
+        # One predictor serves every configuration: reuse distance is
+        # microarchitecture-independent (Section 3.3).  Likewise the
+        # L1 and stride work serves every Analyst with the same L1.
+        predictor = warm.predictor()
+        front_ends = {}
+        for analyst, regions, times in zip(self.analysts, self.regions,
+                                           self.analyst_times):
+            l1 = analyst.hierarchy_config.l1d
+            if l1 not in front_ends:
+                front_ends[l1] = analyst.new_front_end()
+            ledger = analyst.machine.meter.ledger
+            mark = ledger.total_seconds
+            regions.append(analyst.run_region(spec, predictor,
+                                              front_ends[l1]))
+            times.append(ledger.total_seconds - mark)
 
     def bundle(self):
         """The warm-up bundle snapshot (watermark-publishable)."""
@@ -213,9 +231,27 @@ class DeLoreanRun:
             return self.recorded
         return self.warmup.bundle()
 
+    def stage_times(self):
+        """Per-stage lists of per-region seconds, Scout first.  The
+        Analysts run concurrently, so the last stage takes each
+        region's slowest configuration."""
+        return self.bundle().stage_times() + [
+            np.max(np.asarray(self.analyst_times), axis=0).tolist()]
+
+    def wall_seconds(self):
+        """Pipelined wall-clock of the regions refined so far."""
+        return pipeline_schedule(self.stage_times())[1]
+
+    def meter(self, k, plan):
+        """Configuration ``k``'s cost meter: every warm-up pass's
+        ledger, then its Analyst's, merged into a fresh meter."""
+        merged = CostMeter(params=self.base_meter.params, scale=plan.scale,
+                           ledger=TimeLedger())
+        for ledger in self.bundle().pass_ledgers():
+            merged.ledger.merge(ledger)
+        merged.ledger.merge(self.analysts[k].machine.meter.ledger)
+        return merged
+
     def result(self, plan):
         """The :class:`StrategyResult` over the regions refined so far."""
-        return self.strategy._assemble_result(
-            self.context.workload.name, plan, self.bundle(),
-            list(self.regions), list(self.analyst_times),
-            self.analyst_machine.meter.ledger, self.base_meter)
+        return self.strategy._assemble_result(self, plan)

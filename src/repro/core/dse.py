@@ -6,11 +6,16 @@ each simulating a different cache (or processor) configuration.  The
 marginal cost of an extra configuration is just its Analyst — tiny next
 to the warm-up work (the paper reports warm-up : detailed time of ~235x
 and a marginal cost below 1.05x for 10 parallel Analysts, versus 10x for
-rerunning the whole simulation per configuration).  On the host, the
-Analysts with one L1 configuration also share each region's L1 and
-stride work (one :class:`~repro.sampling.classify.RegionFrontEnd`), so
-an extra LLC size runs only its own LLC phase; each Analyst's ledger
-still charges its full detailed warming.
+rerunning the whole simulation per configuration).
+
+A sweep is a DeLorean run over several configurations: it is refined by
+:class:`~repro.core.delorean.DeLoreanRun`, which runs every Analyst and
+shares each region's L1 and stride work among the Analysts with one L1
+configuration, so on the host an extra LLC size runs only its own LLC
+phase (each Analyst's ledger still charges its full detailed
+warming).  This module adds the sweep's report: one
+:class:`~repro.sampling.results.StrategyResult` per configuration and
+the amortization statistics.
 
 With an artifact ``store`` attached the amortization extends across
 *calls*: the warm-up products are persisted by
@@ -21,16 +26,10 @@ replays the recorded warm-up and only its Analysts execute.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.analyst import AnalystPass
+from repro.core.delorean import DeLorean
 from repro.core.explorer import DEFAULT_EXPLORERS
-from repro.core.pipeline import pipeline_schedule
 from repro.core.vicinity import DEFAULT_DENSITY
-from repro.core.warmup import WarmupPipeline
-from repro.sampling.base import StrategyBase
 from repro.sampling.results import StrategyResult
-from repro.vff.costmodel import CostMeter, TimeLedger
 
 
 @dataclass
@@ -65,19 +64,19 @@ class DSEReport:
         return float(self.n_configs)
 
 
-class DesignSpaceExploration(StrategyBase):
+class DesignSpaceExploration(DeLorean):
     """One Scout + one Explorer set feeding N parallel Analysts."""
 
     name = "DeLorean-DSE"
+    vicinity_rng = "dse-vicinity"
 
     def __init__(self, processor_config=None, explorer_specs=DEFAULT_EXPLORERS,
                  vicinity_density=DEFAULT_DENSITY, vicinity_boost=200.0,
                  mshr_window=24):
-        super().__init__(processor_config)
-        self.explorer_specs = tuple(explorer_specs)
-        self.vicinity_density = float(vicinity_density)
-        self.vicinity_boost = float(vicinity_boost)
-        self.mshr_window = mshr_window
+        super().__init__(processor_config, explorer_specs=explorer_specs,
+                         vicinity_density=vicinity_density,
+                         vicinity_boost=vicinity_boost,
+                         mshr_window=mshr_window)
 
     def run(self, workload, plan, hierarchy_configs, index=None, seed=0,
             store=None, context=None):
@@ -86,80 +85,30 @@ class DesignSpaceExploration(StrategyBase):
             raise ValueError("need at least one configuration")
         context = self.context_for(workload, index=index, seed=seed,
                                    store=store, context=context)
-        base_meter = CostMeter(scale=plan.scale)
-
-        bundle = WarmupPipeline(
-            "dse-vicinity", context, plan, self.explorer_specs,
-            self.vicinity_density, self.vicinity_boost,
-            base_meter).run_all()
-
-        analyst_machines = [
-            context.machine(base_meter.fork())
-            for _ in hierarchy_configs]
-        analysts = [
-            AnalystPass(machine, config,
-                        processor_config=self.processor_config,
-                        mshr_window=self.mshr_window, seed=context.seed,
-                        context=context)
-            for machine, config in zip(analyst_machines, hierarchy_configs)]
-
-        analyst_stage_times = [[] for _ in analysts]
-        per_config_regions = [[] for _ in analysts]
-
-        for spec, warm in zip(plan.regions(), bundle.regions):
-            # One predictor serves every configuration: reuse distance is
-            # microarchitecture-independent (Section 3.3).  Likewise the
-            # L1 and stride work serves every Analyst with the same L1.
-            predictor = warm.predictor()
-            front_ends = {}
-            for k, analyst in enumerate(analysts):
-                l1 = analyst.hierarchy_config.l1d
-                if l1 not in front_ends:
-                    front_ends[l1] = analyst.new_front_end()
-                mark = analyst_machines[k].meter.ledger.total_seconds
-                per_config_regions[k].append(
-                    analyst.run_region(spec, predictor, front_ends[l1]))
-                analyst_stage_times[k].append(
-                    analyst_machines[k].meter.ledger.total_seconds - mark)
-
-        # Analysts run concurrently: the pipeline sees one analyst stage
-        # whose per-region time is the slowest configuration's.
-        warmup_stage_times = bundle.stage_times()
-        analyst_parallel = np.max(
-            np.asarray(analyst_stage_times), axis=0).tolist()
-        _, wall_seconds = pipeline_schedule(
-            [*warmup_stage_times, analyst_parallel])
-
-        warm_ledgers = bundle.pass_ledgers()
-        warmup_core = sum(ledger.total_seconds for ledger in warm_ledgers)
-        analyst_cores = [m.meter.ledger.total_seconds
-                         for m in analyst_machines]
-        core_seconds = warmup_core + sum(analyst_cores)
-        single_core = warmup_core + analyst_cores[0]
-
-        results = []
-        for k, config in enumerate(hierarchy_configs):
-            merged = CostMeter(params=base_meter.params, scale=plan.scale,
-                               ledger=TimeLedger())
-            for ledger in warm_ledgers:
-                merged.ledger.merge(ledger)
-            merged.ledger.merge(analyst_machines[k].meter.ledger)
-            results.append(StrategyResult(
+        run = self._sweep(context, plan, hierarchy_configs)
+        wall_seconds = run.wall_seconds()
+        warmup_core = sum(ledger.total_seconds
+                          for ledger in run.bundle().pass_ledgers())
+        analyst_cores = [analyst.machine.meter.ledger.total_seconds
+                         for analyst in run.analysts]
+        results = [
+            StrategyResult(
                 strategy=self.name,
                 workload=workload.name,
-                regions=per_config_regions[k],
-                meter=merged,
+                regions=regions,
+                meter=run.meter(k, plan),
                 paper_equivalent_instructions=(
                     plan.paper_equivalent_instructions),
                 wall_seconds=wall_seconds,
-                extras={"llc_bytes": config.llc.size_bytes},
-            ))
-
+                extras={"llc_bytes": analyst.hierarchy_config.llc.size_bytes},
+            )
+            for k, (analyst, regions) in enumerate(zip(run.analysts,
+                                                       run.regions))]
         return DSEReport(
             results=results,
             wall_seconds=wall_seconds,
-            core_seconds=core_seconds,
-            single_config_core_seconds=single_core,
+            core_seconds=warmup_core + sum(analyst_cores),
+            single_config_core_seconds=warmup_core + analyst_cores[0],
             extras={
                 "warmup_core_seconds": warmup_core,
                 "analyst_core_seconds": analyst_cores,

@@ -1,13 +1,14 @@
 """The shared Scout + Explorer warm-up: one region loop, with record/replay.
 
-Both :class:`~repro.core.delorean.DeLorean` and
-:class:`~repro.core.dse.DesignSpaceExploration` spend most of their work
-in the same place: per detailed region, a Scout collects the key
-cachelines and an Explorer chain collects their reuse distances plus the
-vicinity distribution.  Everything those passes produce is
-*microarchitecture-independent* (Section 3.3) — the cache hierarchy only
-enters at the Analyst — so the warm-up products for a workload/plan/seed
-are reusable across every LLC configuration of a sweep.
+A :class:`~repro.core.delorean.DeLoreanRun` — one DeLorean
+configuration or a :class:`~repro.core.dse.DesignSpaceExploration`
+sweep over several — spends most of its work in the same place: per
+detailed region, a Scout collects the key cachelines and an Explorer
+chain collects their reuse distances plus the vicinity distribution.
+Everything those passes produce is *microarchitecture-independent*
+(Section 3.3) — the cache hierarchy only enters at the Analyst — so the
+warm-up products for a workload/plan/seed are reusable across every LLC
+configuration of a sweep.
 
 :class:`IncrementalWarmup` is the one region loop: it owns the Scout and
 Explorer machines, the shared vicinity RNG, the samplers and the chain,
@@ -137,9 +138,10 @@ class WarmupPipeline:
     :class:`~repro.core.context.ExecutionContext`: the context supplies
     the trace (possibly memory-mapped), the (possibly spilled) index,
     the artifact store and the seed, so one context threads identically
-    through DeLorean, DSE and the warm-up machinery.  The constructor
-    looks the bundle up in the store; :meth:`run_all` records it on a
-    miss by refining an :class:`IncrementalWarmup` over every region.
+    through DeLorean (one configuration or a DSE sweep) and the warm-up
+    machinery.  The constructor looks the bundle up in the store;
+    :meth:`run_all` records it on a miss by refining an
+    :class:`IncrementalWarmup` over every region.
     """
 
     def __init__(self, rng_label, context, plan, explorer_specs,

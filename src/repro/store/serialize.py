@@ -12,7 +12,10 @@ Three wire formats cover every artifact the store can persist:
   the spillable-index format: tables are streamed into the blob without
   ever holding the payload in RAM (:func:`write_arrays_stream`) and
   served back as read-only ``np.memmap`` views
-  (:func:`mapped_arrays`), so queries page data in on demand;
+  (:func:`mapped_arrays`), so queries page data in on demand.  Native
+  trace containers are written and mapped by the same two functions
+  (:func:`write_arrays_stream`, :func:`member_view`), and every
+  streamed member is zip64, so a table past 2 GiB publishes;
 * ``pkl`` — zlib-compressed pickle for everything else
   (:class:`~repro.sampling.results.StrategyResult`,
   :class:`~repro.core.dse.DSEReport`, warm-up bundles): these are the
@@ -65,26 +68,34 @@ def decode(kind, payload):
 
 # -- streamed / memory-mapped npz --------------------------------------------
 
-def write_arrays_stream(handle, arrays):
-    """Stream ``arrays`` into ``handle`` as an uncompressed npz.
+def write_arrays_stream(handle, arrays, compress=False):
+    """Stream ``arrays`` into ``handle`` as an npz, uncompressed unless
+    ``compress``.
 
-    ``handle`` may already hold a prefix (the blob magic + header); zip
-    readers locate the archive from its end-of-central-directory record,
-    so a prefixed archive round-trips.  Arrays may themselves be
-    ``np.memmap`` views over spill files — ``write_array`` walks them
-    buffer-by-buffer, so peak RAM stays bounded by the I/O buffer, not
-    the table size.
+    The one npz member writer: store blobs and native trace containers
+    both go through it.  ``handle`` may already hold a prefix (the blob
+    magic + header); zip readers locate the archive from its
+    end-of-central-directory record, so a prefixed archive round-trips.
+    Arrays may themselves be ``np.memmap`` views over spill files —
+    ``write_array`` walks them buffer-by-buffer, so peak RAM stays
+    bounded by the I/O buffer, not the table size.  Every member is
+    written zip64 (``force_zip64``, as ``numpy.savez`` does): its size
+    is unknown when its header goes out, and a 32-bit header fails at
+    close once the member passes ``zipfile.ZIP64_LIMIT`` (2 GiB).
     """
-    with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED,
+    compression = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
+    with zipfile.ZipFile(handle, "w", compression,
                          allowZip64=True) as archive:
         for name, array in arrays.items():
-            with archive.open(name + ".npy", "w") as member:
+            with archive.open(name + ".npy", "w",
+                              force_zip64=True) as member:
                 np.lib.format.write_array(member, np.asanyarray(array),
                                           allow_pickle=False)
 
 
-def _member_view(path, info):
-    """Read-only memmap of one stored member of a (prefixed) zip."""
+def member_view(path, info):
+    """Read-only memmap of one stored (uncompressed) npz member of a
+    (possibly prefixed) zip; raises ``ValueError`` on a malformed one."""
     with open(path, "rb") as handle:
         handle.seek(info.header_offset)
         local = handle.read(30)
@@ -127,7 +138,7 @@ def mapped_arrays(path, payload_offset):
                     continue
                 name = info.filename[:-len(".npy")]
                 if info.compress_type == zipfile.ZIP_STORED:
-                    views[name] = _member_view(path, info)
+                    views[name] = member_view(path, info)
                 else:
                     with archive.open(info) as member:
                         views[name] = np.lib.format.read_array(

@@ -9,7 +9,8 @@ A container is two files next to each other::
 The npz is written *uncompressed* by default so the streaming
 :class:`~repro.traceio.reader.TraceReader` can memory-map each member
 in place (``compress=True`` trades that for a smaller file; the reader
-then falls back to buffered member reads).  The manifest's
+then falls back to buffered member reads).  Every member is written
+zip64, so a trace with an array past 2 GiB publishes.  The manifest's
 ``fingerprint`` is the canonical SHA-256 of the array contents (the same
 encoding the artifact store uses for addressing), so two imports of the
 same trace — on different machines, weeks apart — agree byte-for-byte.
@@ -19,13 +20,13 @@ import json
 import os
 import shutil
 import tempfile
-import zipfile
 
 import numpy as np
 
 from repro import telemetry
 from repro.reliability.cleanup import register_scratch, unregister_scratch
 from repro.store.fingerprint import fingerprint, fingerprint_arrays
+from repro.store.serialize import write_arrays_stream
 from repro.trace.record import Kind, Trace
 from repro.traceio.spill import ArraySpill, UniqueAccumulator
 from repro.util.units import CACHELINE_SHIFT
@@ -130,16 +131,23 @@ def write_manifest_sidecar(sidecar, manifest):
     os.replace(tmp, sidecar)
 
 
-def _publish_container(path, manifest, write_payload):
-    """Atomically land a manifest sidecar + npz written by a callback.
+def publish_container(path, views, manifest):
+    """Atomically publish canonical array ``views`` under a prebuilt
+    ``manifest``; returns the manifest.
 
-    Mirrors the disk store: temp file + ``os.replace``, so a crashed
-    import never leaves a half-written container behind.  The sidecar
-    lands *first*: on a fresh import a crash between the two leaves an
-    orphan manifest (invisible, harmless) rather than an unlistable npz.
-    When *replacing* a container, a crash in the window pairs the new
-    manifest with the old npz — readers detect that via the manifest's
-    array shapes and refuse loudly rather than serve mismatched data.
+    The one container writer (:func:`write_trace`, the chunk writer and
+    the fused importer), so the payload layout cannot drift between
+    them.  Array data is copied from the views (typically spill
+    memmaps) in bounded buffers by
+    :func:`~repro.store.serialize.write_arrays_stream`, compressed when
+    the manifest says so.  Mirrors the disk store: temp file +
+    ``os.replace``, so a crashed import never leaves a half-written
+    container behind.  The sidecar lands *first*: on a fresh import a
+    crash between the two leaves an orphan manifest (invisible,
+    harmless) rather than an unlistable npz.  When *replacing* a
+    container, a crash in the window pairs the new manifest with the
+    old npz — readers detect that via the manifest's array shapes and
+    refuse loudly rather than serve mismatched data.
     """
     path = str(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -148,7 +156,11 @@ def _publish_container(path, manifest, write_payload):
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as handle:
-            write_payload(handle)
+            write_arrays_stream(
+                handle,
+                {array_name: views[array_name]
+                 for array_name, _ in TRACE_ARRAYS},
+                compress=manifest["compressed"])
     except BaseException:
         try:
             os.remove(tmp)
@@ -156,30 +168,6 @@ def _publish_container(path, manifest, write_payload):
             pass
         raise
     os.replace(tmp, path)
-
-
-def publish_container(path, views, manifest):
-    """Publish canonical array ``views`` under a prebuilt ``manifest``.
-
-    The one streaming npz assembly: array data is copied from the views
-    (typically spill memmaps) in zipfile's bounded buffers, with the
-    same atomicity as :func:`write_trace`.  Shared by the chunk writer
-    and the fused importer, so the payload layout cannot drift between
-    them.  Returns the manifest.
-    """
-
-    def write_payload(handle):
-        compression = (zipfile.ZIP_DEFLATED if manifest["compressed"]
-                       else zipfile.ZIP_STORED)
-        with zipfile.ZipFile(handle, "w", compression,
-                             allowZip64=True) as archive:
-            for array_name, _ in TRACE_ARRAYS:
-                with archive.open(array_name + ".npy", "w") as member:
-                    np.lib.format.write_array(
-                        member, np.asanyarray(views[array_name]),
-                        allow_pickle=False)
-
-    _publish_container(path, manifest, write_payload)
     return manifest
 
 
@@ -191,18 +179,9 @@ def write_trace(trace, path, name=None, source=None, compress=False):
     external file and format an importer consumed).
     """
     trace.validate()
-    arrays = trace_arrays(trace)
     manifest = build_manifest(trace, name=name, source=source,
                               compressed=compress)
-
-    def write_payload(handle):
-        if compress:
-            np.savez_compressed(handle, **arrays)
-        else:
-            np.savez(handle, **arrays)
-
-    _publish_container(path, manifest, write_payload)
-    return manifest
+    return publish_container(path, trace_arrays(trace), manifest)
 
 
 class TraceStreamWriter:

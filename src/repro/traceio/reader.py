@@ -1,21 +1,21 @@
 """Chunked, out-of-core reading of native trace containers.
 
 ``TraceReader`` opens a container written by
-:func:`~repro.traceio.container.write_trace` without materializing it:
-each npz member stored uncompressed is memory-mapped *in place* (the
-member's ``.npy`` payload is located inside the zip and wrapped in a
-read-only ``np.memmap``), so a :class:`~repro.trace.record.Trace` built
-over those views has the full random-access API while the OS pages data
-in and out on demand.
+:func:`~repro.traceio.container.publish_container` without
+materializing it: each npz member stored uncompressed is memory-mapped
+*in place* by :func:`~repro.store.serialize.member_view`, the mapper
+the store's spilled blobs use too (the member's ``.npy`` payload is
+located inside the zip and wrapped in a read-only ``np.memmap``), so a
+:class:`~repro.trace.record.Trace` built over those views has the full
+random-access API while the OS pages data in and out on demand.
 
 For strictly bounded-memory sequential consumers, ``iter_chunks`` walks
 the trace in instruction windows sized to a byte budget; each chunk is a
 small, fully materialized window with both coordinate systems intact —
 that is the truly out-of-core path.  Full *strategy* runs stream the
-trace arrays but still build an in-RAM
-:class:`~repro.vff.index.TraceIndex` (O(accesses) position tables), so
-their resident set shrinks by the trace-array share only; a spilled
-index is a ROADMAP item.
+trace arrays, and their :class:`~repro.core.context.ExecutionContext`
+builds a bounded :class:`~repro.vff.index.TraceIndex` for a streamed
+trace (memory-mapped from the store when one is enabled).
 
 Compressed containers (``compress=True`` at write time) cannot be
 mapped; the reader transparently falls back to buffered loads and
@@ -29,6 +29,7 @@ import zipfile
 import numpy as np
 
 from repro.reliability.faults import raise_io_fault
+from repro.store.serialize import member_view
 from repro.traceio.container import (
     TRACE_ARRAYS,
     TraceFormatError,
@@ -44,30 +45,6 @@ DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
 _ACCESS_ROW_BYTES = 8 + 8 + 4 + 1
 #: Bytes per row of the branch view (instr + mispredict flag).
 _BRANCH_ROW_BYTES = 8 + 1
-
-
-def _member_memmap(path, info):
-    """Read-only memmap of one *stored* (uncompressed) npz member."""
-    with open(path, "rb") as handle:
-        handle.seek(info.header_offset)
-        local = handle.read(30)
-        if len(local) < 30 or local[:4] != b"PK\x03\x04":
-            raise TraceFormatError(f"bad zip local header in {path!r}")
-        name_len = int.from_bytes(local[26:28], "little")
-        extra_len = int.from_bytes(local[28:30], "little")
-        handle.seek(info.header_offset + 30 + name_len + extra_len)
-        version = np.lib.format.read_magic(handle)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-        else:
-            raise TraceFormatError(f"unsupported npy version {version}")
-        offset = handle.tell()
-    if int(np.prod(shape)) == 0:
-        return np.empty(shape, dtype=dtype)
-    return np.memmap(path, mode="r", dtype=dtype, shape=shape,
-                     offset=offset, order="F" if fortran else "C")
 
 
 class TraceReader:
@@ -101,7 +78,10 @@ class TraceReader:
                     raise TraceFormatError(
                         f"container {self.path!r} is missing {member!r}")
                 if info.compress_type == zipfile.ZIP_STORED:
-                    view = _member_memmap(self.path, info)
+                    try:
+                        view = member_view(self.path, info)
+                    except ValueError as exc:
+                        raise TraceFormatError(str(exc))
                 else:
                     with archive.open(member) as handle:
                         view = np.lib.format.read_array(

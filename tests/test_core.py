@@ -296,12 +296,18 @@ def _config_signature(result):
              for region in result.regions])
 
 
-@pytest.mark.parametrize("configs", [
+#: Multi-configuration sweeps: four LLC sizes, and two LLC sizes
+#: interleaved with two L1 sizes (front ends are shared per L1
+#: configuration).
+MULTI_CONFIG_SWEEPS = [
     [paper_hierarchy(size << 20) for size in (1, 8, 64, 512)],
-    # Interleaved L1 sizes: front ends are shared per L1 configuration.
     [paper_hierarchy(size << 20, l1_scale=l1_scale)
      for size in (8, 64) for l1_scale in (0.25, 0.5)],
-], ids=["llc-sizes", "two-l1-sizes"])
+]
+
+
+@pytest.mark.parametrize("configs", MULTI_CONFIG_SWEEPS,
+                         ids=["llc-sizes", "two-l1-sizes"])
 def test_dse_configs_match_one_config_sweeps(small_workload, small_plan,
                                              small_index, configs):
     sweep = DesignSpaceExploration().run(
@@ -333,6 +339,16 @@ def test_delorean_without_explorers_matches_scout_only_sweep(
         small_workload, small_plan, [hierarchy], index=small_index, seed=2)
     assert _config_signature(result) == \
         _config_signature(sweep.results[0])
+    # DeLorean is the one-configuration case of the run a sweep refines,
+    # so each configuration of a multi-configuration sweep equals it too.
+    for configs in MULTI_CONFIG_SWEEPS:
+        sweep = DesignSpaceExploration(explorer_specs=()).run(
+            small_workload, small_plan, configs, index=small_index, seed=2)
+        for config, swept in zip(configs, sweep.results):
+            alone = DeLorean(explorer_specs=()).run(
+                small_workload, small_plan, config, index=small_index,
+                seed=2)
+            assert _config_signature(alone) == _config_signature(swept)
 
 
 def test_dse_requires_configs(small_workload, small_plan, small_index):

@@ -542,6 +542,38 @@ class TestExplorerPlanBatch:
         for backend in kernels.BACKENDS:
             assert results[backend] == results["scalar"], backend
 
+    def test_dse_sweep_identical_across_backends(self):
+        """A whole sweep is identical on every backend: on ``native``
+        the Analysts with one L1 share each region's front end, on
+        ``scalar`` each classifies on its own caches."""
+        from repro.core import DesignSpaceExploration
+        from repro.core.context import ExecutionContext
+
+        configs = [paper_hierarchy(size << 20, l1_scale=l1_scale)
+                   for size in (8, 64) for l1_scale in (0.25, 0.5)]
+        reports = {}
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                workload = make_small_workload(seed=43,
+                                               n_instructions=90_000)
+                plan = SamplingPlan(n_instructions=90_000, n_regions=3)
+                context = ExecutionContext(workload, seed=3)
+                report = DesignSpaceExploration().run(
+                    workload, plan, configs, context=context)
+                reports[backend] = (
+                    report.wall_seconds, report.core_seconds,
+                    report.single_config_core_seconds,
+                    repr(sorted(report.extras.items())),
+                    [(r.cpi, r.mpki, r.wall_seconds,
+                      r.meter.ledger.as_dict(),
+                      repr(sorted(r.extras.items())),
+                      [(repr(sorted(reg.stats.counts.items())),
+                        reg.timing.total_cycles) for reg in r.regions])
+                     for r in report.results])
+                context.release()
+        for backend in kernels.BACKENDS:
+            assert reports[backend] == reports["scalar"], backend
+
     def test_naive_dsw_identical_across_backends(self):
         """Whole-gap vicinity sampling resolves in one batch per region
         on native; every observable equals the per-sample loop's."""

@@ -12,6 +12,7 @@ bit-for-bit, including through a complete DeLorean run.
 
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -40,8 +41,10 @@ from repro.traceio import (
     TraceImportError,
     TraceLibrary,
     TraceReader,
+    TraceStreamWriter,
     export_trace,
     import_trace,
+    import_trace_streamed,
     read_manifest,
     read_trace,
     register_workload,
@@ -51,7 +54,7 @@ from repro.traceio import (
     unregister_workload,
     write_trace,
 )
-from repro.traceio.container import manifest_path
+from repro.traceio.container import manifest_path, trace_arrays
 from repro.traceio.formats import CHAMPSIM_DTYPE
 from repro.vff.index import TraceIndex
 from tests.conftest import make_small_workload
@@ -255,6 +258,66 @@ class TestTraceReader:
 
 
 # -- importers: hand-built fixtures ------------------------------------------
+
+class TestZip64Members:
+    """Every streamed npz member is written zip64, so a member past
+    ``zipfile.ZIP64_LIMIT`` publishes.  The limit (2 GiB) is patched
+    down to 64 KiB here; a 32-bit member header fails at close once
+    its member passes it."""
+
+    LIMIT = 1 << 16
+
+    @pytest.fixture
+    def trace(self, monkeypatch):
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", self.LIMIT)
+        trace = random_trace(3, n_instructions=60_000)
+        assert trace.mem_line.nbytes > self.LIMIT
+        return trace
+
+    def assert_container(self, path, trace, streaming):
+        with zipfile.ZipFile(path) as archive:
+            assert max(info.file_size
+                       for info in archive.infolist()) > self.LIMIT
+        assert read_manifest(path)["fingerprint"] == trace_fingerprint(trace)
+        with TraceReader(str(path)) as reader:
+            assert reader.streaming == streaming
+            assert_traces_identical(trace, reader.trace())
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_write_trace(self, tmp_path, trace, compress):
+        path = tmp_path / "w.trace.npz"
+        write_trace(trace, path, compress=compress)
+        self.assert_container(path, trace, streaming=not compress)
+
+    def test_stream_writer(self, tmp_path, trace):
+        source = tmp_path / "src.trace.npz"
+        write_trace(trace, source)
+        path = tmp_path / "s.trace.npz"
+        with TraceReader(str(source)) as reader, \
+                TraceStreamWriter() as writer:
+            writer.extend(reader.iter_chunks(7_000))
+            writer.write_container(path, name=trace.name)
+        self.assert_container(path, trace, streaming=True)
+
+    def test_streamed_import(self, tmp_path, trace):
+        source = tmp_path / "src.csv"
+        export_trace(trace, source, "csv")
+        path = tmp_path / "i.trace.npz"
+        import_trace_streamed(source, "csv", path, chunk_instructions=7_000)
+        self.assert_container(path, import_trace(source, "csv"),
+                              streaming=True)
+
+    def test_store_blob(self, tmp_path, trace):
+        store = ArtifactStore(root=tmp_path, enabled=True)
+        arrays = trace_arrays(trace)
+        key = {"artifact": "zip64-demo"}
+        assert store.save_arrays(key, arrays, label="spill") == \
+            store.digest(key)
+        views = store.load_mapped(key)
+        for name, expected in arrays.items():
+            assert isinstance(views[name], np.memmap), name
+            assert np.array_equal(np.asarray(views[name]), expected), name
+
 
 def champsim_record(ip=0, is_branch=0, taken=0, src=(), dest=()):
     record = np.zeros(1, dtype=CHAMPSIM_DTYPE)

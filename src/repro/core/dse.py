@@ -78,6 +78,12 @@ class DesignSpaceExploration(DeLorean):
                          vicinity_boost=vicinity_boost,
                          mshr_window=mshr_window)
 
+    def begin(self, context, plan, hierarchy_config):
+        """A sweep has no refinable (live) form: :meth:`run` it."""
+        raise NotImplementedError(
+            "DesignSpaceExploration cannot begin a live run; sweep its "
+            "configurations with run()")
+
     def run(self, workload, plan, hierarchy_configs, index=None, seed=0,
             store=None, context=None):
         """Sweep ``hierarchy_configs`` from one shared warm-up."""

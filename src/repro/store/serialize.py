@@ -1,26 +1,28 @@
 """Artifact codecs: compressed bytes <-> Python objects.
 
-Three wire formats cover every artifact the store can persist:
+Two wire formats cover every artifact the store persists:
 
-* ``npz`` — a flat mapping of numpy arrays (``numpy.savez_compressed``),
-  chosen by :func:`encode` for any dict of arrays passed to
-  ``ArtifactStore.save``: exact round-trips, no pickling overhead.  No
-  pipeline artifact is saved this way; stores written by earlier
-  versions still hold ``trace-index`` blobs in it;
-* ``npzm`` — the same mapping stored as an *uncompressed* npz whose
-  members can be memory-mapped in place inside the blob file.  This is
-  the spillable-index format: tables are streamed into the blob without
-  ever holding the payload in RAM (:func:`write_arrays_stream`) and
-  served back as read-only ``np.memmap`` views
-  (:func:`mapped_arrays`), so queries page data in on demand.  Native
-  trace containers are written and mapped by the same two functions
-  (:func:`write_arrays_stream`, :func:`member_view`), and every
-  streamed member is zip64, so a table past 2 GiB publishes;
-* ``pkl`` — zlib-compressed pickle for everything else
+* ``pkl`` — zlib-compressed pickle, what :func:`encode` produces for
+  everything ``ArtifactStore.save`` is given
   (:class:`~repro.sampling.results.StrategyResult`,
-  :class:`~repro.core.dse.DSEReport`, warm-up bundles): these are the
-  same plain dataclass graphs the process-parallel runner already ships
-  between workers.
+  :class:`~repro.core.dse.DSEReport`, warm-up bundles, manifests):
+  these are the same plain dataclass graphs the process-parallel runner
+  already ships between workers;
+* ``npzm`` — a mapping of numpy arrays stored as an *uncompressed* npz
+  whose members can be memory-mapped in place inside the blob file.
+  This is the spillable-index and synthetic-trace format: tables are
+  streamed into the blob without ever holding the payload in RAM
+  (:func:`write_arrays_stream`) and served back as read-only
+  ``np.memmap`` views (:func:`mapped_arrays`), so queries page data in
+  on demand; :func:`decode` is its in-RAM fallback.  Native trace
+  containers are written and mapped by the same two functions
+  (:func:`write_arrays_stream`, :func:`member_view`), and every
+  streamed member is zip64, so a table past 2 GiB publishes.
+
+Stores written by earlier versions may still hold ``npz`` blobs
+(compressed array mappings, labelled ``trace-index``).  No key leads to
+them and nothing decodes them: ``cache ls``/``verify`` read only their
+headers and checksums, and ``cache clear`` removes them.
 
 Blobs only ever come from the local cache directory this process (or a
 sibling worker) wrote, so pickle is acceptable; treat a cache directory
@@ -34,31 +36,19 @@ import zlib
 
 import numpy as np
 
-KIND_NPZ = "npz"
 KIND_NPZ_MAPPED = "npzm"
 KIND_PICKLE = "pkl"
 
 
-def is_array_mapping(obj):
-    """True for the non-empty dict-of-ndarrays shapes the npz codec
-    handles (also used by the memory tier's byte accounting)."""
-    return (isinstance(obj, dict) and bool(obj)
-            and all(isinstance(v, np.ndarray) for v in obj.values()))
-
-
 def encode(obj):
     """Serialize ``obj``; returns ``(kind, payload_bytes)``."""
-    if is_array_mapping(obj):
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **obj)
-        return KIND_NPZ, buffer.getvalue()
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     return KIND_PICKLE, zlib.compress(payload, 6)
 
 
 def decode(kind, payload):
     """Inverse of :func:`encode` (and in-RAM fallback for ``npzm``)."""
-    if kind in (KIND_NPZ, KIND_NPZ_MAPPED):
+    if kind == KIND_NPZ_MAPPED:
         with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
             return {name: archive[name] for name in archive.files}
     if kind == KIND_PICKLE:

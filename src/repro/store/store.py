@@ -42,7 +42,6 @@ from repro.store.serialize import (
     KIND_NPZ_MAPPED,
     decode,
     encode,
-    is_array_mapping,
     mapped_arrays,
     write_arrays_stream,
 )
@@ -104,18 +103,6 @@ def _warn_unusable_root(root, reason):
         "cache disabled (REPRO_CACHE=off behavior) — set REPRO_CACHE_DIR "
         "to a writable directory to re-enable warm starts",
         RuntimeWarning, stacklevel=3)
-
-
-def _resident_size(obj, payload_size):
-    """Bytes an entry is charged in the memory tier.
-
-    Array mappings (npz artifacts) decompress far beyond their payload,
-    so charge their true buffer size; everything else is approximated by
-    its encoded size.
-    """
-    if is_array_mapping(obj):
-        return sum(v.nbytes for v in obj.values())
-    return payload_size
 
 
 class ArtifactStore:
@@ -195,7 +182,7 @@ class ArtifactStore:
             self.disk_misses += 1
             self._count_lookup("miss", label)
             return None
-        self.memory.put(digest, obj, _resident_size(obj, len(payload)))
+        self.memory.put(digest, obj, len(payload))
         self.disk_hits += 1
         self._count_lookup("hit", label or header.get("label"))
         return obj
@@ -233,10 +220,9 @@ class ArtifactStore:
             self.disk.put(digest, kind, payload, label=label)
         except OSError as exc:
             self._publish_failed(label, exc)
-            self.memory.put(digest, obj,
-                            _resident_size(obj, len(payload)))
+            self.memory.put(digest, obj, len(payload))
             return None
-        self.memory.put(digest, obj, _resident_size(obj, len(payload)))
+        self.memory.put(digest, obj, len(payload))
         self.saves += 1
         self._count_lookup("save", label)
         return digest

@@ -79,22 +79,7 @@ class Trace:
 
     def validate(self):
         """Check internal consistency; raises ``ValueError`` on corruption."""
-        n = self.n_instructions
-        if self.mem_instr.size and (
-            self.mem_instr[0] < 0 or self.mem_instr[-1] >= n
-        ):
-            raise ValueError("memory access outside instruction range")
-        if np.any(np.diff(self.mem_instr) < 0):
-            raise ValueError("memory accesses not sorted by instruction")
-        for attr in ("mem_line", "mem_pc", "mem_store"):
-            if getattr(self, attr).shape != self.mem_instr.shape:
-                raise ValueError(f"{attr} length mismatch")
-        if self.branch_instr.shape != self.branch_mispred.shape:
-            raise ValueError("branch view length mismatch")
-        n_mem = int(np.count_nonzero(
-            (self.kind == Kind.LOAD) | (self.kind == Kind.STORE)))
-        if n_mem != self.n_accesses:
-            raise ValueError("kind stream and memory view disagree")
+        check_columns(self, 0, self.n_instructions)
 
     # -- coordinate conversion -------------------------------------------
 
@@ -147,8 +132,8 @@ class TraceChunk:
     The unit both producers and consumers of chunked traces speak: the
     synthetic chunk generator (:func:`repro.trace.stream.generate_chunks`),
     the chunked container reader
-    (:meth:`repro.traceio.reader.TraceReader.iter_chunks`) and the
-    chunk-granular importers all emit/accept it.  Access/branch
+    (:meth:`repro.traceio.reader.TraceReader.iter_chunks`), the stream
+    writer and the live runner all emit/accept it.  Access/branch
     coordinates are *absolute* (trace-global); use :meth:`to_trace` for a
     self-contained window with local coordinates.
     """
@@ -177,6 +162,10 @@ class TraceChunk:
             self.kind, self.mem_instr, self.mem_line, self.mem_pc,
             self.mem_store, self.branch_instr, self.branch_mispred))
 
+    def validate(self):
+        """Check the window's columns; raises ``ValueError`` on corruption."""
+        check_columns(self, self.instr_lo, self.instr_hi)
+
     def to_trace(self, name="chunk"):
         """A standalone, validated Trace of this window (local coords)."""
         trace = Trace(
@@ -191,6 +180,38 @@ class TraceChunk:
         )
         trace.validate()
         return trace
+
+
+def check_columns(columns, instr_lo, instr_hi):
+    """The one consistency check of the canonical columns.
+
+    ``columns`` (a :class:`Trace` or a :class:`TraceChunk`) must cover
+    the instruction window ``[instr_lo, instr_hi)``: one kind entry per
+    instruction, and memory and branch views that are sorted, inside the
+    window, as long as their kind counts and aligned with their payload
+    columns.  Raises ``ValueError`` on the first violation.
+    """
+    kind = columns.kind
+    if kind.shape[0] != instr_hi - instr_lo:
+        raise ValueError(
+            f"kind stream has {kind.shape[0]} entries for a "
+            f"{instr_hi - instr_lo}-instruction window")
+    n_mem = (int(np.count_nonzero(kind == Kind.LOAD))
+             + int(np.count_nonzero(kind == Kind.STORE)))
+    n_branch = int(np.count_nonzero(kind == Kind.BRANCH))
+    for view, count, label in ((columns.mem_instr, n_mem, "memory"),
+                               (columns.branch_instr, n_branch, "branch")):
+        if view.size and (view[0] < instr_lo or view[-1] >= instr_hi):
+            raise ValueError(f"{label} view outside the instruction window")
+        if np.any(view[1:] < view[:-1]):
+            raise ValueError(f"{label} view not sorted by instruction")
+        if view.shape[0] != count:
+            raise ValueError(f"kind stream and {label} view disagree")
+    for attr in ("mem_line", "mem_pc", "mem_store"):
+        if getattr(columns, attr).shape != columns.mem_instr.shape:
+            raise ValueError(f"{attr} length mismatch")
+    if columns.branch_mispred.shape != columns.branch_instr.shape:
+        raise ValueError("branch view length mismatch")
 
 
 def trace_from_chunks(chunks, name="trace"):

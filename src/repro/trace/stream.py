@@ -198,13 +198,13 @@ class SyntheticStreamWorkload(Workload):
     ``REPRO_INDEX_SPILL=always`` the index spills too, so a synthetic
     suite run is bounded the same way an imported one is.
 
-    A manifest (the streaming writer's, plus the generator's spec
-    fingerprint) is stored alongside the blob and **verified on every
-    open**: the spec fingerprint and array shapes must match what this
-    workload would generate — a stale or torn blob regenerates instead
-    of silently serving the wrong trace.  Without an enabled store the
-    trace streams into an owned spill directory instead (same bounded
-    peak, no cross-process reuse).
+    A manifest (:func:`~repro.traceio.container.container_manifest`'s,
+    plus the generator's spec fingerprint) is stored alongside the blob
+    and **verified on every open**: the spec fingerprint and array
+    shapes must match what this workload would generate — a stale or
+    torn blob regenerates instead of silently serving the wrong trace.
+    Without an enabled store the trace streams into an owned spill
+    directory instead (same bounded peak, no cross-process reuse).
     """
 
     streaming = True
@@ -259,7 +259,10 @@ class SyntheticStreamWorkload(Workload):
             return self._generate_stream()
 
     def _generate_stream(self):
-        from repro.traceio.container import TraceStreamWriter
+        from repro.traceio.container import (
+            TraceStreamWriter,
+            container_manifest,
+        )
 
         store = self.store
         # Spill next to the store (same filesystem as the published
@@ -271,12 +274,13 @@ class SyntheticStreamWorkload(Workload):
         try:
             writer.extend(workload_chunks(
                 self, chunk_instructions=self.chunk_instructions))
-            manifest = writer.manifest(self.name, source={
-                "generator": "synthetic",
-                "benchmark": self.name,
-                "seed": self.seed,
-                "n_instructions": self._n_instructions,
-            })
+            manifest = container_manifest(
+                writer.views(), self.name, source={
+                    "generator": "synthetic",
+                    "benchmark": self.name,
+                    "seed": self.seed,
+                    "n_instructions": self._n_instructions,
+                })
             manifest["spec_fingerprint"] = self.spec_fingerprint
             if manifest["n_instructions"] != self._n_instructions:
                 raise ValueError(

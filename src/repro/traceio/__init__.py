@@ -3,28 +3,32 @@
 The paper evaluates DeLorean on real SPEC CPU2006 traces under gem5;
 this subsystem opens the reproduction to arbitrary real-world workloads:
 
-* **importers** (:mod:`repro.traceio.formats`) normalize ChampSim
-  binary, Valgrind-Lackey/gem5 text and generic CSV traces into the
-  canonical :class:`~repro.trace.record.Trace` arrays — cacheline
-  normalization, PC interning, and deterministic ``branch_mispred``
-  synthesis through the Table 1 tournament predictor;
+* **formats** (:mod:`repro.traceio.formats`): one event parser per
+  external format (ChampSim binary, Valgrind-Lackey/gem5 text, generic
+  CSV) behind one dispatch, ``parse_events``, plus the exporters.
+  ``import_trace`` normalizes a whole file in RAM into the canonical
+  :class:`~repro.trace.record.Trace` arrays — cacheline normalization,
+  PC interning, and deterministic ``branch_mispred`` synthesis through
+  the Table 1 tournament predictor — and is the in-RAM reference;
+* the **streamed importer** (:mod:`repro.traceio.ingest`), the one
+  pipeline behind ``trace import``: parse batches are normalized in
+  flight and spill to disk, PCs intern in a second bounded pass, and
+  the container assembles with O(chunk + unique keys) peak memory —
+  bit-identical to ``write_trace(import_trace(...))``;
 * the **native container** (:mod:`repro.traceio.container`) persists a
   trace as a versioned npz plus JSON manifest (content fingerprint,
   footprint, instruction/access counts), so an import is a one-time
-  cost;
+  cost.  One manifest builder (``container_manifest``) and one writer
+  serve every producer, and one column check (``Trace.validate``,
+  ``TraceChunk.validate``) guards every write and read;
 * the **streaming reader** (:mod:`repro.traceio.reader`) memory-maps a
   container for out-of-core random access and bounded-budget chunk
-  iteration — the path for traces larger than RAM;
+  iteration — the path for traces larger than RAM; ``read_trace`` is
+  its materializing case;
 * the **registry** (:mod:`repro.traceio.workload`) plugs imported
   traces into the Workload machinery: the suite runner resolves
   imported names before the synthetic SPEC specs, so DeLorean, the
   warm-up pipeline, ``run_matrix`` and DSE consume them unchanged.
-
-* the **chunk-granular importer** (:mod:`repro.traceio.ingest`) behind
-  ``trace import --chunk``: parse batches spill to disk, PCs intern in
-  two passes via a spilled id table, and the container assembles with
-  O(chunk + unique keys) peak memory — bit-identical to the
-  materialized import path.
 
 CLI: ``python -m repro trace import|info|convert|ls`` and
 ``python -m repro synth export`` (chunk-wise synthetic containers).
@@ -34,7 +38,7 @@ from repro.traceio.container import (
     TRACE_FORMAT_VERSION,
     TraceFormatError,
     TraceStreamWriter,
-    build_manifest,
+    container_manifest,
     read_manifest,
     read_trace,
     trace_fingerprint,
@@ -65,7 +69,7 @@ __all__ = [
     "TRACE_FORMAT_VERSION",
     "TraceFormatError",
     "TraceStreamWriter",
-    "build_manifest",
+    "container_manifest",
     "read_manifest",
     "read_trace",
     "trace_fingerprint",

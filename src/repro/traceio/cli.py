@@ -12,10 +12,13 @@ Verbs::
 ``import`` parses an external trace, normalizes it into the canonical
 arrays and persists it as a native container — into the trace library
 (``$REPRO_TRACE_DIR``, default ``<cache>/traces``) under a name, or to
-an explicit ``--out`` path.  ``--chunk N`` switches to the chunk-granular
-pipeline (:mod:`repro.traceio.ingest`): the parse never materializes the
-trace, peak memory stays O(chunk + unique keys), and the container is
-bit-identical to the default path's.  Once imported, the name works
+an explicit ``--out`` path.  It always runs the one bounded pipeline
+(:func:`~repro.traceio.ingest.import_trace_streamed`): the parse never
+materializes the trace and peak memory stays O(chunk + unique keys);
+``--chunk N`` only sizes its windows (default
+:data:`~repro.traceio.formats.DEFAULT_IMPORT_CHUNK` instructions), and
+every chunk size yields the identical container.  ``convert --from F
+--to native`` runs the same pipeline.  Once imported, the name works
 everywhere a synthetic benchmark name does (``python -m repro fig5
 --benchmarks mytrace``, ``SuiteRunner.run`` / ``run_matrix`` /
 ``run_dse``).
@@ -29,11 +32,8 @@ memory-mapped — without ever materializing them.
 import argparse
 import json
 import os
-import shutil
 import sys
-import tempfile
 
-from repro.reliability.cleanup import register_scratch, unregister_scratch
 from repro.traceio.container import (
     TraceFormatError,
     TraceStreamWriter,
@@ -44,11 +44,16 @@ from repro.traceio.container import (
 from repro.traceio.formats import (
     FORMAT_NAMES,
     TraceImportError,
+    _default_name,
     export_trace,
     import_trace,
 )
 from repro.traceio.ingest import import_trace_streamed
-from repro.traceio.workload import TraceLibrary
+from repro.traceio.workload import (
+    TraceLibrary,
+    _check_name,
+    _check_not_spec_name,
+)
 from repro.util.units import format_size
 
 
@@ -73,9 +78,9 @@ def build_trace_parser():
                      help="write the container to this path instead of "
                           "the library")
     imp.add_argument("--chunk", type=int, default=None, metavar="N",
-                     help="chunk-granular import: parse and normalize N "
-                          "instructions at a time (bounded memory, "
-                          "bit-identical container)")
+                     help="parse and normalize N instructions at a time "
+                          "(default 262144; every size yields the "
+                          "identical container)")
     imp.add_argument("--compress", action="store_true",
                      help="compressed container (smaller file, no mmap "
                           "streaming)")
@@ -109,51 +114,6 @@ def build_trace_parser():
     conv.add_argument("--compress", action="store_true",
                       help="compress a native output container")
     return parser
-
-
-def _stage_into_library(library, write_container, name=None, force=False,
-                        prefix=".staged-"):
-    """Stream a container into the library via a scratch directory.
-
-    ``write_container(staged_path)`` writes the container pair at the
-    given path and returns its manifest.  Staging happens inside the
-    library root (same filesystem, so adoption is two renames), then
-    :meth:`TraceLibrary.add_container` applies the usual no-op/force
-    semantics — content comparison reads only manifests.  Returns the
-    manifest now served by the library.
-    """
-    os.makedirs(library.root, exist_ok=True)
-    scratch = register_scratch(
-        tempfile.mkdtemp(prefix=prefix, dir=library.root))
-    try:
-        staged = os.path.join(scratch, "staged.trace.npz")
-        manifest = write_container(staged)
-        return library.add_container(staged, name=name or manifest["name"],
-                                     force=force)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-        unregister_scratch(scratch)
-
-
-def _import_streamed(args, library, source):
-    """``trace import --chunk``: bounded-memory import to out/library."""
-    def write_container(path):
-        return import_trace_streamed(
-            args.src, args.format, path, name=args.name,
-            source=source, chunk_instructions=args.chunk,
-            compress=args.compress)
-
-    if args.out:
-        return write_container(args.out), args.out
-    # Fail on a bad/shadowing name *before* spending the import — the
-    # target name is known upfront (explicit, or the source basename).
-    from repro.traceio.formats import _default_name
-    from repro.traceio.workload import _check_name, _check_not_spec_name
-
-    _check_not_spec_name(_check_name(args.name or _default_name(args.src)))
-    manifest = _stage_into_library(library, write_container,
-                                   force=args.force, prefix=".import-")
-    return manifest, library.path(manifest["name"])
 
 
 def _load_any(target, src_format, library):
@@ -207,25 +167,24 @@ def _dispatch(args):
     library = TraceLibrary(root=args.dir)
 
     if args.verb == "import":
+        if args.chunk is not None and args.chunk < 1:
+            raise ValueError("--chunk must be a positive instruction count")
         source = {"path": str(args.src), "format": args.format}
-        if args.chunk is not None:
-            if args.chunk < 1:
-                raise ValueError("--chunk must be a positive "
-                                 "instruction count")
-            manifest, where = _import_streamed(args, library, source)
+
+        def write_container(path):
+            return import_trace_streamed(
+                args.src, args.format, path, name=args.name,
+                source=source, chunk_instructions=args.chunk,
+                compress=args.compress)
+
+        if args.out:
+            manifest, where = write_container(args.out), args.out
         else:
-            trace = import_trace(args.src, args.format, name=args.name)
-            if args.out:
-                manifest = write_trace(trace, args.out, name=args.name,
-                                       source=source,
-                                       compress=args.compress)
-                where = args.out
-            else:
-                manifest = library.add(trace, name=args.name,
-                                       source=source,
-                                       compress=args.compress,
-                                       force=args.force)
-                where = library.path(manifest["name"])
+            # Fail on a bad/shadowing name *before* spending the import.
+            _check_not_spec_name(
+                _check_name(args.name or _default_name(args.src)))
+            manifest = library.stage(write_container, force=args.force)
+            where = library.path(manifest["name"])
         print(f"imported {args.src} -> {where}")
         _print_manifest(manifest)
         return 0
@@ -259,11 +218,15 @@ def _dispatch(args):
         return 0
 
     if args.verb == "convert":
-        trace = _load_any(args.src, args.src_format, library)
-        if args.to == "native":
-            write_trace(trace, args.dst, compress=args.compress)
+        if args.to == "native" and args.src_format is not None:
+            import_trace_streamed(args.src, args.src_format, args.dst,
+                                  compress=args.compress)
         else:
-            export_trace(trace, args.dst, args.to)
+            trace = _load_any(args.src, args.src_format, library)
+            if args.to == "native":
+                write_trace(trace, args.dst, compress=args.compress)
+            else:
+                export_trace(trace, args.dst, args.to)
         print(f"converted {args.src} -> {args.dst} ({args.to})")
         return 0
 
@@ -353,8 +316,6 @@ def _dispatch_synth(args):
     name = args.name or f"{args.benchmark}.synth"
     if not args.out:
         # Fail on a bad/shadowing name *before* spending the generation.
-        from repro.traceio.workload import _check_name, _check_not_spec_name
-
         _check_not_spec_name(_check_name(name))
     workload = spec.workload(n_instructions=args.instructions,
                              seed=args.seed, scale=scale)
@@ -417,9 +378,8 @@ def _dispatch_synth(args):
             manifest = write_container(args.out)
             where = args.out
         else:
-            manifest = _stage_into_library(library, write_container,
-                                           name=name, force=args.force,
-                                           prefix=".synth-")
+            manifest = library.stage(write_container, name=name,
+                                     force=args.force)
             where = library.path(name)
     print(f"exported {args.benchmark} -> {where}")
     _print_manifest(manifest)

@@ -6,14 +6,24 @@ A container is two files next to each other::
     <stem>.trace.json   the manifest: format version, content fingerprint,
                         instruction/access/branch counts, footprint
 
+Every container is written by one writer (:func:`publish_container`)
+under a manifest from one builder (:func:`container_manifest`), whether
+the columns come from an in-RAM trace (:func:`write_trace`), a chunk
+stream (:class:`TraceStreamWriter`) or the streamed importer.  Columns
+are checked before they are written and after they are read by the one
+column check behind :meth:`Trace.validate` and
+:meth:`TraceChunk.validate`, which covers both the memory and the
+branch view.
+
 The npz is written *uncompressed* by default so the streaming
 :class:`~repro.traceio.reader.TraceReader` can memory-map each member
 in place (``compress=True`` trades that for a smaller file; the reader
-then falls back to buffered member reads).  Every member is written
-zip64, so a trace with an array past 2 GiB publishes.  The manifest's
-``fingerprint`` is the canonical SHA-256 of the array contents (the same
-encoding the artifact store uses for addressing), so two imports of the
-same trace — on different machines, weeks apart — agree byte-for-byte.
+then falls back to buffered member reads); :func:`read_trace` is that
+reader's materializing case.  Every member is written zip64, so a trace
+with an array past 2 GiB publishes.  The manifest's ``fingerprint`` is
+the canonical SHA-256 of the array contents (the same encoding the
+artifact store uses for addressing), so two imports of the same trace —
+on different machines, weeks apart — agree byte-for-byte.
 """
 
 import json
@@ -25,9 +35,8 @@ import numpy as np
 
 from repro import telemetry
 from repro.reliability.cleanup import register_scratch, unregister_scratch
-from repro.store.fingerprint import fingerprint, fingerprint_arrays
+from repro.store.fingerprint import fingerprint_arrays
 from repro.store.serialize import write_arrays_stream
-from repro.trace.record import Kind, Trace
 from repro.traceio.spill import ArraySpill, UniqueAccumulator
 from repro.util.units import CACHELINE_SHIFT
 
@@ -69,55 +78,57 @@ def trace_arrays(trace):
 
 def trace_fingerprint(trace):
     """Content address of a trace: canonical SHA-256 over its arrays."""
-    return fingerprint(trace_arrays(trace))
+    return fingerprint_arrays(trace_arrays(trace))
 
 
-def _assemble_manifest(name, content_fingerprint, n_instructions,
-                       n_accesses, n_branches, n_pcs, unique_lines,
-                       shapes, source, compressed):
-    """The one assembly of the manifest dict — materialized and
-    streamed writers feed it their scalars, so the format cannot
-    silently drift between the two paths."""
+#: Access rows scanned per window by :func:`container_manifest`.
+_MANIFEST_WINDOW_ROWS = 1 << 18
+
+
+def container_manifest(views, name, source=None, compressed=False):
+    """The manifest of the canonical column ``views`` (writes nothing).
+
+    The one manifest builder: :func:`write_trace`, the chunk writer,
+    the streamed importer and the store-backed synthetic workload all
+    call it, so the format cannot drift between them.  ``views`` maps
+    exactly the :data:`TRACE_ARRAYS` names to one-dimensional arrays of
+    their storage dtypes (spill memmaps or in-RAM arrays).  Every field is
+    computed from the columns in bounded windows: the fingerprint with
+    :func:`fingerprint_arrays`, the PC range from a windowed max of
+    ``mem_pc`` and the footprint from a
+    :class:`~repro.traceio.spill.UniqueAccumulator` over ``mem_line``.
+    """
+    n_instructions = int(views["kind"].shape[0])
+    n_accesses = int(views["mem_instr"].shape[0])
+    max_pc = None
+    lines = UniqueAccumulator(np.int64)
+    for lo in range(0, n_accesses, _MANIFEST_WINDOW_ROWS):
+        hi = lo + _MANIFEST_WINDOW_ROWS
+        window_max = int(views["mem_pc"][lo:hi].max())
+        max_pc = window_max if max_pc is None else max(max_pc, window_max)
+        lines.add(views["mem_line"][lo:hi])
+    unique_lines = int(lines.table().shape[0])
     return {
         "format": "repro-trace",
         "format_version": TRACE_FORMAT_VERSION,
         "name": str(name),
-        "fingerprint": content_fingerprint,
-        "n_instructions": int(n_instructions),
-        "n_accesses": int(n_accesses),
-        "n_branches": int(n_branches),
-        "n_pcs": int(n_pcs),
-        "unique_lines": int(unique_lines),
-        "footprint_bytes": int(unique_lines) << CACHELINE_SHIFT,
+        "fingerprint": fingerprint_arrays(views),
+        "n_instructions": n_instructions,
+        "n_accesses": n_accesses,
+        "n_branches": int(views["branch_instr"].shape[0]),
+        "n_pcs": max_pc + 1 if max_pc is not None else 0,
+        "unique_lines": unique_lines,
+        "footprint_bytes": unique_lines << CACHELINE_SHIFT,
         "mem_fraction": (n_accesses / n_instructions
                          if n_instructions else 0.0),
         "compressed": bool(compressed),
         "source": source,
         "arrays": {
             array_name: {"dtype": np.dtype(dtype).str,
-                         "shape": [int(shapes[array_name])]}
+                         "shape": [int(views[array_name].shape[0])]}
             for array_name, dtype in TRACE_ARRAYS
         },
     }
-
-
-def build_manifest(trace, name=None, source=None, compressed=False):
-    """The manifest dictionary for ``trace`` (no I/O)."""
-    arrays = trace_arrays(trace)
-    return _assemble_manifest(
-        name=name if name is not None else trace.name,
-        content_fingerprint=fingerprint(arrays),
-        n_instructions=trace.n_instructions,
-        n_accesses=trace.n_accesses,
-        n_branches=arrays["branch_instr"].shape[0],
-        n_pcs=(int(arrays["mem_pc"].max()) + 1
-               if arrays["mem_pc"].size else 0),
-        unique_lines=trace.unique_lines(),
-        shapes={array_name: array.shape[0]
-                for array_name, array in arrays.items()},
-        source=source,
-        compressed=compressed,
-    )
 
 
 def write_manifest_sidecar(sidecar, manifest):
@@ -136,7 +147,7 @@ def publish_container(path, views, manifest):
     ``manifest``; returns the manifest.
 
     The one container writer (:func:`write_trace`, the chunk writer and
-    the fused importer), so the payload layout cannot drift between
+    the streamed importer), so the payload layout cannot drift between
     them.  Array data is copied from the views (typically spill
     memmaps) in bounded buffers by
     :func:`~repro.store.serialize.write_arrays_stream`, compressed when
@@ -179,23 +190,23 @@ def write_trace(trace, path, name=None, source=None, compress=False):
     external file and format an importer consumed).
     """
     trace.validate()
-    manifest = build_manifest(trace, name=name, source=source,
-                              compressed=compress)
-    return publish_container(path, trace_arrays(trace), manifest)
+    arrays = trace_arrays(trace)
+    manifest = container_manifest(
+        arrays, name if name is not None else trace.name, source=source,
+        compressed=compress)
+    return publish_container(path, arrays, manifest)
 
 
 class TraceStreamWriter:
     """Accumulate :class:`~repro.trace.record.TraceChunk` windows into a
     native container (or a mappable array set) with bounded memory.
 
-    Chunks spill column-by-column to disk as they arrive; summary
-    statistics (counts, unique-line footprint, PC range) and the
-    validation scans that :meth:`Trace.validate` would run are folded
-    incrementally, so the canonical arrays never exist in RAM at once.
-    ``finish``/:meth:`write_container` fingerprints the spilled columns
-    in bounded batches (:func:`fingerprint_arrays` — bit-identical to
-    the in-RAM :func:`trace_fingerprint`) and streams them into the
-    uncompressed npz layout the memory-mapped reader expects.
+    Each chunk is validated (:meth:`TraceChunk.validate`, the check
+    behind :meth:`Trace.validate`) and spills column-by-column to disk,
+    so the canonical arrays never exist in RAM at once.
+    :meth:`write_container` builds the manifest from the spilled columns
+    in bounded windows (:func:`container_manifest`) and streams them
+    into the uncompressed npz layout the memory-mapped reader expects.
     """
 
     def __init__(self, spill_dir=None):
@@ -212,61 +223,23 @@ class TraceStreamWriter:
             (name, dtype) for name, dtype in TRACE_ARRAYS),
             directory=self._scratch)
         self.n_instructions = 0
-        self.n_accesses = 0
-        self.n_branches = 0
-        self._max_pc = -1
-        self._unique_lines = UniqueAccumulator(np.int64)
         self._views = None
 
     def append(self, chunk):
-        """Validate and spill one chunk (must follow its predecessor)."""
+        """Validate and spill one chunk (must follow its predecessor).
+
+        A finished writer (after :meth:`views`) refuses through its
+        closed spill columns.
+        """
         telemetry.counter("stream.writer.chunks")
-        if self._views is not None:
-            raise ValueError("writer already finished")
         if chunk.instr_lo != self.n_instructions:
             raise ValueError(
                 f"chunk starts at instruction {chunk.instr_lo}, "
                 f"expected {self.n_instructions}")
-        if chunk.kind.shape[0] != chunk.instr_hi - chunk.instr_lo:
-            raise ValueError(
-                f"kind stream has {chunk.kind.shape[0]} entries for a "
-                f"{chunk.instr_hi - chunk.instr_lo}-instruction window")
-        mem_instr = np.asarray(chunk.mem_instr, dtype=np.int64)
-        branch_instr = np.asarray(chunk.branch_instr, dtype=np.int64)
-        for view, label in ((mem_instr, "memory access"),
-                            (branch_instr, "branch")):
-            if view.size and (view[0] < chunk.instr_lo
-                              or view[-1] >= chunk.instr_hi):
-                raise ValueError(f"{label} outside its chunk window")
-            if np.any(np.diff(view) < 0):
-                raise ValueError(f"{label} view not sorted")
-        n_mem = int(np.count_nonzero(
-            (chunk.kind == Kind.LOAD) | (chunk.kind == Kind.STORE)))
-        if n_mem != mem_instr.shape[0]:
-            raise ValueError("kind stream and memory view disagree")
-        n_branch = int(np.count_nonzero(chunk.kind == Kind.BRANCH))
-        if n_branch != branch_instr.shape[0]:
-            raise ValueError("kind stream and branch view disagree")
-        for attr in ("mem_line", "mem_pc", "mem_store"):
-            if getattr(chunk, attr).shape != mem_instr.shape:
-                raise ValueError(f"{attr} length mismatch")
-        if chunk.branch_mispred.shape != branch_instr.shape:
-            raise ValueError("branch view length mismatch")
-
-        self._spill.append("kind", chunk.kind)
-        self._spill.append("mem_instr", mem_instr)
-        self._spill.append("mem_line", chunk.mem_line)
-        self._spill.append("mem_pc", chunk.mem_pc)
-        self._spill.append("mem_store", chunk.mem_store)
-        self._spill.append("branch_instr", branch_instr)
-        self._spill.append("branch_mispred", chunk.branch_mispred)
-
+        chunk.validate()
+        for name, _ in TRACE_ARRAYS:
+            self._spill.append(name, getattr(chunk, name))
         self.n_instructions = int(chunk.instr_hi)
-        self.n_accesses += n_mem
-        self.n_branches += n_branch
-        if chunk.mem_pc.size:
-            self._max_pc = max(self._max_pc, int(chunk.mem_pc.max()))
-        self._unique_lines.add(chunk.mem_line)
 
     def extend(self, chunks):
         """Append every chunk of an iterable; returns self (chaining)."""
@@ -294,28 +267,6 @@ class TraceStreamWriter:
             return self._views
         return self._spill.snapshot_views()
 
-    def manifest(self, name, source=None, compressed=False):
-        """The manifest for the accumulated trace (no further I/O).
-
-        Field-for-field what :func:`build_manifest` produces for the
-        materialized equivalent — both feed :func:`_assemble_manifest` —
-        including the content fingerprint (streamed from the spill).
-        """
-        views = self.views()
-        return _assemble_manifest(
-            name=name,
-            content_fingerprint=fingerprint_arrays(views),
-            n_instructions=self.n_instructions,
-            n_accesses=self.n_accesses,
-            n_branches=self.n_branches,
-            n_pcs=self._max_pc + 1,
-            unique_lines=self._unique_lines.table().shape[0],
-            shapes={array_name: view.shape[0]
-                    for array_name, view in views.items()},
-            source=source,
-            compressed=compressed,
-        )
-
     def write_container(self, path, name=None, source=None,
                         compress=False):
         """Publish the accumulated trace as a native container.
@@ -324,9 +275,11 @@ class TraceStreamWriter:
         copied from the spill files in bounded buffers.  Returns the
         manifest.
         """
-        name = name if name is not None else "trace"
-        manifest = self.manifest(name, source=source, compressed=compress)
-        return publish_container(path, self.views(), manifest)
+        views = self.views()
+        manifest = container_manifest(
+            views, name if name is not None else "trace", source=source,
+            compressed=compress)
+        return publish_container(path, views, manifest)
 
     def close(self):
         """Drop the spill files (invalidates served views)."""
@@ -367,31 +320,19 @@ def read_manifest(path):
 def read_trace(path, verify=False):
     """Materialize the container at ``path`` as an in-memory Trace.
 
-    ``verify=True`` recomputes the content fingerprint and raises on a
-    mismatch with the manifest (integrity check after a copy or a
-    suspicious import).
+    :meth:`TraceReader.materialize
+    <repro.traceio.reader.TraceReader.materialize>` plus, with
+    ``verify=True``, a recomputed content fingerprint that must match
+    the manifest's (integrity check after a copy or a suspicious
+    import).
     """
-    manifest = read_manifest(path)
-    with np.load(path, allow_pickle=False) as archive:
-        members = set(archive.files)
-        missing = [name for name, _ in TRACE_ARRAYS if name not in members]
-        if missing:
-            raise TraceFormatError(
-                f"container {path!r} is missing arrays: {missing}")
-        arrays = {
-            name: np.ascontiguousarray(archive[name], dtype=dtype)
-            for name, dtype in TRACE_ARRAYS
-        }
-    for name, _ in TRACE_ARRAYS:
-        declared = manifest["arrays"].get(name, {}).get("shape")
-        if list(arrays[name].shape) != declared:
+    from repro.traceio.reader import TraceReader
+
+    with TraceReader(path) as reader:
+        trace = reader.materialize()
+        if verify and trace_fingerprint(trace) != \
+                reader.manifest["fingerprint"]:
             raise TraceFormatError(
                 f"container {path!r} does not match its manifest "
-                f"({name} is {list(arrays[name].shape)}, manifest says "
-                f"{declared}); re-run the import")
-    trace = Trace(name=manifest["name"], **arrays)
-    trace.validate()
-    if verify and fingerprint(trace_arrays(trace)) != manifest["fingerprint"]:
-        raise TraceFormatError(
-            f"container {path!r} does not match its manifest fingerprint")
+                "fingerprint")
     return trace

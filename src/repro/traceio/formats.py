@@ -1,7 +1,14 @@
-"""External trace formats: importers and exporters.
+"""External trace formats: event parsers and exporters.
 
 Three external formats normalize into the canonical
-:class:`~repro.trace.record.Trace` arrays:
+:class:`~repro.trace.record.Trace` arrays.  Each has one event parser
+(``parse_<format>_events``) that yields bounded batches of aligned
+event arrays, and :func:`parse_events` is the one dispatch over them,
+in batches of :data:`DEFAULT_IMPORT_CHUNK` instructions unless told
+otherwise.  :func:`import_trace` collects every batch and normalizes
+them at once in RAM (:func:`assemble_trace`); it is the reference that
+:func:`~repro.traceio.ingest.import_trace_streamed`, the bounded
+pipeline behind ``trace import``, is checked against.
 
 * ``champsim`` — ChampSim's 64-byte binary instruction records (``ip``,
   branch flag/direction, register lists, 2 destination + 4 source
@@ -22,7 +29,7 @@ Three external formats normalize into the canonical
   access (``0x`` hex or decimal), ``pc`` the static PC, and ``taken``
   the branch direction (``0/1``).  A leading header row is skipped.
 
-Normalization is identical across importers: byte addresses become
+Normalization is identical across formats: byte addresses become
 cacheline numbers (``addr >> 6``), raw memory PCs are interned to dense
 ``int32`` ids (sorted-unique order, so interning is deterministic and
 idempotent), and ``branch_mispred`` is synthesized by replaying the
@@ -69,8 +76,9 @@ CHAMPSIM_DTYPE = np.dtype([
 ])
 assert CHAMPSIM_DTYPE.itemsize == 64
 
-#: Records per buffered read while parsing ChampSim traces.
-_CHAMPSIM_CHUNK_RECORDS = 1 << 18
+#: Instructions per parse batch (ChampSim: records per buffered read),
+#: for :func:`import_trace` and the streamed importer alike.
+DEFAULT_IMPORT_CHUNK = 1 << 18
 
 
 def _open_binary(path, mode="rb"):
@@ -245,7 +253,7 @@ def _expand_champsim_records(records):
     )
 
 
-def parse_champsim_events(path, batch_records=None):
+def parse_champsim_events(path, batch_records):
     """Yield event batches of a ChampSim binary trace.
 
     Each batch is a dict of five aligned event arrays — ``kind`` (one
@@ -255,7 +263,6 @@ def parse_champsim_events(path, batch_records=None):
     ``batch_records`` input records.  Expansion is per-record, so any
     record-aligned batching yields the identical event stream.
     """
-    batch_records = int(batch_records or _CHAMPSIM_CHUNK_RECORDS)
     total = 0
     with _open_binary(path) as handle:
         while True:
@@ -275,34 +282,6 @@ def parse_champsim_events(path, batch_records=None):
                    "branch_pc": bpc, "branch_taken": taken}
     if total == 0:
         raise TraceImportError(f"{path!r}: empty ChampSim trace")
-
-
-def _assemble_batches(batches, path, name):
-    """Materialize an event-batch stream into a canonical Trace."""
-    parts = {key: [] for key in ("kind", "mem_addr", "mem_pc",
-                                 "branch_pc", "branch_taken")}
-    for batch in batches:
-        for key in parts:
-            parts[key].append(batch[key])
-
-    def _cat(key, dtype):
-        if not parts[key]:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(parts[key])
-
-    return assemble_trace(
-        _cat("kind", np.uint8),
-        _cat("mem_addr", np.uint64),
-        _cat("mem_pc", np.uint64),
-        _cat("branch_pc", np.uint64),
-        _cat("branch_taken", bool),
-        name=name or _default_name(path),
-    )
-
-
-def import_champsim(path, name=None):
-    """Import a ChampSim-style binary trace (optionally gz/bz2/xz)."""
-    return _assemble_batches(parse_champsim_events(path), path, name)
 
 
 def export_champsim(trace, path):
@@ -336,19 +315,13 @@ def export_champsim(trace, path):
 
 # -- Valgrind Lackey / gem5 text ---------------------------------------------
 
-#: Instructions accumulated per batch by the text-trace parsers.
-_TEXT_BATCH_INSTRUCTIONS = 1 << 18
-
-
-def parse_lackey_events(path, batch_instructions=None):
+def parse_lackey_events(path, batch_instructions):
     """Yield event batches of a Lackey-style text trace.
 
     Batches break only at instruction-group boundaries (an open ``I``
     group is never split), so any batch size yields the identical event
     stream; see :func:`parse_champsim_events` for the batch schema.
     """
-    batch_instructions = int(batch_instructions
-                             or _TEXT_BATCH_INSTRUCTIONS)
     kinds, mem_addr, mem_pc = [], [], []
     branch_pc, branch_taken = [], []
     current_pc = 0
@@ -445,11 +418,6 @@ def _event_batch(kinds, mem_addr, mem_pc, branch_pc, branch_taken):
     }
 
 
-def import_lackey(path, name=None):
-    """Import a Lackey-style text trace (``I/L/S/M`` lines, ``B`` ext)."""
-    return _assemble_batches(parse_lackey_events(path), path, name)
-
-
 def export_lackey(trace, path):
     """Write ``trace`` as Lackey-style text (lossless round trip)."""
     taken = invert_mispredicts(
@@ -502,11 +470,9 @@ def _parse_int(token, rowno, column, path):
     return value
 
 
-def parse_csv_events(path, batch_instructions=None):
+def parse_csv_events(path, batch_instructions):
     """Yield event batches of a generic-CSV trace (one row = one
     instruction; see :func:`parse_champsim_events` for the schema)."""
-    batch_instructions = int(batch_instructions
-                             or _TEXT_BATCH_INSTRUCTIONS)
     kinds, mem_addr, mem_pc = [], [], []
     branch_pc, branch_taken = [], []
     total = 0
@@ -558,11 +524,6 @@ def parse_csv_events(path, batch_instructions=None):
         raise TraceImportError(f"{path!r}: empty CSV trace")
 
 
-def import_csv(path, name=None):
-    """Import the generic CSV schema (``kind,addr,pc,taken``)."""
-    return _assemble_batches(parse_csv_events(path), path, name)
-
-
 def export_csv(trace, path):
     """Write ``trace`` in the generic CSV schema (lossless round trip)."""
     taken = invert_mispredicts(
@@ -590,16 +551,9 @@ def export_csv(trace, path):
 
 # -- dispatch ----------------------------------------------------------------
 
-IMPORTERS = {
-    "champsim": import_champsim,
-    "lackey": import_lackey,
-    "csv": import_csv,
-}
-
-#: Chunk-granular event parsers behind the streamed import pipeline.
-#: Each yields the same event stream its materialized importer consumes,
-#: in bounded batches (record-count granularity for ChampSim,
-#: instruction granularity for the text formats).
+#: Event-batch parser per external format: each yields the format's
+#: event stream in bounded batches (record-count granularity for
+#: ChampSim, instruction granularity for the text formats).
 EVENT_PARSERS = {
     "champsim": parse_champsim_events,
     "lackey": parse_lackey_events,
@@ -613,7 +567,24 @@ EXPORTERS = {
 }
 
 #: External format names accepted by the CLI and :func:`import_trace`.
-FORMAT_NAMES = tuple(sorted(IMPORTERS))
+FORMAT_NAMES = tuple(sorted(EVENT_PARSERS))
+
+
+def parse_events(path, fmt, chunk_instructions=None):
+    """The one format dispatch: ``fmt``'s event-batch stream of
+    ``path``, in batches of ``chunk_instructions`` (default
+    :data:`DEFAULT_IMPORT_CHUNK`).
+
+    ChampSim batches are record-aligned; every record expands to at
+    least one canonical instruction, so ``chunk`` records bound the
+    batch from below at roughly ``chunk`` instructions.
+    """
+    try:
+        parser = EVENT_PARSERS[fmt]
+    except KeyError:
+        raise ValueError(
+            f"unknown trace format {fmt!r} (expected one of {FORMAT_NAMES})")
+    return parser(path, int(chunk_instructions or DEFAULT_IMPORT_CHUNK))
 
 
 def _default_name(path):
@@ -625,13 +596,22 @@ def _default_name(path):
 
 
 def import_trace(path, fmt, name=None):
-    """Parse an external trace file into a canonical Trace."""
-    try:
-        importer = IMPORTERS[fmt]
-    except KeyError:
-        raise ValueError(
-            f"unknown trace format {fmt!r} (expected one of {FORMAT_NAMES})")
-    return importer(path, name=name)
+    """Parse an external trace file into a canonical Trace, in RAM.
+
+    The in-RAM reference of the streamed importer
+    (:func:`~repro.traceio.ingest.import_trace_streamed`): every event
+    batch is collected, then normalized at once by
+    :func:`assemble_trace`.
+    """
+    parts = {key: [] for key in ("kind", "mem_addr", "mem_pc",
+                                 "branch_pc", "branch_taken")}
+    for batch in parse_events(path, fmt):
+        for key in parts:
+            parts[key].append(batch[key])
+    # Every parser raises on an empty trace, so each list is non-empty.
+    return assemble_trace(
+        *(np.concatenate(parts[key]) for key in parts),
+        name=name or _default_name(path))
 
 
 def export_trace(trace, path, fmt):

@@ -1,40 +1,37 @@
-"""Chunk-granular trace import: parse → normalize-in-flight → container.
+"""Streamed trace import: parse → normalize-in-flight → container.
 
-The materialized importers (:mod:`repro.traceio.formats`) hold the whole
-event stream — and then the whole canonical array set — in RAM.  This
-module is the bounded-memory pipeline behind ``trace import --chunk``,
-fused into a single pass over the event stream:
+The bounded-memory pipeline behind ``trace import`` and ``trace convert
+--to native``, fused into a single pass over the event stream:
 
-1. **Parse + normalize pass.**  The format's event parser yields bounded
-   batches of aligned event arrays; each batch is normalized *in
-   flight* — addresses collapse to cachelines, instruction views derive
-   from the kind stream at a running offset, and the branch stream
-   replays through one persistent tournament predictor (sequential, so
-   per-batch replay is bit-identical to one call) — and the resulting
-   canonical columns spill straight to the container's column files
-   (:class:`~repro.traceio.spill.ArraySpill`).  Only the raw memory PCs
-   also spill as an *event* column, because their dense ids depend on
-   the complete distinct-PC table; the distinct PCs are merged
-   chunk-by-chunk alongside (O(unique PCs) state).
+1. **Parse + normalize pass.**  :func:`~repro.traceio.formats.parse_events`
+   yields bounded batches of aligned event arrays; each batch is
+   normalized *in flight* — addresses collapse to cachelines,
+   instruction views derive from the kind stream at a running offset,
+   and the branch stream replays through one persistent tournament
+   predictor (sequential, so per-batch replay is bit-identical to one
+   call) — and the resulting canonical columns spill straight to the
+   container's column files (:class:`~repro.traceio.spill.ArraySpill`).
+   Only the raw memory PCs also spill as an *event* column, because
+   their dense ids depend on the complete distinct-PC table; the
+   distinct PCs are merged chunk-by-chunk alongside (O(unique PCs)
+   state).
 2. **Intern pass.**  The merged PCs are written to a spill file and
    memory-mapped back; the raw PC spill re-reads in bounded windows and
    interns against the table (``searchsorted`` — bit-identical to the
-   materialized ``np.unique`` interning) into the one canonical column
-   pass 1 could not produce.
+   in-RAM ``np.unique`` interning) into the one canonical column pass 1
+   could not produce.
 
-Compared to the earlier two-pass pipeline, no event column is re-read
-and re-spilled as a canonical column: ``kind`` spills exactly once,
-addresses and branch outcomes never exist on disk in raw form, and the
-canonical container publishes directly from the pass-1 spill via
-:func:`~repro.traceio.container.publish_container`.  Peak transient
-memory is O(chunk + unique PCs + unique lines); the canonical arrays
-never exist in RAM.  The differential harness asserts the resulting
-container is bit-identical to ``import_trace`` + ``write_trace`` for
-every format and chunk size, and the telemetry counters pin the fusion:
+The container publishes directly from the pass-1 spill via
+:func:`~repro.traceio.container.publish_container`, under the manifest
+:func:`~repro.traceio.container.container_manifest` builds from the
+spilled columns.  Peak transient memory is O(chunk + unique PCs +
+unique lines); the canonical arrays never exist in RAM.  The
+differential harness asserts the container is bit-identical to
+``write_trace(import_trace(...))``, the in-RAM reference, for every
+format and chunk size, and the telemetry counters pin the fusion:
 ``ingest.parse_batches`` counts the single event pass,
-``ingest.intern_chunks`` the PC-only second pass, and the legacy
-normalize-window counter ``ingest.chunks`` (and the writer's
-``stream.writer.chunks``) stay at zero.
+``ingest.intern_chunks`` the PC-only second pass, and the writer's
+``stream.writer.chunks`` stays at zero.
 """
 
 import os
@@ -47,41 +44,21 @@ from repro import telemetry
 from repro.cpu.branch import TournamentPredictor
 from repro.reliability.cleanup import register_scratch, unregister_scratch
 from repro.cpu.config import ProcessorConfig
-from repro.store.fingerprint import fingerprint_arrays
 from repro.trace.record import Kind
 from repro.traceio.container import (
     TRACE_ARRAYS,
-    _assemble_manifest,
+    container_manifest,
     publish_container,
 )
 from repro.traceio.formats import (
-    EVENT_PARSERS,
-    FORMAT_NAMES,
+    DEFAULT_IMPORT_CHUNK,
     TraceImportError,
     _default_name,
+    parse_events,
     synthesize_mispredicts,
 )
 from repro.traceio.spill import ArraySpill, UniqueAccumulator
 from repro.util.units import CACHELINE_SHIFT
-
-#: Default instructions per normalization window (and per parse batch).
-DEFAULT_IMPORT_CHUNK = 1 << 20
-
-
-def parse_events(path, fmt, chunk_instructions=None):
-    """The format's event-batch stream, sized to ``chunk_instructions``."""
-    try:
-        parser = EVENT_PARSERS[fmt]
-    except KeyError:
-        raise ValueError(
-            f"unknown trace format {fmt!r} (expected one of {FORMAT_NAMES})")
-    chunk = int(chunk_instructions or DEFAULT_IMPORT_CHUNK)
-    if fmt == "champsim":
-        # ChampSim batches are record-aligned; every record expands to
-        # at least one canonical instruction, so ``chunk`` records bound
-        # the batch from below at roughly chunk instructions.
-        return parser(path, batch_records=chunk)
-    return parser(path, batch_instructions=chunk)
 
 
 def import_trace_streamed(path, fmt, out_path, name=None, source=None,
@@ -127,7 +104,6 @@ def _import_trace_streamed(path, fmt, out_path, name, source, chunk,
         raw_pcs = ArraySpill({"mem_pc": np.uint64},
                              directory=os.path.join(scratch, "events"))
         pcs = UniqueAccumulator(np.uint64)
-        unique_lines = UniqueAccumulator(np.int64)
         predictor = TournamentPredictor(config or ProcessorConfig())
         offset = 0           # running instruction count
         n_mem = 0            # LOAD|STORE entries in the kind stream
@@ -157,11 +133,10 @@ def _import_trace_streamed(path, fmt, out_path, name, source, chunk,
                 offset += kind.shape[0]
                 continue
             addr = np.asarray(batch["mem_addr"], dtype=np.uint64)
-            mem_line = (addr >> CACHELINE_SHIFT).astype(np.int64)
-            unique_lines.add(mem_line)
             canonical.append("kind", kind)
             canonical.append("mem_instr", mem_pos.astype(np.int64) + offset)
-            canonical.append("mem_line", mem_line)
+            canonical.append("mem_line",
+                             (addr >> CACHELINE_SHIFT).astype(np.int64))
             canonical.append("mem_store", kind[mem_pos] == Kind.STORE)
             canonical.append("branch_instr",
                              branch_pos.astype(np.int64) + offset)
@@ -197,19 +172,8 @@ def _import_trace_streamed(path, fmt, out_path, name, source, chunk,
                 "mem_pc", np.searchsorted(table, window).astype(np.int32))
 
         views = canonical.views()
-        manifest = _assemble_manifest(
-            name=name,
-            content_fingerprint=fingerprint_arrays(views),
-            n_instructions=offset,
-            n_accesses=n_mem,
-            n_branches=n_branches,
-            n_pcs=int(table.shape[0]),
-            unique_lines=unique_lines.table().shape[0],
-            shapes={array_name: view.shape[0]
-                    for array_name, view in views.items()},
-            source=source,
-            compressed=compress,
-        )
+        manifest = container_manifest(views, name, source=source,
+                                      compressed=compress)
         return publish_container(out_path, views, manifest)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -18,7 +18,10 @@ and every figure harness accept imported names unchanged.
 
 import os
 import re
+import shutil
+import tempfile
 
+from repro.reliability.cleanup import register_scratch, unregister_scratch
 from repro.store.store import default_cache_dir
 from repro.trace.spec import SPEC2006_NAMES
 from repro.trace.workload import Workload
@@ -172,33 +175,51 @@ class TraceLibrary:
             force=False):
         """Persist ``trace`` under ``name``; returns the manifest.
 
-        Re-adding an identical trace is a no-op (the one-time-import
-        guarantee); a *different* trace under an existing name requires
-        ``force=True``.  Synthetic SPEC2006 names are refused, like
+        :func:`~repro.traceio.container.write_trace` into a staging
+        directory, adopted by :meth:`add_container` (see :meth:`stage`),
+        so re-adding an identical trace is a no-op and a *different*
+        trace under an existing name requires ``force=True``.
+        Synthetic SPEC2006 names are refused, like
         :func:`register_workload`.
         """
         name = _check_not_spec_name(_check_name(name or trace.name))
-        if self.contains(name) and not force:
-            existing = self.manifest(name)
-            if existing["fingerprint"] == trace_fingerprint(trace):
-                return existing
-            raise FileExistsError(
-                f"trace {name!r} already exists in {self.root} with "
-                "different content (pass force=True / --force to replace)")
-        return write_trace(trace, self.path(name), name=name, source=source,
-                           compress=compress)
+        return self.stage(
+            lambda path: write_trace(trace, path, name=name, source=source,
+                                     compress=compress),
+            name=name, force=force)
+
+    def stage(self, write_container, name=None, force=False):
+        """Write a container through a staging directory, then adopt it.
+
+        ``write_container(staged_path)`` writes the container pair at
+        the given path and returns its manifest.  Staging happens inside
+        the library root (same filesystem, so adoption is two renames),
+        then :meth:`add_container` applies the one no-op/force rule.
+        Returns the manifest now served under ``name`` (default: the
+        staged manifest's name).
+        """
+        os.makedirs(self.root, exist_ok=True)
+        scratch = register_scratch(
+            tempfile.mkdtemp(prefix=".staged-", dir=self.root))
+        try:
+            staged = os.path.join(scratch, "staged" + _CONTAINER_SUFFIX)
+            manifest = write_container(staged)
+            return self.add_container(staged,
+                                      name=name or manifest["name"],
+                                      force=force)
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+            unregister_scratch(scratch)
 
     def add_container(self, path, name=None, force=False):
         """Adopt a finished container (npz + sidecar) into the library.
 
-        The bounded-memory counterpart of :meth:`add` for containers the
-        streamed importer already wrote to a scratch path: the same
-        one-time-import semantics apply — re-adding identical content is
-        a no-op (the scratch files are simply discarded), different
-        content under an existing name needs ``force=True`` — but the
-        decision reads only the manifests, never the arrays.  Files move
-        sidecar-first, mirroring :func:`write_trace`'s crash ordering.
-        Returns the manifest now served under ``name``.
+        The one no-op/force rule of the library: re-adding identical
+        content is a no-op (the staged files are simply discarded),
+        different content under an existing name needs ``force=True``.
+        The decision reads only the manifests, never the arrays.  Files
+        move sidecar-first, mirroring :func:`write_trace`'s crash
+        ordering.  Returns the manifest now served under ``name``.
         """
         manifest = read_manifest(path)
         name = _check_not_spec_name(_check_name(name or manifest["name"]))

@@ -351,6 +351,16 @@ def test_delorean_without_explorers_matches_scout_only_sweep(
             assert _config_signature(alone) == _config_signature(swept)
 
 
+def test_dse_has_no_live_begin(small_workload, small_plan, small_index):
+    """A sweep is only a batch ``run``: ``begin`` must not hand back a
+    one-configuration DeLorean run dressed up as a sweep."""
+    strategy = DesignSpaceExploration()
+    context = strategy.context_for(small_workload, index=small_index,
+                                   seed=2)
+    with pytest.raises(NotImplementedError, match=r"run\(\)"):
+        strategy.begin(context, small_plan, paper_hierarchy(8 << 20))
+
+
 def test_dse_requires_configs(small_workload, small_plan, small_index):
     with pytest.raises(ValueError):
         DesignSpaceExploration().run(small_workload, small_plan, [],

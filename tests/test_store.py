@@ -218,7 +218,7 @@ def test_encode_decode_array_mapping_roundtrip():
         "c": np.array([True, False, True]),
     }
     kind, payload = encode(tables)
-    assert kind == "npz"
+    assert kind == "pkl"
     decoded = decode(kind, payload)
     assert set(decoded) == set(tables)
     for name in tables:
@@ -583,6 +583,38 @@ def test_cli_cache_subcommand(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["cache", "clear"]) == 0
     assert "removed 1" in capsys.readouterr().out
+
+
+def test_cli_cache_handles_legacy_npz_blob_without_decoding(
+        tmp_path, capsys, monkeypatch):
+    """Stores written before the npz codec went keep compressed ``npz``
+    array blobs; listing, scrubbing and clearing read only headers and
+    checksums, never the payload codec."""
+    import io
+    import json as json_module
+    from repro.__main__ import main
+
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, positions=np.arange(64))
+    digest = "cd" * 32
+    DiskStore(tmp_path, SCHEMA_VERSION).put(
+        digest, "npz", buffer.getvalue(), label="trace-index")
+
+    def refuse(*_):
+        raise AssertionError("maintenance decoded a blob")
+    monkeypatch.setattr("repro.store.store.decode", refuse)
+    monkeypatch.setattr("repro.store.serialize.decode", refuse)
+
+    assert main(["cache", "ls", "--dir", str(tmp_path), "--json"]) == 0
+    [entry] = json_module.loads(capsys.readouterr().out)
+    assert (entry["digest"], entry["kind"], entry["label"]) == \
+        (digest, "npz", "trace-index")
+    assert main(["cache", "verify", "--dir", str(tmp_path), "--json"]) == 0
+    report = json_module.loads(capsys.readouterr().out)
+    assert report["checked"] == 1 and report["counts"] == {"ok": 1}
+    assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
+    assert "removed 1" in capsys.readouterr().out
+    assert not DiskStore(tmp_path, SCHEMA_VERSION).contains(digest)
 
 
 # -- memory-mapped (npzm) artifacts ------------------------------------------

@@ -10,6 +10,7 @@ chunk budget) replay of a container matches full materialization
 bit-for-bit, including through a complete DeLorean run.
 """
 
+import dataclasses
 import json
 import os
 import zipfile
@@ -26,7 +27,7 @@ from repro.sampling.smarts import Smarts
 from repro.sampling.plan import SamplingPlan
 from repro.store import ArtifactStore
 from repro.trace.phases import PhaseSpec, build_trace
-from repro.trace.record import Kind, Trace, trace_from_chunks
+from repro.trace.record import Kind, Trace, TraceChunk, trace_from_chunks
 from repro.trace.engines import (
     MultiWorkingSetEngine,
     PointerChaseEngine,
@@ -54,7 +55,12 @@ from repro.traceio import (
     unregister_workload,
     write_trace,
 )
-from repro.traceio.container import manifest_path, trace_arrays
+from repro.traceio.container import (
+    container_manifest,
+    manifest_path,
+    publish_container,
+    trace_arrays,
+)
 from repro.traceio.formats import CHAMPSIM_DTYPE
 from repro.vff.index import TraceIndex
 from tests.conftest import make_small_workload
@@ -196,6 +202,42 @@ class TestContainer:
             json.dump(manifest, handle)
         with pytest.raises(TraceFormatError, match="fingerprint"):
             read_trace(path, verify=True)
+
+
+def _bad_branch_view(trace, defect):
+    """``trace`` with one defect in its branch view; kind stream kept."""
+    branch_instr = trace.branch_instr.copy()
+    branch_mispred = trace.branch_mispred
+    if defect == "past-end":
+        branch_instr[-1] = trace.n_instructions
+    elif defect == "unsorted":
+        branch_instr[[0, 1]] = branch_instr[[1, 0]]
+    else:               # one branch of the kind stream missing its row
+        branch_instr, branch_mispred = branch_instr[:-1], branch_mispred[:-1]
+    return dataclasses.replace(trace, branch_instr=branch_instr,
+                               branch_mispred=branch_mispred)
+
+
+@pytest.mark.parametrize("defect", ["past-end", "unsorted", "count"])
+def test_bad_branch_view_rejected_on_write_and_read(tmp_path, defect):
+    """One column check guards every writer and reader, branch view
+    included."""
+    bad = _bad_branch_view(random_trace(31), defect)
+    arrays = trace_arrays(bad)
+    with pytest.raises(ValueError, match="branch view"):
+        write_trace(bad, tmp_path / "w.trace.npz")
+    with TraceStreamWriter() as writer, \
+            pytest.raises(ValueError, match="branch view"):
+        writer.append(TraceChunk(instr_lo=0, instr_hi=bad.n_instructions,
+                                 **arrays))
+    # Published unchecked, as a damaged or foreign container would be.
+    path = tmp_path / "bad.trace.npz"
+    publish_container(path, arrays, container_manifest(arrays, "bad"))
+    with pytest.raises(ValueError, match="branch view"):
+        read_trace(path)
+    with TraceReader(path) as reader, \
+            pytest.raises(ValueError, match="branch view"):
+        reader.materialize()
 
 
 # -- streaming reader --------------------------------------------------------

@@ -16,8 +16,10 @@ The paper's primary contribution, built on the substrates in
   sampling inside the engaged explorer windows.
 * :class:`~repro.core.warming.DirectedCapacityPredictor` — DSW's capacity
   decision: key reuse distance -> StatStack stack distance vs cache size.
-* :class:`~repro.core.analyst.AnalystPass` — detailed evaluation of the
-  region under the Figure 3 classifier.
+* :class:`~repro.core.analyst.AnalystPass` — detailed evaluation of a
+  region under the Figure 3 classifier; the one Analyst of DeLorean, its
+  sweeps and NaiveDSW (DSW predictor) and of CoolSim (per-PC
+  predictor).
 * :class:`~repro.core.delorean.DeLorean` — the full pipelined
   time-traveling strategy (Figure 4).
 * :class:`~repro.core.dse.DesignSpaceExploration` — many parallel

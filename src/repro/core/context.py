@@ -112,12 +112,6 @@ class AccessWindow:
         return np.unique(np.asarray(self.lines), return_index=True)
 
 
-def trace_region_mispredicts(trace, spec):
-    """Branch mispredictions inside a region's detailed window."""
-    lo, hi = trace.branch_range(spec.region_start, spec.region_end)
-    return int(np.asarray(trace.branch_mispred[lo:hi]).sum())
-
-
 class ExecutionContext:
     """Owns trace-or-reader, index, store, and RNG seed for one run."""
 
@@ -228,7 +222,9 @@ class ExecutionContext:
 
     def region_mispredicts(self, spec):
         """Branch mispredictions inside the detailed region."""
-        return trace_region_mispredicts(self.trace, spec)
+        trace = self.trace
+        lo, hi = trace.branch_range(spec.region_start, spec.region_end)
+        return int(np.asarray(trace.branch_mispred[lo:hi]).sum())
 
     # -- lifecycle ---------------------------------------------------------
 

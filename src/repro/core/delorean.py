@@ -97,13 +97,11 @@ class DeLorean(StrategyBase):
 
     def _analyst(self, context, hierarchy_config, machine):
         return AnalystPass(
-            machine, hierarchy_config,
+            context, machine, hierarchy_config,
             processor_config=self.processor_config,
             prefetcher_factory=((lambda: StridePrefetcher(n_streams=8))
                                 if self.prefetcher_enabled else None),
             mshr_window=self.mshr_window,
-            seed=context.seed,
-            context=context,
         )
 
     def _assemble_result(self, run, plan):

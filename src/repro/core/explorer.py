@@ -194,17 +194,3 @@ class ExplorerChain:
                 profile.total_stops * stop_projection, scaled=False)
         meter.watchpoint_setups(
             len(profile.last_access) + len(profile.unresolved), scaled=False)
-
-    def key_reuse_distances(self, scout_report, exploration):
-        """Map each key line to its backward reuse distance (in accesses).
-
-        Lines never found in the warm-up interval map to ``-1`` (cold).
-        """
-        distances = {}
-        for line, first in scout_report.key_first_access.items():
-            last = exploration.last_access.get(line)
-            if last is None:
-                distances[line] = -1
-            else:
-                distances[line] = int(first - last - 1)
-        return distances

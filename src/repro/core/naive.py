@@ -36,15 +36,6 @@ class NaiveDirectedWarming(StrategyBase):
         self.vicinity_boost = float(vicinity_boost)
         self.mshr_window = mshr_window
 
-    def run(self, workload, plan, hierarchy_config, index=None, seed=0,
-            context=None):
-        context = self.context_for(workload, index=index, seed=seed,
-                                   context=context)
-        run = self.begin(context, plan, hierarchy_config)
-        for spec in plan.regions():
-            run.refine(spec)
-        return run.result(plan)
-
     def begin(self, context, plan, hierarchy_config):
         """Start a refinable run (``refine`` per region, ``result`` at
         any watermark); :meth:`run` is the same steps back to back."""
@@ -80,10 +71,9 @@ class NaiveDirectedWarmingRun:
             density_boost=strategy.vicinity_boost, rng=rng,
             footprint_scale=plan.footprint_scale)
         self.analyst = AnalystPass(
-            self.analyst_machine, hierarchy_config,
+            context, self.analyst_machine, hierarchy_config,
             processor_config=strategy.processor_config,
-            mshr_window=strategy.mshr_window, seed=context.seed,
-            context=context)
+            mshr_window=strategy.mshr_window)
         self.regions = []
         self.total_stops = 0
 
@@ -117,12 +107,10 @@ class NaiveDirectedWarmingRun:
             paper_window_instructions=paper_gap,
             model_window_instructions=spec.gap_instructions)
 
-        distances = {}
-        for line, first in report.key_first_access.items():
-            last = profile.last_access.get(line)
-            if last is None:
-                last = report.warming_resolved.get(line)
-            distances[line] = (first - last - 1) if last is not None else -1
+        # The gap profile covers the warming window: its last access
+        # wins.
+        distances = report.key_reuse_distances(
+            {**report.warming_resolved, **profile.last_access})
         predictor = DirectedCapacityPredictor(distances, vicinity)
         self.regions.append(self.analyst.run_region(spec, predictor))
         return self.regions[-1]

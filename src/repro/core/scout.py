@@ -8,14 +8,14 @@ window, the Scout also observes, for free, the last warm-up access of any
 key line that was touched inside that window; such lines need no Explorer
 at all (this is why bwaves averages fewer than one engaged Explorer in
 Figure 8 — nearly all of its key reuses sit within the warming window or
-the lukewarm cache).
+the lukewarm cache).  One batched window query over the warming window
+resolves every key line at once.  The report also holds the one
+key-reuse-distance rule (:meth:`ScoutReport.key_reuse_distances`):
+DeLorean's warm-up applies it to the Explorers' last accesses, NaiveDSW
+to its full-gap profile's.
 """
 
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro import kernels
 
 
 @dataclass
@@ -45,6 +45,21 @@ class ScoutReport:
         """Key lines whose last reuse precedes the warming window."""
         return [line for line in self.key_first_access
                 if line not in self.warming_resolved]
+
+    def key_reuse_distances(self, last_access):
+        """Map each key line to its backward reuse distance (in accesses)
+        given ``last_access`` (line -> its last warm-up access).
+
+        Lines without a last access map to ``-1`` (cold).
+        """
+        distances = {}
+        for line, first in self.key_first_access.items():
+            last = last_access.get(line)
+            if last is None:
+                distances[line] = -1
+            else:
+                distances[line] = int(first - last - 1)
+        return distances
 
 
 class ScoutPass:
@@ -77,26 +92,15 @@ class ScoutPass:
         )
         warming = machine.access_window(spec.warming_start,
                                         spec.region_start)
-        if kernels.get_backend() != "scalar" and unique_lines.size:
-            # One batched window query resolves every key line's last
-            # warming-window access (same values as the per-key binary
-            # searches below); it bisects each line's position run, so
-            # accesses outside the warming window cost nothing.
-            _, last_access = machine.index.lines.batch_counts_and_last(
-                unique_lines, warming.lo, region.lo)
-            for line, first, last in zip(unique_lines.tolist(),
-                                         first_idx.tolist(),
-                                         last_access.tolist()):
-                report.key_first_access[line] = region.lo + first
-                if last >= 0:
-                    report.warming_resolved[line] = last
-        else:
-            for line, first in zip(unique_lines.tolist(),
-                                   first_idx.tolist()):
-                report.key_first_access[line] = region.lo + first
-                last = machine.index.lines.last_in(line, warming.lo,
-                                                   region.lo)
-                if last >= 0:
-                    report.warming_resolved[line] = last
+        # One window query resolves every key line's last warming-window
+        # access; accesses outside the warming window cost nothing.
+        _, last_access = machine.index.lines.batch_counts_and_last(
+            unique_lines, warming.lo, region.lo)
+        for line, first, last in zip(unique_lines.tolist(),
+                                     first_idx.tolist(),
+                                     last_access.tolist()):
+            report.key_first_access[line] = region.lo + first
+            if last >= 0:
+                report.warming_resolved[line] = last
         machine.sync()       # hand the key set to Explorer-1 over a pipe
         return report

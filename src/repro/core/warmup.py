@@ -240,7 +240,7 @@ class IncrementalWarmup:
                  for m in self.explorer_machines]
         vicinity = ReuseHistogram()
         exploration = self.chain.run_region(spec, report, vicinity)
-        key_distances = self.chain.key_reuse_distances(report, exploration)
+        key_distances = report.key_reuse_distances(exploration.last_access)
         stage_seconds = [scout_delta] + [
             machine.meter.ledger.total_seconds - marks[k]
             for k, machine in enumerate(self.explorer_machines)]

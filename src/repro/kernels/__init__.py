@@ -11,9 +11,10 @@ and stack-distance profiling — exist in two equivalent implementations:
   regime.
 
 Under any backend but ``scalar`` the numpy batch paths of
-classification, SMARTS's regions, Scout, CoolSim's gap profiling,
-vicinity sampling, warm-up, the trace index and watchpoint profiling
-also engage; they are equivalent to their scalar loops too.
+classification, SMARTS's regions, CoolSim's gap profiling, vicinity
+sampling, warm-up and the trace index's window queries (Scout,
+watchpoint profiling) also engage; they are equivalent to their scalar
+loops too.
 
 The active backend is chosen per process: the ``REPRO_KERNEL_BACKEND``
 environment variable seeds the default, :func:`set_backend` switches it,

@@ -1,11 +1,16 @@
-"""Shared machinery for sampling strategies."""
+"""Shared machinery for sampling strategies.
+
+:meth:`StrategyBase.run` is the one batch driver: ``begin``, then
+``refine`` per region, then ``result`` — the calls a live feed makes
+one watermark at a time, so the two paths cannot drift apart.
+"""
 
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.interval import IntervalCoreModel
 
 
 class StrategyBase:
-    """Common helpers: context plumbing, branch accounting, timing."""
+    """Common helpers: context plumbing, the batch driver, timing."""
 
     name = "abstract"
 
@@ -33,21 +38,28 @@ class StrategyBase:
         return ExecutionContext(workload, index=index, store=store,
                                 seed=seed)
 
-    def region_mispredicts(self, context, spec):
-        """Branch mispredictions inside the detailed region.
-
-        Outcomes are materialized in the trace so every strategy sees the
-        identical branch behaviour (the paper warms predictors identically
-        through the 30 k detailed-warming window).
-        """
-        return context.region_mispredicts(spec)
+    def run(self, workload, plan, hierarchy_config, index=None, seed=0,
+            context=None):
+        """Evaluate ``workload`` under ``plan``; returns the result of
+        ``begin``, ``refine`` per region, then ``result``."""
+        context = self.context_for(workload, index=index, seed=seed,
+                                   context=context)
+        run = self.begin(context, plan, hierarchy_config)
+        for spec in plan.regions():
+            run.refine(spec)
+        return run.result(plan)
 
     def region_timing(self, context, spec, classified):
-        """Interval-model timing for a classified region."""
+        """Interval-model timing for a classified region.
+
+        Branch outcomes are materialized in the trace, so every strategy
+        sees the identical mispredictions (the paper warms predictors
+        identically through the 30 k detailed-warming window).
+        """
         return self.core_model.region_timing(
             n_instructions=spec.region_end - spec.region_start,
             outcomes=classified.outcomes,
             outcome_instr=classified.outcome_instr,
             llc_hit_instr=classified.llc_hit_instr,
-            n_mispredicts=self.region_mispredicts(context, spec),
+            n_mispredicts=context.region_mispredicts(spec),
         )

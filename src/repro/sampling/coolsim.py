@@ -6,7 +6,10 @@ locations get watchpoints; each watchpoint runs until the location's next
 access, yielding one reuse-distance sample attributed to the reusing load
 PC (Section 2.3).  The per-PC reuse distributions then predict, for each
 detailed-region access that escapes the lukewarm cache, whether a warm
-cache would have hit.
+cache would have hit.  Each detailed region runs through
+:class:`~repro.core.analyst.AnalystPass`, DeLorean's Analyst, on the
+profiling machine: the per-PC predictor and a stride detector carried
+across regions and gap profiling are all that differ.
 
 The paper's best CoolSim configuration uses an adaptive schedule: one
 sample per 40 k memory instructions for the first 75 % of the gap, one
@@ -24,8 +27,7 @@ import numpy as np
 from repro import kernels
 from repro.caches.stats import HIT_WARMING, MISS_CAPACITY
 from repro.sampling.base import StrategyBase
-from repro.sampling.classify import WarmingClassifier
-from repro.sampling.results import RegionResult, StrategyResult
+from repro.sampling.results import StrategyResult
 from repro.statmodel.assoc import StrideDetector
 from repro.statmodel.perpc import PerPCReuseStats
 from repro.vff.costmodel import CostMeter
@@ -64,15 +66,6 @@ class CoolSim(StrategyBase):
         self.max_stops_per_watchpoint = int(max_stops_per_watchpoint)
         self.min_pc_samples = int(min_pc_samples)
         self.mshr_window = mshr_window
-
-    def run(self, workload, plan, hierarchy_config, index=None, seed=0,
-            context=None):
-        context = self.context_for(workload, index=index, seed=seed,
-                                   context=context)
-        run = self.begin(context, plan, hierarchy_config)
-        for spec in plan.regions():
-            run.refine(spec)
-        return run.result(plan)
 
     def begin(self, context, plan, hierarchy_config):
         """Start a refinable run (``refine`` per region, ``result`` at
@@ -196,58 +189,33 @@ class CoolSimRun:
     """
 
     def __init__(self, strategy, context, plan, hierarchy_config):
+        # Deferred import: repro.core imports repro.sampling, so a
+        # top-level import of repro.core.analyst would close a cycle.
+        from repro.core.analyst import AnalystPass
+
         self.strategy = strategy
         self.context = context
-        self.hierarchy_config = hierarchy_config
         self.footprint_scale = plan.footprint_scale
         self.meter = CostMeter(scale=plan.scale)
         self.machine = context.machine(self.meter)
         self.stats = PerPCReuseStats(min_samples=strategy.min_pc_samples)
         self.stride_detector = StrideDetector()
         self.rng = context.rng("coolsim")
+        self.predictor = strategy._capacity_predictor(self.stats, self.rng)
+        self.analyst = AnalystPass(
+            context, self.machine, hierarchy_config,
+            processor_config=strategy.processor_config,
+            mshr_window=strategy.mshr_window)
         self.regions = []
         self.collected_model = 0
 
     def refine(self, spec):
         """Profile one gap and simulate its detailed region."""
-        strategy = self.strategy
-        context = self.context
-        machine = self.machine
-        self.collected_model += strategy._profile_gap(
-            machine, spec, self.stats, self.stride_detector, self.rng,
+        self.collected_model += self.strategy._profile_gap(
+            self.machine, spec, self.stats, self.stride_detector, self.rng,
             self.footprint_scale)
-        machine.switch_state()
-
-        classifier = WarmingClassifier(
-            self.hierarchy_config,
-            capacity_predictor=strategy._capacity_predictor(
-                self.stats, self.rng),
-            stride_detector=self.stride_detector,
-            mshrs=strategy.processor_config.mshrs_l1d,
-            mshr_window=strategy.mshr_window,
-            seed=context.seed,
-        )
-        machine.meter.detailed(spec.paper_warming_instructions)
-        l1_warming = context.l1_warming_window(spec)
-        warming = context.warming_window(spec)
-        classifier.warm_detailed(np.asarray(l1_warming.lines),
-                                 np.asarray(warming.lines))
-
-        machine.detailed(spec.region_start, spec.region_end)
-        region = context.region_window(spec)
-        classified = classifier.classify_region(
-            np.asarray(region.lines),
-            np.asarray(region.pcs),
-            region.rel_instr(),
-        )
-        machine.switch_state()
-        timing = strategy.region_timing(context, spec, classified)
-        self.regions.append(RegionResult(
-            index=spec.index,
-            n_instructions=spec.region_end - spec.region_start,
-            stats=classified.stats,
-            timing=timing,
-        ))
+        self.regions.append(self.analyst.run_region(
+            spec, self.predictor, stride_detector=self.stride_detector))
         return self.regions[-1]
 
     def result(self, plan):

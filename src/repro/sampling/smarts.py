@@ -51,16 +51,6 @@ class Smarts(StrategyBase):
         self.prefetcher_enabled = prefetcher
         self.mshr_window = mshr_window
 
-    def run(self, workload, plan, hierarchy_config, index=None, seed=0,
-            context=None):
-        """Evaluate ``workload`` under the plan; returns StrategyResult."""
-        context = self.context_for(workload, index=index, seed=seed,
-                                   context=context)
-        run = self.begin(context, plan, hierarchy_config)
-        for spec in plan.regions():
-            run.refine(spec)
-        return run.result(plan)
-
     def begin(self, context, plan, hierarchy_config):
         """Start a refinable run: ``refine(spec)`` per region, then
         ``result(plan)`` — the batch :meth:`run` composed of the same

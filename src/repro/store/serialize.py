@@ -20,9 +20,10 @@ Two wire formats cover every artifact the store persists:
   streamed member is zip64, so a table past 2 GiB publishes.
 
 Stores written by earlier versions may still hold ``npz`` blobs
-(compressed array mappings, labelled ``trace-index``).  No key leads to
-them and nothing decodes them: ``cache ls``/``verify`` read only their
-headers and checksums, and ``cache clear`` removes them.
+(compressed array mappings, labelled ``trace-index``).  Nothing decodes
+them: ``cache ls``/``verify`` read only their headers and checksums, a
+load that meets one (or any kind outside :data:`KINDS`) reads a miss
+without quarantining it, and ``cache clear`` removes them.
 
 Blobs only ever come from the local cache directory this process (or a
 sibling worker) wrote, so pickle is acceptable; treat a cache directory
@@ -38,6 +39,8 @@ import numpy as np
 
 KIND_NPZ_MAPPED = "npzm"
 KIND_PICKLE = "pkl"
+#: The kinds :func:`decode` reads.
+KINDS = (KIND_NPZ_MAPPED, KIND_PICKLE)
 
 
 def encode(obj):

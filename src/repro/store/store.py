@@ -40,6 +40,7 @@ from repro.store.fingerprint import fingerprint
 from repro.store.memory import LRUCache
 from repro.store.serialize import (
     KIND_NPZ_MAPPED,
+    KINDS,
     decode,
     encode,
     mapped_arrays,
@@ -167,7 +168,11 @@ class ArtifactStore:
             self._count_lookup("hit", label, tier="memory")
             return cached
         blob = self.disk.get(digest)
-        if blob is None:
+        if blob is None or blob[0]["kind"] not in KINDS:
+            # A kind this version does not decode (a legacy ``npz``
+            # blob, or one another version wrote at this schema) is
+            # not corrupt: a miss that leaves it for ``cache gc``/
+            # ``clear``.
             self.disk_misses += 1
             self._count_lookup("miss", label)
             return None

@@ -8,6 +8,9 @@ watchpoint would have taken).  Building the index is one sort per
 granularity; every query is a binary search.  Both builders group
 positions by key through :func:`_group_by_key`, which packs key and
 position into one int64 so that a plain sort yields the stable order.
+Every window question — how often, and when last, did these keys occur
+in ``[lo, hi)``? — is one :meth:`_PositionIndex.batch_counts_and_last`,
+which holds the per-key reference as well as the batched search.
 
 Two construction paths exist:
 
@@ -232,16 +235,27 @@ class _PositionIndex:
     def batch_counts_and_last(self, keys, lo, hi):
         """Window counts and last positions for many keys at once.
 
-        Equivalent to per-key ``count_in`` / ``last_in`` over ``[lo,
-        hi)``.  One vectorized binary search finds both window edges
-        inside every key's position run, so work and transient memory
-        are O(keys · log run), independent of how often a key occurs
-        outside the window; a memory-mapped table is read only at the
-        probed entries.  Returns ``(counts, last)`` aligned with
-        ``keys`` (``-1`` marks a key unseen in the window).
+        The one window query.  Returns ``(counts, last)`` aligned with
+        ``keys`` (``-1`` marks a key unseen in the window), equal to
+        per-key ``count_in`` / ``last_in`` over ``[lo, hi)``.  That
+        per-key loop is the reference: it runs on the ``scalar``
+        backend, and for a single key, where two plain searches beat
+        the setup of the batched one.  Otherwise one vectorized binary
+        search finds both window edges inside every key's position run.
+        Either way work and transient memory are O(keys · log run),
+        independent of how often a key occurs outside the window; a
+        memory-mapped table is read only at the probed entries.
         """
         keys = np.asarray(keys, dtype=np.int64)
         n_keys = keys.shape[0]
+        if kernels.get_backend() == "scalar" or n_keys == 1:
+            # An inverted window is empty (count_in would return a
+            # negative difference).
+            counts = [max(0, self.count_in(key, lo, hi))
+                      for key in keys.tolist()]
+            last = [self.last_in(key, lo, hi) for key in keys.tolist()]
+            return (np.asarray(counts, dtype=np.int64),
+                    np.asarray(last, dtype=np.int64))
         counts = np.zeros(n_keys, dtype=np.int64)
         last = np.full(n_keys, -1, dtype=np.int64)
         if n_keys == 0 or self._keys.shape[0] == 0 or hi <= lo:
@@ -843,16 +857,12 @@ class TraceIndex:
         """Total accesses landing in ``pages`` within window ``[lo, hi)``.
 
         This is exactly the number of watchpoint stops a run with those
-        pages protected would take over the window.  Off the scalar
-        reference it is one batched window query, O(pages · log run):
-        accesses to the pages outside the window cost nothing.
+        pages protected would take over the window.  One window query,
+        O(pages · log run): accesses to the pages outside the window
+        cost nothing.
         """
-        pages = np.asarray(pages)
-        if kernels.get_backend() != "scalar" and pages.size > 1:
-            counts, _ = self.pages.batch_counts_and_last(pages, lo, hi)
-            return int(counts.sum())
-        return sum(self.pages.count_in(int(page), lo, hi)
-                   for page in pages.tolist())
+        counts, _ = self.pages.batch_counts_and_last(pages, lo, hi)
+        return int(counts.sum())
 
     def window_access_counts(self, lines, lo, hi):
         """Per-line access counts and last access position in a window.

@@ -6,13 +6,16 @@ passes switch between:
 
 * ``fast_forward`` — KVM-style virtualized fast-forwarding (no
   microarchitectural visibility, near-native speed);
-* ``functional`` — gem5 'atomic' functional simulation (sees every
-  access, no timing);
 * ``functional_warm`` — functional simulation that also updates a cache
   hierarchy (SMARTS's warming mode);
 * ``detailed`` — cycle-accurate detailed simulation (the slow mode);
-* ``directed_profile`` / ``await_reuse`` — virtualized directed
-  profiling with page-protection watchpoints.
+* ``switch_state`` / ``sync`` — the KVM <-> gem5 state transfer at a
+  region boundary and the pipe synchronization between passes.
+
+Directed profiling runs on the machine's
+:class:`~repro.vff.watchpoint.WatchpointEngine` (``watchpoints``); each
+pass charges its own profiling costs on the machine's meter (atomic
+functional simulation included), at the paper geometry it projects to.
 
 Each pass of a time-traveling run owns its own ``VirtualMachine`` (the
 paper runs each pass as a separate gem5/KVM process); the shared
@@ -43,28 +46,12 @@ class VirtualMachine:
 
         return AccessWindow.from_trace(self.trace, instr_lo, instr_hi)
 
-    def region_mispredicts(self, spec):
-        """Branch mispredictions inside a region's detailed window
-        (context-shaped, so passes without an
-        :class:`~repro.core.context.ExecutionContext` can still feed
-        :meth:`~repro.sampling.base.StrategyBase.region_timing`)."""
-        from repro.core.context import trace_region_mispredicts
-
-        return trace_region_mispredicts(self.trace, spec)
-
     # -- instruction-window modes -----------------------------------------
 
     def fast_forward(self, instr_lo, instr_hi, scaled=True):
         """Advance ``[instr_lo, instr_hi)`` under virtualization."""
         n = max(0, instr_hi - instr_lo)
         return self.meter.fast_forward(n, scaled=scaled)
-
-    def functional(self, instr_lo, instr_hi, scaled=False):
-        """Advance under atomic functional simulation; returns the
-        (access_lo, access_hi) window the mode observed."""
-        n = max(0, instr_hi - instr_lo)
-        self.meter.atomic(n, scaled=scaled)
-        return self.trace.access_range(instr_lo, instr_hi)
 
     def functional_warm(self, hierarchy, instr_lo, instr_hi, scaled=True):
         """Functional simulation that warms ``hierarchy`` (SMARTS mode).
@@ -81,35 +68,6 @@ class VirtualMachine:
         regions keep their paper size)."""
         n = max(0, instr_hi - instr_lo)
         return self.meter.detailed(n, scaled=False)
-
-    # -- directed profiling -------------------------------------------------
-
-    def directed_profile(self, watched_lines, instr_lo, instr_hi,
-                         charge_stops=True, scaled=True):
-        """Run ``[instr_lo, instr_hi)`` with watchpoints armed.
-
-        Execution proceeds under virtualization between stops; each stop
-        (true or false positive) costs a KVM exit.  Returns the
-        :class:`~repro.vff.watchpoint.WatchpointProfile`.
-        """
-        access_lo, access_hi = self.trace.access_range(instr_lo, instr_hi)
-        profile = self.watchpoints.profile_window(
-            watched_lines, access_lo, access_hi)
-        self.fast_forward(instr_lo, instr_hi, scaled=scaled)
-        self.meter.watchpoint_setups(len(set(watched_lines)), scaled=False)
-        if charge_stops:
-            self.meter.watchpoint_stops(profile.total_stops, scaled=scaled)
-        return profile
-
-    def await_reuse(self, line, access_position, access_limit,
-                    charge_stops=True, scaled=True):
-        """RSW/vicinity primitive: watch ``line`` until its next access."""
-        reuse, stops = self.watchpoints.await_next_reuse(
-            line, access_position, access_limit)
-        self.meter.watchpoint_setups(1, scaled=scaled)
-        if charge_stops:
-            self.meter.watchpoint_stops(stops, scaled=scaled)
-        return reuse, stops
 
     # -- region boundaries ----------------------------------------------------
 

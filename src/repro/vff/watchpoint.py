@@ -11,7 +11,9 @@ The engine answers, for a window of execution with a set of lines
 watched: which watched lines were accessed (and when, last), and how many
 stops (true + false) the run took.  Everything is derived from the
 :class:`~repro.vff.index.TraceIndex` oracle rather than by stepping the
-window access-by-access.
+window access-by-access: a window profile is one window query per
+granularity on every kernel backend, and the index picks the query's
+per-key reference or its batched search.
 """
 
 import time
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro import kernels, telemetry
+from repro import telemetry
 
 
 @dataclass
@@ -96,34 +98,16 @@ class WatchpointEngine:
 
         s = telemetry.session()
         t0 = time.perf_counter() if s is not None else 0.0
-        if kernels.get_backend() != "scalar":
-            # One vectorized pass over the window resolves every watched
-            # line at once (identical counts/positions to the per-line
-            # binary searches below).
-            counts, last = self.index.window_access_counts(
-                watched, access_lo, access_hi)
-            if s is not None:
-                s.add_time("kernel.watchpoint_profile",
-                           time.perf_counter() - t0)
-            true_stops = int(counts.sum())
-            resolved = counts > 0
-            profile.last_access = dict(
-                zip(watched[resolved].tolist(), last[resolved].tolist()))
-            unresolved = watched[~resolved].tolist()
-        else:
-            true_stops = 0
-            unresolved = []
-            for line in watched.tolist():
-                count = self.index.lines.count_in(line, access_lo, access_hi)
-                if count:
-                    true_stops += count
-                    profile.last_access[line] = self.index.lines.last_in(
-                        line, access_lo, access_hi)
-                else:
-                    unresolved.append(line)
-            if s is not None:
-                s.add_time("kernel.watchpoint_profile.scalar",
-                           time.perf_counter() - t0)
+        counts, last = self.index.window_access_counts(
+            watched, access_lo, access_hi)
+        if s is not None:
+            s.add_time("kernel.watchpoint_profile",
+                       time.perf_counter() - t0)
+        true_stops = int(counts.sum())
+        resolved = counts > 0
+        profile.last_access = dict(
+            zip(watched[resolved].tolist(), last[resolved].tolist()))
+        unresolved = watched[~resolved].tolist()
 
         pages = self.index.pages_of_lines(watched)
         page_stops = self.index.page_stops_in(pages, access_lo, access_hi)

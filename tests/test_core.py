@@ -85,7 +85,7 @@ def test_explorer_chain_resolves_all_warm_lines(small_workload, small_plan,
     spec = small_plan.regions()[1]
     report = scout.run_region(spec)
     result = chain.run_region(spec, report)
-    distances = chain.key_reuse_distances(report, result)
+    distances = report.key_reuse_distances(result.last_access)
     trace = small_workload.trace
     gap_lo, _ = trace.access_range(spec.warmup_start, spec.region_start)
     # Verify against the oracle: resolved distances are exact backward

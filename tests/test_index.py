@@ -1,5 +1,6 @@
 """Tests for the trace position index (the profiling oracle)."""
 
+import itertools
 import tempfile
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import kernels
 from repro.reliability import clear_plan, inject
 from repro.store import ArtifactStore
 from repro.util.units import CACHELINE_SHIFT, PAGE_SHIFT
@@ -161,9 +163,11 @@ def window_queries(draw):
 
 
 def test_batch_counts_and_last_matches_per_key_queries(tmp_path):
-    """The batched search answers every key and window exactly as the
+    """The window query answers every key and window exactly as the
     per-key ``count_in`` / ``last_in``, on lines and pages, in RAM and
-    through a spilled index reopened memory-mapped."""
+    through a spilled index reopened memory-mapped, on every backend:
+    batches (the batched search off ``scalar``) and one-key queries,
+    present and absent (the per-key route)."""
     rounds = set()
 
     @settings(max_examples=40, deadline=None)
@@ -186,15 +190,22 @@ def test_batch_counts_and_last_matches_per_key_queries(tmp_path):
                 present = np.unique(keys)
                 query = np.concatenate(
                     [present, present[:2], np.asarray(absent, dtype=np.int64)])
+                singles = [present[:1], np.asarray([present[-1] + 1])]
                 rounds.add(int(np.diff(part._starts).max() - 1).bit_length())
-                for lo, hi in windows:
-                    counts, last = part.batch_counts_and_last(query, lo, hi)
-                    assert counts.dtype == last.dtype == np.int64
-                    for i, k in enumerate(query.tolist()):
-                        # An inverted window is empty (count_in would
-                        # return a negative difference).
-                        assert counts[i] == max(0, part.count_in(k, lo, hi))
-                        assert last[i] == part.last_in(k, lo, hi)
+                for (lo, hi), backend in itertools.product(windows,
+                                                           kernels.BACKENDS):
+                    with kernels.use_backend(backend):
+                        answers = [(q, part.batch_counts_and_last(q, lo, hi))
+                                   for q in [query] + singles]
+                    for q, (counts, last) in answers:
+                        assert counts.dtype == last.dtype == np.int64
+                        assert counts.shape == last.shape == q.shape
+                        for i, k in enumerate(q.tolist()):
+                            # An inverted window is empty (count_in
+                            # would return a negative difference).
+                            assert counts[i] == max(0,
+                                                    part.count_in(k, lo, hi))
+                            assert last[i] == part.last_in(k, lo, hi)
         mapped.close()
 
     check()

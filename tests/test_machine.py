@@ -20,12 +20,6 @@ def test_fast_forward_charges_vff(machine):
     assert machine.meter.ledger.seconds_by_category.keys() == {"vff"}
 
 
-def test_functional_returns_window_and_charges(machine):
-    lo, hi = machine.functional(0, 10_000)
-    assert 0 == lo and hi > 0
-    assert "atomic" in machine.meter.ledger.seconds_by_category
-
-
 def test_functional_warm_updates_hierarchy(machine):
     hierarchy = CacheHierarchy(HierarchyConfig(
         l1d=CacheConfig(8 * 64, assoc=2),
@@ -41,24 +35,6 @@ def test_detailed_unscaled(machine):
     expected = 10_000 / (machine.meter.params.detailed_mips * 1e6)
     assert machine.meter.ledger.seconds_by_category["detailed"] == (
         pytest.approx(expected))
-
-
-def test_directed_profile_charges_stops(machine):
-    trace = machine.trace
-    watched = [int(trace.mem_line[0])]
-    profile = machine.directed_profile(watched, 0, 20_000)
-    categories = machine.meter.ledger.seconds_by_category
-    assert "watchpoint_setup" in categories
-    assert profile.total_stops > 0
-    assert "watchpoint_stop" in categories
-
-
-def test_await_reuse(machine):
-    trace = machine.trace
-    reuse, stops = machine.await_reuse(
-        int(trace.mem_line[0]), 0, trace.n_accesses)
-    assert reuse > 0                       # hot line reused quickly
-    assert stops >= 1
 
 
 def test_switch_state_and_sync(machine):

@@ -4,9 +4,10 @@
 replaces named methods and functions with span-recording wrappers and
 puts the originals back afterwards.  A renamed or moved boundary breaks
 ``perfbench/run.py --trace 1``, so this pins every entry of its patch
-table to the code and checks that a traced DeLorean batch, a DSE sweep
-(cold, then replayed from the store) and a live DeLorean feed record
-the warm-up and per-pass spans.
+table to the code and checks that a traced DeLorean batch, a CoolSim
+batch, a DSE sweep (cold, then replayed from the store) and a live
+DeLorean feed record the warm-up and per-pass spans, CoolSim's Analyst
+nested in its regions.
 """
 
 import importlib.util
@@ -21,6 +22,7 @@ from repro.caches.hierarchy import paper_hierarchy
 from repro.core.delorean import DeLorean
 from repro.core.dse import DesignSpaceExploration
 from repro.live import LiveRunner, chunk_trace
+from repro.sampling.coolsim import CoolSim
 from repro.sampling.plan import SamplingPlan
 from repro.store import ArtifactStore
 
@@ -69,6 +71,7 @@ def test_traced_runs_record_every_pass(tracing, tmp_path):
         plan = SamplingPlan(n_instructions=workload.trace.n_instructions,
                             n_regions=2)
         DeLorean().run(workload, plan, hierarchy, seed=7)
+        CoolSim().run(workload, plan, hierarchy, seed=7)
         configs = [paper_hierarchy(size << 20) for size in (1, 8)]
         for _ in ("cold", "replayed"):
             store = ArtifactStore(root=tmp_path / "store", enabled=True)
@@ -82,6 +85,11 @@ def test_traced_runs_record_every_pass(tracing, tmp_path):
     missing = [name for name in SPANS if name not in recorded]
     assert not missing, missing
     assert all(span[2] is not None for span in tracer.spans)
+    # CoolSim's detailed regions run through the Analyst.
+    spans = tracer.spans
+    assert sum(span[0] == "core.analyst" and span[3] >= 0
+               and spans[span[3]][0] == "sampling.coolsim.region"
+               for span in spans) == plan.n_regions
     assert tracer.counts["core.scout.key_lines"] > 0
     assert tracer.counts["store.hits"] > 0
     for owner, attribute, original in originals:

@@ -307,6 +307,26 @@ def test_store_corrupt_payload_is_a_miss(tmp_path):
     assert fresh.disk_misses == 1
 
 
+def test_store_unknown_kind_is_a_miss_not_corruption(tmp_path):
+    """A checksum-valid blob of a kind this version does not decode (a
+    legacy compressed ``npz`` array blob) reads as a miss through
+    ``load`` and ``load_mapped``, and stays on disk for ``cache
+    gc``/``clear`` instead of being quarantined."""
+    import io
+
+    store = ArtifactStore(root=tmp_path, enabled=True)
+    key = {"artifact": "legacy"}
+    digest = store.digest(key)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, positions=np.arange(64))
+    store.disk.put(digest, "npz", buffer.getvalue(), label="trace-index")
+    assert store.load(key) is None
+    assert store.load_mapped(key) is None
+    assert store.disk_misses == 2
+    assert store.disk.quarantined == 0
+    assert store.disk.contains(digest)
+
+
 def test_disk_clear(tmp_path):
     disk = DiskStore(tmp_path, SCHEMA_VERSION)
     disk.put("ee" * 32, "pkl", b"1")

@@ -21,6 +21,7 @@ The whole file runs under both kernel backends via the session-level
 ``--backend`` pin in ``conftest.py``.
 """
 
+import math
 import multiprocessing
 import os
 import resource
@@ -298,10 +299,10 @@ class TestChunkedImport:
     def test_import_is_single_pass_over_events(self, tmp_path,
                                                monkeypatch,
                                                fixture_trace):
-        """The fused importer never re-spills event columns: the parse
-        pass is the only pass over the event stream (plus the bounded
-        PC-intern windows), with zero normalize windows and zero chunks
-        through the stream writer."""
+        """The fused importer never re-spills event columns: one parse
+        batch per instruction window is the only pass over the event
+        stream, one PC-intern window per access window the only second
+        pass, and no chunk goes through the stream writer."""
         from repro import telemetry
         from repro.telemetry.core import TelemetrySession
 
@@ -312,9 +313,10 @@ class TestChunkedImport:
         import_trace_streamed(src, "csv", tmp_path / "fused.trace.npz",
                               chunk_instructions=1_024)
         counters = session.counters
-        assert counters.get("ingest.parse_batches", 0) > 1
-        assert counters.get("ingest.intern_chunks", 0) >= 1
-        assert counters.get("ingest.chunks", 0) == 0
+        assert counters.get("ingest.parse_batches", 0) == math.ceil(
+            fixture_trace.n_instructions / 1_024)
+        assert counters.get("ingest.intern_chunks", 0) == math.ceil(
+            fixture_trace.n_accesses / 1_024)
         assert counters.get("stream.writer.chunks", 0) == 0
 
     def test_malformed_input_leaves_no_container(self, tmp_path,

@@ -67,15 +67,20 @@ class SetAssocCache:
         self._mask = self.n_sets - 1
         self.hits = 0
         self.misses = 0
+        self._seed = seed
         self._is_lru = config.policy == "lru"
         if self._is_lru:
             self._sets = [[] for _ in range(self.n_sets)]
             self._policy = None
         else:
-            self._tags = [[None] * self.assoc for _ in range(self.n_sets)]
-            self._ways = [dict() for _ in range(self.n_sets)]
-            self._policy = make_policy(
-                config.policy, self.n_sets, self.assoc, seed=seed)
+            self._fresh_policy_state()
+
+    def _fresh_policy_state(self):
+        """Empty way tables and a policy re-seeded from the cache's seed."""
+        self._tags = [[None] * self.assoc for _ in range(self.n_sets)]
+        self._ways = [dict() for _ in range(self.n_sets)]
+        self._policy = make_policy(
+            self.config.policy, self.n_sets, self.assoc, seed=self._seed)
 
     # -- single-access interface -----------------------------------------
 
@@ -262,14 +267,24 @@ class SetAssocCache:
         return [l for ways in self._ways for l in ways]
 
     def flush(self):
-        """Invalidate everything and reset hit/miss counters."""
+        """Invalidate everything and reset hit/miss counters: afterwards
+        the cache behaves exactly like a fresh one of the same seed.
+
+        LRU set lists are emptied in place (one C loop on the native
+        backend), so a cache reused across regions allocates no set
+        list.  A snapshot of set references (the classifier's
+        MSHR-break rollback) lives only inside one region, so a flush
+        never reaches one.
+        """
         self.hits = 0
         self.misses = 0
-        if self._is_lru:
-            self._sets = [[] for _ in range(self.n_sets)]
+        if not self._is_lru:
+            self._fresh_policy_state()
+        elif kernels.get_backend() == "native":
+            native.clear_sets(self._sets)
         else:
-            self._tags = [[None] * self.assoc for _ in range(self.n_sets)]
-            self._ways = [dict() for _ in range(self.n_sets)]
+            for entries in self._sets:
+                entries.clear()
 
     def __repr__(self):
         return f"SetAssocCache({self.config.describe()})"

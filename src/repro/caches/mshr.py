@@ -10,9 +10,19 @@ depend on this component.
 Time is measured in *access indices*: a miss occupies an entry for
 ``window`` subsequent accesses, a trace-driven stand-in for the miss
 latency divided by the per-access cycle cost.
+
+:meth:`MSHRFile.lookup` and :meth:`MSHRFile.allocate` are the
+per-access scalar reference.  :meth:`MSHRFile.walk` runs a whole run of
+lookups and allocations in one compiled loop (native backend), the
+classifier's and SMARTS's residual-miss walk; the file keeps the state
+either way.
 """
 
 import math
+
+import numpy as np
+
+from repro.kernels import native
 
 
 class MSHRFile:
@@ -66,6 +76,33 @@ class MSHRFile:
             self._next_expiry = deadline
         self.allocations += 1
         return True
+
+    def walk(self, lines, positions, allocate):
+        """:meth:`lookup` each access in order, then :meth:`allocate` it
+        on a miss where ``allocate`` is set — in one compiled loop.
+
+        Returns the per-access hit mask.  The outstanding entries go to
+        the loop and come back in insertion order, so they and the
+        counters end exactly as the per-access calls leave them.  Native
+        backend only.
+        """
+        outstanding = self._outstanding
+        slot_lines = np.zeros(self.n_entries, dtype=np.int64)
+        slot_deadlines = np.zeros(self.n_entries, dtype=np.int64)
+        occupied = len(outstanding)
+        slot_lines[:occupied] = list(outstanding)
+        slot_deadlines[:occupied] = list(outstanding.values())
+        hit_mask, occupied, hits, allocations, failures = native.mshr_walk(
+            slot_lines, slot_deadlines, occupied, lines, positions,
+            allocate, self.window)
+        outstanding.clear()
+        outstanding.update(zip(slot_lines[:occupied].tolist(),
+                               slot_deadlines[:occupied].tolist()))
+        self._next_expiry = min(outstanding.values(), default=math.inf)
+        self.mshr_hits += hits
+        self.allocations += allocations
+        self.allocation_failures += failures
+        return hit_mask
 
     @property
     def occupancy(self):

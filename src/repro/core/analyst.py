@@ -15,18 +15,24 @@ predictor and a fresh stride detector per region; CoolSim hands it its
 per-PC predictor and the detector it carries across regions.  Windows
 and branch counts come from the pass's
 :class:`~repro.core.context.ExecutionContext`.
+
+An Analyst keeps one classifier — one lukewarm hierarchy and one MSHR
+file — for its whole life and empties it in place at each region, so an
+extra configuration of a sweep allocates its LLC once, not per region.
 """
 
 import numpy as np
 
 from repro.caches.cache import SetAssocCache
-from repro.sampling.base import StrategyBase
+from repro.cpu.config import ProcessorConfig
+from repro.cpu.interval import IntervalCoreModel
+from repro.sampling.base import region_timing
 from repro.sampling.classify import RegionFrontEnd, WarmingClassifier
 from repro.sampling.results import RegionResult
 from repro.statmodel.assoc import StrideDetector
 
 
-class AnalystPass(StrategyBase):
+class AnalystPass:
     """Detailed-region evaluation for one cache/processor configuration."""
 
     name = "analyst"
@@ -34,13 +40,18 @@ class AnalystPass(StrategyBase):
     def __init__(self, context, machine, hierarchy_config,
                  processor_config=None, prefetcher_factory=None,
                  mshr_window=24):
-        super().__init__(processor_config)
+        self.processor_config = processor_config or ProcessorConfig()
+        self.core_model = IntervalCoreModel(self.processor_config)
         #: The run's :class:`~repro.core.context.ExecutionContext`.
         self.context = context
         self.machine = machine
         self.hierarchy_config = hierarchy_config
         self.prefetcher_factory = prefetcher_factory
-        self.mshr_window = mshr_window
+        #: Every region's classifier: :meth:`run_region` restarts it.
+        self.classifier = WarmingClassifier(
+            hierarchy_config, capacity_predictor=None,
+            mshrs=self.processor_config.mshrs_l1d, mshr_window=mshr_window,
+            seed=context.seed)
 
     def new_front_end(self):
         """A :class:`~repro.sampling.classify.RegionFrontEnd` for one
@@ -64,14 +75,11 @@ class AnalystPass(StrategyBase):
         machine = self.machine
         machine.switch_state()      # receive state from Explorer-N
 
-        classifier = WarmingClassifier(
-            self.hierarchy_config,
-            capacity_predictor=capacity_predictor,
+        classifier = self.classifier
+        classifier.start_region(
+            capacity_predictor,
             stride_detector=(stride_detector if stride_detector is not None
                              else StrideDetector()),
-            mshrs=self.processor_config.mshrs_l1d,
-            mshr_window=self.mshr_window,
-            seed=context.seed,
             prefetcher=(self.prefetcher_factory()
                         if self.prefetcher_factory else None),
             front_end=front_end,
@@ -91,7 +99,7 @@ class AnalystPass(StrategyBase):
         )
         machine.switch_state()
 
-        timing = self.region_timing(context, spec, classified)
+        timing = region_timing(self.core_model, context, spec, classified)
         return RegionResult(
             index=spec.index,
             n_instructions=spec.region_end - spec.region_start,

@@ -86,9 +86,9 @@ class AccessWindow:
 
     @classmethod
     def from_trace(cls, trace, instr_lo, instr_hi):
-        """The window of ``[instr_lo, instr_hi)`` over ``trace`` — the
-        one construction path shared by :meth:`ExecutionContext.window`
-        and :meth:`VirtualMachine.access_window`."""
+        """The window of ``[instr_lo, instr_hi)`` over ``trace``: what
+        :meth:`ExecutionContext.window` and its region-shaped helpers
+        return."""
         lo, hi = trace.access_range(instr_lo, instr_hi)
         return cls(instr_lo=instr_lo, instr_hi=instr_hi, lo=lo, hi=hi,
                    lines=trace.mem_line[lo:hi], pcs=trace.mem_pc[lo:hi],

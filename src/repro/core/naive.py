@@ -64,7 +64,7 @@ class NaiveDirectedWarmingRun:
         self.scout_machine = context.machine(self.meter.fork())
         self.profile_machine = context.machine(self.meter.fork())
         self.analyst_machine = context.machine(self.meter.fork())
-        self.scout = ScoutPass(self.scout_machine)
+        self.scout = ScoutPass(context, self.scout_machine)
         rng = context.rng("naive-dsw")
         self.sampler = VicinitySampler(
             self.profile_machine, density=strategy.vicinity_density,

@@ -67,7 +67,10 @@ class ScoutPass:
 
     name = "scout"
 
-    def __init__(self, machine):
+    def __init__(self, context, machine):
+        #: The run's :class:`~repro.core.context.ExecutionContext`: the
+        #: region and warming windows come from it.
+        self.context = context
         self.machine = machine
 
     def run_region(self, spec):
@@ -82,7 +85,7 @@ class ScoutPass:
             spec.paper_warming_instructions
             + (spec.region_end - spec.region_start), scaled=False)
 
-        region = machine.access_window(spec.region_start, spec.region_end)
+        region = self.context.region_window(spec)
         unique_lines, first_idx = region.unique_lines()
 
         report = ScoutReport(
@@ -90,8 +93,7 @@ class ScoutPass:
             region_access_lo=region.lo,
             region_access_hi=region.hi,
         )
-        warming = machine.access_window(spec.warming_start,
-                                        spec.region_start)
+        warming = self.context.warming_window(spec)
         # One window query resolves every key line's last warming-window
         # access; accesses outside the warming window cost nothing.
         _, last_access = machine.index.lines.batch_counts_and_last(

@@ -222,7 +222,7 @@ class IncrementalWarmup:
                             density_boost=float(vicinity_boost), rng=rng,
                             footprint_scale=footprint_scale)
             for machine in self.explorer_machines]
-        self.scout = ScoutPass(self.scout_machine)
+        self.scout = ScoutPass(context, self.scout_machine)
         self.chain = ExplorerChain(self.explorer_machines,
                                    self.explorer_specs,
                                    vicinity_samplers=self.samplers,

@@ -1,7 +1,8 @@
 """Simulation kernels and backend selection.
 
-The cache hot paths — bulk LRU warming, the fused L1+LLC hierarchy warm
-and stack-distance profiling — exist in two equivalent implementations:
+The cache hot paths — bulk LRU warming, the fused L1+LLC hierarchy warm,
+stack-distance profiling, emptying a cache's sets and walking a run of
+misses through the MSHRs — exist in two equivalent implementations:
 
 * ``scalar`` — the original per-access Python loops, kept as the
   reference semantics and as the path of hosts without a C compiler;

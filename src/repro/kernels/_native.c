@@ -1,28 +1,37 @@
-/* Compiled kernel backend: fused per-access loops for the merge-bound
+/* Compiled kernel backend: the per-access loops of the cache and MSHR
  * hot paths.
  *
- * The vector backend batches LRU warming through per-set stack
- * distances, but an *exact* long-window distinct count is merge-bound
- * in numpy — hence its adaptive bailout to the scalar loop on
- * thrash-heavy batches.  These C loops run the per-access reference
- * semantics directly (one linear scan per access over at most `assoc`
- * slots), so they are bit-identical to the scalar implementation by
- * construction, need no bailout heuristics, and win in every regime.
+ * Each loop runs the per-access reference semantics of its Python
+ * counterpart directly (one linear scan per access over at most
+ * `assoc` cache slots or `n_entries` MSHR entries), so it is
+ * bit-identical to the scalar backend by construction.
  *
- * Exported functions (all consume contiguous int64 arrays prepared by
- * the Python wrapper in `repro.kernels.native`):
+ * Exported functions (arrays are contiguous and prepared by the Python
+ * wrappers in `repro.kernels.native`):
  *
  *   warm_lru(sets, lines, mask, assoc, want_info)
  *       -> (hits, hit_mask|None, occupancy_before|None)
  *   warm_hierarchy(l1_sets, llc_sets, lines,
  *                  l1_mask, l1_assoc, llc_mask, llc_assoc)
  *       -> (l1_hits, llc_hits)
+ *   clear_sets(sets) -> None
+ *   mshr_walk(slot_lines, slot_deadlines, occupied, lines, positions,
+ *             allocate, window)
+ *       -> (hit_mask, occupied, hits, allocations, failures)
  *   stack_from_prev(prev) -> stack distances (int64, -1 for cold)
  *
  * `sets` is the live list-of-lists representation of SetAssocCache
- * (LRU at index 0); it is decoded into a flat slot array, warmed, and
- * written back, replacing each touched inner list — the same
- * replacement semantic as the vector kernel's writeback.
+ * (LRU at index 0).  The warm kernels decode it into a flat slot
+ * array, run, and write each touched set back as a *new* list: they
+ * never mutate a set list, so a list of set references is an exact
+ * snapshot (the classifier's MSHR-break rollback relies on it).
+ * `clear_sets` is the one kernel that empties the lists in place: a
+ * flush keeps every set's list object.
+ *
+ * `mshr_walk` runs MSHRFile.lookup for each access of a run, then
+ * MSHRFile.allocate on a miss where `allocate` is set; the file's
+ * outstanding entries come in and go out as slot arrays in insertion
+ * order.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -318,6 +327,158 @@ done:
     return result;
 }
 
+/* -- clear_sets --------------------------------------------------------- */
+
+static PyObject *
+clear_sets(PyObject *self, PyObject *args)
+{
+    PyObject *sets;
+    npy_intp n_sets, s;
+
+    if (!PyArg_ParseTuple(args, "O!", &PyList_Type, &sets))
+        return NULL;
+    n_sets = PyList_GET_SIZE(sets);
+    for (s = 0; s < n_sets; s++) {
+        PyObject *entries = PyList_GET_ITEM(sets, s);
+        if (!PyList_Check(entries)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "cache sets must be lists of lines");
+            return NULL;
+        }
+        if (PyList_GET_SIZE(entries) > 0
+                && PyList_SetSlice(entries, 0, PyList_GET_SIZE(entries),
+                                   NULL) < 0)
+            return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+/* -- mshr_walk ---------------------------------------------------------- */
+
+static int
+check_int64_vector(PyArrayObject *arr, const char *name)
+{
+    if (PyArray_TYPE(arr) != NPY_INT64 || !PyArray_IS_C_CONTIGUOUS(arr)
+            || PyArray_NDIM(arr) != 1) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s must be a contiguous 1-d int64 array", name);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+mshr_walk(PyObject *self, PyObject *args)
+{
+    PyArrayObject *slot_lines_arr, *slot_deadlines_arr;
+    PyArrayObject *lines_arr, *positions_arr, *allocate_arr;
+    PyArrayObject *hit_mask = NULL;
+    long long occupied_ll, window_ll;
+    npy_intp capacity, m, n, i, j, dims[1];
+    npy_int64 *slot_lines, *slot_deadlines, *lines, *positions;
+    npy_int64 window, next_expiry;
+    const unsigned char *allocate;
+    unsigned char *hits_out;
+    long long hits = 0, allocations = 0, failures = 0;
+
+    if (!PyArg_ParseTuple(args, "O!O!LO!O!O!L",
+                          &PyArray_Type, &slot_lines_arr,
+                          &PyArray_Type, &slot_deadlines_arr,
+                          &occupied_ll,
+                          &PyArray_Type, &lines_arr,
+                          &PyArray_Type, &positions_arr,
+                          &PyArray_Type, &allocate_arr,
+                          &window_ll))
+        return NULL;
+    if (check_int64_vector(slot_lines_arr, "slot_lines") < 0
+            || check_int64_vector(slot_deadlines_arr, "slot_deadlines") < 0
+            || check_int64_vector(lines_arr, "lines") < 0
+            || check_int64_vector(positions_arr, "positions") < 0)
+        return NULL;
+    if (PyArray_TYPE(allocate_arr) != NPY_BOOL
+            || !PyArray_IS_C_CONTIGUOUS(allocate_arr)
+            || PyArray_NDIM(allocate_arr) != 1) {
+        PyErr_SetString(PyExc_TypeError,
+                        "allocate must be a contiguous 1-d bool array");
+        return NULL;
+    }
+    capacity = PyArray_DIM(slot_lines_arr, 0);
+    n = PyArray_DIM(lines_arr, 0);
+    if (PyArray_DIM(slot_deadlines_arr, 0) != capacity
+            || occupied_ll < 0 || occupied_ll > capacity
+            || PyArray_DIM(positions_arr, 0) != n
+            || PyArray_DIM(allocate_arr, 0) != n || window_ll <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "mshr_walk: mismatched lengths, occupancy beyond "
+                        "the slots, or a non-positive window");
+        return NULL;
+    }
+    slot_lines = (npy_int64 *)PyArray_DATA(slot_lines_arr);
+    slot_deadlines = (npy_int64 *)PyArray_DATA(slot_deadlines_arr);
+    lines = (npy_int64 *)PyArray_DATA(lines_arr);
+    positions = (npy_int64 *)PyArray_DATA(positions_arr);
+    allocate = (const unsigned char *)PyArray_DATA(allocate_arr);
+    m = (npy_intp)occupied_ll;
+    window = (npy_int64)window_ll;
+
+    dims[0] = n;
+    hit_mask = (PyArrayObject *)PyArray_ZEROS(1, dims, NPY_BOOL, 0);
+    if (hit_mask == NULL)
+        return NULL;
+    hits_out = (unsigned char *)PyArray_DATA(hit_mask);
+
+    Py_BEGIN_ALLOW_THREADS
+    /* The earliest outstanding deadline: nothing expires before it. */
+    next_expiry = NPY_MAX_INT64;
+    for (j = 0; j < m; j++)
+        if (slot_deadlines[j] < next_expiry)
+            next_expiry = slot_deadlines[j];
+    for (i = 0; i < n; i++) {
+        npy_int64 line = lines[i];
+        npy_int64 now = positions[i];
+
+        if (now >= next_expiry) {
+            /* Drop every entry due by now, keeping insertion order. */
+            npy_intp kept = 0;
+
+            next_expiry = NPY_MAX_INT64;
+            for (j = 0; j < m; j++) {
+                if (slot_deadlines[j] > now) {
+                    slot_lines[kept] = slot_lines[j];
+                    slot_deadlines[kept] = slot_deadlines[j];
+                    if (slot_deadlines[j] < next_expiry)
+                        next_expiry = slot_deadlines[j];
+                    kept++;
+                }
+            }
+            m = kept;
+        }
+        for (j = 0; j < m && slot_lines[j] != line; j++)
+            ;
+        if (j < m) {
+            hits++;
+            hits_out[i] = 1;
+            continue;
+        }
+        if (!allocate[i])
+            continue;
+        if (m >= capacity) {
+            failures++;
+            continue;
+        }
+        slot_lines[m] = line;
+        slot_deadlines[m] = now + window;
+        if (now + window < next_expiry)
+            next_expiry = now + window;
+        m++;
+        allocations++;
+    }
+    Py_END_ALLOW_THREADS
+
+    return Py_BuildValue("(NnLLL)", hit_mask, m, hits, allocations,
+                         failures);
+}
+
 /* -- stack_from_prev (Bennett-Kruskal over a Fenwick tree) ------------- */
 
 static PyObject *
@@ -389,6 +550,12 @@ static PyMethodDef native_methods[] = {
     {"warm_hierarchy", warm_hierarchy, METH_VARARGS,
      "warm_hierarchy(l1_sets, llc_sets, lines, l1_mask, l1_assoc, "
      "llc_mask, llc_assoc) -> (l1_hits, llc_hits)"},
+    {"clear_sets", clear_sets, METH_VARARGS,
+     "clear_sets(sets) -> None: empty every set list in place"},
+    {"mshr_walk", mshr_walk, METH_VARARGS,
+     "mshr_walk(slot_lines, slot_deadlines, occupied, lines, positions, "
+     "allocate, window) -> "
+     "(hit_mask, occupied, hits, allocations, failures)"},
     {"stack_from_prev", stack_from_prev, METH_VARARGS,
      "stack_from_prev(prev) -> stack distances (-1 for cold accesses)"},
     {NULL, NULL, 0, NULL},

@@ -202,6 +202,31 @@ def warm_hierarchy(l1_sets, llc_sets, lines, l1_mask, l1_assoc,
                                   int(llc_mask), int(llc_assoc))
 
 
+def clear_sets(state_sets):
+    """Empty every set list of an LRU cache in place, in one C loop."""
+    _native.clear_sets(state_sets)
+
+
+def mshr_walk(slot_lines, slot_deadlines, occupied, lines, positions,
+              allocate, window):
+    """Walk a run of accesses through an MSHR file in one C loop.
+
+    The file's state is ``occupied`` outstanding entries, in insertion
+    order, in the int64 arrays ``slot_lines``/``slot_deadlines`` (one
+    slot per MSHR), which are updated in place.  Per access: drop the
+    entries due by its position, look its line up, and on a miss where
+    ``allocate`` is set take a free slot until ``position + window`` or
+    count a failure.  Returns ``(hit_mask, occupied, hits, allocations,
+    failures)``.
+    """
+    return _native.mshr_walk(
+        slot_lines, slot_deadlines, int(occupied),
+        np.ascontiguousarray(lines, dtype=np.int64),
+        np.ascontiguousarray(positions, dtype=np.int64),
+        np.ascontiguousarray(allocate, dtype=bool),
+        int(window))
+
+
 def reuse_and_stack_distances_native(lines):
     """Exact ``(reuse, stack)`` distances via the compiled Fenwick loop.
 

@@ -3,20 +3,20 @@
 :meth:`StrategyBase.run` is the one batch driver: ``begin``, then
 ``refine`` per region, then ``result`` — the calls a live feed makes
 one watermark at a time, so the two paths cannot drift apart.
+:func:`region_timing` times a classified region, for SMARTS and for
+every Analyst.
 """
 
 from repro.cpu.config import ProcessorConfig
-from repro.cpu.interval import IntervalCoreModel
 
 
 class StrategyBase:
-    """Common helpers: context plumbing, the batch driver, timing."""
+    """Common helpers: context plumbing and the batch :meth:`run`."""
 
     name = "abstract"
 
     def __init__(self, processor_config=None):
         self.processor_config = processor_config or ProcessorConfig()
-        self.core_model = IntervalCoreModel(self.processor_config)
 
     def context_for(self, workload, index=None, seed=0, store=None,
                     context=None):
@@ -49,17 +49,19 @@ class StrategyBase:
             run.refine(spec)
         return run.result(plan)
 
-    def region_timing(self, context, spec, classified):
-        """Interval-model timing for a classified region.
 
-        Branch outcomes are materialized in the trace, so every strategy
-        sees the identical mispredictions (the paper warms predictors
-        identically through the 30 k detailed-warming window).
-        """
-        return self.core_model.region_timing(
-            n_instructions=spec.region_end - spec.region_start,
-            outcomes=classified.outcomes,
-            outcome_instr=classified.outcome_instr,
-            llc_hit_instr=classified.llc_hit_instr,
-            n_mispredicts=context.region_mispredicts(spec),
-        )
+def region_timing(core_model, context, spec, classified):
+    """Interval-model timing for a classified region: the one timing
+    step of SMARTS's regions and of every Analyst's.
+
+    Branch outcomes are materialized in the trace, so every strategy
+    sees the identical mispredictions (the paper warms predictors
+    identically through the 30 k detailed-warming window).
+    """
+    return core_model.region_timing(
+        n_instructions=spec.region_end - spec.region_start,
+        outcomes=classified.outcomes,
+        outcome_instr=classified.outcome_instr,
+        llc_hit_instr=classified.llc_hit_instr,
+        n_mispredicts=context.region_mispredicts(spec),
+    )

@@ -25,22 +25,27 @@ one stride query over the region (the detector observes every access
 whatever its outcome).  The per-LLC phase then warms the LLC with the
 warming tail's L1 misses, runs the region's L1-miss substream through
 the LLC kernel, and turns the strides into stride-limited capacities.
-Predictors with a ``predict_many`` method (the DSW predictor) resolve
-the residual accesses — those that reach the MSHR and predictor — in
-numpy; only the MSHR lookup/allocate walk stays per access.  Other
-predictors (CoolSim's Bernoulli draws) are still called once per
-residual, in order.  The one sequential wrinkle is an MSHR hit, which
-*skips* the LLC fetch the kernel assumed: the kernel run is valid up
-to that access, so the LLC state is rolled back, the accepted prefix
-replayed, and the stream resumed after the skipped access.  MSHR hits
-require a line to be evicted within its own miss window, so in
-practice this costs nothing — and the scalar path remains
-bit-identical and selectable by flag.
+The residual accesses — those that reach the MSHR and predictor — go
+in runs that start at the accesses that could hit an outstanding miss
+(MSHR suspects): per run the predictor answers once (``predict_many``,
+the DSW predictor) or once per residual in order (CoolSim's Bernoulli
+draws), and one compiled walk (:meth:`~repro.caches.mshr.MSHRFile.walk`)
+takes the run through the MSHRs.  The one sequential wrinkle is an
+MSHR hit, which *skips* the LLC fetch the kernel assumed: the kernel
+run is valid up to that access, so the LLC state is rolled back, the
+accepted prefix replayed, and the stream resumed after the skipped
+access.  MSHR hits require a line to be evicted within its own miss
+window, so in practice this costs nothing — and the scalar path
+remains bit-identical and selectable by flag.
 
 A classifier builds its front end on its own L1 and stride detector
 unless it is handed one: the Analysts of a design-space sweep share
 one front end per region and L1 configuration, so an extra LLC size
-costs only its LLC phase.
+costs only its LLC phase.  An Analyst keeps one classifier for its
+whole life and restarts it per region with
+:meth:`WarmingClassifier.start_region`, which empties its caches and
+MSHRs in place, so its LLC's set lists are allocated once per Analyst,
+not once per region.
 """
 
 import time
@@ -158,10 +163,26 @@ class WarmingClassifier:
                  stride_detector=None, mshrs=8, mshr_window=24, seed=0,
                  prefetcher=None, front_end=None):
         self.hierarchy_config = hierarchy_config
-        self.capacity_predictor = capacity_predictor
-        self.stride_detector = stride_detector
         self.lukewarm = CacheHierarchy(hierarchy_config, seed=seed)
         self.mshr = MSHRFile(mshrs, window=mshr_window)
+        self.start_region(capacity_predictor, stride_detector, prefetcher,
+                          front_end)
+
+    def start_region(self, capacity_predictor, stride_detector=None,
+                     prefetcher=None, front_end=None):
+        """Start a region on this classifier: empty the lukewarm
+        hierarchy and the MSHRs in place and take the region's
+        predictor, stride detector, prefetcher and front end.
+
+        A flushed cache equals a fresh one, so a restarted classifier
+        classifies exactly as a new one would; an Analyst restarts its
+        one classifier per region instead of allocating every LLC set
+        list again.
+        """
+        self.lukewarm.flush()
+        self.mshr.reset()
+        self.capacity_predictor = capacity_predictor
+        self.stride_detector = stride_detector
         #: Optional stride prefetcher fed by *predicted* misses (the
         #: Section 6.3.2 extension): prefetched lines land in the lukewarm
         #: LLC so later accesses hit; prefetches to predicted-present
@@ -359,50 +380,52 @@ class WarmingClassifier:
 
         Returns ``(outcomes, mshr_break)``: the outcome of every residual
         before the first MSHR hit, and that hit's index (None if the
-        block has none).  A ``predict_many`` predictor resolves each run
-        of residuals up to the next one that *could* hit an MSHR in one
-        call, so it sees exactly the accesses the per-access walk would
-        have asked it about.
+        block has none).  Only an MSHR suspect can hit, so the residuals
+        go in runs that each start at a suspect (or the block's first
+        residual): the run's head is looked up, and if it misses the
+        predictor resolves the whole run and one compiled walk takes
+        the run through the MSHRs.  The predictor is thus asked about
+        exactly the accesses the per-access walk would have asked it
+        about, in the same order.
         """
         n_res = positions.shape[0]
+        if n_res == 0:
+            return [], None
+        heads = np.union1d(self._mshr_suspects(positions, lines), [0])
+        bounds = np.append(heads, n_res).tolist()
+        outcomes = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if self.mshr.lookup(int(lines[lo]), int(positions[lo])):
+                return outcomes, lo
+            run = self._run_outcomes(lines[lo:hi], pcs[lo:hi],
+                                     effective[lo:hi], set_full[lo:hi])
+            # No access past the head can hit, so the walk's hit mask
+            # is empty.
+            self.mshr.walk(lines[lo:hi], positions[lo:hi],
+                           run != HIT_WARMING)
+            outcomes.extend(run.tolist())
+        return outcomes, None
+
+    def _run_outcomes(self, lines, pcs, effective, set_full):
+        """Outcomes of a run of residuals that miss the MSHRs: a conflict
+        miss in a full set, else the capacity predictor's — one
+        ``predict_many`` call, or one call per residual in order."""
         llc_lines = self.lukewarm.llc.config.n_lines
+        run = np.full(lines.shape[0], MISS_CONFLICT, dtype=object)
+        open_ = ~set_full
         predict_many = getattr(self.capacity_predictor, "predict_many", None)
         if predict_many is not None:
-            stops = np.append(self._mshr_suspects(positions, lines), n_res)
-        else:
-            pcs_list = pcs.tolist()
-            effective_list = effective.tolist()
-            full_list = set_full.tolist()
+            if open_.any():
+                run[open_] = predict_many(lines[open_], effective[open_],
+                                          llc_lines)
+            return run
+        pcs_list = pcs.tolist()
         lines_list = lines.tolist()
-        positions_list = positions.tolist()
-        lookup = self.mshr.lookup
-        allocate = self.mshr.allocate
-        outcomes = [None] * n_res
-        ready = 0
-        for k in range(n_res):
-            line = lines_list[k]
-            position = positions_list[k]
-            if lookup(line, position):
-                return outcomes[:k], k
-            if k >= ready:
-                if predict_many is None:
-                    ready = k + 1
-                    outcomes[k] = (MISS_CONFLICT if full_list[k] else
-                                   self._capacity_outcome(
-                                       pcs_list[k], line, effective_list[k],
-                                       llc_lines))
-                else:
-                    ready = int(stops[np.searchsorted(stops, k, "right")])
-                    run = np.full(ready - k, MISS_CONFLICT, dtype=object)
-                    open_ = ~set_full[k:ready]
-                    if open_.any():
-                        run[open_] = predict_many(
-                            lines[k:ready][open_],
-                            effective[k:ready][open_], llc_lines)
-                    outcomes[k:ready] = run.tolist()
-            if outcomes[k] != HIT_WARMING:
-                allocate(line, position)
-        return outcomes, None
+        effective_list = effective.tolist()
+        for k in np.flatnonzero(open_).tolist():
+            run[k] = self._capacity_outcome(pcs_list[k], lines_list[k],
+                                            effective_list[k], llc_lines)
+        return run
 
     def _mshr_suspects(self, positions, lines):
         """Residual indices whose access might hit an outstanding miss:

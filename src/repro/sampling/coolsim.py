@@ -74,10 +74,12 @@ class CoolSim(StrategyBase):
 
     # -- profiling -------------------------------------------------------------
 
-    def _profile_gap(self, machine, spec, stats, stride_detector, rng,
-                     footprint_scale):
-        """Sample reuse distances in ``[warmup_start, region_start)``."""
-        trace = machine.trace
+    def _profile_gap(self, context, machine, spec, stats, stride_detector,
+                     rng, footprint_scale):
+        """Sample reuse distances in ``[warmup_start, region_start)``,
+        reading trace data from ``context`` and profiling on
+        ``machine``."""
+        trace = context.trace
         machine.fast_forward(spec.warmup_start, spec.region_start)
         gap = spec.region_start - spec.warmup_start
         region_access_lo, _ = trace.access_range(
@@ -212,8 +214,8 @@ class CoolSimRun:
     def refine(self, spec):
         """Profile one gap and simulate its detailed region."""
         self.collected_model += self.strategy._profile_gap(
-            self.machine, spec, self.stats, self.stride_detector, self.rng,
-            self.footprint_scale)
+            self.context, self.machine, spec, self.stats,
+            self.stride_detector, self.rng, self.footprint_scale)
         self.regions.append(self.analyst.run_region(
             spec, self.predictor, stride_detector=self.stride_detector))
         return self.regions[-1]

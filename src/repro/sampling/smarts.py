@@ -9,16 +9,17 @@ speed baseline (= 1.0) in Figure 5.
 
 Region simulation has two paths.  The batch path (native backend, LRU
 caches, no prefetcher) pre-computes the L1 hit mask and the LLC hit
-stream with the batch LRU kernel and walks per-access Python only for
-the residual misses that reach MSHR state.  It labels a residual miss
-cold when it is its line's first access in the trace, read from the
-trace index: a run refines its regions in order from the trace start,
-so every access before the miss has been simulated.  The scalar
-reference walks every access and keeps the set of lines seen.  Unlike
-the DSW classifier there is no rollback wrinkle — the scalar loop
-touches the LLC *before* the MSHR lookup, so the LLC substream is
-exactly the L1-miss substream either way and the two paths are
-bit-identical by construction (enforced in ``tests/test_kernels.py``).
+stream with the batch LRU kernel and takes the residual misses through
+the MSHRs in one compiled walk (:meth:`~repro.caches.mshr.MSHRFile.walk`,
+which records every MSHR hit).  It labels a residual miss cold when it
+is its line's first access in the trace, read from the trace index: a
+run refines its regions in order from the trace start, so every access
+before the miss has been simulated.  The scalar reference walks every
+access and keeps the set of lines seen.  Unlike the DSW classifier
+there is no rollback wrinkle — the scalar loop touches the LLC *before*
+the MSHR lookup, so the LLC substream is exactly the L1-miss substream
+either way and the two paths are bit-identical by construction
+(enforced in ``tests/test_kernels.py``).
 """
 
 import numpy as np
@@ -33,8 +34,9 @@ from repro.caches.stats import (
     MISS_CAPACITY,
     MISS_COLD,
 )
+from repro.cpu.interval import IntervalCoreModel
 from repro.cpu.prefetch import StridePrefetcher
-from repro.sampling.base import StrategyBase
+from repro.sampling.base import StrategyBase, region_timing
 from repro.sampling.classify import ClassifiedRegion
 from repro.sampling.results import RegionResult, StrategyResult
 from repro.vff.costmodel import CostMeter
@@ -48,6 +50,7 @@ class Smarts(StrategyBase):
     def __init__(self, processor_config=None, prefetcher=False,
                  mshr_window=24):
         super().__init__(processor_config)
+        self.core_model = IntervalCoreModel(self.processor_config)
         self.prefetcher_enabled = prefetcher
         self.mshr_window = mshr_window
 
@@ -116,10 +119,11 @@ class Smarts(StrategyBase):
         """Batch-kernel region simulation (LRU, no prefetcher).
 
         The L1 sees every access and the LLC sees exactly the L1-miss
-        substream — both run as batch LRU kernels.  Only the residual
-        LLC misses walk per-access Python for the MSHR state machine.
-        A residual miss is cold when it is its line's first access in
-        the trace, which ``index`` answers in one batched query.
+        substream — both run as batch LRU kernels.  The residual LLC
+        misses then go through the MSHRs in one compiled walk, each
+        miss allocating.  A residual miss is cold when it is its line's
+        first access in the trace, which ``index`` answers in one
+        batched query.
         """
         lines = np.asarray(window.lines)
         instr = window.rel_instr()
@@ -133,25 +137,19 @@ class Smarts(StrategyBase):
         _, llc_mask, _ = hierarchy.llc.warm_profile(lines[candidates])
         misses = candidates[~llc_mask]
         cold = (index.lines.first_positions(lines[misses])
-                == window.lo + misses).tolist()
+                == window.lo + misses)
 
         mshr = MSHRFile(self.processor_config.mshrs_l1d,
                         window=self.mshr_window)
-        lines_list = lines[misses].tolist()
-        instr_list = instr[misses].tolist()
-        for k, position in enumerate(misses.tolist()):
-            line = lines_list[k]
-            rel_instr = instr_list[k]
-            if mshr.lookup(line, position):
-                result.stats.record(HIT_MSHR)
-                result.outcomes.append(HIT_MSHR)
-                result.outcome_instr.append(rel_instr)
-                continue
-            outcome = MISS_COLD if cold[k] else MISS_CAPACITY
-            mshr.allocate(line, position)
-            result.stats.record(outcome)
-            result.outcomes.append(outcome)
-            result.outcome_instr.append(rel_instr)
+        mshr_hit = mshr.walk(lines[misses], misses,
+                             np.ones(misses.shape[0], dtype=bool))
+        outcomes = np.full(misses.shape[0], MISS_CAPACITY, dtype=object)
+        outcomes[cold] = MISS_COLD
+        outcomes[mshr_hit] = HIT_MSHR
+        outcomes = outcomes.tolist()
+        result.stats.record_many(outcomes)
+        result.outcomes.extend(outcomes)
+        result.outcome_instr.extend(instr[misses].tolist())
 
         result.stats.counts[HIT_LUKEWARM] += n - misses.shape[0]
         result.llc_hit_instr.extend(instr[candidates[llc_mask]].tolist())
@@ -223,7 +221,8 @@ class SmartsRun:
         classified = self.strategy._simulate_region(
             context.region_window(spec), self.hierarchy, self.prefetcher,
             seen_lines, machine.index)
-        timing = self.strategy.region_timing(context, spec, classified)
+        timing = region_timing(self.strategy.core_model, context, spec,
+                               classified)
         self.regions.append(RegionResult(
             index=spec.index,
             n_instructions=spec.region_end - spec.region_start,

@@ -37,15 +37,6 @@ class VirtualMachine:
         self.index = index if index is not None else TraceIndex(trace)
         self.watchpoints = WatchpointEngine(self.index)
 
-    def access_window(self, instr_lo, instr_hi):
-        """The :class:`~repro.core.context.AccessWindow` of an
-        instruction window — how passes slice trace data (views stay
-        zero-copy over memory-mapped traces).  Deferred import: the
-        context module sits above this one in the layer stack."""
-        from repro.core.context import AccessWindow
-
-        return AccessWindow.from_trace(self.trace, instr_lo, instr_hi)
-
     # -- instruction-window modes -----------------------------------------
 
     def fast_forward(self, instr_lo, instr_hi, scaled=True):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.caches.cache import CacheConfig, SetAssocCache
 
 
@@ -83,6 +84,27 @@ def test_flush():
     cache.flush()
     assert not cache.contains(1)
     assert cache.hits == 0 and cache.misses == 0
+
+
+@pytest.mark.parametrize("policy", ["lru", "random", "tree-plru", "nmru"])
+def test_flushed_cache_behaves_like_a_fresh_one(policy):
+    """A flush re-seeds the replacement policy, so a cache reused after
+    ``flush()`` hits and misses exactly where a new one would."""
+    config = CacheConfig(16 * 4 * 64, assoc=4, policy=policy)
+    rng = np.random.default_rng(11)
+    warming, probe = rng.integers(0, 256, size=(2, 3000))
+    for backend in kernels.BACKENDS:
+        with kernels.use_backend(backend):
+            reused = SetAssocCache(config, seed=5)
+            reused.warm(warming)
+            reused.flush()
+            fresh = SetAssocCache(config, seed=5)
+            assert [reused.access(line) for line in probe.tolist()] == \
+                [fresh.access(line) for line in probe.tolist()], backend
+            assert (reused.hits, reused.misses) == \
+                (fresh.hits, fresh.misses), backend
+            assert sorted(reused.resident_lines()) == \
+                sorted(fresh.resident_lines()), backend
 
 
 @pytest.mark.parametrize("policy", ["random", "tree-plru", "nmru"])

@@ -4,6 +4,9 @@ pipeline, end-to-end strategy and DSE."""
 import numpy as np
 import pytest
 
+from conftest import make_small_workload
+
+from repro.caches.cache import SetAssocCache
 from repro.caches.hierarchy import paper_hierarchy
 from repro.caches.stats import (
     HIT_WARMING,
@@ -11,6 +14,8 @@ from repro.caches.stats import (
     MISS_COLD,
     MISS_CONFLICT,
 )
+from repro.core.analyst import AnalystPass
+from repro.core.context import ExecutionContext
 from repro.core.delorean import DeLorean
 from repro.core.dse import DesignSpaceExploration
 from repro.core.explorer import DEFAULT_EXPLORERS, ExplorerChain, ExplorerSpec
@@ -18,6 +23,9 @@ from repro.core.pipeline import bottleneck_stage, pipeline_schedule
 from repro.core.scout import ScoutPass
 from repro.core.vicinity import VicinitySampler
 from repro.core.warming import COLD_DISTANCE, DirectedCapacityPredictor
+from repro.experiments.config import ExperimentConfig
+from repro.sampling.base import StrategyBase
+from repro.sampling.plan import SamplingPlan
 from repro.sampling.smarts import Smarts
 from repro.statmodel.histogram import ReuseHistogram
 from repro.vff.costmodel import CostMeter
@@ -35,13 +43,18 @@ def machines_for(workload, plan, index, count):
             for _ in range(count)]
 
 
+def scout_for(workload, index, machine):
+    return ScoutPass(ExecutionContext(workload, index=index), machine)
+
+
 # -- Scout ---------------------------------------------------------------------
 
 def test_scout_records_unique_region_lines(small_workload, small_plan,
                                            small_index):
     machine = machines_for(small_workload, small_plan, small_index, 1)[0]
     spec = small_plan.regions()[1]
-    report = ScoutPass(machine).run_region(spec)
+    report = scout_for(small_workload, small_index,
+                       machine).run_region(spec)
     trace = small_workload.trace
     lo, hi = trace.access_range(spec.region_start, spec.region_end)
     expected = set(np.unique(trace.mem_line[lo:hi]).tolist())
@@ -53,7 +66,8 @@ def test_scout_first_access_positions(small_workload, small_plan,
                                       small_index):
     machine = machines_for(small_workload, small_plan, small_index, 1)[0]
     spec = small_plan.regions()[0]
-    report = ScoutPass(machine).run_region(spec)
+    report = scout_for(small_workload, small_index,
+                       machine).run_region(spec)
     trace = small_workload.trace
     for line, first in list(report.key_first_access.items())[:32]:
         assert trace.mem_line[first] == line
@@ -67,7 +81,8 @@ def test_scout_first_access_positions(small_workload, small_plan,
 def test_scout_warming_resolution(small_workload, small_plan, small_index):
     machine = machines_for(small_workload, small_plan, small_index, 1)[0]
     spec = small_plan.regions()[1]
-    report = ScoutPass(machine).run_region(spec)
+    report = scout_for(small_workload, small_index,
+                       machine).run_region(spec)
     trace = small_workload.trace
     warming_lo, _ = trace.access_range(spec.warming_start, spec.region_start)
     for line, last in report.warming_resolved.items():
@@ -80,7 +95,7 @@ def test_scout_warming_resolution(small_workload, small_plan, small_index):
 def test_explorer_chain_resolves_all_warm_lines(small_workload, small_plan,
                                                 small_index):
     machines = machines_for(small_workload, small_plan, small_index, 5)
-    scout = ScoutPass(machines[0])
+    scout = scout_for(small_workload, small_index, machines[0])
     chain = ExplorerChain(machines[1:], DEFAULT_EXPLORERS)
     spec = small_plan.regions()[1]
     report = scout.run_region(spec)
@@ -102,7 +117,7 @@ def test_explorer_chain_resolves_all_warm_lines(small_workload, small_plan,
 def test_explorer_engagement_monotone(small_workload, small_plan,
                                       small_index):
     machines = machines_for(small_workload, small_plan, small_index, 5)
-    scout = ScoutPass(machines[0])
+    scout = scout_for(small_workload, small_index, machines[0])
     chain = ExplorerChain(machines[1:], DEFAULT_EXPLORERS)
     spec = small_plan.regions()[2]
     report = scout.run_region(spec)
@@ -365,3 +380,34 @@ def test_dse_requires_configs(small_workload, small_plan, small_index):
     with pytest.raises(ValueError):
         DesignSpaceExploration().run(small_workload, small_plan, [],
                                      index=small_index)
+
+
+@pytest.mark.parametrize("n_regions", [2, 4])
+def test_dse_builds_each_llc_once_per_run(n_regions, monkeypatch):
+    """Each Analyst allocates its lukewarm LLC once and empties it per
+    region, so a ten-size sweep builds ten LLCs whatever its length."""
+    configs = [paper_hierarchy(size)
+               for size in ExperimentConfig().sweep_llc_paper_bytes]
+    llcs = {config.llc for config in configs}
+    built = []
+    init = SetAssocCache.__init__
+
+    def counting_init(self, config, seed=0):
+        if config in llcs:
+            built.append(config)
+        init(self, config, seed=seed)
+
+    workload = make_small_workload(n_instructions=170_000)
+    plan = SamplingPlan(n_instructions=170_000, n_regions=n_regions)
+    monkeypatch.setattr(SetAssocCache, "__init__", counting_init)
+    DesignSpaceExploration().run(workload, plan, configs, seed=2)
+    assert len(llcs) == 10
+    assert sorted(built, key=lambda c: c.size_bytes) == \
+        sorted(llcs, key=lambda c: c.size_bytes)
+
+
+def test_analyst_is_a_pass_not_a_strategy():
+    """The Analyst shares region timing with the strategies through a
+    helper; it inherits no batch ``run`` it cannot serve."""
+    assert not issubclass(AnalystPass, StrategyBase)
+    assert not hasattr(AnalystPass, "run")

@@ -464,8 +464,8 @@ class TestExplorerPlanBatch:
     """The Explorer chain's one walk: per region, level by level."""
 
     def _scouted(self, seed=41, n_instructions=90_000, n_regions=3):
+        from repro.core.context import ExecutionContext
         from repro.core.scout import ScoutPass
-        from repro.vff.machine import VirtualMachine
 
         workload = make_small_workload(seed=seed,
                                        n_instructions=n_instructions)
@@ -473,7 +473,8 @@ class TestExplorerPlanBatch:
                             n_regions=n_regions)
         index = TraceIndex(workload.trace)
         region_specs = list(plan.regions())
-        scout = ScoutPass(VirtualMachine(workload.trace, index=index))
+        context = ExecutionContext(workload, index=index)
+        scout = ScoutPass(context, context.machine())
         reports = [scout.run_region(spec) for spec in region_specs]
         return workload, index, region_specs, reports
 
@@ -787,17 +788,16 @@ class TestScoutVicinityBatch:
     """Batched Scout warming resolution and vicinity sampling vs scalar."""
 
     def test_scout_reports_identical(self):
+        from repro.core.context import ExecutionContext
         from repro.core.scout import ScoutPass
-        from repro.vff.machine import VirtualMachine
 
         workload = make_small_workload(seed=23, n_instructions=60_000)
         plan = SamplingPlan(n_instructions=60_000, n_regions=3)
-        index = TraceIndex(workload.trace)
+        context = ExecutionContext(workload, index=TraceIndex(workload.trace))
         reports = {}
         for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
-                scout = ScoutPass(VirtualMachine(workload.trace,
-                                                 index=index))
+                scout = ScoutPass(context, context.machine())
                 reports[backend] = [scout.run_region(spec)
                                     for spec in plan.regions()]
         for backend in kernels.BACKENDS:

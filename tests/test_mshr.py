@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.caches.mshr import MSHRFile
 
 
@@ -42,6 +43,57 @@ def test_earliest_deadline_matches_full_scan():
                     fast.allocation_failures) == (
                 reference.mshr_hits, reference.allocations,
                 reference.allocation_failures), (seed, step)
+
+
+def _per_access_walk(mshr, lines, positions, allocate):
+    """The reference of :meth:`MSHRFile.walk`: one lookup per access,
+    then an allocate on a flagged miss.  Returns the hit positions."""
+    hits = []
+    for k, (line, now, flagged) in enumerate(
+            zip(lines.tolist(), positions.tolist(), allocate.tolist())):
+        if mshr.lookup(line, now):
+            hits.append(k)
+            continue
+        if flagged:
+            mshr.allocate(line, now)
+    return hits
+
+
+def _state(mshr):
+    """Outstanding entries in insertion order, then the counters."""
+    return (list(mshr._outstanding.items()), mshr.mshr_hits,
+            mshr.allocations, mshr.allocation_failures)
+
+
+def test_native_walk_matches_per_access_loop():
+    if not kernels.native_available():
+        pytest.skip("compiled kernel extension (repro.kernels._native) "
+                    f"could not be built: {kernels.native.unavailable_cause()}")
+    # Random runs over a file that already holds entries, with time
+    # mostly moving forward but sometimes jumping back; the state is
+    # then driven on per access to show nothing stale came back.
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n_entries = int(rng.integers(1, 9))
+        window = int(rng.integers(1, 31))
+        walked = MSHRFile(n_entries, window=window)
+        reference = MSHRFile(n_entries, window=window)
+        now = 0
+        for _ in range(3):
+            for step, line in enumerate(
+                    rng.integers(0, 16, size=int(rng.integers(0, 12)))):
+                for mshr in (walked, reference):
+                    mshr.allocate(int(line), now + step)
+            n = int(rng.integers(0, 120))
+            steps = rng.integers(-8, 6, size=n)
+            positions = np.maximum(0, now + np.cumsum(steps))
+            lines = rng.integers(0, 16, size=n)
+            allocate = rng.random(n) < 0.7
+            mask = walked.walk(lines, positions, allocate)
+            want = _per_access_walk(reference, lines, positions, allocate)
+            assert np.flatnonzero(mask).tolist() == want, seed
+            assert _state(walked) == _state(reference), seed
+            now = int(positions[-1]) if n else now
 
 
 def test_lookup_miss_then_hit_within_window():

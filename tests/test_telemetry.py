@@ -358,12 +358,12 @@ def test_sampled_watchpoint_counts_match_per_sample_tally(backend,
     counters equal a per-sample tally of the samples they resolved."""
     import numpy as np
 
+    from repro.core.context import ExecutionContext
     from repro.core.vicinity import VicinitySampler
     from repro.sampling.coolsim import CoolSim
     from repro.statmodel.assoc import StrideDetector
     from repro.statmodel.histogram import ReuseHistogram
     from repro.statmodel.perpc import PerPCReuseStats
-    from repro.vff.machine import VirtualMachine
     from repro.vff.watchpoint import WatchpointEngine
 
     samples = []
@@ -390,9 +390,10 @@ def test_sampled_watchpoint_counts_match_per_sample_tally(backend,
     trace = workload.trace
     session = telemetry.configure("counters")
     with kernels.use_backend(backend):
-        machine = VirtualMachine(trace, index=TraceIndex(trace))
+        context = ExecutionContext(workload, index=TraceIndex(trace))
+        machine = context.machine()
         spec = SamplingPlan(n_instructions=90_000, n_regions=3).regions()[1]
-        CoolSim()._profile_gap(machine, spec, PerPCReuseStats(),
+        CoolSim()._profile_gap(context, machine, spec, PerPCReuseStats(),
                                StrideDetector(), np.random.default_rng(1),
                                1.0 / 64.0)
         gap_mid = (spec.warmup_start + spec.region_start) // 2

@@ -67,6 +67,13 @@ class CacheHierarchy:
         self.mem_misses += 1
         return MEM
 
+    def batch_path(self, prefetcher=None):
+        """Whether a detailed region on this hierarchy may take the batch
+        path (the classifier's and SMARTS's): a compiled kernel backend,
+        no prefetcher, and LRU L1-D and LLC, the batch kernels' policy."""
+        return (kernels.get_backend() != "scalar" and prefetcher is None
+                and self.l1d._is_lru and self.llc._is_lru)
+
     def warm(self, lines):
         """Bulk functional warming over a numpy line array.
 

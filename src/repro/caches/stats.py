@@ -1,50 +1,53 @@
-"""Access-outcome bookkeeping shared by simulators and predictors."""
+"""Access outcomes: Figure 3's taxonomy as small integer codes.
 
-from collections import Counter
-from dataclasses import dataclass, field
+Each outcome is a code ``0..6``; ``LABELS[code]`` names it and
+``IS_MISS[code]`` says whether it is an LLC miss.  Predictors, the
+classifier and SMARTS produce codes and the interval model consumes
+them, in numpy arrays (:class:`ClassifiedRegion`).  Only
+:class:`AccessStats` keys its counts by label, as Python ints in
+``LABELS`` order: pickled results and store artifacts hash that dict,
+and reports read it by name.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
 
 
-#: Classification labels used throughout the library (Figure 3's taxonomy).
-HIT_LUKEWARM = "lukewarm_hit"
-HIT_MSHR = "mshr_hit"
-MISS_CONFLICT = "conflict_miss"
-MISS_COHERENCE = "coherence_miss"
-MISS_CAPACITY = "capacity_miss"
-MISS_COLD = "cold_miss"
-HIT_WARMING = "warming_hit"          # a would-be warming miss, modeled as hit
+#: Outcome codes, indexes into :data:`LABELS` and :data:`IS_MISS`.
+HIT_LUKEWARM = 0
+HIT_MSHR = 1
+MISS_CONFLICT = 2
+MISS_COHERENCE = 3
+MISS_CAPACITY = 4
+MISS_COLD = 5
+HIT_WARMING = 6          # a would-be warming miss, modeled as hit
 
-ALL_OUTCOMES = (
-    HIT_LUKEWARM,
-    HIT_MSHR,
-    MISS_CONFLICT,
-    MISS_COHERENCE,
-    MISS_CAPACITY,
-    MISS_COLD,
-    HIT_WARMING,
-)
+#: The name of each outcome code: the keys of :attr:`AccessStats.counts`.
+LABELS = ("lukewarm_hit", "mshr_hit", "conflict_miss", "coherence_miss",
+          "capacity_miss", "cold_miss", "warming_hit")
 
-#: Outcomes that count as LLC misses for MPKI/CPI purposes.
-MISS_OUTCOMES = frozenset(
-    {MISS_CONFLICT, MISS_COHERENCE, MISS_CAPACITY, MISS_COLD})
+#: Whether each outcome code counts as an LLC miss for MPKI/CPI purposes.
+IS_MISS = np.array([False, False, True, True, True, True, False])
 
 
 @dataclass
 class AccessStats:
-    """Counts of per-access outcomes for one detailed region (or a sum)."""
+    """Counts of per-access outcomes for one detailed region, by label."""
 
-    counts: dict = field(default_factory=lambda: {o: 0 for o in ALL_OUTCOMES})
+    counts: dict
 
-    def record(self, outcome):
-        if outcome not in self.counts:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        self.counts[outcome] += 1
-
-    def record_many(self, outcomes):
-        """:meth:`record` every outcome of an iterable."""
-        for outcome, count in Counter(outcomes).items():
-            if outcome not in self.counts:
-                raise ValueError(f"unknown outcome {outcome!r}")
-            self.counts[outcome] += count
+    @classmethod
+    def of(cls, n_accesses, codes):
+        """The stats of ``n_accesses`` accesses, given the outcome codes
+        of those that reach beyond the lukewarm state; every other access
+        counts as a lukewarm hit."""
+        codes = np.asarray(codes, dtype=np.int8)
+        counts = np.bincount(codes, minlength=len(LABELS))
+        if counts.shape[0] > len(LABELS):
+            raise ValueError(f"unknown outcome code {counts.shape[0] - 1}")
+        counts[HIT_LUKEWARM] += n_accesses - codes.shape[0]
+        return cls(dict(zip(LABELS, counts.tolist())))
 
     @property
     def total(self):
@@ -52,7 +55,8 @@ class AccessStats:
 
     @property
     def misses(self):
-        return sum(self.counts[o] for o in MISS_OUTCOMES)
+        return sum(self.counts[label]
+                   for label, miss in zip(LABELS, IS_MISS) if miss)
 
     @property
     def hits(self):
@@ -61,11 +65,26 @@ class AccessStats:
     def miss_ratio(self):
         return self.misses / self.total if self.total else 0.0
 
-    def merge(self, other):
-        """Accumulate another stats object into this one (returns self)."""
-        for outcome, count in other.counts.items():
-            self.counts[outcome] = self.counts.get(outcome, 0) + count
-        return self
 
-    def as_dict(self):
-        return dict(self.counts)
+@dataclass
+class ClassifiedRegion:
+    """One detailed region's outcomes, as the interval model times them
+    (sequences are stored as int8 and int64 arrays)."""
+
+    #: Accesses in the region.
+    n_accesses: int
+    #: Outcome code of each access that reaches beyond the lukewarm
+    #: state (MSHR hits, misses and warming hits), in access order.
+    outcomes: np.ndarray
+    #: Region-relative instruction position of each outcome.
+    outcome_instr: np.ndarray
+    #: Accesses that miss the L1 and hit the LLC, warming hits included.
+    llc_hits: int
+
+    def __post_init__(self):
+        self.outcomes = np.asarray(self.outcomes, dtype=np.int8)
+        self.outcome_instr = np.asarray(self.outcome_instr, dtype=np.int64)
+
+    @property
+    def stats(self):
+        return AccessStats.of(self.n_accesses, self.outcomes)

@@ -11,6 +11,10 @@ Contrast with CoolSim's predictor (``repro.sampling.coolsim``): CoolSim
 knows only a *distribution* per load PC and must draw; DSW knows the
 exact reuse distance of the very line being accessed — this is where the
 accuracy gain of Figures 9/10 comes from.
+
+Both forms answer in outcome codes (:mod:`repro.caches.stats`): a
+per-access call returns one, and :meth:`DirectedCapacityPredictor.predict_many`
+an int8 array of them, which the classifier stores as is.
 """
 
 import numpy as np
@@ -26,12 +30,6 @@ from repro.statmodel.statstack import StatStack
 #: Sentinel reuse distance for key lines never found in the warm-up
 #: interval (their last use predates the previous detailed region).
 COLD_DISTANCE = -1
-
-#: Outcome labels indexed by :meth:`DirectedCapacityPredictor.predict_many`'s
-#: internal codes.
-_WARMING, _CAPACITY, _COLD, _CONFLICT = range(4)
-_LABELS = np.array([HIT_WARMING, MISS_CAPACITY, MISS_COLD, MISS_CONFLICT],
-                   dtype=object)
 
 
 class DirectedCapacityPredictor:
@@ -76,7 +74,7 @@ class DirectedCapacityPredictor:
         llc_lines``, a second call at ``llc_lines`` that turns the miss
         into ``MISS_CONFLICT`` when the full cache would have held the
         line.  The counters advance as those calls would advance them.
-        Returns an object array of outcome labels.
+        Returns an int8 array of outcome codes.
         """
         lines = np.asarray(lines, dtype=np.int64)
         effective_lines = np.asarray(effective_lines, dtype=np.int64)
@@ -89,13 +87,14 @@ class DirectedCapacityPredictor:
         stack = np.full(lines.shape[0], np.inf)
         stack[warm] = self.statstack.stack_distance(distance[warm])
         capacity = warm & (stack >= effective_lines)
-        codes = np.where(capacity, _CAPACITY,
-                         np.where(warm, _WARMING, _COLD))
+        codes = np.full(lines.shape[0], MISS_COLD, dtype=np.int8)
+        codes[warm] = HIT_WARMING
+        codes[capacity] = MISS_CAPACITY
         recheck = capacity & (effective_lines < llc_lines)
-        codes[recheck & (stack < llc_lines)] = _CONFLICT
+        codes[recheck & (stack < llc_lines)] = MISS_CONFLICT
         self.lookups += lines.shape[0] + int(np.count_nonzero(recheck))
         self.unknown_lines += lines.shape[0] - int(np.count_nonzero(known))
-        return _LABELS[codes]
+        return codes
 
     def predicted_stack_distance(self, line):
         """Expected stack distance for a key line (inf if cold/unknown)."""

@@ -12,16 +12,17 @@ the functionally-warmed hierarchy, CoolSim and DeLorean feed *predicted*
 outcomes.  Any CPI discrepancy between strategies therefore traces back
 to miss classification, mirroring the paper's evaluation design where
 SMARTS is the accuracy reference.
+
+Outcomes arrive as outcome codes (:mod:`repro.caches.stats`) with their
+instruction positions, plus an LLC-hit count, so timing a region is a
+few array operations.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.caches.stats import (
-    HIT_MSHR,
-    MISS_OUTCOMES,
-)
+from repro.caches.stats import HIT_MSHR, IS_MISS
 
 
 @dataclass
@@ -78,7 +79,7 @@ class IntervalCoreModel:
         return float(serialized)
 
     def region_timing(self, n_instructions, outcomes, outcome_instr,
-                      llc_hit_instr=(), n_mispredicts=0):
+                      llc_hits=0, n_mispredicts=0):
         """Compute timing for one detailed region.
 
         Parameters
@@ -86,30 +87,30 @@ class IntervalCoreModel:
         n_instructions:
             Region length in instructions.
         outcomes:
-            Sequence of per-access outcome labels
-            (:mod:`repro.caches.stats` constants) for accesses that reach
-            beyond the L1 (misses and MSHR hits).  L1 hits need not be
-            reported; they are covered by the base component.
+            Outcome codes (:mod:`repro.caches.stats`) of the accesses
+            that reach beyond the lukewarm state (misses, MSHR and
+            warming hits), as an array or a sequence.  Lukewarm hits
+            need not be reported; the base component and ``llc_hits``
+            cover them.
         outcome_instr:
             Instruction position (region-relative) of each outcome.
-        llc_hit_instr:
-            Instruction positions of LLC hits (L1 misses that hit LLC).
+        llc_hits:
+            Number of LLC hits (L1 misses that hit the LLC, warming hits
+            included).
         n_mispredicts:
             Branch mispredictions in the region.
         """
-        outcomes = list(outcomes)
+        outcomes = np.asarray(outcomes, dtype=np.int8)
         outcome_instr = np.asarray(outcome_instr, dtype=np.int64)
-        if len(outcomes) != outcome_instr.shape[0]:
+        if outcomes.shape[0] != outcome_instr.shape[0]:
             raise ValueError("outcomes and positions length mismatch")
 
         config = self.config
-        miss_positions = outcome_instr[
-            [o in MISS_OUTCOMES for o in outcomes]]
-        n_delayed = sum(1 for o in outcomes if o == HIT_MSHR)
+        miss_positions = outcome_instr[IS_MISS[outcomes]]
+        n_delayed = int(np.count_nonzero(outcomes == HIT_MSHR))
 
         base = n_instructions / config.issue_width
         branch = n_mispredicts * config.branch_mispredict_penalty
-        llc_hits = len(llc_hit_instr)
         llc_cycles = llc_hits * config.llc_hit_penalty
         memory = (self.serialized_misses(miss_positions)
                   * config.memory_penalty)

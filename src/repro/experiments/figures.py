@@ -302,7 +302,7 @@ def headline(runner):
 
 def lukewarm_stats(runner):
     """Section 3.1.2/3.2 statistics: lukewarm hit rates and key lines."""
-    from repro.caches.stats import HIT_LUKEWARM, HIT_MSHR
+    from repro.caches.stats import HIT_LUKEWARM, HIT_MSHR, LABELS
     results = runner.run_all("DeLorean")
     rows = []
     key_all = []
@@ -311,8 +311,8 @@ def lukewarm_stats(runner):
         lukewarm = mshr = total = 0
         for region in result.regions:
             counts = region.stats.counts
-            lukewarm += counts[HIT_LUKEWARM]
-            mshr += counts[HIT_MSHR]
+            lukewarm += counts[LABELS[HIT_LUKEWARM]]
+            mshr += counts[LABELS[HIT_MSHR]]
             total += region.stats.total
         keys = result.extras["key_lines_per_region"]
         key_all.extend(keys)

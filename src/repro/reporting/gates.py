@@ -14,6 +14,9 @@ report's drift flags and ``python -m repro report gate`` agree:
   2 events for behavioral counts — so scheduler jitter and one stray
   retry never trip the gate, while a halved warm-start hit rate does,
   even when wall time is flat.
+* **Coverage.**  A baseline metric the run no longer measures is a
+  regression: a renamed or retired metric must leave the baseline in
+  the same change, so nothing drops out of the gate silently.
 """
 
 #: A gate metric regresses when it worsens past BOTH bounds: >15%
@@ -58,8 +61,9 @@ def check_gate(suite, gate, base):
     """Compare one suite's flat gate dict against its baseline slot.
 
     Returns ``(regressions, notes)`` — regressions are formatted gate
-    failures, notes are informational (new/removed metrics and
-    improvements worth folding into the baseline).
+    failures (a baseline metric that was not measured among them),
+    notes are informational (new metrics and improvements worth
+    folding into the baseline).
     """
     regressions, notes = [], []
     for name, current in sorted(gate.items()):
@@ -85,7 +89,8 @@ def check_gate(suite, gate, base):
             notes.append(f"{suite}.{name}: improved {reference:g} "
                          f"-> {current:g}")
     for name in sorted(set(base) - set(gate)):
-        notes.append(f"{suite}.{name}: in baseline but not measured")
+        regressions.append(f"{suite}.{name}: in baseline "
+                           f"({base[name]:g}) but not measured")
     return regressions, notes
 
 

@@ -62,6 +62,6 @@ def region_timing(core_model, context, spec, classified):
         n_instructions=spec.region_end - spec.region_start,
         outcomes=classified.outcomes,
         outcome_instr=classified.outcome_instr,
-        llc_hit_instr=classified.llc_hit_instr,
+        llc_hits=classified.llc_hits,
         n_mispredicts=context.region_mispredicts(spec),
     )

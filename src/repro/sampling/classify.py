@@ -15,10 +15,15 @@ For every memory request of a detailed region:
 
 The capacity predictor is the only piece that differs between CoolSim
 (per-PC reuse distributions, probabilistic) and DeLorean (exact key reuse
-distance + vicinity StatStack); it is injected as a callable.
+distance + vicinity StatStack); it is injected as a callable that returns
+an outcome code (:mod:`repro.caches.stats`).  Both paths build one
+:class:`~repro.caches.stats.ClassifiedRegion` at region end: the int8
+codes of the accesses that reach beyond the lukewarm state, their
+instruction positions and the region's LLC-hit count.
 
-Classification dispatches on the kernel backend.  The vector path runs
-in two parts.  Its :class:`RegionFrontEnd` does everything that does
+Where :meth:`~repro.caches.hierarchy.CacheHierarchy.batch_path` allows
+(compiled backend, LRU caches, no prefetcher), the batch path runs in
+two parts.  Its :class:`RegionFrontEnd` does everything that does
 not depend on the LLC: the L1 hit masks of the detailed warming and of
 the region (batch LRU kernel), and every L1 miss's dominant stride from
 one stride query over the region (the detector observes every access
@@ -49,35 +54,19 @@ not once per region.
 """
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import kernels, telemetry
+from repro import telemetry
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.mshr import MSHRFile
 from repro.caches.stats import (
-    AccessStats,
-    HIT_LUKEWARM,
+    ClassifiedRegion,
     HIT_MSHR,
     HIT_WARMING,
     MISS_CAPACITY,
-    MISS_COLD,
     MISS_CONFLICT,
 )
-
-
-@dataclass
-class ClassifiedRegion:
-    """Per-access classification of one detailed region."""
-
-    stats: AccessStats
-    #: Outcome label per access that reaches beyond the L1 (for timing).
-    outcomes: list = field(default_factory=list)
-    #: Region-relative instruction position per outcome.
-    outcome_instr: list = field(default_factory=list)
-    #: Region-relative instruction positions of LLC (or warming) hits.
-    llc_hit_instr: list = field(default_factory=list)
 
 
 def _warm_head(l1, l1_window_lines, llc_window_lines):
@@ -145,8 +134,10 @@ class WarmingClassifier:
         The modeled cache hierarchy (its LLC is the cache whose warm
         state is being predicted).
     capacity_predictor:
-        ``f(pc, line, effective_llc_lines) -> outcome`` returning one of
-        ``MISS_CAPACITY``, ``MISS_COLD`` or ``HIT_WARMING``.
+        ``f(pc, line, effective_llc_lines) -> code`` returning one of the
+        outcome codes ``MISS_CAPACITY``, ``MISS_COLD`` or ``HIT_WARMING``
+        (``MISS_COHERENCE`` too, when thread-aware); an optional
+        ``predict_many`` answers a run with an int8 code array.
     stride_detector:
         Optional :class:`~repro.statmodel.assoc.StrideDetector` for the
         limited-associativity conflict model.
@@ -190,12 +181,6 @@ class WarmingClassifier:
         self.prefetcher = prefetcher
         self.front_end = front_end
 
-    def _vector_path(self):
-        return (kernels.get_backend() != "scalar"
-                and self.prefetcher is None
-                and self.lukewarm.l1d._is_lru
-                and self.lukewarm.llc._is_lru)
-
     def _front(self):
         """The shared front end, or a fresh one on this classifier's own
         L1 and stride detector (which carry the state between calls)."""
@@ -215,7 +200,7 @@ class WarmingClassifier:
         """
         if llc_window_lines is None:
             llc_window_lines = l1_window_lines
-        if self._vector_path():
+        if self.lukewarm.batch_path(self.prefetcher):
             self.lukewarm.llc.warm(
                 self._front().warm(l1_window_lines, llc_window_lines))
             return
@@ -231,7 +216,7 @@ class WarmingClassifier:
         block" arrow).
         """
         s = telemetry.session()
-        if self._vector_path():
+        if self.lukewarm.batch_path(self.prefetcher):
             if s is None:
                 return self._classify_region_vector(
                     lines, pcs, instr_offsets)
@@ -249,10 +234,12 @@ class WarmingClassifier:
     # -- scalar reference --------------------------------------------------
 
     def _classify_region_scalar(self, lines, pcs, instr_offsets):
-        result = ClassifiedRegion(stats=AccessStats())
         llc = self.lukewarm.llc
         llc_lines = llc.config.n_lines
         n_sets = llc.config.n_sets
+        outcomes = []
+        outcome_instr = []
+        llc_hits = 0
 
         for position, (line, pc, instr) in enumerate(
                 zip(lines.tolist(), pcs.tolist(), instr_offsets.tolist())):
@@ -264,26 +251,23 @@ class WarmingClassifier:
             if l1_hit or llc_resident:
                 if not l1_hit:
                     llc.access(line)        # update recency
-                    result.llc_hit_instr.append(instr)
-                result.stats.record(HIT_LUKEWARM)
+                    llc_hits += 1
                 continue
 
             if self.mshr.lookup(line, position):
-                result.stats.record(HIT_MSHR)
-                result.outcomes.append(HIT_MSHR)
-                result.outcome_instr.append(instr)
+                outcomes.append(HIT_MSHR)
+                outcome_instr.append(instr)
                 continue
 
             outcome = self._beyond_lukewarm(line, pc, llc_lines, n_sets)
-            result.stats.record(outcome)
-            result.outcomes.append(outcome)
-            result.outcome_instr.append(instr)
+            outcomes.append(outcome)
+            outcome_instr.append(instr)
             if outcome == HIT_WARMING:
                 # A warming miss is modeled as a hit: the block would have
                 # been resident in the warm LLC.  (It cannot have been in
                 # the warm L1 — the L1 is warmed with the full window, so
                 # an L1 miss here is an L1 miss in the reference too.)
-                result.llc_hit_instr.append(instr)
+                llc_hits += 1
             else:
                 self.mshr.allocate(line, position)
                 if self.prefetcher is not None:
@@ -291,25 +275,23 @@ class WarmingClassifier:
                             pc, line, is_present=llc.contains):
                         llc.insert(target)
             llc.access(line)                # fetch block into lukewarm state
-        return result
+        return ClassifiedRegion(lines.shape[0], outcomes, outcome_instr,
+                                llc_hits)
 
     # -- vectorized two-phase path -----------------------------------------
 
     def _classify_region_vector(self, lines, pcs, instr_offsets):
-        result = ClassifiedRegion(stats=AccessStats())
         llc = self.lukewarm.llc
-        n = lines.shape[0]
-        if n == 0:
-            return result
-
         # Front end: the L1 sees every access unconditionally.
         candidates, strides = self._front().region(lines, pcs)
         effective = self._effective_lines(strides)
 
         # LLC phase: the LLC sees the L1-miss substream (hits update
-        # recency, classified misses fetch) *except* MSHR hits.
-        llc_hit_positions = []
-        warming_positions = []
+        # recency, classified misses fetch) *except* MSHR hits.  A region
+        # whose accesses all hit the L1 has no block.
+        codes = [np.empty(0, dtype=np.int8)]
+        resolved = [np.empty(0, dtype=np.int64)]
+        llc_hits = 0
         start = 0
         while start < candidates.shape[0]:
             block = candidates[start:]
@@ -318,48 +300,34 @@ class WarmingClassifier:
             # snapshot: no set's contents need copying.
             saved_sets = list(llc._sets)
             saved_hits, saved_misses = llc.hits, llc.misses
-            _, block_mask, block_occ = llc.warm_profile(lines[block])
+            block_hits, block_mask, block_occ = llc.warm_profile(
+                lines[block])
 
             residual = np.flatnonzero(~block_mask)
             positions = block[residual]
-            outcomes, mshr_break = self._resolve_residuals(
+            block_codes, mshr_break = self._resolve_residuals(
                 positions, lines[positions], pcs[positions],
                 effective[start + residual],
                 block_occ[residual] >= llc.assoc)
-            resolved = positions[:len(outcomes)]
-            result.stats.record_many(outcomes)
-            result.outcomes.extend(outcomes)
-            result.outcome_instr.extend(instr_offsets[resolved].tolist())
-            warming_positions.append(
-                resolved[np.asarray(outcomes, dtype=object) == HIT_WARMING])
-
+            codes.append(block_codes)
+            resolved.append(positions[:block_codes.shape[0]])
+            llc_hits += int(np.count_nonzero(block_codes == HIT_WARMING))
             if mshr_break is None:
-                llc_hit_positions.append(block[block_mask])
+                llc_hits += block_hits
                 break
-            result.stats.record(HIT_MSHR)
-            result.outcomes.append(HIT_MSHR)
-            result.outcome_instr.append(
-                int(instr_offsets[positions[mshr_break]]))
             # The access at the break skipped the LLC; everything before
             # it went through as assumed.  Roll back, replay the
             # accepted prefix, resume after the skipped access.
             llc._sets[:] = saved_sets
             llc.hits, llc.misses = saved_hits, saved_misses
             skipped = int(residual[mshr_break])
-            accepted = block[:skipped]
-            _, accepted_mask, _ = llc.warm_profile(lines[accepted])
-            llc_hit_positions.append(accepted[accepted_mask])
+            accepted_hits, _, _ = llc.warm_profile(lines[block[:skipped]])
+            llc_hits += accepted_hits
             start += skipped + 1
 
-        # Lukewarm hits: every L1 hit plus every LLC-resident access.
-        n_beyond = len(result.outcomes)
-        result.stats.counts[HIT_LUKEWARM] += n - n_beyond
-        hit_instr = np.sort(np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + llc_hit_positions + warming_positions))
-        result.llc_hit_instr.extend(
-            instr_offsets[hit_instr].tolist())
-        return result
+        return ClassifiedRegion(lines.shape[0], np.concatenate(codes),
+                                instr_offsets[np.concatenate(resolved)],
+                                llc_hits)
 
     def _effective_lines(self, strides):
         """Stride-limited LLC capacity of each L1 miss, given its
@@ -378,40 +346,41 @@ class WarmingClassifier:
                            set_full):
         """Walk one block's residual accesses through the MSHRs in order.
 
-        Returns ``(outcomes, mshr_break)``: the outcome of every residual
-        before the first MSHR hit, and that hit's index (None if the
-        block has none).  Only an MSHR suspect can hit, so the residuals
-        go in runs that each start at a suspect (or the block's first
-        residual): the run's head is looked up, and if it misses the
-        predictor resolves the whole run and one compiled walk takes
-        the run through the MSHRs.  The predictor is thus asked about
-        exactly the accesses the per-access walk would have asked it
-        about, in the same order.
+        Returns ``(codes, mshr_break)``: the outcome code of every
+        residual up to the first MSHR hit (``HIT_MSHR`` last), and that
+        hit's index (None if the block has none).  Only an MSHR suspect
+        can hit, so the residuals go in runs that each start at a
+        suspect (or the block's first residual): the run's head is
+        looked up, and if it misses the predictor resolves the whole
+        run and one compiled walk takes the run through the MSHRs.  The
+        predictor is thus asked about exactly the accesses the
+        per-access walk would have asked it about, in the same order.
         """
         n_res = positions.shape[0]
+        codes = np.empty(n_res, dtype=np.int8)
         if n_res == 0:
-            return [], None
+            return codes, None
         heads = np.union1d(self._mshr_suspects(positions, lines), [0])
         bounds = np.append(heads, n_res).tolist()
-        outcomes = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if self.mshr.lookup(int(lines[lo]), int(positions[lo])):
-                return outcomes, lo
+                codes[lo] = HIT_MSHR
+                return codes[:lo + 1], lo
             run = self._run_outcomes(lines[lo:hi], pcs[lo:hi],
                                      effective[lo:hi], set_full[lo:hi])
             # No access past the head can hit, so the walk's hit mask
             # is empty.
             self.mshr.walk(lines[lo:hi], positions[lo:hi],
                            run != HIT_WARMING)
-            outcomes.extend(run.tolist())
-        return outcomes, None
+            codes[lo:hi] = run
+        return codes, None
 
     def _run_outcomes(self, lines, pcs, effective, set_full):
-        """Outcomes of a run of residuals that miss the MSHRs: a conflict
-        miss in a full set, else the capacity predictor's — one
+        """Outcome codes of a run of residuals that miss the MSHRs: a
+        conflict miss in a full set, else the capacity predictor's — one
         ``predict_many`` call, or one call per residual in order."""
         llc_lines = self.lukewarm.llc.config.n_lines
-        run = np.full(lines.shape[0], MISS_CONFLICT, dtype=object)
+        run = np.full(lines.shape[0], MISS_CONFLICT, dtype=np.int8)
         open_ = ~set_full
         predict_many = getattr(self.capacity_predictor, "predict_many", None)
         if predict_many is not None:

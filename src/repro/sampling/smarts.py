@@ -7,29 +7,30 @@ bounds overall speed.  The paper uses SMARTS as the accuracy reference
 for CPI (Figures 9/10) and for working-set curves (Figure 13), and as the
 speed baseline (= 1.0) in Figure 5.
 
-Region simulation has two paths.  The batch path (native backend, LRU
-caches, no prefetcher) pre-computes the L1 hit mask and the LLC hit
-stream with the batch LRU kernel and takes the residual misses through
-the MSHRs in one compiled walk (:meth:`~repro.caches.mshr.MSHRFile.walk`,
-which records every MSHR hit).  It labels a residual miss cold when it
-is its line's first access in the trace, read from the trace index: a
-run refines its regions in order from the trace start, so every access
-before the miss has been simulated.  The scalar reference walks every
-access and keeps the set of lines seen.  Unlike the DSW classifier
-there is no rollback wrinkle — the scalar loop touches the LLC *before*
-the MSHR lookup, so the LLC substream is exactly the L1-miss substream
-either way and the two paths are bit-identical by construction
-(enforced in ``tests/test_kernels.py``).
+Region simulation has two paths; a run picks one when it starts, by
+:meth:`~repro.caches.hierarchy.CacheHierarchy.batch_path` (native
+backend, LRU caches, no prefetcher).  The batch path pre-computes the
+L1 hit mask and the LLC hit stream with the batch LRU kernel and takes
+the residual misses through the MSHRs in one compiled walk
+(:meth:`~repro.caches.mshr.MSHRFile.walk`, which records every MSHR
+hit).  It codes a residual miss cold when it is its line's first access
+in the trace, read from the trace index: a run refines its regions in
+order from the trace start, so every access before the miss has been
+simulated.  The scalar reference walks every access and keeps the set
+of lines seen.  Both return a
+:class:`~repro.caches.stats.ClassifiedRegion` of outcome codes.  Unlike
+the DSW classifier there is no rollback wrinkle — the scalar loop
+touches the LLC *before* the MSHR lookup, so the LLC substream is
+exactly the L1-miss substream either way and the two paths are
+bit-identical by construction (enforced in ``tests/test_kernels.py``).
 """
 
 import numpy as np
 
-from repro import kernels
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.mshr import MSHRFile
 from repro.caches.stats import (
-    AccessStats,
-    HIT_LUKEWARM,
+    ClassifiedRegion,
     HIT_MSHR,
     MISS_CAPACITY,
     MISS_COLD,
@@ -37,7 +38,6 @@ from repro.caches.stats import (
 from repro.cpu.interval import IntervalCoreModel
 from repro.cpu.prefetch import StridePrefetcher
 from repro.sampling.base import StrategyBase, region_timing
-from repro.sampling.classify import ClassifiedRegion
 from repro.sampling.results import RegionResult, StrategyResult
 from repro.vff.costmodel import CostMeter
 
@@ -60,58 +60,45 @@ class Smarts(StrategyBase):
         steps, which is what pins the incremental live path to it."""
         return SmartsRun(self, context, plan, hierarchy_config)
 
-    # -- region simulation (stateless helpers, shared with SmartsRun) ------
-
-    def _simulate_region(self, window, hierarchy, prefetcher, seen_lines,
-                         index=None):
-        """Cycle-level region simulation over the warmed hierarchy.
-
-        With a ``seen_lines`` set the scalar reference runs and updates
-        it.  With ``None`` the batch path runs (LRU caches, no
-        prefetcher) and reads first accesses from ``index``.
-        """
-        if seen_lines is None:
-            return self._simulate_region_batch(window, hierarchy, index)
-        return self._simulate_region_scalar(window, hierarchy, prefetcher,
-                                            seen_lines)
-
     # -- scalar reference --------------------------------------------------
 
     def _simulate_region_scalar(self, window, hierarchy, prefetcher,
                                 seen_lines):
+        """Cycle-level region simulation over the warmed hierarchy, one
+        access at a time; codes cold misses from ``seen_lines``, which
+        it updates."""
         lines = np.asarray(window.lines)
         pcs = np.asarray(window.pcs)
         instr = window.rel_instr()
         mshr = MSHRFile(self.processor_config.mshrs_l1d,
                         window=self.mshr_window)
-        result = ClassifiedRegion(stats=AccessStats())
+        outcomes = []
+        outcome_instr = []
+        llc_hits = 0
 
         for position, (line, pc, rel_instr) in enumerate(
                 zip(lines.tolist(), pcs.tolist(), instr.tolist())):
             first_touch = line not in seen_lines
             seen_lines.add(line)
             if hierarchy.l1d.access(line):
-                result.stats.record(HIT_LUKEWARM)
                 continue
             if hierarchy.llc.access(line):
-                result.stats.record(HIT_LUKEWARM)
-                result.llc_hit_instr.append(rel_instr)
+                llc_hits += 1
                 continue
             if mshr.lookup(line, position):
-                result.stats.record(HIT_MSHR)
-                result.outcomes.append(HIT_MSHR)
-                result.outcome_instr.append(rel_instr)
+                outcomes.append(HIT_MSHR)
+                outcome_instr.append(rel_instr)
                 continue
             outcome = MISS_COLD if first_touch else MISS_CAPACITY
             mshr.allocate(line, position)
-            result.stats.record(outcome)
-            result.outcomes.append(outcome)
-            result.outcome_instr.append(rel_instr)
+            outcomes.append(outcome)
+            outcome_instr.append(rel_instr)
             if prefetcher is not None:
                 for target in prefetcher.train(
                         pc, line, is_present=hierarchy.llc.contains):
                     hierarchy.llc.insert(target)
-        return result
+        return ClassifiedRegion(lines.shape[0], outcomes, outcome_instr,
+                                llc_hits)
 
     # -- batch two-phase path ----------------------------------------------
 
@@ -127,14 +114,10 @@ class Smarts(StrategyBase):
         """
         lines = np.asarray(window.lines)
         instr = window.rel_instr()
-        result = ClassifiedRegion(stats=AccessStats())
-        n = lines.shape[0]
-        if n == 0:
-            return result
-
         _, l1_mask, _ = hierarchy.l1d.warm_profile(lines)
         candidates = np.flatnonzero(~l1_mask)
-        _, llc_mask, _ = hierarchy.llc.warm_profile(lines[candidates])
+        llc_hits, llc_mask, _ = hierarchy.llc.warm_profile(
+            lines[candidates])
         misses = candidates[~llc_mask]
         cold = (index.lines.first_positions(lines[misses])
                 == window.lo + misses)
@@ -143,17 +126,10 @@ class Smarts(StrategyBase):
                         window=self.mshr_window)
         mshr_hit = mshr.walk(lines[misses], misses,
                              np.ones(misses.shape[0], dtype=bool))
-        outcomes = np.full(misses.shape[0], MISS_CAPACITY, dtype=object)
-        outcomes[cold] = MISS_COLD
+        outcomes = np.where(cold, MISS_COLD, MISS_CAPACITY).astype(np.int8)
         outcomes[mshr_hit] = HIT_MSHR
-        outcomes = outcomes.tolist()
-        result.stats.record_many(outcomes)
-        result.outcomes.extend(outcomes)
-        result.outcome_instr.extend(instr[misses].tolist())
-
-        result.stats.counts[HIT_LUKEWARM] += n - misses.shape[0]
-        result.llc_hit_instr.extend(instr[candidates[llc_mask]].tolist())
-        return result
+        return ClassifiedRegion(lines.shape[0], outcomes, instr[misses],
+                                llc_hits)
 
 
 class SmartsRun:
@@ -176,13 +152,11 @@ class SmartsRun:
                                         seed=context.seed)
         self.prefetcher = (StridePrefetcher(n_streams=8)
                            if strategy.prefetcher_enabled else None)
-        batch = (kernels.get_backend() != "scalar"
-                 and self.prefetcher is None
-                 and self.hierarchy.l1d._is_lru
-                 and self.hierarchy.llc._is_lru)
+        #: Whether regions take the batch path; chosen once per run.
+        self.batch = self.hierarchy.batch_path(self.prefetcher)
         #: Lines accessed so far, for the scalar reference's cold-miss
-        #: labels; the batch path reads first accesses from the index.
-        self.seen_lines = None if batch else set()
+        #: codes; the batch path reads first accesses from the index.
+        self.seen_lines = None if self.batch else set()
         #: Instruction where the next region's gap must start.
         self.next_instruction = 0
         self.regions = []
@@ -202,26 +176,31 @@ class SmartsRun:
                 f"{self.next_instruction}, got {spec.warmup_start}")
         context = self.context
         machine = self.machine
+        strategy = self.strategy
         seen_lines = self.seen_lines
         # Functional warming across the gap (the expensive part).
         machine.functional_warm(
             self.hierarchy, spec.warmup_start, spec.warming_start)
-        if seen_lines is not None:
+        if not self.batch:
             gap = context.gap_window(spec)
             seen_lines.update(np.unique(np.asarray(gap.lines)).tolist())
         # Detailed warming: detailed simulation that also warms caches
         # (cost charged at the paper's 30 k instructions).
         machine.meter.detailed(spec.paper_warming_instructions)
         warming = context.warming_window(spec)
-        if seen_lines is not None:
+        if not self.batch:
             seen_lines.update(np.unique(np.asarray(warming.lines)).tolist())
         self.hierarchy.warm(np.asarray(warming.lines))
 
         machine.detailed(spec.region_start, spec.region_end)
-        classified = self.strategy._simulate_region(
-            context.region_window(spec), self.hierarchy, self.prefetcher,
-            seen_lines, machine.index)
-        timing = region_timing(self.strategy.core_model, context, spec,
+        region = context.region_window(spec)
+        if self.batch:
+            classified = strategy._simulate_region_batch(
+                region, self.hierarchy, machine.index)
+        else:
+            classified = strategy._simulate_region_scalar(
+                region, self.hierarchy, self.prefetcher, seen_lines)
+        timing = region_timing(strategy.core_model, context, spec,
                                classified)
         self.regions.append(RegionResult(
             index=spec.index,

@@ -189,23 +189,31 @@ class RunReport:
         failure counts, fault firings.  The counts are deterministic
         for a fixed workload, so they catch behavioral drift — a change
         that silently halves warm-start hits — even when wall time and
-        RSS stay flat.
+        RSS stay flat.  Live labels (``live:<kind>:<lineage>#<k>``)
+        fold into one ``live:<kind>`` rate, so a new lineage or
+        watermark count renames no gate metric.
         """
+        # Deferred: importing repro.live loads the simulator, and this
+        # module otherwise needs only the standard library.
+        from repro.live.artifacts import parse_live_label
+
         if not self.counters:
             return {}
         metrics = {}
         totals = self.store_totals()
         if totals["hit_rate"] is not None:
             metrics["store.hit_rate"] = round(totals["hit_rate"], 4)
-        labels = set()
-        for kind in ("hit", "miss"):
-            for name in totals["by_kind"][kind]:
+        lookups = {}         # gate label -> [hits, misses]
+        for kind, slot in (("hit", 0), ("miss", 1)):
+            for name, count in totals["by_kind"][kind].items():
                 label = name.split(".", 2)[2]
-                if label != "memory":        # tier marker, not a label
-                    labels.add(label)
-        for label in sorted(labels):
-            hits = self.counter(f"store.hit.{label}")
-            misses = self.counter(f"store.miss.{label}")
+                if label == "memory":        # tier marker, not a label
+                    continue
+                live = parse_live_label(label)
+                if live is not None:
+                    label = f"live:{live[0]}"
+                lookups.setdefault(label, [0, 0])[slot] += count
+        for label, (hits, misses) in sorted(lookups.items()):
             if hits + misses:
                 metrics[f"store.hit_rate.{label}"] = \
                     round(hits / (hits + misses), 4)

@@ -9,6 +9,7 @@ from repro.caches.stats import (
     HIT_LUKEWARM,
     HIT_MSHR,
     HIT_WARMING,
+    LABELS,
     MISS_CAPACITY,
     MISS_COLD,
     MISS_CONFLICT,
@@ -43,7 +44,7 @@ def test_lukewarm_hit_after_warming():
                                    constant_predictor(MISS_CAPACITY))
     classifier.warm_detailed(np.array([100], dtype=np.int64))
     result = classify(classifier, [100])
-    assert result.stats.counts[HIT_LUKEWARM] == 1
+    assert result.stats.counts[LABELS[HIT_LUKEWARM]] == 1
     assert result.stats.misses == 0
 
 
@@ -53,7 +54,7 @@ def test_fetched_block_becomes_lukewarm():
     result = classify(classifier, [100, 100, 100])
     # First access misses (predicted capacity); later ones hit lukewarm
     # (the second may be an MSHR hit since the miss is outstanding).
-    assert result.stats.counts[MISS_CAPACITY] == 1
+    assert result.stats.counts[LABELS[MISS_CAPACITY]] == 1
     assert result.stats.misses == 1
 
 
@@ -74,17 +75,17 @@ def test_warming_miss_treated_as_hit():
     classifier = WarmingClassifier(tiny_config(),
                                    constant_predictor(HIT_WARMING))
     result = classify(classifier, [100, 200, 300])
-    assert result.stats.counts[HIT_WARMING] == 3
+    assert result.stats.counts[LABELS[HIT_WARMING]] == 3
     assert result.stats.misses == 0
     assert result.stats.hits == 3
-    assert len(result.llc_hit_instr) == 3      # timed as LLC hits
+    assert result.llc_hits == 3      # timed as LLC hits
 
 
 def test_cold_predictor_counts_misses():
     classifier = WarmingClassifier(tiny_config(),
                                    constant_predictor(MISS_COLD))
     result = classify(classifier, [100, 200])
-    assert result.stats.counts[MISS_COLD] == 2
+    assert result.stats.counts[LABELS[MISS_COLD]] == 2
     assert result.stats.miss_ratio() == 1.0
 
 
@@ -95,7 +96,7 @@ def test_set_full_conflict():
     lines = [4 * k for k in range(5)]
     result = classify(classifier, lines)
     # The 5th distinct line finds its set full -> conflict miss.
-    assert result.stats.counts[MISS_CONFLICT] >= 1
+    assert result.stats.counts[LABELS[MISS_CONFLICT]] >= 1
 
 
 def test_stride_conflict_via_limited_associativity():
@@ -116,7 +117,7 @@ def test_stride_conflict_via_limited_associativity():
     # Classify a few accesses only, so the referenced set never fills and
     # the set-full rule cannot mask the stride path.
     result = classify(classifier, [800, 808, 816], pcs=[1, 1, 1])
-    assert result.stats.counts[MISS_CONFLICT] >= 1
+    assert result.stats.counts[LABELS[MISS_CONFLICT]] >= 1
     assert any(c < 16 for c in calls)
 
 

@@ -3,11 +3,12 @@ prefetcher."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.caches.stats import HIT_MSHR, MISS_CAPACITY
+from repro.caches.stats import HIT_MSHR, LABELS, MISS_CAPACITY
 from repro.cpu.branch import TournamentPredictor
 from repro.cpu.config import ProcessorConfig, format_table1
-from repro.cpu.interval import IntervalCoreModel
+from repro.cpu.interval import IntervalCoreModel, RegionTiming
 from repro.cpu.prefetch import StridePrefetcher
 
 
@@ -28,19 +29,19 @@ def model():
 
 
 def test_base_cpi_is_dispatch_bound():
-    timing = model().region_timing(8000, [], [], [], 0)
+    timing = model().region_timing(8000, [], [], 0, 0)
     assert timing.cpi == pytest.approx(1 / 8)
 
 
 def test_branch_penalty():
     config = ProcessorConfig()
-    timing = model().region_timing(8000, [], [], [], n_mispredicts=10)
+    timing = model().region_timing(8000, [], [], 0, n_mispredicts=10)
     assert timing.branch_cycles == 10 * config.branch_mispredict_penalty
 
 
 def test_llc_hit_penalty():
     config = ProcessorConfig()
-    timing = model().region_timing(8000, [], [], llc_hit_instr=[1, 2, 3],
+    timing = model().region_timing(8000, [], [], llc_hits=3,
                                    n_mispredicts=0)
     assert timing.llc_hit_cycles == 3 * config.llc_hit_penalty
 
@@ -62,7 +63,7 @@ def test_region_timing_memory_cycles():
         10_000,
         outcomes=[MISS_CAPACITY, MISS_CAPACITY],
         outcome_instr=[0, 5000],
-        llc_hit_instr=[],
+        llc_hits=0,
         n_mispredicts=0,
     )
     assert timing.memory_cycles == 2 * config.memory_penalty
@@ -71,13 +72,61 @@ def test_region_timing_memory_cycles():
 
 def test_delayed_hits_cost_fraction():
     timing = model().region_timing(
-        10_000, outcomes=[HIT_MSHR], outcome_instr=[0], llc_hit_instr=[])
+        10_000, outcomes=[HIT_MSHR], outcome_instr=[0], llc_hits=0)
     assert 0 < timing.delayed_hit_cycles < ProcessorConfig().memory_penalty
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        model().region_timing(100, [MISS_CAPACITY], [], [])
+        model().region_timing(100, [MISS_CAPACITY], [], 0)
+
+
+MISS_LABELS = {"conflict_miss", "coherence_miss", "capacity_miss",
+               "cold_miss"}
+
+
+def label_reference_timing(n_instructions, outcomes, outcome_instr,
+                           llc_hits, n_mispredicts):
+    """Region timing computed per outcome, by label."""
+    config = ProcessorConfig()
+    labels = [LABELS[code] for code in outcomes]
+    misses = [position for label, position in zip(labels, outcome_instr)
+              if label in MISS_LABELS]
+    delayed = sum(1 for label in labels if label == "mshr_hit")
+    return RegionTiming(
+        n_instructions=n_instructions,
+        base_cycles=n_instructions / config.issue_width,
+        branch_cycles=float(n_mispredicts
+                            * config.branch_mispredict_penalty),
+        llc_hit_cycles=float(llc_hits * config.llc_hit_penalty),
+        memory_cycles=float(model().serialized_misses(misses)
+                            * config.memory_penalty),
+        delayed_hit_cycles=float(delayed * config.delayed_hit_fraction
+                                 * config.memory_penalty / config.max_mlp),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(LABELS) - 1),
+                          st.integers(0, 12_000)), max_size=80),
+       st.integers(0, 200), st.integers(0, 30))
+@example([(code, 250 * code) for code in range(len(LABELS))], 3, 2)
+def test_region_timing_matches_label_reference(pairs, llc_hits,
+                                               n_mispredicts):
+    outcomes = [code for code, _ in pairs]
+    positions = [position for _, position in pairs]
+    expected = label_reference_timing(12_000, outcomes, positions,
+                                      llc_hits, n_mispredicts)
+    for codes, instr in ((outcomes, positions),
+                         (np.asarray(outcomes, dtype=np.int8),
+                          np.asarray(positions, dtype=np.int64))):
+        timing = model().region_timing(12_000, codes, instr, llc_hits,
+                                       n_mispredicts)
+        assert timing == expected
+        assert all(type(getattr(timing, name)) is float
+                   for name in ("base_cycles", "branch_cycles",
+                                "llc_hit_cycles", "memory_cycles",
+                                "delayed_hit_cycles"))
 
 
 # -- tournament predictor ----------------------------------------------------

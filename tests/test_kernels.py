@@ -31,6 +31,7 @@ from repro.caches.stack import (
 )
 from repro.caches.stats import (
     HIT_WARMING,
+    LABELS,
     MISS_CAPACITY,
     MISS_COLD,
 )
@@ -304,9 +305,11 @@ class TestClassifyKernel:
                         classifier, region = classify_once(
                             lines, pcs, instr, hierarchy, seed=13,
                             predictor=predictor)
+                        assert region.outcomes.dtype == np.int8
+                        assert region.stats.total == lines.shape[0] - 400
                         outputs[backend] = (
-                            region.stats.counts, region.outcomes,
-                            region.outcome_instr, region.llc_hit_instr,
+                            region.stats.counts, region.outcomes.tolist(),
+                            region.outcome_instr.tolist(), region.llc_hits,
                             classifier.lukewarm.llc._sets,
                             classifier.lukewarm.l1d._sets,
                             classifier.mshr._outstanding,
@@ -335,9 +338,10 @@ class TestClassifyKernel:
             unknown += predictor.unknown_lines
             # Every call beyond one per predicted outcome is a recheck.
             extra_lookups += predictor.lookups - sum(
-                region.stats.counts[o]
+                region.stats.counts[LABELS[o]]
                 for o in (HIT_WARMING, MISS_CAPACITY, MISS_COLD))
-        assert seen[HIT_WARMING] and seen[MISS_CAPACITY] and seen[MISS_COLD]
+        assert all(seen[LABELS[o]]
+                   for o in (HIT_WARMING, MISS_CAPACITY, MISS_COLD))
         assert unknown > 0 and extra_lookups > 0
 
     def test_mshr_hit_exercises_block_replay(self):
@@ -383,8 +387,8 @@ class TestClassifyKernel:
                 lines, np.zeros(len(lines), dtype=np.int64),
                 np.arange(len(lines), dtype=np.int64))
             return (
-                region.stats.counts, region.outcomes,
-                region.outcome_instr, region.llc_hit_instr,
+                region.stats.counts, region.outcomes.tolist(),
+                region.outcome_instr.tolist(), region.llc_hits,
                 classifier.lukewarm.llc._sets,
                 classifier.mshr._outstanding,
                 predictor_state(classifier.capacity_predictor),
@@ -734,12 +738,19 @@ class TestSmartsRegionKernel:
                         seen.update(
                             np.unique(np.asarray(gap.lines)).tolist())
                     hierarchy.warm(np.asarray(gap.lines))
-                    classified = strategy._simulate_region(
-                        context.region_window(spec), hierarchy, None, seen,
-                        index)
-                    records.append((classified.outcomes,
-                                    classified.outcome_instr,
-                                    classified.llc_hit_instr,
+                    region = context.region_window(spec)
+                    if seen is None:
+                        classified = strategy._simulate_region_batch(
+                            region, hierarchy, index)
+                    else:
+                        classified = strategy._simulate_region_scalar(
+                            region, hierarchy, None, seen)
+                    assert classified.outcomes.dtype == np.int8
+                    assert (classified.stats.total
+                            == np.asarray(region.lines).shape[0])
+                    records.append((classified.outcomes.tolist(),
+                                    classified.outcome_instr.tolist(),
+                                    classified.llc_hits,
                                     classified.stats.counts))
                 streams[backend] = records
         # Cold misses after the first region exercise the labels across

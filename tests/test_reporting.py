@@ -130,10 +130,13 @@ def test_check_gate_formats_and_flat_wall_behavioral_trip():
             "wall_seconds": 10.0,
             "gone_metric": 1.0}
     regressions, notes = gates.check_gate("behavior", gate, base)
-    assert len(regressions) == 2          # wall flat, behavior trips
+    assert len(regressions) == 3          # wall flat, behavior trips
     assert any("error_rate" in r for r in regressions)
     assert any("hit_rate" in r and "-51%" in r for r in regressions)
-    assert any("in baseline but not measured" in n for n in notes)
+    # A baseline metric the run no longer measures fails the gate.
+    assert any("gone_metric" in r and "but not measured" in r
+               for r in regressions)
+    assert not any("gone_metric" in n for n in notes)
 
 
 def test_monotonic_drift():
@@ -229,6 +232,24 @@ def test_run_report_gate_metrics(tmp_path):
     assert metrics["pool.task.resubmitted"] == 3
     assert metrics["pool.task.failures"] == 2
     assert metrics["fault.fired"] == 2
+
+
+def test_run_report_gate_metrics_fold_live_lineages(tmp_path):
+    """Live labels of every lineage and watermark fold into one rate per
+    artifact kind, so a new lineage renames no gate metric."""
+    run = _run_dir(tmp_path, {
+        "store.hit": 5, "store.miss": 3,
+        "store.hit.live:index:25aee8dd13d6#1": 1,
+        "store.hit.live:index:25aee8dd13d6#2": 1,
+        "store.hit.live:index:4720edd5fd9d#1": 1,
+        "store.miss.live:index:4720edd5fd9d#2": 1,
+        "store.hit.live:result:4720edd5fd9d#1": 2,
+        "store.miss.live:result:4720edd5fd9d#2": 2,
+    })
+    metrics = RunReport.from_dir(run, write_merged=False).gate_metrics()
+    assert metrics["store.hit_rate.live:index"] == 0.75
+    assert metrics["store.hit_rate.live:result"] == 0.5
+    assert not any("#" in name for name in metrics)
 
 
 def test_run_report_text_shows_sampled_watchpoints(tmp_path):

@@ -1,10 +1,17 @@
 """Tests for result containers and error metrics."""
 
 import math
+import pickle
 
+import numpy as np
 import pytest
 
-from repro.caches.stats import AccessStats, HIT_LUKEWARM, MISS_CAPACITY
+from repro.caches.stats import (
+    AccessStats,
+    HIT_LUKEWARM,
+    LABELS,
+    MISS_CAPACITY,
+)
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.interval import IntervalCoreModel
 from repro.sampling.results import RegionResult, StrategyResult
@@ -12,16 +19,12 @@ from repro.vff.costmodel import CostMeter
 
 
 def region(index=0, n_instructions=10_000, misses=5, hits=100):
-    stats = AccessStats()
-    for _ in range(hits):
-        stats.record(HIT_LUKEWARM)
-    for _ in range(misses):
-        stats.record(MISS_CAPACITY)
+    stats = AccessStats.of(hits + misses, [MISS_CAPACITY] * misses)
     timing = IntervalCoreModel(ProcessorConfig()).region_timing(
         n_instructions,
         outcomes=[MISS_CAPACITY] * misses,
         outcome_instr=list(range(0, misses * 500, 500)),
-        llc_hit_instr=[],
+        llc_hits=0,
         n_mispredicts=0,
     )
     return RegionResult(index=index, n_instructions=n_instructions,
@@ -81,22 +84,32 @@ def test_empty_regions_nan_cpi():
 
 
 def test_access_stats_invariants():
-    stats = AccessStats()
-    stats.record(HIT_LUKEWARM)
-    stats.record(MISS_CAPACITY)
+    stats = AccessStats.of(2, [MISS_CAPACITY])
     assert stats.total == 2
     assert stats.hits == 1
     assert stats.misses == 1
     assert stats.miss_ratio() == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        stats.record("bogus")
+        AccessStats.of(1, [len(LABELS)])
 
 
-def test_access_stats_merge():
-    a = AccessStats()
-    a.record(HIT_LUKEWARM)
-    b = AccessStats()
-    b.record(MISS_CAPACITY)
-    a.merge(b)
-    assert a.total == 2
-    assert a.as_dict()[MISS_CAPACITY] == 1
+def test_access_stats_of_codes_equals_a_tally():
+    """``AccessStats.of`` counts each code once and the remaining
+    accesses as lukewarm hits, keyed by label in ``LABELS`` order with
+    Python-int counts, and pickles like the same dict built by hand."""
+    rng = np.random.default_rng(5)
+    for n_codes in (0, 1, 7, 300):
+        codes = rng.integers(0, len(LABELS), n_codes).astype(np.int8)
+        n_accesses = n_codes + int(rng.integers(0, 50))
+        tally = dict.fromkeys(LABELS, 0)
+        for code in codes.tolist():
+            tally[LABELS[code]] += 1
+        tally[LABELS[HIT_LUKEWARM]] += n_accesses - n_codes
+        stats = AccessStats.of(n_accesses, codes)
+        assert stats.counts == tally
+        assert tuple(stats.counts) == LABELS
+        assert all(type(count) is int for count in stats.counts.values())
+        assert stats.total == n_accesses
+        assert (pickle.dumps(stats, protocol=pickle.HIGHEST_PROTOCOL)
+                == pickle.dumps(AccessStats(tally),
+                                protocol=pickle.HIGHEST_PROTOCOL))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.caches.hierarchy import paper_hierarchy
-from repro.caches.stats import HIT_WARMING
+from repro.caches.stats import HIT_WARMING, LABELS
 from repro.sampling.coolsim import CoolSim
 from repro.sampling.smarts import Smarts
 
@@ -23,7 +23,7 @@ def test_smarts_runs_and_reports(small_workload, small_plan, small_index,
     assert result.mips > 0
     # The reference never produces 'warming hits' — it has real state.
     for region in result.regions:
-        assert region.stats.counts[HIT_WARMING] == 0
+        assert region.stats.counts[LABELS[HIT_WARMING]] == 0
 
 
 def test_smarts_charges_functional_warming(small_workload, small_plan,

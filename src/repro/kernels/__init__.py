@@ -1,15 +1,19 @@
 """Simulation kernels and backend selection.
 
-The cache hot paths — bulk LRU warming, the fused L1+LLC hierarchy warm,
-stack-distance profiling, emptying a cache's sets and walking a run of
-misses through the MSHRs — exist in two equivalent implementations:
+The hot paths — bulk LRU warming, the fused L1+LLC hierarchy warm,
+stack-distance profiling, emptying a cache's sets, walking a run of
+misses through the MSHRs, and synthetic trace generation's kind, branch
+and mixture draws — exist in two equivalent implementations:
 
-* ``scalar`` — the original per-access Python loops, kept as the
-  reference semantics and as the path of hosts without a C compiler;
+* ``scalar`` — the original per-access Python loops and the numpy trace
+  generator, kept as the reference semantics and as the path of hosts
+  without a C compiler;
 * ``native`` (the default) — the same loops compiled from
   ``_native.c`` (:mod:`repro.kernels.native` builds it on first use
   into ``<cache>/kernels/``), bit-identical to ``scalar`` in every
-  regime.
+  regime.  Its generation loops draw each double from the caller's own
+  numpy bit generator, so every trace, fingerprint and store key is
+  the numpy generator's.
 
 Under any backend but ``scalar`` the numpy batch paths of
 classification, SMARTS's regions, CoolSim's gap profiling, vicinity

@@ -1,10 +1,15 @@
 /* Compiled kernel backend: the per-access loops of the cache and MSHR
- * hot paths.
+ * hot paths, and the per-instruction draws of synthetic generation.
  *
  * Each loop runs the per-access reference semantics of its Python
  * counterpart directly (one linear scan per access over at most
  * `assoc` cache slots or `n_entries` MSHR entries), so it is
- * bit-identical to the scalar backend by construction.
+ * bit-identical to the scalar backend by construction.  The generation
+ * loops draw from the caller's own numpy bit generators, passed as
+ * their `bit_generator.capsule` (`numpy/random/bitgen.h`) with the
+ * generator's lock held: each double is the `next_double` that
+ * `Generator.random` would have returned, so the traces equal the
+ * numpy generator's, the reference under `scalar`.
  *
  * Exported functions (arrays are contiguous and prepared by the Python
  * wrappers in `repro.kernels.native`):
@@ -19,6 +24,20 @@
  *             allocate, window)
  *       -> (hit_mask, occupied, hits, allocations, failures)
  *   stack_from_prev(prev) -> stack distances (int64, -1 for cold)
+ *   draw_kinds(kind_capsule, branch_capsule, n, mem, store, branch,
+ *              mispredict, offset)
+ *       -> (kind, mem_instr, mem_store, branch_instr, branch_mispred)
+ *   count_below(capsule, n, threshold) -> number of draws below it
+ *   mixture_choice(capsule, cdf, n, want_choices)
+ *       -> (choices int32|None, per-component counts)
+ *   mixture_scatter(choices, parts, pc_base) -> (lines, pcs)
+ *
+ * `draw_kinds` is one chunk of a phase: a double per instruction
+ * classifies it (LOAD/STORE below `mem`, STORE below `store`, else
+ * BRANCH below `branch`, else ALU), then a double per branch from the
+ * second generator decides its mispredict bit.  `mixture_choice` is
+ * Generator.choice(k, p) over that choice's own cdf; `mixture_scatter`
+ * interleaves the components' draws back into choice order.
  *
  * `sets` is the live list-of-lists representation of SetAssocCache
  * (LRU at index 0).  The warm kernels decode it into a flat slot
@@ -39,6 +58,7 @@
 
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
+#include <numpy/random/bitgen.h>
 
 #include <stdlib.h>
 #include <string.h>
@@ -355,16 +375,21 @@ clear_sets(PyObject *self, PyObject *args)
 
 /* -- mshr_walk ---------------------------------------------------------- */
 
+/* 0 when `arr` is a contiguous 1-d array of `type`, else -1 with a
+ * TypeError naming it. */
 static int
-check_int64_vector(PyArrayObject *arr, const char *name)
+check_vector(PyArrayObject *arr, int type, const char *name)
 {
-    if (PyArray_TYPE(arr) != NPY_INT64 || !PyArray_IS_C_CONTIGUOUS(arr)
-            || PyArray_NDIM(arr) != 1) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s must be a contiguous 1-d int64 array", name);
-        return -1;
-    }
-    return 0;
+    PyArray_Descr *descr;
+
+    if (PyArray_TYPE(arr) == type && PyArray_IS_C_CONTIGUOUS(arr)
+            && PyArray_NDIM(arr) == 1)
+        return 0;
+    descr = PyArray_DescrFromType(type);
+    PyErr_Format(PyExc_TypeError, "%s must be a contiguous 1-d %s array",
+                 name, descr != NULL ? descr->typeobj->tp_name : "?");
+    Py_XDECREF(descr);
+    return -1;
 }
 
 static PyObject *
@@ -390,18 +415,13 @@ mshr_walk(PyObject *self, PyObject *args)
                           &PyArray_Type, &allocate_arr,
                           &window_ll))
         return NULL;
-    if (check_int64_vector(slot_lines_arr, "slot_lines") < 0
-            || check_int64_vector(slot_deadlines_arr, "slot_deadlines") < 0
-            || check_int64_vector(lines_arr, "lines") < 0
-            || check_int64_vector(positions_arr, "positions") < 0)
+    if (check_vector(slot_lines_arr, NPY_INT64, "slot_lines") < 0
+            || check_vector(slot_deadlines_arr, NPY_INT64,
+                            "slot_deadlines") < 0
+            || check_vector(lines_arr, NPY_INT64, "lines") < 0
+            || check_vector(positions_arr, NPY_INT64, "positions") < 0
+            || check_vector(allocate_arr, NPY_BOOL, "allocate") < 0)
         return NULL;
-    if (PyArray_TYPE(allocate_arr) != NPY_BOOL
-            || !PyArray_IS_C_CONTIGUOUS(allocate_arr)
-            || PyArray_NDIM(allocate_arr) != 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "allocate must be a contiguous 1-d bool array");
-        return NULL;
-    }
     capacity = PyArray_DIM(slot_lines_arr, 0);
     n = PyArray_DIM(lines_arr, 0);
     if (PyArray_DIM(slot_deadlines_arr, 0) != capacity
@@ -541,6 +561,344 @@ stack_from_prev(PyObject *self, PyObject *args)
     return (PyObject *)stack_arr;
 }
 
+/* -- synthetic trace generation ---------------------------------------- */
+
+/* Instruction kind codes (repro.trace.record.Kind). */
+#define KIND_LOAD 1
+#define KIND_STORE 2
+#define KIND_BRANCH 3
+/* LOAD or STORE, tested without a jump: for ALU, k - 1 wraps around. */
+#define IS_MEM_KIND(k) ((unsigned int)(k) - KIND_LOAD <= 1u)
+
+/* The bit generator behind a numpy Generator's `bit_generator.capsule`;
+ * the caller holds that generator's lock.  `next_double` is what
+ * Generator.random draws each double with. */
+static bitgen_t *
+bitgen_of(PyObject *capsule)
+{
+    return (bitgen_t *)PyCapsule_GetPointer(capsule, "BitGenerator");
+}
+
+static PyObject *
+draw_kinds(PyObject *self, PyObject *args)
+{
+    PyObject *kind_capsule, *branch_capsule;
+    Py_ssize_t n;
+    double mem_threshold, store_threshold, branch_threshold, mispredict;
+    long long offset_ll;
+    bitgen_t *kind_gen, *branch_gen;
+    PyArrayObject *kind_arr, *mem_instr_arr = NULL, *mem_store_arr = NULL;
+    PyArrayObject *branch_instr_arr = NULL, *branch_mispred_arr = NULL;
+    unsigned char *kinds, *mem_store, *branch_mispred;
+    npy_int64 *mem_instr, *branch_instr, offset;
+    npy_intp i, j, b, stop, dims[1];
+    npy_intp n_mem = 0, n_branch = 0, last_mem, last_branch;
+
+    if (!PyArg_ParseTuple(args, "OOnddddL", &kind_capsule, &branch_capsule,
+                          &n, &mem_threshold, &store_threshold,
+                          &branch_threshold, &mispredict, &offset_ll))
+        return NULL;
+    kind_gen = bitgen_of(kind_capsule);
+    branch_gen = bitgen_of(branch_capsule);
+    if (kind_gen == NULL || branch_gen == NULL)
+        return NULL;
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "draw_kinds: negative length");
+        return NULL;
+    }
+    offset = (npy_int64)offset_ll;
+    dims[0] = n;
+    kind_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_UINT8, 0);
+    if (kind_arr == NULL)
+        return NULL;
+    kinds = (unsigned char *)PyArray_DATA(kind_arr);
+
+    /* Pass 1: one double per instruction gives its kind.  Branchless;
+     * a store counts only where the access is a memory one, so the
+     * kinds and the counts below always agree. */
+    Py_BEGIN_ALLOW_THREADS
+    {
+        double (*next_double)(void *) = kind_gen->next_double;
+        void *state = kind_gen->state;
+
+        for (i = 0; i < n; i++) {
+            double u = next_double(state);
+            npy_intp is_mem = u < mem_threshold;
+            npy_intp is_store = is_mem & (u < store_threshold);
+            npy_intp is_branch = (1 - is_mem) & (u < branch_threshold);
+
+            kinds[i] = (unsigned char)(is_mem + is_store
+                                       + KIND_BRANCH * is_branch);
+            n_mem += is_mem;
+            n_branch += is_branch;
+        }
+    }
+    /* The last instruction of each view bounds its compaction below. */
+    for (last_mem = n - 1; last_mem >= 0 && !IS_MEM_KIND(kinds[last_mem]);
+         last_mem--)
+        ;
+    for (last_branch = n - 1;
+         last_branch >= 0 && kinds[last_branch] != KIND_BRANCH;
+         last_branch--)
+        ;
+    Py_END_ALLOW_THREADS
+
+    dims[0] = n_mem;
+    mem_instr_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    mem_store_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_BOOL, 0);
+    dims[0] = n_branch;
+    branch_instr_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    branch_mispred_arr = (PyArrayObject *)PyArray_EMPTY(1, dims,
+                                                        NPY_BOOL, 0);
+    if (mem_instr_arr == NULL || mem_store_arr == NULL
+            || branch_instr_arr == NULL || branch_mispred_arr == NULL) {
+        Py_DECREF(kind_arr);
+        Py_XDECREF(mem_instr_arr);
+        Py_XDECREF(mem_store_arr);
+        Py_XDECREF(branch_instr_arr);
+        Py_XDECREF(branch_mispred_arr);
+        return NULL;
+    }
+    mem_instr = (npy_int64 *)PyArray_DATA(mem_instr_arr);
+    mem_store = (unsigned char *)PyArray_DATA(mem_store_arr);
+    branch_instr = (npy_int64 *)PyArray_DATA(branch_instr_arr);
+    branch_mispred = (unsigned char *)PyArray_DATA(branch_mispred_arr);
+
+    Py_BEGIN_ALLOW_THREADS
+    /* Pass 2, no draws: compact the positions.  Every instruction
+     * writes the next free slot and advances past it only when it is
+     * of that view, so a view's writes stay in bounds up to its last
+     * instruction; past the earlier of the two last ones, only the
+     * other view is still written. */
+    j = b = 0;
+    stop = last_mem < last_branch ? last_mem : last_branch;
+    for (i = 0; i <= stop; i++) {
+        unsigned int k = kinds[i];
+
+        mem_instr[j] = offset + i;
+        mem_store[j] = k == KIND_STORE;
+        j += IS_MEM_KIND(k);
+        branch_instr[b] = offset + i;
+        b += k == KIND_BRANCH;
+    }
+    for (; i <= last_mem; i++) {
+        unsigned int k = kinds[i];
+
+        mem_instr[j] = offset + i;
+        mem_store[j] = k == KIND_STORE;
+        j += IS_MEM_KIND(k);
+    }
+    for (; i <= last_branch; i++) {
+        branch_instr[b] = offset + i;
+        b += kinds[i] == KIND_BRANCH;
+    }
+    /* Pass 3: one double per branch, in branch order. */
+    for (b = 0; b < n_branch; b++)
+        branch_mispred[b] =
+            branch_gen->next_double(branch_gen->state) < mispredict;
+    Py_END_ALLOW_THREADS
+
+    return Py_BuildValue("(NNNNN)", kind_arr, mem_instr_arr, mem_store_arr,
+                         branch_instr_arr, branch_mispred_arr);
+}
+
+static PyObject *
+count_below(PyObject *self, PyObject *args)
+{
+    PyObject *capsule;
+    Py_ssize_t n, i, count = 0;
+    double threshold;
+    bitgen_t *gen;
+
+    if (!PyArg_ParseTuple(args, "Ond", &capsule, &n, &threshold))
+        return NULL;
+    if ((gen = bitgen_of(capsule)) == NULL)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    for (i = 0; i < n; i++)
+        count += gen->next_double(gen->state) < threshold;
+    Py_END_ALLOW_THREADS
+    return PyLong_FromSsize_t(count);
+}
+
+static PyObject *
+mixture_choice(PyObject *self, PyObject *args)
+{
+    PyObject *capsule;
+    PyArrayObject *cdf_arr, *counts_arr, *choice_arr = NULL;
+    Py_ssize_t n;
+    int want_choices;
+    bitgen_t *gen;
+    const double *cdf;
+    npy_int64 *counts;
+    npy_int32 *choices = NULL;
+    npy_intp k, last, i, t, c, dims[1];
+
+    if (!PyArg_ParseTuple(args, "OO!np", &capsule, &PyArray_Type, &cdf_arr,
+                          &n, &want_choices))
+        return NULL;
+    if ((gen = bitgen_of(capsule)) == NULL)
+        return NULL;
+    if (check_vector(cdf_arr, NPY_FLOAT64, "cdf") < 0)
+        return NULL;
+    k = PyArray_DIM(cdf_arr, 0);
+    cdf = (const double *)PyArray_DATA(cdf_arr);
+    /* Every draw is below 1, so with a last entry of at least 1 each
+     * choice names a component; NaN entries only lower the count. */
+    if (k < 1 || k > NPY_MAX_INT32 || !(cdf[k - 1] >= 1.0) || n < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "mixture_choice: the cdf must be non-empty and end "
+                        "at 1, and the length non-negative");
+        return NULL;
+    }
+    last = k - 1;
+    dims[0] = k;
+    counts_arr = (PyArrayObject *)PyArray_ZEROS(1, dims, NPY_INT64, 0);
+    if (counts_arr == NULL)
+        return NULL;
+    counts = (npy_int64 *)PyArray_DATA(counts_arr);
+    if (want_choices) {
+        dims[0] = n;
+        choice_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT32, 0);
+        if (choice_arr == NULL) {
+            Py_DECREF(counts_arr);
+            return NULL;
+        }
+        choices = (npy_int32 *)PyArray_DATA(choice_arr);
+    }
+
+    /* Generator.choice's searchsorted(cdf, u, 'right'): the number of
+     * cdf entries at or below each draw. */
+    Py_BEGIN_ALLOW_THREADS
+    for (i = 0; i < n; i++) {
+        double u = gen->next_double(gen->state);
+
+        c = 0;
+        for (t = 0; t < last; t++)
+            c += cdf[t] <= u;
+        counts[c]++;
+        if (choices != NULL)
+            choices[i] = (npy_int32)c;
+    }
+    Py_END_ALLOW_THREADS
+
+    if (choice_arr == NULL)
+        return Py_BuildValue("(ON)", Py_None, counts_arr);
+    return Py_BuildValue("(NN)", choice_arr, counts_arr);
+}
+
+static PyObject *
+mixture_scatter(PyObject *self, PyObject *args)
+{
+    PyArrayObject *choice_arr, *pc_base_arr;
+    PyObject *parts, *result = NULL;
+    PyArrayObject *lines_arr = NULL, *pcs_arr = NULL;
+    const npy_int32 *choices;
+    const npy_int64 *pc_base;
+    const npy_int64 **line_src = NULL;
+    const npy_int32 **pc_src = NULL;
+    npy_intp *cursor = NULL, *length = NULL;
+    npy_int64 *lines;
+    npy_int32 *pcs;
+    npy_intp n, k, i, c, dims[1];
+    int bad = 0;
+
+    if (!PyArg_ParseTuple(args, "O!O!O!", &PyArray_Type, &choice_arr,
+                          &PyList_Type, &parts, &PyArray_Type, &pc_base_arr))
+        return NULL;
+    if (check_vector(choice_arr, NPY_INT32, "choices") < 0
+            || check_vector(pc_base_arr, NPY_INT64, "pc_base") < 0)
+        return NULL;
+    n = PyArray_DIM(choice_arr, 0);
+    k = PyList_GET_SIZE(parts);
+    if (PyArray_DIM(pc_base_arr, 0) != k) {
+        PyErr_SetString(PyExc_ValueError,
+                        "one pc base per component required");
+        return NULL;
+    }
+    choices = (const npy_int32 *)PyArray_DATA(choice_arr);
+    pc_base = (const npy_int64 *)PyArray_DATA(pc_base_arr);
+    line_src = calloc((size_t)k + 1, sizeof(*line_src));
+    pc_src = calloc((size_t)k + 1, sizeof(*pc_src));
+    cursor = calloc((size_t)k + 1, sizeof(*cursor));
+    length = calloc((size_t)k + 1, sizeof(*length));
+    if (line_src == NULL || pc_src == NULL || cursor == NULL
+            || length == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* Each part is None (a component nothing chose) or the component's
+     * (lines, pcs) arrays, in choice order. */
+    for (c = 0; c < k; c++) {
+        PyObject *part = PyList_GET_ITEM(parts, c);
+        PyArrayObject *part_lines, *part_pcs;
+
+        if (part == Py_None)
+            continue;
+        if (!PyTuple_Check(part) || PyTuple_GET_SIZE(part) != 2
+                || !PyArray_Check(PyTuple_GET_ITEM(part, 0))
+                || !PyArray_Check(PyTuple_GET_ITEM(part, 1))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "each part must be None or (lines, pcs)");
+            goto done;
+        }
+        part_lines = (PyArrayObject *)PyTuple_GET_ITEM(part, 0);
+        part_pcs = (PyArrayObject *)PyTuple_GET_ITEM(part, 1);
+        if (check_vector(part_lines, NPY_INT64, "part lines") < 0
+                || check_vector(part_pcs, NPY_INT32, "part pcs") < 0)
+            goto done;
+        length[c] = PyArray_DIM(part_lines, 0);
+        if (PyArray_DIM(part_pcs, 0) != length[c]) {
+            PyErr_SetString(PyExc_ValueError,
+                            "engine returned wrong-length arrays");
+            goto done;
+        }
+        line_src[c] = (const npy_int64 *)PyArray_DATA(part_lines);
+        pc_src[c] = (const npy_int32 *)PyArray_DATA(part_pcs);
+    }
+    dims[0] = n;
+    lines_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    pcs_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT32, 0);
+    if (lines_arr == NULL || pcs_arr == NULL)
+        goto done;
+    lines = (npy_int64 *)PyArray_DATA(lines_arr);
+    pcs = (npy_int32 *)PyArray_DATA(pcs_arr);
+
+    /* One cursor per component: access i takes its component's next
+     * line and pc, as `lines[choice == c] = part_lines` does. */
+    Py_BEGIN_ALLOW_THREADS
+    for (i = 0; i < n; i++) {
+        npy_intp at;
+
+        c = choices[i];
+        if ((npy_uintp)c >= (npy_uintp)k || cursor[c] >= length[c]) {
+            bad = 1;
+            break;
+        }
+        at = cursor[c]++;
+        lines[i] = line_src[c][at];
+        pcs[i] = (npy_int32)(pc_src[c][at] + pc_base[c]);
+    }
+    for (c = 0; c < k && !bad; c++)
+        bad = cursor[c] != length[c];
+    Py_END_ALLOW_THREADS
+    if (bad) {
+        PyErr_SetString(PyExc_ValueError,
+                        "engine returned wrong-length arrays");
+        goto done;
+    }
+    result = Py_BuildValue("(OO)", lines_arr, pcs_arr);
+
+done:
+    free(line_src);
+    free(pc_src);
+    free(cursor);
+    free(length);
+    Py_XDECREF(lines_arr);
+    Py_XDECREF(pcs_arr);
+    return result;
+}
+
 /* -- module ------------------------------------------------------------ */
 
 static PyMethodDef native_methods[] = {
@@ -558,6 +916,17 @@ static PyMethodDef native_methods[] = {
      "(hit_mask, occupied, hits, allocations, failures)"},
     {"stack_from_prev", stack_from_prev, METH_VARARGS,
      "stack_from_prev(prev) -> stack distances (-1 for cold accesses)"},
+    {"draw_kinds", draw_kinds, METH_VARARGS,
+     "draw_kinds(kind_capsule, branch_capsule, n, mem, store, branch, "
+     "mispredict, offset) -> (kind, mem_instr, mem_store, branch_instr, "
+     "branch_mispred)"},
+    {"count_below", count_below, METH_VARARGS,
+     "count_below(capsule, n, threshold) -> draws below threshold"},
+    {"mixture_choice", mixture_choice, METH_VARARGS,
+     "mixture_choice(capsule, cdf, n, want_choices) -> "
+     "(choices|None, counts)"},
+    {"mixture_scatter", mixture_scatter, METH_VARARGS,
+     "mixture_scatter(choices, parts, pc_base) -> (lines, pcs)"},
     {NULL, NULL, 0, NULL},
 };
 

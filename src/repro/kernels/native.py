@@ -227,6 +227,67 @@ def mshr_walk(slot_lines, slot_deadlines, occupied, lines, positions,
         int(window))
 
 
+def draw_kinds(kind_rng, branch_rng, n, mem_threshold, store_threshold,
+               branch_threshold, mispredict_rate, instr_offset):
+    """One chunk of a phase's kind and branch draws, in one C call.
+
+    ``kind_rng`` gives each of the ``n`` instructions one double: below
+    ``mem_threshold`` it is a memory access (a STORE below
+    ``store_threshold``, else a LOAD), else a BRANCH below
+    ``branch_threshold``, else an ALU op.  ``branch_rng`` then gives
+    each branch, in order, one double; it mispredicts below
+    ``mispredict_rate``.  The two generators must be distinct (each
+    one's lock is held across the call), and both advance exactly as
+    ``random()`` calls of those lengths would advance them.  Returns
+    ``(kind, mem_instr, mem_store, branch_instr, branch_mispred)``, the
+    positions offset by ``instr_offset``.
+    """
+    kind_bits = kind_rng.bit_generator
+    branch_bits = branch_rng.bit_generator
+    with kind_bits.lock, branch_bits.lock:
+        return _native.draw_kinds(
+            kind_bits.capsule, branch_bits.capsule, int(n),
+            float(mem_threshold), float(store_threshold),
+            float(branch_threshold), float(mispredict_rate),
+            int(instr_offset))
+
+
+def count_below(rng, n, threshold):
+    """How many of ``rng``'s next ``n`` doubles fall below
+    ``threshold``; advances ``rng`` past them and allocates nothing."""
+    bits = rng.bit_generator
+    with bits.lock:
+        return _native.count_below(bits.capsule, int(n), float(threshold))
+
+
+def mixture_choice(rng, cdf, n, want_choices=True):
+    """``rng.choice(len(cdf), size=n, p=...)`` over that call's own
+    ``cdf`` (``p.cumsum()`` divided by its last entry), in one C loop.
+
+    Returns ``(choices, counts)``: the int32 choice per draw (None
+    unless ``want_choices``) and the int64 count per component.
+    """
+    bits = rng.bit_generator
+    with bits.lock:
+        return _native.mixture_choice(bits.capsule, cdf, int(n),
+                                      bool(want_choices))
+
+
+def mixture_scatter(choices, parts, pc_base):
+    """Interleave per-component draws back into choice order.
+
+    ``parts[k]`` is component ``k``'s ``(lines, pcs)`` for every access
+    that chose it, in order, or None when none did; each access takes
+    its component's next line and ``pc + pc_base[k]``.  Raises
+    ``ValueError`` when a part's length differs from its choice count.
+    """
+    parts = [None if part is None else
+             (np.ascontiguousarray(part[0], dtype=np.int64),
+              np.ascontiguousarray(part[1], dtype=np.int32))
+             for part in parts]
+    return _native.mixture_scatter(choices, parts, pc_base)
+
+
 def reuse_and_stack_distances_native(lines):
     """Exact ``(reuse, stack)`` distances via the compiled Fenwick loop.
 

@@ -19,6 +19,8 @@ import struct
 
 import numpy as np
 
+from repro.store.serialize import release_pages
+
 
 def _encode(value, out):
     """Append a canonical, self-delimiting encoding of ``value``."""
@@ -124,9 +126,12 @@ def fingerprint_arrays(arrays, batch_rows=_FP_BATCH_ROWS):
     array data is fed to the hash in bounded batches, each contiguous
     batch through its own buffer (only a strided one is copied) — so a
     mapping of ``np.memmap`` views over spill files (a streamed trace
-    container in the making) is fingerprinted with no copy.  Keys
-    must be strings and values one-dimensional arrays, which is all the
-    trace/ index pipelines ever hash this way.
+    container in the making) is fingerprinted with no copy.  A
+    read-only map's pages are released after each batch
+    (:func:`~repro.store.serialize.release_pages`), so both the heap
+    and RSS stay bounded by one batch.  Keys must be strings and values
+    one-dimensional arrays, which is all the trace/ index pipelines
+    ever hash this way.
     """
     entries = []
     for key, array in arrays.items():
@@ -145,8 +150,9 @@ def fingerprint_arrays(arrays, batch_rows=_FP_BATCH_ROWS):
         hasher.update(b"a" + array.dtype.str.encode() + b"|"
                       + repr(array.shape).encode() + b"|")
         for lo in range(0, array.shape[0], batch_rows):
-            batch = np.ascontiguousarray(array[lo:lo + batch_rows])
-            hasher.update(batch.data)
+            window = array[lo:lo + batch_rows]
+            hasher.update(np.ascontiguousarray(window).data)
+            release_pages(window)
         hasher.update(b";")
     hasher.update(b";")
     return hasher.hexdigest()

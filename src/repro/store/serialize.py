@@ -31,11 +31,17 @@ like any other writable local state.
 """
 
 import io
+import mmap
 import pickle
 import zipfile
 import zlib
 
 import numpy as np
+
+try:
+    from numpy.lib.array_utils import byte_bounds
+except ImportError:                      # numpy < 2
+    from numpy import byte_bounds
 
 KIND_NPZ_MAPPED = "npzm"
 KIND_PICKLE = "pkl"
@@ -61,6 +67,33 @@ def decode(kind, payload):
 
 # -- streamed / memory-mapped npz --------------------------------------------
 
+#: The ``madvise`` advice that unmaps resident pages; None where the
+#: platform has no ``madvise``.
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
+def release_pages(array):
+    """Unmap the resident pages of a read-only memory-mapped ``array``.
+
+    Every page read through an ``np.memmap`` stays mapped into the
+    process, so streaming a mapped column grows RSS by the whole column
+    although the heap stays bounded.  ``madvise(MADV_DONTNEED)`` drops
+    those pages; a later read faults them back in from the page cache,
+    so the data never changes.  Only maps opened with mode ``"r"`` are
+    released (a writable or copy-on-write map may hold changes that
+    live only in its pages), and nothing happens where the platform
+    lacks ``MADV_DONTNEED``.
+    """
+    mapping = getattr(array, "_mmap", None)
+    if (_MADV_DONTNEED is None or mapping is None or array.size == 0
+            or getattr(array, "mode", None) != "r"):
+        return
+    base = np.frombuffer(mapping, dtype=np.uint8).ctypes.data
+    low, high = byte_bounds(array)
+    start = (low - base) // mmap.PAGESIZE * mmap.PAGESIZE
+    mapping.madvise(_MADV_DONTNEED, start, high - base - start)
+
+
 def write_arrays_stream(handle, arrays, compress=False):
     """Stream ``arrays`` into ``handle`` as an npz, uncompressed unless
     ``compress``.
@@ -70,20 +103,25 @@ def write_arrays_stream(handle, arrays, compress=False):
     magic + header); zip readers locate the archive from its
     end-of-central-directory record, so a prefixed archive round-trips.
     Arrays may themselves be ``np.memmap`` views over spill files —
-    ``write_array`` walks them buffer-by-buffer, so peak RAM stays
-    bounded by the I/O buffer, not the table size.  Every member is
-    written zip64 (``force_zip64``, as ``numpy.savez`` does): its size
-    is unknown when its header goes out, and a 32-bit header fails at
-    close once the member passes ``zipfile.ZIP64_LIMIT`` (2 GiB).
+    ``write_array`` walks them buffer-by-buffer, and each read-only
+    map's pages are released once its member is written
+    (:func:`release_pages`), so peak heap stays bounded by the I/O
+    buffer and peak RSS by the largest member, not the table.  Every
+    member is written zip64 (``force_zip64``, as ``numpy.savez`` does):
+    its size is unknown when its header goes out, and a 32-bit header
+    fails at close once the member passes ``zipfile.ZIP64_LIMIT``
+    (2 GiB).
     """
     compression = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
     with zipfile.ZipFile(handle, "w", compression,
                          allowZip64=True) as archive:
         for name, array in arrays.items():
+            array = np.asanyarray(array)
             with archive.open(name + ".npy", "w",
                               force_zip64=True) as member:
-                np.lib.format.write_array(member, np.asanyarray(array),
+                np.lib.format.write_array(member, array,
                                           allow_pickle=False)
+            release_pages(array)
 
 
 def member_view(path, info):

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
+from repro.kernels import native
 from repro.util.rng import clone_rng
 
 #: Accesses per internal batch while a cursor or :meth:`consume` walks a
@@ -326,31 +328,55 @@ class MultiWorkingSetEngine(AddressEngine):
             raise ValueError("at least one component required")
         self.components = list(components)
         weights = np.asarray([c.weight for c in self.components], float)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("component weights must be finite")
         total = weights.sum()
         if total <= 0:
             raise ValueError("total weight must be positive")
         self._probs = weights / total
+        # Generator.choice's own cdf, computed as choice computes it:
+        # the native draw counts the entries at or below each double.
+        self._cdf = self._probs.cumsum()
+        self._cdf /= self._cdf[-1]
+        self._pc_base = np.array([c.pc_base for c in self.components],
+                                 dtype=np.int64)
         self.n_pcs = max(c.pc_base + c.engine.n_pcs for c in self.components)
 
     def _draw_choice(self, rng, n):
         return rng.choice(len(self.components), size=n, p=self._probs)
 
-    def generate(self, rng, n):
+    def _mix(self, choice_rng, n, draw):
+        """The next ``n`` accesses: ``n`` choices drawn on ``choice_rng``,
+        then ``draw(k, count)`` per chosen component, in component order,
+        interleaved back into choice order."""
+        if kernels.get_backend() == "native":
+            choice, counts = native.mixture_choice(choice_rng, self._cdf, n)
+            parts = [draw(k, count) if count else None
+                     for k, count in enumerate(counts.tolist())]
+            return native.mixture_scatter(choice, parts, self._pc_base)
         lines = np.empty(n, dtype=np.int64)
         pcs = np.empty(n, dtype=np.int32)
-        choice = self._draw_choice(rng, n)
+        choice = self._draw_choice(choice_rng, n)
         for k, comp in enumerate(self.components):
             mask = choice == k
             count = int(np.count_nonzero(mask))
             if count == 0:
                 continue
-            comp_lines, comp_pcs = comp.engine.generate(rng, count)
+            comp_lines, comp_pcs = draw(k, count)
             lines[mask] = comp_lines
             pcs[mask] = comp_pcs + comp.pc_base
         return lines, pcs
 
+    def generate(self, rng, n):
+        components = self.components
+        return self._mix(
+            rng, n, lambda k, count: components[k].engine.generate(rng, count))
+
     def _count_choice_block(self, rng, total):
         """Walk the choice block on ``rng``, returning per-component totals."""
+        if kernels.get_backend() == "native":
+            return native.mixture_choice(rng, self._cdf, total,
+                                         want_choices=False)[1]
         totals = np.zeros(len(self.components), dtype=np.int64)
         for m in _batches(total):
             totals += np.bincount(self._draw_choice(rng, m),
@@ -416,16 +442,6 @@ class _MultiCursor:
         self._cursors = cursors
 
     def take(self, n):
-        engine = self._engine
-        lines = np.empty(n, dtype=np.int64)
-        pcs = np.empty(n, dtype=np.int32)
-        choice = engine._draw_choice(self._choice_rng, n)
-        for k, comp in enumerate(engine.components):
-            mask = choice == k
-            count = int(np.count_nonzero(mask))
-            if count == 0:
-                continue
-            comp_lines, comp_pcs = self._cursors[k].take(count)
-            lines[mask] = comp_lines
-            pcs[mask] = comp_pcs + comp.pc_base
-        return lines, pcs
+        cursors = self._cursors
+        return self._engine._mix(
+            self._choice_rng, n, lambda k, count: cursors[k].take(count))

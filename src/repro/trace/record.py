@@ -241,7 +241,9 @@ def trace_from_chunks(chunks, name="trace"):
         arrays = parts[field]
         if not arrays:
             return np.empty(0, dtype=dtype)
-        return np.concatenate(arrays).astype(dtype, copy=False)
+        # A lone part (one phase of build_trace) is taken as it is.
+        whole = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        return whole.astype(dtype, copy=False)
 
     trace = Trace(
         kind=_cat("kind", np.uint8),

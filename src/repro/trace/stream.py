@@ -14,24 +14,36 @@ component's index block, each component's PC block).  Splitting that
 call naively would interleave the blocks differently and change the
 trace.  Instead each block gets its own generator clone, positioned at
 the block's start by walking (and discarding) the preceding blocks in
-bounded batches — see :meth:`AddressEngine.chunk_cursor`.  Every numpy
-draw primitive used is element-wise sequential, so per-block splits are
+bounded batches — see :meth:`AddressEngine.chunk_cursor`.  Every draw
+primitive used is element-wise sequential, so per-block splits are
 exact; the differential harness (``tests/test_stream_equivalence.py``)
 pins the equivalence across seeds, phase mixes and chunk sizes
-(including chunk = 1 and chunk > n).
+(including chunk = 1 and chunk > n), on both backends.
 
-The price is a second walk over the discarded blocks: a phase split
-into several chunks costs roughly twice the RNG work of a single engine
-call.  That is the bounded-memory trade, and only split phases pay it:
-a phase that fits in one chunk draws its kinds once and calls the
-engine directly.
+Under the ``native`` backend the per-element draws run in C
+(:mod:`repro.kernels.native`): the kind and mispredict draws of a chunk
+(``draw_kinds``), a split phase's access count (``count_below``) and a
+mixture's choices, counts and scatter (``mixture_choice``,
+``mixture_scatter``).  They read the same generators through their
+bit-generator capsules and take exactly one double wherever
+``Generator.random`` would, so each block stays where the numpy
+reference puts it and the splits stay exact.  The engines'
+``integers`` draws stay in numpy.
+
+The price of splitting is a walk over the discarded blocks: a phase
+split into several chunks first counts its accesses (one C loop under
+``native``, which allocates nothing) and then positions each cursor by
+skipping the blocks before it.  That is the bounded-memory trade, and
+only split phases pay it: a phase that fits in one chunk draws its
+kinds once and calls the engine directly.
 """
 
 import functools
 
 import numpy as np
 
-from repro import telemetry
+from repro import kernels, telemetry
+from repro.kernels import native
 from repro.trace.record import Kind, TraceChunk
 from repro.trace.workload import Workload
 from repro.util.rng import child_rng, clone_rng
@@ -83,6 +95,7 @@ def generate_phase_chunks(phase, index, seed, name="trace",
     rng_kind = child_rng(seed, name, index, phase.name, "kinds")
     rng_addr = child_rng(seed, name, index, phase.name, "addrs")
     rng_br = child_rng(seed, name, index, phase.name, "branches")
+    draw_kinds = _kind_drawer(phase)
 
     if n <= chunk_instructions:
         # One chunk: the phase's single generate(rng_addr, n_mem) call,
@@ -92,32 +105,19 @@ def generate_phase_chunks(phase, index, seed, name="trace",
         # Size the engine cursor: it replays that single call in
         # pieces, so it needs the phase's access total before the
         # first chunk is emitted.
-        counter = clone_rng(rng_kind)
-        n_mem = 0
-        for lo in range(0, n, chunk_instructions):
-            m = min(chunk_instructions, n - lo)
-            n_mem += int(np.count_nonzero(
-                counter.random(m) < phase.mem_fraction))
+        n_mem = _count_accesses(phase, clone_rng(rng_kind),
+                                chunk_instructions)
         take = (phase.engine.chunk_cursor(rng_addr, n_mem).take
                 if n_mem else None)
 
     for lo in range(0, n, chunk_instructions):
         hi = min(n, lo + chunk_instructions)
-        draw = rng_kind.random(hi - lo)
-        kinds = np.full(hi - lo, Kind.ALU, dtype=np.uint8)
-        mem_mask = draw < phase.mem_fraction
-        store_mask = draw < phase.mem_fraction * phase.store_fraction
-        branch_mask = (~mem_mask) & (
-            draw < phase.mem_fraction + phase.branch_fraction)
-        kinds[mem_mask] = Kind.LOAD
-        kinds[store_mask] = Kind.STORE
-        kinds[branch_mask] = Kind.BRANCH
-
-        mem_pos = np.flatnonzero(mem_mask)
-        if mem_pos.size:
-            lines, pcs = take(mem_pos.size)
-            if lines.shape[0] != mem_pos.size \
-                    or pcs.shape[0] != mem_pos.size:
+        kinds, mem_instr, mem_store, branch_instr, mispred = draw_kinds(
+            rng_kind, rng_br, hi - lo, instr_offset + lo)
+        n_access = mem_instr.shape[0]
+        if n_access:
+            lines, pcs = take(n_access)
+            if lines.shape[0] != n_access or pcs.shape[0] != n_access:
                 raise ValueError(
                     f"engine for phase {phase.name!r} returned "
                     "wrong-length arrays")
@@ -125,21 +125,66 @@ def generate_phase_chunks(phase, index, seed, name="trace",
             lines = np.empty(0, dtype=np.int64)
             pcs = np.empty(0, dtype=np.int32)
 
-        br_pos = np.flatnonzero(branch_mask)
-        mispred = rng_br.random(br_pos.size) < phase.mispredict_rate
-
         telemetry.counter("stream.generate.chunks")
         yield TraceChunk(
             instr_lo=instr_offset + lo,
             instr_hi=instr_offset + hi,
             kind=kinds,
-            mem_instr=mem_pos.astype(np.int64) + (instr_offset + lo),
+            mem_instr=mem_instr,
             mem_line=np.asarray(lines, dtype=np.int64),
             mem_pc=np.asarray(pcs, dtype=np.int32),
-            mem_store=store_mask[mem_pos],
-            branch_instr=br_pos.astype(np.int64) + (instr_offset + lo),
+            mem_store=mem_store,
+            branch_instr=branch_instr,
             branch_mispred=mispred,
         )
+
+
+def _kind_drawer(phase):
+    """``draw(rng_kind, rng_br, m, offset)`` for one chunk of ``phase``
+    on the active backend: ``(kind, mem_instr, mem_store, branch_instr,
+    branch_mispred)``.  Under ``native`` one C call draws each double
+    the numpy reference does and applies the same thresholds."""
+    mem = phase.mem_fraction
+    store = phase.mem_fraction * phase.store_fraction
+    branch = phase.mem_fraction + phase.branch_fraction
+    mispredict_rate = phase.mispredict_rate
+    if kernels.get_backend() == "native":
+        return lambda rng_kind, rng_br, m, offset: native.draw_kinds(
+            rng_kind, rng_br, m, mem, store, branch, mispredict_rate,
+            offset)
+
+    def draw(rng_kind, rng_br, m, offset):
+        u = rng_kind.random(m)
+        kinds = np.full(m, Kind.ALU, dtype=np.uint8)
+        mem_mask = u < mem
+        store_mask = u < store
+        branch_mask = (~mem_mask) & (u < branch)
+        kinds[mem_mask] = Kind.LOAD
+        kinds[store_mask] = Kind.STORE
+        kinds[branch_mask] = Kind.BRANCH
+        mem_pos = np.flatnonzero(mem_mask)
+        br_pos = np.flatnonzero(branch_mask)
+        mispred = rng_br.random(br_pos.size) < mispredict_rate
+        return (kinds, mem_pos.astype(np.int64) + offset,
+                store_mask[mem_pos], br_pos.astype(np.int64) + offset,
+                mispred)
+
+    return draw
+
+
+def _count_accesses(phase, rng_kind, chunk_instructions):
+    """The phase's memory-access total: its kind draws below
+    ``mem_fraction``, walked on ``rng_kind`` (advanced past them).
+    Under ``native`` one C loop that allocates nothing."""
+    n = phase.n_instructions
+    if kernels.get_backend() == "native":
+        return native.count_below(rng_kind, n, phase.mem_fraction)
+    n_mem = 0
+    for lo in range(0, n, chunk_instructions):
+        m = min(chunk_instructions, n - lo)
+        n_mem += int(np.count_nonzero(
+            rng_kind.random(m) < phase.mem_fraction))
+    return n_mem
 
 
 def fast_forward_engines(phases, upto_index, seed, name="trace",
@@ -159,15 +204,11 @@ def fast_forward_engines(phases, upto_index, seed, name="trace",
     chunk_instructions = max(1, int(chunk_instructions))
     for j in range(upto_index):
         phase = phases[j]
-        n = phase.n_instructions
-        if n == 0:
+        if phase.n_instructions == 0:
             continue
-        rng_kind = child_rng(seed, name, j, phase.name, "kinds")
-        n_mem = 0
-        for lo in range(0, n, chunk_instructions):
-            m = min(chunk_instructions, n - lo)
-            n_mem += int(np.count_nonzero(
-                rng_kind.random(m) < phase.mem_fraction))
+        n_mem = _count_accesses(
+            phase, child_rng(seed, name, j, phase.name, "kinds"),
+            chunk_instructions)
         if n_mem:
             phase.engine.fast_forward(
                 child_rng(seed, name, j, phase.name, "addrs"), n_mem)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.trace.engines import (
     MultiWorkingSetEngine,
     PointerChaseEngine,
@@ -12,6 +13,7 @@ from repro.trace.engines import (
     UniformWorkingSetEngine,
     WorkingSetComponent,
 )
+from repro.trace.phases import PhaseSpec, build_trace
 from repro.util.rng import child_rng
 
 
@@ -114,6 +116,41 @@ def test_mixture_rejects_zero_total_weight():
     a = UniformWorkingSetEngine(line_map(4))
     with pytest.raises(ValueError):
         MultiWorkingSetEngine([WorkingSetComponent(a, weight=0.0)])
+    # A non-finite weight fails in the constructor (which reweighted
+    # goes through too), not at the first draw on one backend only.
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            MultiWorkingSetEngine([WorkingSetComponent(a, weight=1.0),
+                                   WorkingSetComponent(a, weight=weight)])
+        mixture = MultiWorkingSetEngine([WorkingSetComponent(a, 1.0),
+                                         WorkingSetComponent(a, 1.0)])
+        with pytest.raises(ValueError, match="finite"):
+            mixture.reweighted({1: weight})
+
+
+class _OverlongEngine(UniformWorkingSetEngine):
+    """A faulty engine: one access more than asked for."""
+
+    def generate(self, rng, n):
+        return super().generate(rng, n + 1)
+
+
+@pytest.mark.parametrize("backend", kernels.BACKENDS)
+def test_wrong_length_engine_output_is_rejected(backend):
+    # The mixture's scatter (a C loop under native) and the phase's
+    # chunk assembly both refuse output of the wrong length.
+    if backend == "native" and not kernels.native_available():
+        pytest.skip("compiled kernel extension (repro.kernels._native) "
+                    f"could not be built: {kernels.native.unavailable_cause()}")
+    bad = _OverlongEngine(line_map(8))
+    mixture = MultiWorkingSetEngine([
+        WorkingSetComponent(UniformWorkingSetEngine(line_map(4)), 1.0),
+        WorkingSetComponent(bad, 1.0, pc_base=8)])
+    with kernels.use_backend(backend):
+        with pytest.raises(ValueError):
+            mixture.generate(child_rng(0, "bad"), 200)
+        with pytest.raises(ValueError, match="wrong-length"):
+            build_trace([PhaseSpec("p", 1_000, bad)], seed=1)
 
 
 def test_empty_line_map_rejected():

@@ -171,6 +171,47 @@ def test_fingerprint_arrays_hashes_columns_in_place(tmp_path):
     assert peak < 1 << 20, peak
 
 
+def _mapped_rss_kb():
+    """File-backed (and shared-memory) resident pages of this process."""
+    fields = {}
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            key, _, value = line.partition(":")
+            fields[key] = value
+    return int(fields["RssFile"].split()[0]) \
+        + int(fields.get("RssShmem", "0 kB").split()[0])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for RssFile")
+def test_streamed_hash_and_write_release_mapped_pages(tmp_path):
+    """Fingerprinting and streaming out a 64 MiB read-only map leave
+    its pages unmapped: RSS stays bounded as well as the heap, and the
+    digest and the written bytes are unchanged."""
+    from repro.store.serialize import write_arrays_stream
+
+    path = tmp_path / "column.bin"
+    n = 8 << 20                                    # 64 MiB of int64
+    with open(path, "wb") as handle:
+        for lo in range(0, n, 1 << 20):
+            (np.arange(lo, lo + (1 << 20), dtype=np.int64) * 5).tofile(
+                handle)
+    mapped = np.memmap(path, mode="r", dtype=np.int64, shape=(n,))
+    limit_kb = 16 << 10
+
+    before = _mapped_rss_kb()
+    digest = fingerprint_arrays({"column": mapped})
+    assert _mapped_rss_kb() - before < limit_kb
+    with open(tmp_path / "out.npz", "wb") as handle:
+        write_arrays_stream(handle, {"column": mapped})
+    assert _mapped_rss_kb() - before < limit_kb
+
+    in_ram = np.array(mapped)
+    assert digest == fingerprint({"column": in_ram})
+    with np.load(tmp_path / "out.npz") as archive:
+        assert np.array_equal(archive["column"], in_ram)
+
+
 def test_canonical_bytes_stable():
     value = {"nested": {"x": (1, 2.5, None, True)}, "arr": np.ones(3)}
     assert canonical_bytes(value) == canonical_bytes(value)

@@ -18,7 +18,10 @@ streaming execution core:
   technique from ``benchmarks/bench_stream.py``).
 
 The whole file runs under both kernel backends via the session-level
-``--backend`` pin in ``conftest.py``.
+``--backend`` pin in ``conftest.py``.  Generation is compared across
+backends explicitly: every chunked and isolated-phase case runs on the
+numpy generator (``scalar``, the reference) and again on the C draws
+(``native``), against the reference's monolithic trace.
 """
 
 import math
@@ -29,7 +32,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.core import DeLorean, NaiveDirectedWarming
 from repro.core.context import ExecutionContext
 from repro.caches.hierarchy import paper_hierarchy
@@ -49,7 +54,12 @@ from repro.trace.engines import (
 from repro.trace.phases import PhaseSpec, build_trace
 from repro.trace.record import trace_from_chunks
 from repro.trace.spec import benchmark_spec
-from repro.trace.stream import generate_chunks, workload_chunks
+from repro.trace.stream import (
+    fast_forward_engines,
+    generate_chunks,
+    generate_phase_chunks,
+    workload_chunks,
+)
 from repro.traceio.container import (
     TraceStreamWriter,
     read_manifest,
@@ -73,6 +83,21 @@ def assert_traces_equal(expected, got):
         b = np.asarray(getattr(got, field))
         assert a.dtype == b.dtype, field
         assert np.array_equal(a, b), field
+
+
+def scalar_trace(phases, seed, name):
+    """The numpy generator's monolithic trace: the reference that every
+    backend's chunked output must equal."""
+    with kernels.use_backend("scalar"):
+        return build_trace(phases, seed=seed, name=name)
+
+
+def require_backend(backend):
+    """Skip loudly when ``backend`` is native and cannot be built."""
+    if backend == "native" and not kernels.native_available():
+        pytest.skip("compiled kernel extension (repro.kernels._native) "
+                    "could not be built: "
+                    f"{kernels.native.unavailable_cause()}")
 
 
 def rich_phases(arena_lines=4096, n_a=5_000, n_b=3_000):
@@ -105,12 +130,21 @@ def rich_phases(arena_lines=4096, n_a=5_000, n_b=3_000):
 
 
 class TestChunkedGeneration:
-    """generate_chunks == build_trace, bit for bit, at every chunk size."""
+    """generate_chunks on ``backend`` == the scalar build_trace, bit for
+    bit, at every chunk size."""
+
+    backend = "scalar"
+
+    @pytest.fixture(autouse=True)
+    def _generation_backend(self):
+        require_backend(self.backend)
+        with kernels.use_backend(self.backend):
+            yield
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("chunk", [1, 313, 5_000, 1 << 20])
     def test_rich_mix_bit_identical(self, seed, chunk):
-        reference = build_trace(rich_phases(), seed=seed, name="mix")
+        reference = scalar_trace(rich_phases(), seed=seed, name="mix")
         got = trace_from_chunks(
             generate_chunks(rich_phases(), seed=seed, name="mix",
                             chunk_instructions=chunk), name="mix")
@@ -119,12 +153,14 @@ class TestChunkedGeneration:
     @pytest.mark.parametrize("name", ["povray", "mcf", "bwaves"])
     @pytest.mark.parametrize("chunk", [1_009, 1 << 20])
     def test_spec_benchmarks(self, name, chunk):
-        workload = benchmark_spec(name).workload(
-            n_instructions=40_000, seed=3)
+        spec = benchmark_spec(name)
+        with kernels.use_backend("scalar"):
+            reference = spec.workload(n_instructions=40_000, seed=3).trace
+        workload = spec.workload(n_instructions=40_000, seed=3)
         got = trace_from_chunks(
             workload_chunks(workload, chunk_instructions=chunk),
             name=name)
-        assert_traces_equal(workload.trace, got)
+        assert_traces_equal(reference, got)
 
     def test_degenerate_mixes(self):
         arena = np.arange(64, dtype=np.int64)
@@ -137,7 +173,7 @@ class TestChunkedGeneration:
             PhaseSpec("allmem", 2_000, engine, mem_fraction=1.0,
                       branch_fraction=0.0, store_fraction=1.0),
         ):
-            reference = build_trace([phase], seed=7, name="edge")
+            reference = scalar_trace([phase], seed=7, name="edge")
             got = trace_from_chunks(
                 generate_chunks([phase], seed=7, name="edge",
                                 chunk_instructions=173), name="edge")
@@ -152,6 +188,122 @@ class TestChunkedGeneration:
         a = trace_from_chunks(generate_chunks(rich_phases(), seed=1))
         b = trace_from_chunks(generate_chunks(rich_phases(), seed=2))
         assert not np.array_equal(a.mem_line, b.mem_line)
+
+
+class TestNativeChunkedGeneration(TestChunkedGeneration):
+    """The same cases on the C draws, against the numpy reference."""
+
+    backend = "native"
+
+    def test_native_draws_are_used(self, monkeypatch):
+        # The equivalence above must not pass with both sides running
+        # numpy: every C entry point of generation is reached.
+        calls = {}
+        for entry in ("draw_kinds", "count_below", "mixture_choice",
+                      "mixture_scatter"):
+            original = getattr(kernels.native, entry)
+
+            def spy(*args, _entry=entry, _original=original, **kwargs):
+                calls[_entry] = calls.get(_entry, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(kernels.native, entry, spy)
+        trace_from_chunks(generate_chunks(rich_phases(), seed=3,
+                                          chunk_instructions=1_000))
+        assert set(calls) == {"draw_kinds", "count_below",
+                              "mixture_choice", "mixture_scatter"}, calls
+        # ...and none of them on the reference.
+        calls.clear()
+        with kernels.use_backend("scalar"):
+            trace_from_chunks(generate_chunks(rich_phases(), seed=3,
+                                              chunk_instructions=1_000))
+        assert calls == {}
+
+
+def _recipe_phases(draw_params):
+    """Two phases over one shared mixture (the second reweighted), from
+    Hypothesis-drawn parameters; fresh engines on every call."""
+    (fractions, weights, zipf_a, stride, n_a, n_b, nested_weight) = \
+        draw_params
+    arena = np.arange(3_000, dtype=np.int64) + (1 << 12)
+    nested = MultiWorkingSetEngine([
+        WorkingSetComponent(
+            UniformWorkingSetEngine(arena[2_500:2_600], n_pcs=2),
+            nested_weight),
+        WorkingSetComponent(SequentialEngine(arena[2_600:2_700], n_pcs=3),
+                            1.0, pc_base=2),
+    ])
+    engines = [
+        UniformWorkingSetEngine(arena[:300], n_pcs=5),
+        UniformWorkingSetEngine(arena[300:700], n_pcs=3, zipf_a=zipf_a),
+        StridedEngine(arena[700:1_600], stride_lines=stride, n_pcs=4,
+                      round_robin_pcs=True),
+        PointerChaseEngine(arena[1_600:2_000], child_rng(4, "chase"),
+                           n_pcs=2),
+        UniformWorkingSetEngine(arena[2_000:2_500], n_pcs=2),
+        nested,
+    ]
+    pc_base = np.cumsum([0] + [e.n_pcs for e in engines[:-1]])
+    mixture = MultiWorkingSetEngine([
+        WorkingSetComponent(engine, weight, pc_base=int(base))
+        for engine, weight, base in zip(engines, weights, pc_base)])
+    (mem_a, branch_a, store_a, rate_a), (mem_b, branch_b, store_b,
+                                         rate_b) = fractions
+    return [
+        PhaseSpec("a", n_a, mixture, mem_fraction=mem_a,
+                  branch_fraction=branch_a, store_fraction=store_a,
+                  mispredict_rate=rate_a),
+        PhaseSpec("b", n_b, mixture.reweighted({0: 0.0, 4: weights[0]}),
+                  mem_fraction=mem_b, branch_fraction=branch_b,
+                  store_fraction=store_b, mispredict_rate=rate_b),
+    ]
+
+
+_unit = st.one_of(st.sampled_from([0.0, 1.0]),
+                  st.floats(0.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def _phase_fractions(draw):
+    mem = draw(_unit)
+    branch = draw(st.one_of(st.just(0.0), st.just(1.0 - mem),
+                            st.floats(0.0, 1.0 - mem)))
+    if mem + branch > 1:                 # 1 - mem rounded up
+        branch = 0.0
+    return mem, branch, draw(_unit), draw(_unit)
+
+
+_recipes = st.tuples(
+    st.tuples(_phase_fractions(), _phase_fractions()),
+    # Weights: zero-weight components included, never all zero in
+    # either phase (the second moves component 0's weight to 4).
+    st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]), min_size=6,
+             max_size=6).filter(
+        lambda w: sum(w) > 0 and sum(w[1:4]) + w[0] + w[5] > 0),
+    st.floats(0.6, 1.6),
+    st.sampled_from([1, 3, 8]),
+    st.integers(1, 1_500),
+    st.integers(0, 1_200),
+    st.sampled_from([0.0, 0.4]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=_recipes, seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 211, 1 << 20]))
+def test_native_generation_equals_reference_on_random_recipes(
+        params, seed, chunk):
+    """Random recipes — fractions at 0 and 1, zero-weight components,
+    uniform, Zipf, strided with round-robin PCs, chase and a nested
+    mixture, two phases sharing engines through ``reweighted`` — give
+    the scalar trace on native at chunk 1, a prime and beyond ``n``."""
+    require_backend("native")
+    reference = scalar_trace(_recipe_phases(params), seed=seed, name="r")
+    with kernels.use_backend("native"):
+        got = trace_from_chunks(generate_chunks(
+            _recipe_phases(params), seed=seed, name="r",
+            chunk_instructions=chunk), name="r")
+    assert_traces_equal(reference, got)
 
 
 class TestStreamedContainer:
@@ -199,41 +351,54 @@ class TestStreamedContainer:
 class TestParallelExport:
     """Pool-parallel phase generation == the serial walk, bit for bit."""
 
-    def test_isolated_phase_matches_serial_slice(self):
-        # One engine shared by both phases: its circular cursor is the
-        # serial state a worker must fast-forward through.
-        from repro.trace.stream import (
-            fast_forward_engines,
-            generate_phase_chunks,
-        )
+    @staticmethod
+    def _isolated_against_scalar_serial(backend):
+        # Engines shared by both phases: the sequential component's
+        # circular cursor is the serial state a worker must
+        # fast-forward through, and the mixture's choice and count
+        # blocks are walked on ``backend`` too.
+        require_backend(backend)
 
         def make_phases():
-            engine = SequentialEngine(np.arange(128, dtype=np.int64),
-                                      n_pcs=2)
+            arena = np.arange(256, dtype=np.int64)
+            engine = MultiWorkingSetEngine([
+                WorkingSetComponent(
+                    SequentialEngine(arena[:128], n_pcs=2), 0.6),
+                WorkingSetComponent(
+                    UniformWorkingSetEngine(arena[128:], n_pcs=3), 0.4,
+                    pc_base=2),
+            ])
             return [
                 PhaseSpec("a", 3_000, engine, mem_fraction=0.5,
                           branch_fraction=0.1),
-                PhaseSpec("b", 2_000, engine, mem_fraction=0.4,
-                          branch_fraction=0.1),
+                PhaseSpec("b", 2_000, engine.reweighted({1: 0.1}),
+                          mem_fraction=0.4, branch_fraction=0.1),
             ]
 
-        serial = [c for c in generate_chunks(
-            make_phases(), seed=9, name="x", chunk_instructions=700)
-            if c.instr_lo >= 3_000]
-        fresh = make_phases()
-        fast_forward_engines(fresh, 1, 9, name="x",
-                             chunk_instructions=700)
-        isolated = list(generate_phase_chunks(
-            fresh[1], 1, 9, name="x", chunk_instructions=700,
-            instr_offset=3_000))
+        with kernels.use_backend("scalar"):
+            serial = [c for c in generate_chunks(
+                make_phases(), seed=9, name="x", chunk_instructions=700)
+                if c.instr_lo >= 3_000]
+        with kernels.use_backend(backend):
+            fresh = make_phases()
+            fast_forward_engines(fresh, 1, 9, name="x",
+                                 chunk_instructions=700)
+            isolated = list(generate_phase_chunks(
+                fresh[1], 1, 9, name="x", chunk_instructions=700,
+                instr_offset=3_000))
         assert len(serial) == len(isolated)
         for expected, got in zip(serial, isolated):
             assert expected.instr_lo == got.instr_lo
             assert expected.instr_hi == got.instr_hi
-            for field in ("kind", "mem_instr", "mem_line", "mem_pc",
-                          "mem_store", "branch_instr", "branch_mispred"):
+            for field in TRACE_FIELDS:
                 assert np.array_equal(getattr(expected, field),
                                       getattr(got, field)), field
+
+    def test_isolated_phase_matches_serial_slice(self):
+        self._isolated_against_scalar_serial("scalar")
+
+    def test_isolated_native_phase_matches_scalar_serial_slice(self):
+        self._isolated_against_scalar_serial("native")
 
     @pytest.mark.parametrize("name", ["povray", "calculix"])
     def test_parallel_chunks_bit_identical(self, name):

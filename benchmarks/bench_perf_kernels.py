@@ -173,9 +173,8 @@ def bench_hierarchy_warm(rng):
 
 
 class _FakeTrace:
-    def __init__(self, mem_line, lines_per_page=64):
+    def __init__(self, mem_line):
         self.mem_line = mem_line
-        self.mem_page = mem_line >> 6
         self.n_accesses = mem_line.shape[0]
 
 

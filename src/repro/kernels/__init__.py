@@ -2,18 +2,23 @@
 
 The hot paths — bulk LRU warming, the fused L1+LLC hierarchy warm,
 stack-distance profiling, emptying a cache's sets, walking a run of
-misses through the MSHRs, and synthetic trace generation's kind, branch
-and mixture draws — exist in two equivalent implementations:
+misses through the MSHRs, synthetic trace generation's kind, branch
+and mixture draws, and the in-RAM trace index build — exist in two
+equivalent implementations:
 
-* ``scalar`` — the original per-access Python loops and the numpy trace
-  generator, kept as the reference semantics and as the path of hosts
+* ``scalar`` — the original per-access Python loops, the numpy trace
+  generator and the bounded index builder
+  (:class:`~repro.vff.index.LiveIndexBuilder`, one append and one
+  seal), kept as the reference semantics and as the path of hosts
   without a C compiler;
-* ``native`` (the default) — the same loops compiled from
+* ``native`` (the default) — the same work compiled from
   ``_native.c`` (:mod:`repro.kernels.native` builds it on first use
   into ``<cache>/kernels/``), bit-identical to ``scalar`` in every
   regime.  Its generation loops draw each double from the caller's own
   numpy bit generator, so every trace, fingerprint and store key is
-  the numpy generator's.
+  the numpy generator's; its index build counts the distinct lines in
+  a hash table and places every access in one pass, with no sort of
+  the accesses.
 
 Under any backend but ``scalar`` the numpy batch paths of
 classification, SMARTS's regions, CoolSim's gap profiling, vicinity

@@ -1,5 +1,6 @@
 /* Compiled kernel backend: the per-access loops of the cache and MSHR
- * hot paths, and the per-instruction draws of synthetic generation.
+ * hot paths, the per-instruction draws of synthetic generation, and the
+ * in-RAM trace index build.
  *
  * Each loop runs the per-access reference semantics of its Python
  * counterpart directly (one linear scan per access over at most
@@ -31,6 +32,9 @@
  *   mixture_choice(capsule, cdf, n, want_choices)
  *       -> (choices int32|None, per-component counts)
  *   mixture_scatter(choices, parts, pc_base) -> (lines, pcs)
+ *   build_index(lines, page_shift)
+ *       -> ((positions, keys, starts, successors),
+ *           (positions, keys, starts, ranks))
  *
  * `draw_kinds` is one chunk of a phase: a double per instruction
  * classifies it (LOAD/STORE below `mem`, STORE below `store`, else
@@ -38,6 +42,15 @@
  * second generator decides its mispredict bit.  `mixture_choice` is
  * Generator.choice(k, p) over that choice's own cdf; `mixture_scatter`
  * interleaves the components' draws back into choice order.
+ *
+ * `build_index` groups the access positions by line and by page
+ * (`line >> page_shift`) without a sort of the accesses: it counts the
+ * distinct lines in a hash table, sorts only those, derives the pages
+ * from the sorted lines, and places every access in one pass in
+ * position order.  Besides each granularity's grouped tables it writes
+ * the one per-access table that granularity's queries read: each
+ * access's next same-line position (-1 if none) and its rank among its
+ * page's accesses.  Its tables equal `vff.index`'s bounded builder's.
  *
  * `sets` is the live list-of-lists representation of SetAssocCache
  * (LRU at index 0).  The warm kernels decode it into a flat slot
@@ -899,6 +912,260 @@ done:
     return result;
 }
 
+/* -- build_index (the in-RAM trace index) ------------------------------ */
+
+/* Open-addressing table of distinct lines, linear probing, grown at
+ * half load.  `vals[h]` is 0 for an empty slot; pass 1 stores each
+ * line's access count there, and the sort replaces it with the line's
+ * sorted slot plus one.  Nothing is ever deleted, so every slot on a
+ * present line's probe path is occupied. */
+typedef struct {
+    npy_int64 *keys;
+    npy_int64 *vals;
+    npy_intp capacity;          /* a power of two */
+    int shift;                  /* 64 - log2(capacity) */
+    npy_intp size;
+} line_table;
+
+static int
+line_table_init(line_table *t, npy_intp capacity)
+{
+    int bits = 0;
+
+    while (((npy_intp)1 << bits) < capacity)
+        bits++;
+    t->capacity = (npy_intp)1 << bits;
+    t->shift = 64 - bits;
+    t->size = 0;
+    t->keys = PyMem_RawMalloc(sizeof(npy_int64) * (size_t)t->capacity);
+    t->vals = PyMem_RawCalloc((size_t)t->capacity, sizeof(npy_int64));
+    return t->keys != NULL && t->vals != NULL ? 0 : -1;
+}
+
+static void
+line_table_free(line_table *t)
+{
+    PyMem_RawFree(t->keys);
+    PyMem_RawFree(t->vals);
+    t->keys = t->vals = NULL;
+}
+
+/* The slot holding `line`, or the empty slot where it belongs. */
+static inline npy_intp
+line_table_find(const line_table *t, npy_int64 line)
+{
+    npy_intp mask = t->capacity - 1;
+    /* Fibonacci hashing: the top bits of the product spread sequential
+     * lines over the table. */
+    npy_intp h = (npy_intp)(((npy_uint64)line * 0x9E3779B97F4A7C15ULL)
+                            >> t->shift);
+
+    while (t->vals[h] != 0 && t->keys[h] != line)
+        h = (h + 1) & mask;
+    return h;
+}
+
+/* Double the capacity, rehashing every line; -1 when out of memory. */
+static int
+line_table_grow(line_table *t)
+{
+    line_table bigger;
+    npy_intp h, to;
+
+    if (line_table_init(&bigger, t->capacity * 2) < 0) {
+        line_table_free(&bigger);
+        return -1;
+    }
+    for (h = 0; h < t->capacity; h++) {
+        if (t->vals[h] == 0)
+            continue;
+        to = line_table_find(&bigger, t->keys[h]);
+        bigger.keys[to] = t->keys[h];
+        bigger.vals[to] = t->vals[h];
+    }
+    bigger.size = t->size;
+    line_table_free(t);
+    *t = bigger;
+    return 0;
+}
+
+static int
+compare_int64(const void *a, const void *b)
+{
+    npy_int64 x = *(const npy_int64 *)a, y = *(const npy_int64 *)b;
+
+    return (x > y) - (x < y);
+}
+
+/* Pass-2 state of one distinct line, by sorted slot. */
+typedef struct {
+    npy_int64 cursor;           /* its next slot in the positions table */
+    npy_int64 last;             /* its latest position so far, or -1 */
+    npy_int64 page;             /* its page's sorted slot */
+} line_state;
+
+static PyObject *
+build_index(PyObject *self, PyObject *args)
+{
+    PyArrayObject *lines_arr;
+    int page_shift, failed = 0;
+    npy_intp n, u, n_pages = 0, i, j, p, dims[1];
+    const npy_int64 *lines;
+    npy_int64 *line_pos, *line_keys, *line_starts, *successors;
+    npy_int64 *page_pos, *page_keys, *page_starts, *page_ranks;
+    npy_int64 *page_cursor = NULL;
+    line_state *state = NULL;
+    line_table table = {NULL, NULL, 0, 0, 0};
+    PyArrayObject *out[8] = {NULL};
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "O!i", &PyArray_Type, &lines_arr,
+                          &page_shift))
+        return NULL;
+    if (check_vector(lines_arr, NPY_INT64, "lines") < 0)
+        return NULL;
+    if (page_shift < 0 || page_shift > 63) {
+        PyErr_SetString(PyExc_ValueError,
+                        "build_index: page shift outside [0, 63]");
+        return NULL;
+    }
+    n = PyArray_DIM(lines_arr, 0);
+    lines = (const npy_int64 *)PyArray_DATA(lines_arr);
+    if (line_table_init(&table, 8) < 0) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* Pass 1: count every distinct line. */
+    Py_BEGIN_ALLOW_THREADS
+    for (i = 0; i < n; i++) {
+        npy_intp h = line_table_find(&table, lines[i]);
+
+        if (table.vals[h]++ != 0)
+            continue;
+        table.keys[h] = lines[i];
+        if (2 * ++table.size > table.capacity
+                && line_table_grow(&table) < 0) {
+            failed = 1;
+            break;
+        }
+    }
+    Py_END_ALLOW_THREADS
+    if (failed) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    u = table.size;
+
+    dims[0] = n;
+    out[0] = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    out[3] = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    out[4] = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    out[7] = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    dims[0] = u;
+    out[1] = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    dims[0] = u + 1;
+    out[2] = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    state = PyMem_RawMalloc(sizeof(line_state) * (size_t)(u + 1));
+    if (out[0] == NULL || out[1] == NULL || out[2] == NULL
+            || out[3] == NULL || out[4] == NULL || out[7] == NULL) {
+        goto done;
+    }
+    if (state == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    line_pos = (npy_int64 *)PyArray_DATA(out[0]);
+    line_keys = (npy_int64 *)PyArray_DATA(out[1]);
+    line_starts = (npy_int64 *)PyArray_DATA(out[2]);
+    successors = (npy_int64 *)PyArray_DATA(out[3]);
+    page_pos = (npy_int64 *)PyArray_DATA(out[4]);
+    page_ranks = (npy_int64 *)PyArray_DATA(out[7]);
+
+    /* Sort the distinct lines, prefix-sum their counts into run starts
+     * and point each table slot at its line's sorted slot.  Pages come
+     * from the sorted lines: `line >> shift` is monotone, so the lines
+     * of one page are consecutive. */
+    Py_BEGIN_ALLOW_THREADS
+    j = 0;
+    for (i = 0; i < table.capacity; i++)
+        if (table.vals[i] != 0)
+            line_keys[j++] = table.keys[i];
+    qsort(line_keys, (size_t)u, sizeof(npy_int64), compare_int64);
+    line_starts[0] = 0;
+    for (j = 0; j < u; j++) {
+        npy_intp h = line_table_find(&table, line_keys[j]);
+
+        line_starts[j + 1] = line_starts[j] + table.vals[h];
+        table.vals[h] = j + 1;
+        if (j == 0 || (line_keys[j] >> page_shift)
+                      != (line_keys[j - 1] >> page_shift))
+            n_pages++;
+    }
+    Py_END_ALLOW_THREADS
+
+    dims[0] = n_pages;
+    out[5] = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    dims[0] = n_pages + 1;
+    out[6] = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    page_cursor = PyMem_RawMalloc(sizeof(npy_int64) * (size_t)(n_pages + 1));
+    if (out[5] == NULL || out[6] == NULL)
+        goto done;
+    if (page_cursor == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    page_keys = (npy_int64 *)PyArray_DATA(out[5]);
+    page_starts = (npy_int64 *)PyArray_DATA(out[6]);
+
+    Py_BEGIN_ALLOW_THREADS
+    /* A page's run starts at its first line's run. */
+    p = -1;
+    for (j = 0; j < u; j++) {
+        npy_int64 page = line_keys[j] >> page_shift;
+
+        if (p < 0 || page != page_keys[p]) {
+            p++;
+            page_keys[p] = page;
+            page_starts[p] = page_cursor[p] = line_starts[j];
+        }
+        state[j].cursor = line_starts[j];
+        state[j].last = -1;
+        state[j].page = p;
+    }
+    page_starts[n_pages] = n;
+
+    /* Pass 2, in position order: each access takes the next slot of its
+     * line's run and of its page's run, links its line's previous
+     * access to it, and its page rank is how far its page's cursor got. */
+    for (i = 0; i < n; i++) {
+        line_state *s = &state[table.vals[line_table_find(&table,
+                                                          lines[i])] - 1];
+        npy_int64 c = page_cursor[s->page]++;
+
+        line_pos[s->cursor++] = i;
+        if (s->last >= 0)
+            successors[s->last] = i;
+        s->last = i;
+        page_pos[c] = i;
+        page_ranks[i] = c - page_starts[s->page];
+    }
+    for (j = 0; j < u; j++)
+        successors[state[j].last] = -1;
+    Py_END_ALLOW_THREADS
+
+    result = Py_BuildValue("((OOOO)(OOOO))", out[0], out[1], out[2], out[3],
+                           out[4], out[5], out[6], out[7]);
+
+done:
+    line_table_free(&table);
+    PyMem_RawFree(state);
+    PyMem_RawFree(page_cursor);
+    for (i = 0; i < 8; i++)
+        Py_XDECREF(out[i]);
+    return result;
+}
+
 /* -- module ------------------------------------------------------------ */
 
 static PyMethodDef native_methods[] = {
@@ -927,6 +1194,9 @@ static PyMethodDef native_methods[] = {
      "(choices|None, counts)"},
     {"mixture_scatter", mixture_scatter, METH_VARARGS,
      "mixture_scatter(choices, parts, pc_base) -> (lines, pcs)"},
+    {"build_index", build_index, METH_VARARGS,
+     "build_index(lines, page_shift) -> ((positions, keys, starts, "
+     "successors), (positions, keys, starts, ranks))"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -288,6 +288,23 @@ def mixture_scatter(choices, parts, pc_base):
     return _native.mixture_scatter(choices, parts, pc_base)
 
 
+def build_index(lines, page_shift):
+    """A trace's whole in-RAM index in one C call.
+
+    ``lines`` is the trace's line array, adopted without a copy when it
+    is already contiguous int64 (a memory-mapped one included), and
+    each page is ``line >> page_shift``.  Returns ``(lines_tables,
+    pages_tables)``, each ``(positions, keys, starts, per_access)``: the
+    access positions grouped by key (stably), the distinct keys
+    ascending, each key's run start (plus ``n`` at the end), and the one
+    per-access table that granularity's queries read — each access's
+    next same-line position (-1 if none) for lines, its rank among its
+    page's accesses for pages.
+    """
+    return _native.build_index(np.ascontiguousarray(lines, dtype=np.int64),
+                               int(page_shift))
+
+
 def reuse_and_stack_distances_native(lines):
     """Exact ``(reuse, stack)`` distances via the compiled Fenwick loop.
 

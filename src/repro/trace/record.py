@@ -9,11 +9,11 @@ access, the index of the instruction that issued it, and offers
 ``searchsorted``-based conversion between the two coordinate systems.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.units import CACHELINE_SHIFT, PAGE_SHIFT
+from repro.util.units import CACHELINE_SHIFT
 
 
 class Kind:
@@ -58,7 +58,6 @@ class Trace:
     branch_instr: np.ndarray
     branch_mispred: np.ndarray
     name: str = "trace"
-    _page_cache: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def n_instructions(self):
@@ -69,13 +68,6 @@ class Trace:
     def n_accesses(self):
         """Total dynamic memory-access count."""
         return int(self.mem_instr.shape[0])
-
-    @property
-    def mem_page(self):
-        """Page number of each memory access (lazily derived from lines)."""
-        if self._page_cache is None:
-            self._page_cache = self.mem_line >> (PAGE_SHIFT - CACHELINE_SHIFT)
-        return self._page_cache
 
     def validate(self):
         """Check internal consistency; raises ``ValueError`` on corruption."""

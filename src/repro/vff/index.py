@@ -4,29 +4,36 @@ A real DeLorean run discovers reuses by executing with watchpoints; the
 trace-driven substitute answers the same questions from a sorted index:
 *when was line L last accessed before access position P?* and *how many
 accesses hit page G inside a window?* (the stop count a page-protection
-watchpoint would have taken).  Building the index is one sort per
-granularity; every query is a binary search.  Both builders group
-positions by key through :func:`_group_by_key`, which packs key and
-position into one int64 so that a plain sort yields the stable order.
+watchpoint would have taken).  The index groups the access positions
+by key at each granularity, and every query is a binary search.
 Every window question — how often, and when last, did these keys occur
 in ``[lo, hi)``? — is one :meth:`_PositionIndex.batch_counts_and_last`,
 which holds the per-key reference as well as the batched search.
+Beside the grouped tables, each granularity keeps the one per-access
+table its queries read: the lines' successors and the pages' ranks
+(:meth:`TraceIndex.batch_await_reuse`) — eight tables in all.
 
 Two construction paths exist:
 
-* the in-RAM build (``TraceIndex(trace)``) sorts each granularity in
-  one go — the fastest build, for traces that are RAM-resident anyway;
+* the in-RAM build (``TraceIndex(trace)``) is one compiled call on the
+  ``native`` backend (``kernels.native.build_index``): it counts the
+  distinct lines in a hash table, sorts only those, and places every
+  access in one pass in position order — the fastest build, for
+  traces that are RAM-resident anyway;
 * the bounded **append/seal** build (:class:`LiveIndexBuilder`) folds
-  accesses in windows of ``chunk_accesses`` and seals the grouped
-  tables — *including* the successor and rank tables the batched
-  watchpoint kernels need — for the prefix consumed so far.  A live
-  feed seals at every watermark; a batch build
-  (:meth:`TraceIndex.build_spilled`) is one append of the whole trace
-  and one seal.  With a store the tables are written to spill files,
-  published as an uncompressed npz and served back as read-only memory
-  maps (:meth:`TraceIndex.open`): queries then touch only the table
-  pages the watchpoints direct them to, so a strategy run's resident
-  set scales with the sampled regions rather than the trace length.
+  accesses in windows of ``chunk_accesses`` — grouping each window by
+  key through :func:`_group_by_key`, which packs key and position into
+  one int64 so that a plain sort yields the stable order — and seals
+  the eight tables for the prefix consumed so far.  A live feed seals
+  at every watermark; a batch build (:meth:`TraceIndex.build_spilled`,
+  and ``TraceIndex(trace)`` under ``scalar`` or without a compiler) is
+  one append of the whole trace and one seal, the reference the
+  compiled build is tested against.  With a store the tables are
+  written to spill files, published as an uncompressed npz and served
+  back as read-only memory maps (:meth:`TraceIndex.open`): queries then
+  touch only the table pages the watchpoints direct them to, so a
+  strategy run's resident set scales with the sampled regions rather
+  than the trace length.
 """
 
 import os
@@ -47,6 +54,9 @@ DEFAULT_CHUNK_ACCESSES = 1 << 20
 
 _PAGE_OF_LINE_SHIFT = PAGE_SHIFT - CACHELINE_SHIFT
 
+#: The one per-access table each granularity's queries read.
+_PER_ACCESS = {"lines": "successors", "pages": "ranks"}
+
 
 def _as_int64(array):
     """``array`` as contiguous int64 — without copying when it already
@@ -55,6 +65,12 @@ def _as_int64(array):
     if array.dtype != np.int64 or not array.flags.c_contiguous:
         array = np.ascontiguousarray(array, dtype=np.int64)
     return array
+
+
+def _own_bytes(window):
+    """Bytes ``window`` holds of its own: none when it is a view of the
+    feed (a line window of an int64 feed), else its size."""
+    return 0 if window.base is not None else window.nbytes
 
 
 def _group_by_key(keys):
@@ -118,20 +134,21 @@ def _insert_keys(keys, unique, *columns):
 
 
 class _PositionIndex:
-    """Sorted access positions grouped by key (line or page)."""
+    """Sorted access positions grouped by key (line or page).
 
-    def __init__(self, keys):
-        keys = np.asarray(keys)
-        order, unique, starts, _ = _group_by_key(keys)
-        self._positions = order
-        self._keys = unique
-        self._starts = np.append(starts, keys.shape[0])
-        self._successors = None
-        self._ranks = None
+    ``_positions`` lists every access position grouped by key, each
+    key's run ascending; ``_keys`` holds the distinct keys ascending and
+    ``_starts`` each key's run start in ``_positions`` (plus the access
+    count at the end).  Beside them a part carries the one per-access
+    table its queries read: the lines' ``successors`` (each access's
+    next same-line position, -1 if none) and the pages' ``ranks`` (how
+    many same-page accesses precede each access); the other is None.
+    """
 
     @classmethod
-    def from_tables(cls, positions, keys, starts, successors, ranks):
-        """Adopt sealed tables, skipping the sort.
+    def from_tables(cls, positions, keys, starts, successors=None,
+                    ranks=None):
+        """Adopt built tables.
 
         Tables may be memory-mapped views — they are adopted as-is (no
         copy) when already the right dtype, which is what keeps a
@@ -141,50 +158,10 @@ class _PositionIndex:
         index._positions = _as_int64(positions)
         index._keys = np.asanyarray(keys)
         index._starts = _as_int64(starts)
-        index._successors = _as_int64(successors)
-        index._ranks = _as_int64(ranks)
+        index.successors = (None if successors is None
+                            else _as_int64(successors))
+        index.ranks = None if ranks is None else _as_int64(ranks)
         return index
-
-    def successors(self):
-        """Next same-key position for *every* access position (-1 if last).
-
-        The grouped table already stores each key's run contiguously in
-        ascending position order, so the successor of a run element is
-        its right neighbour; scattering through the (permutation)
-        position table turns that into an O(1) lookup per access.  An
-        in-RAM sort builds it lazily, once, in a single vectorized pass;
-        sealed indices carry it.
-        """
-        if self._successors is None:
-            n = self._positions.shape[0]
-            succ_sorted = np.empty(n, dtype=np.int64)
-            if n:
-                succ_sorted[:-1] = self._positions[1:]
-                succ_sorted[-1] = -1
-                succ_sorted[self._starts[1:] - 1] = -1   # run boundaries
-            successors = np.empty(n, dtype=np.int64)
-            successors[self._positions] = succ_sorted
-            self._successors = successors
-        return self._successors
-
-    def ranks(self):
-        """Rank of every access position within its key's run.
-
-        ``ranks()[p]`` is the number of same-key accesses strictly
-        before position ``p``; the difference of two same-key ranks is
-        therefore the access count between them — the O(1) stop-count
-        primitive behind the batched watchpoint kernels.  Lazy like
-        :meth:`successors`.
-        """
-        if self._ranks is None:
-            n = self._positions.shape[0]
-            lengths = np.diff(self._starts)
-            rank_sorted = (np.arange(n, dtype=np.int64)
-                           - np.repeat(self._starts[:-1], lengths))
-            ranks = np.empty(n, dtype=np.int64)
-            ranks[self._positions] = rank_sorted
-            self._ranks = ranks
-        return self._ranks
 
     def positions(self, key):
         """Ascending access positions of ``key`` (empty if unseen)."""
@@ -298,6 +275,9 @@ class IndexBuildStats:
     set beyond the (spillable) output tables and the O(unique keys)
     per-key state.  A seal over a previous epoch also holds its pending
     accesses' destinations (O(pending)) while it merges.
+    ``table_bytes`` counts the eight sealed tables: four O(accesses)
+    ones (each granularity's positions and its one per-access table)
+    and the O(unique keys) keys and starts.
     """
 
     n_accesses: int
@@ -410,21 +390,23 @@ class LiveIndexBuilder:
 
     :meth:`append` folds accesses, ``chunk_accesses`` at a time, into
     merged per-key state (sorted keys, occurrence counts, the counts
-    the previous epoch sealed, last-occurrence positions) plus live
-    successor/rank columns; :meth:`seal` materializes the full grouped
-    table set for the prefix consumed so far — bit-identical to the
-    in-RAM build of that prefix.  A batch build is one append and one
-    seal.
+    the previous epoch sealed, and the lines' last-occurrence
+    positions) plus one live per-access column per granularity, the one
+    its queries read: the lines' successors and the pages' ranks.
+    :meth:`seal` materializes the eight tables for the prefix consumed
+    so far — bit-identical to the compiled in-RAM build of that prefix.
+    A batch build is one append and one seal; it is also the in-RAM
+    build under the ``scalar`` backend.
 
     Invariants that make the seal cheap and exact:
 
-    * *ranks* are prefix-independent (the rank of access ``p`` within
-      its key's run counts only earlier accesses), so they are computed
-      once at append time;
-    * *successors* are appended provisionally (``-1``) and patched in
-      place when the key's next access arrives — at a seal taken at the
-      stream position every entry is either a real in-prefix successor
-      or ``-1``, exactly the batch semantics;
+    * page *ranks* are prefix-independent (the rank of access ``p``
+      within its page's run counts only earlier accesses), so they are
+      computed once at append time;
+    * line *successors* are appended provisionally (``-1``) and patched
+      in place when the line's next access arrives — at a seal taken at
+      the stream position every entry is either a real in-prefix
+      successor or ``-1``, exactly the batch semantics;
     * the builder keeps no copy of the accesses: a seal reads the ones
       appended since the previous epoch (the *pending* accesses) back
       from the prefix snapshot it is given.  They take the tail slots
@@ -436,14 +418,14 @@ class LiveIndexBuilder:
       run heads) in order, so that part of a seal is one sequential
       merge over the sorted pending destinations.
 
-    With a store the successor and rank columns live in growable spill
+    With a store the two per-access columns live in growable spill
     files and sealed epochs spill through the existing
     ``save_arrays``/``put_stream`` path (the columns stream straight
     into the blob), so the builder's resident set stays O(chunk +
     pending + unique keys) while the feed grows without bound.
     """
 
-    _GRANULARITIES = ("lines", "pages")
+    _GRANULARITIES = tuple(_PER_ACCESS)
 
     def __init__(self, store=None, spill_dir=None, chunk_accesses=None):
         self.store = store if store is not None and store.enabled else None
@@ -462,16 +444,16 @@ class LiveIndexBuilder:
         self._keys = {}
         self._counts = {}
         self._sealed_counts = {}
-        self._prev_pos = {}
-        self._succ = {}
-        self._rank = {}
-        for name in self._GRANULARITIES:
+        self._columns = {}
+        for name, table in _PER_ACCESS.items():
             self._keys[name] = np.empty(0, dtype=np.int64)
             self._counts[name] = np.empty(0, dtype=np.int64)
             self._sealed_counts[name] = np.empty(0, dtype=np.int64)
-            self._prev_pos[name] = np.empty(0, dtype=np.int64)
-            self._succ[name] = _GrowColumn(directory, name + "_succ")
-            self._rank[name] = _GrowColumn(directory, name + "_rank")
+            # Spilled as lines_succ.bin and pages_rank.bin.
+            self._columns[name] = _GrowColumn(directory,
+                                              f"{name}_{table[:4]}")
+        #: Each line's latest position, for patching its successor.
+        self._prev_pos = np.empty(0, dtype=np.int64)
         #: Accesses and per-granularity positions table of the previous
         #: sealed epoch.
         self._n_sealed = 0
@@ -492,7 +474,7 @@ class LiveIndexBuilder:
         if m == 0:
             return
         telemetry.counter("live.index.chunks")
-        columns = [*self._succ.values(), *self._rank.values()]
+        columns = self._columns.values()
         if self._columns_shared:
             # A heap epoch reads these rows; the patches below must not.
             for column in columns:
@@ -504,10 +486,12 @@ class LiveIndexBuilder:
         for lo in range(0, m, self.chunk_accesses):
             lines = np.asarray(mem_line[lo:lo + self.chunk_accesses],
                                dtype=np.int64)
+            folded = self._fold("lines", lines, n0 + lo)
+            # The page shift is made after the lines fold, for its own.
             pages = lines >> _PAGE_OF_LINE_SHIFT
-            folded = max(self._fold("lines", lines, n0 + lo),
-                         self._fold("pages", pages, n0 + lo))
-            self._hold(lines.nbytes + pages.nbytes + folded)
+            folded = max(folded,
+                         pages.nbytes + self._fold("pages", pages, n0 + lo))
+            self._hold(_own_bytes(lines) + folded)
         self.n_accesses = n0 + m
 
     def _fold(self, name, keys, n0):
@@ -515,32 +499,35 @@ class LiveIndexBuilder:
         ``n0``; returns the bytes of the temporaries it held at once."""
         m = keys.shape[0]
         order, unique, run_start, run_count = _group_by_key(keys)
-        self._keys[name], (counts, sealed, prev_pos), run_slot = _insert_keys(
-            self._keys[name], unique, (self._counts[name], 0),
-            (self._sealed_counts[name], 0), (self._prev_pos[name], -1))
-        self._counts[name], self._sealed_counts[name] = counts, sealed
-        self._prev_pos[name] = prev_pos
+        columns = [(self._counts[name], 0), (self._sealed_counts[name], 0)]
+        if name == "lines":
+            columns.append((self._prev_pos, -1))
+        self._keys[name], states, run_slot = _insert_keys(
+            self._keys[name], unique, *columns)
+        counts, self._sealed_counts[name] = states[:2]
+        self._counts[name] = counts
 
-        # Ranks: prefix count before the window + within-window rank.
-        by_key = np.repeat(counts[run_slot] - run_start, run_count)
-        by_key += np.arange(m, dtype=np.int64)
+        if name == "pages":
+            # Ranks: prefix count before the window + within-window rank.
+            by_key = np.repeat(counts[run_slot] - run_start, run_count)
+            by_key += np.arange(m, dtype=np.int64)
+        else:
+            # Successors: in-window chains now, cross-window patched in
+            # place.
+            self._prev_pos = prev_pos = states[2]
+            run_last = run_start + run_count - 1
+            by_key = np.empty(m, dtype=np.int64)
+            np.add(order[1:], n0, out=by_key[:-1])
+            by_key[run_last] = -1
+            prev = prev_pos[run_slot]
+            has_prev = prev >= 0
+            if np.any(has_prev):
+                self._columns[name].patch(prev[has_prev],
+                                          n0 + order[run_start[has_prev]])
+            prev_pos[run_slot] = n0 + order[run_last]
         column = np.empty(m, dtype=np.int64)
         column[order] = by_key
-        self._rank[name].append(column)
-
-        # Successors: in-window chains now, cross-window patched in place.
-        run_last = run_start + run_count - 1
-        np.add(order[1:], n0, out=by_key[:-1])
-        by_key[run_last] = -1
-        column[order] = by_key
-        self._succ[name].append(column)
-        prev = prev_pos[run_slot]
-        has_prev = prev >= 0
-        if np.any(has_prev):
-            self._succ[name].patch(prev[has_prev],
-                                   n0 + order[run_start[has_prev]])
-
-        prev_pos[run_slot] = n0 + order[run_last]
+        self._columns[name].append(column)
         counts[run_slot] += run_count
         # At most three window-sized arrays live at once (the packed
         # sort key or the arange beside order and by_key or the
@@ -580,10 +567,9 @@ class LiveIndexBuilder:
                 chunk_accesses=self.chunk_accesses,
                 n_chunks=-(-(n - self._n_sealed) // self.chunk_accesses),
                 peak_transient_bytes=self._peak_transient,
-                key_state_bytes=int(sum(
+                key_state_bytes=self._prev_pos.nbytes + int(sum(
                     self._keys[g].nbytes + self._counts[g].nbytes
                     + self._sealed_counts[g].nbytes
-                    + self._prev_pos[g].nbytes
                     + tables[f"{g}_starts"].nbytes
                     for g in self._GRANULARITIES)),
                 table_bytes=int(sum(t.nbytes for t in tables.values())))
@@ -631,9 +617,11 @@ class LiveIndexBuilder:
             order += lo
             positions[dest] = order
             cursors[run_slot] += run_count
-            # The line window (or its page shift), the packed sort key,
-            # order, dest and the arange, and per-distinct-key arrays.
-            self._hold(5 * dest.nbytes + 8 * unique.nbytes)
+            # The page shift (or a converted line window), the packed
+            # sort key, order, dest and the arange, and per-distinct-key
+            # arrays.
+            self._hold(_own_bytes(keys) + 4 * dest.nbytes
+                       + 8 * unique.nbytes)
         if not np.array_equal(cursors, starts_now[1:]):
             raise ValueError(_NOT_APPENDED)
 
@@ -661,8 +649,7 @@ class LiveIndexBuilder:
         tables[f"{name}_keys"] = keys_now
         tables[f"{name}_starts"] = starts_now
         tables[f"{name}_positions"] = positions
-        tables[f"{name}_successors"] = self._succ[name].view(n)
-        tables[f"{name}_ranks"] = self._rank[name].view(n)
+        tables[f"{name}_{_PER_ACCESS[name]}"] = self._columns[name].view(n)
 
     def _publish(self, trace, tables, key, label):
         published = None
@@ -687,9 +674,8 @@ class LiveIndexBuilder:
         return TraceIndex.from_tables(trace, tables)
 
     def close(self):
-        for name in self._GRANULARITIES:
-            self._succ[name].close()
-            self._rank[name].close()
+        for column in self._columns.values():
+            column.close()
         self._sealed = {}
         if self._scratch is not None:
             shutil.rmtree(self._scratch, ignore_errors=True)
@@ -710,30 +696,46 @@ class TraceIndex:
     build_stats = None
 
     def __init__(self, trace):
+        """The in-RAM index of ``trace``: one compiled call on the
+        ``native`` backend, else the bounded builder's batch build (one
+        append and one seal, heap tables), which is the reference."""
         s = telemetry.session()
         t0 = time.perf_counter() if s is not None else 0.0
         self.trace = trace
-        self.lines = _PositionIndex(trace.mem_line)
-        self.pages = _PositionIndex(trace.mem_page)
+        if kernels.get_backend() == "native":
+            lines, pages = kernels.native.build_index(
+                trace.mem_line, _PAGE_OF_LINE_SHIFT)
+            self.lines = _PositionIndex.from_tables(*lines[:3],
+                                                    successors=lines[3])
+            self.pages = _PositionIndex.from_tables(*pages[:3],
+                                                    ranks=pages[3])
+        else:
+            with LiveIndexBuilder() as builder:
+                builder.append(trace.mem_line)
+                built = builder.seal(trace)
+            self.lines, self.pages = built.lines, built.pages
         if s is not None:
-            s.add_time("index.build.sort", time.perf_counter() - t0)
+            s.add_time("index.build", time.perf_counter() - t0)
 
     @classmethod
     def from_tables(cls, trace, tables):
-        """An index over sealed tables (no sorting).
+        """An index over built tables (no sorting).
 
-        ``tables`` holds five tables per granularity —
-        ``{lines,pages}_{positions,keys,starts,successors,ranks}`` — as
-        :meth:`LiveIndexBuilder.seal` and :meth:`open` produce them.
+        ``tables`` maps names to the eight tables —
+        ``{lines,pages}_{positions,keys,starts}``, ``lines_successors``
+        and ``pages_ranks`` — as :meth:`LiveIndexBuilder.seal` and
+        :meth:`open` produce them.  Tables are looked up by name, so
+        other members (the lines' ranks and pages' successors an older
+        spilled index also holds) are ignored.
         """
         index = cls.__new__(cls)
         index.trace = trace
         index.lines, index.pages = (
             _PositionIndex.from_tables(
                 tables[f"{name}_positions"], tables[f"{name}_keys"],
-                tables[f"{name}_starts"], tables[f"{name}_successors"],
-                tables[f"{name}_ranks"])
-            for name in ("lines", "pages"))
+                tables[f"{name}_starts"],
+                **{table: tables[f"{name}_{table}"]})
+            for name, table in _PER_ACCESS.items())
         return index
 
     # -- spill / memory-mapped mode ---------------------------------------
@@ -825,7 +827,9 @@ class TraceIndex:
         the reuse in O(1); page *ranks* turn the resolved stop count
         into a rank difference (both endpoints are accesses to the
         page), and dangling watchpoints need one batched count of page
-        accesses before the limit.
+        accesses before the limit.  These two per-access tables, the
+        lines' successors and the pages' ranks, are the only ones any
+        query reads.
         """
         positions = np.asarray(positions, dtype=np.int64)
         n = positions.shape[0]
@@ -833,17 +837,16 @@ class TraceIndex:
         stops = np.zeros(n, dtype=np.int64)
         if n == 0:
             return reuse, stops
-        succ = self.lines.successors()[positions]
+        succ = self.lines.successors[positions]
         resolved = (succ >= 0) & (succ < access_limit)
-        page_ranks = self.pages.ranks()
+        page_ranks = self.pages.ranks
         reuse[resolved] = succ[resolved]
         stops[resolved] = (page_ranks[succ[resolved]]
                            - page_ranks[positions[resolved]])
         dangling = np.flatnonzero(~resolved)
         if dangling.size:
-            # Derive the sampled pages from the line array directly: on a
-            # streamed trace ``mem_page`` would materialize an
-            # O(accesses) array just to read a handful of entries.
+            # Derive the sampled pages from their lines: a handful of
+            # reads, even of a memory-mapped line array.
             pages = (np.asarray(self.trace.mem_line[positions[dangling]],
                                 dtype=np.int64) >> _PAGE_OF_LINE_SHIFT)
             unique_pages, inverse = np.unique(pages, return_inverse=True)

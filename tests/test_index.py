@@ -18,7 +18,6 @@ from repro.vff.index import (
     DEFAULT_CHUNK_ACCESSES,
     LiveIndexBuilder,
     TraceIndex,
-    _PositionIndex,
     _group_by_key,
     default_chunk_accesses,
 )
@@ -217,8 +216,8 @@ def test_batch_counts_and_last_transient_is_bounded_by_window():
     1,000-access window: the search allocates O(keys * log run), not a
     gather of every occurrence (26.8 MB here)."""
     rng = np.random.default_rng(5)
-    index = _PositionIndex(rng.permutation(
-        np.repeat(np.arange(4_096, dtype=np.int64), 250)))
+    index = index_for(rng.permutation(
+        np.repeat(np.arange(4_096, dtype=np.int64), 250))).lines
     keys = np.arange(4_096, dtype=np.int64)
     tracemalloc.start()
     try:
@@ -296,9 +295,19 @@ def test_group_by_key_matches_stable_argsort():
 _PAGE_OF_LINE_SHIFT = PAGE_SHIFT - CACHELINE_SHIFT
 
 
-def reference_tables(lines):
-    """All ten index tables of ``lines``, from a stable argsort and a
-    per-key walk — an oracle that shares no code with the builders."""
+#: Each granularity and the one per-access table its queries read.
+PER_ACCESS = (("lines", "successors"), ("pages", "ranks"))
+#: The eight index tables: each granularity's grouped tables plus its
+#: per-access table.
+INDEX_TABLES = tuple(f"{name}_{table}" for name, per_access in PER_ACCESS
+                     for table in ("positions", "keys", "starts", per_access))
+
+
+def reference_tables(lines, every_table=False):
+    """The eight index tables of ``lines``, from a stable argsort and a
+    per-key walk — an oracle that shares no code with the builders.
+    ``every_table`` adds the lines' ranks and the pages' successors,
+    which older spilled indices also carry: ten tables."""
     lines = np.asarray(lines, dtype=np.int64)
     tables = {}
     for name, keys in (("lines", lines),
@@ -317,35 +326,34 @@ def reference_tables(lines):
                        f"{name}_starts": starts,
                        f"{name}_successors": successors,
                        f"{name}_ranks": ranks})
+    if every_table:
+        return tables
+    return {table: tables[table] for table in INDEX_TABLES}
+
+
+def index_tables(index):
+    """The eight tables an index holds, by name."""
+    tables = {}
+    for name, per_access in PER_ACCESS:
+        part = getattr(index, name)
+        tables.update({f"{name}_positions": part._positions,
+                       f"{name}_keys": part._keys,
+                       f"{name}_starts": part._starts,
+                       f"{name}_{per_access}": getattr(part, per_access)})
     return tables
 
 
 def assert_matches_reference(index, reference, context=""):
-    for name in ("lines", "pages"):
-        part = getattr(index, name)
-        for table, array in (("positions", part._positions),
-                             ("keys", part._keys),
-                             ("starts", part._starts),
-                             ("successors", part.successors()),
-                             ("ranks", part.ranks())):
-            expected = reference[f"{name}_{table}"]
-            assert array.dtype == np.int64, (context, name, table)
-            assert np.array_equal(array, expected), (context, name, table)
+    tables = index_tables(index)
+    assert tuple(tables) == INDEX_TABLES
+    for table in INDEX_TABLES:
+        assert tables[table].dtype == np.int64, (context, table)
+        assert np.array_equal(tables[table], reference[table]), \
+            (context, table)
 
 
 def _assert_indices_identical(a, b, context=""):
-    for name, left, right in (("lines", a.lines, b.lines),
-                              ("pages", a.pages, b.pages)):
-        assert np.array_equal(left._positions, right._positions), \
-            (context, name, "positions")
-        assert np.array_equal(left._keys, right._keys), \
-            (context, name, "keys")
-        assert np.array_equal(left._starts, right._starts), \
-            (context, name, "starts")
-        assert np.array_equal(left.successors(), right.successors()), \
-            (context, name, "successors")
-        assert np.array_equal(left.ranks(), right.ranks()), \
-            (context, name, "ranks")
+    assert_matches_reference(a, index_tables(b), context)
 
 
 @settings(max_examples=25, deadline=None)
@@ -366,7 +374,8 @@ def test_chunked_build_matches_argsort(lines, chunk):
 
 def test_wide_span_index_matches_argsort():
     """Keys too far apart to pack with their positions take the stable
-    argsort fallback, in the in-RAM and the bounded build alike."""
+    argsort fallback in the bounded build; the compiled in-RAM build
+    has no packing limit.  Both equal the reference."""
     rng = np.random.default_rng(5)
     lines = (rng.choice([0, 1, 7, 2**40, 2**61, 2**62 - 8], size=400)
              + rng.integers(0, 3, size=400)).astype(np.int64)
@@ -374,12 +383,72 @@ def test_wide_span_index_matches_argsort():
                        n_instructions=len(lines))
     reference = reference_tables(lines)
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
-        index = TraceIndex(trace)
-    assert argsort.call_count == 2       # both granularities fell back
-    assert_matches_reference(index, reference, "in-RAM")
+        index = TraceIndex.build_spilled(trace, None, None,
+                                         chunk_accesses=400)
+    # Both granularities fell back, in the fold and in the seal.
+    assert argsort.call_count == 4
+    assert_matches_reference(index, reference, "bounded")
     assert_matches_reference(
         TraceIndex.build_spilled(trace, None, None, chunk_accesses=97),
-        reference, "bounded")
+        reference, "bounded, chunked")
+    assert_matches_reference(TraceIndex(trace), reference, "in-RAM")
+
+
+requires_native = pytest.mark.skipif(
+    not kernels.native_available(),
+    reason="the compiled kernel extension cannot be built on this host")
+
+
+@st.composite
+def page_straddling_lines(draw):
+    """Lines a few apart on both sides of page boundaries, negative
+    pages included: runs of lines that share a page beside ones that
+    just miss it."""
+    pages = draw(st.lists(st.integers(-2**50, 2**50), min_size=1,
+                          max_size=4))
+    offsets = st.integers(-3, 3) | st.integers(61, 67)
+    pool = [(page << _PAGE_OF_LINE_SHIFT) + offset
+            for page in pages
+            for offset in draw(st.lists(offsets, min_size=1, max_size=6))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.asarray(pool, dtype=np.int64)[
+        rng.integers(0, len(pool), size=draw(st.integers(0, 300)))]
+
+
+@requires_native
+@settings(max_examples=150, deadline=None)
+@given(grouping_keys() | page_straddling_lines(), st.integers(1, 64))
+def test_compiled_build_matches_reference(lines, chunk):
+    """The compiled in-RAM build equals the argsort oracle and the
+    bounded build, whatever the keys: spans past 63 bits, negative
+    lines, all-equal, empty, 2**k and 2**k + 1 accesses, and line sets
+    that straddle page boundaries."""
+    trace = make_trace(list(range(len(lines))), lines,
+                       n_instructions=max(1, len(lines)))
+    reference = reference_tables(lines)
+    with kernels.use_backend("native"):
+        assert_matches_reference(TraceIndex(trace), reference, "compiled")
+    assert_matches_reference(
+        TraceIndex.build_spilled(trace, None, None, chunk_accesses=chunk),
+        reference, f"chunk={chunk}")
+
+
+@requires_native
+def test_compiled_build_is_one_call():
+    """Under ``native`` an in-RAM build is one compiled call that makes
+    all eight tables, and no table is built later."""
+    lines = np.arange(3_000, dtype=np.int64) % 97 * 13
+    trace = make_trace(list(range(len(lines))), lines,
+                       n_instructions=len(lines))
+    with kernels.use_backend("native"), \
+            mock.patch.object(kernels.native, "build_index",
+                              wraps=kernels.native.build_index) as build, \
+            mock.patch.object(LiveIndexBuilder, "append") as append:
+        index = TraceIndex(trace)
+        index.batch_await_reuse(np.arange(0, 3_000, 7), 2_500)
+    assert build.call_count == 1
+    assert not append.called
+    assert_matches_reference(index, reference_tables(lines))
 
 
 def test_chunked_build_transients_are_bounded():
@@ -391,9 +460,9 @@ def test_chunked_build_transients_are_bounded():
     chunk = 4_096
     index = TraceIndex.build_spilled(trace, None, None, chunk_accesses=chunk)
     stats = index.build_stats
-    # Six O(n) int64 tables were produced (positions/successors/ranks
-    # at both granularities)...
-    assert stats.table_bytes > 6 * n * 8
+    # Four O(n) int64 tables were produced (positions at both
+    # granularities, the lines' successors and the pages' ranks)...
+    assert stats.table_bytes > 4 * n * 8
     # ...but no single chunk step materialized more than a small
     # multiple of the chunk length (merge state is O(unique keys)).
     assert stats.peak_transient_bytes < 16 * chunk * 8
@@ -441,6 +510,32 @@ def test_spilled_index_round_trip(tmp_path):
     reopened.close()
     spilled.close()
     assert spilled.lines is None     # closed indices drop their tables
+
+
+def test_ten_table_spilled_index_still_opens(tmp_path):
+    """An index spilled by an older version also holds the lines' ranks
+    and the pages' successors.  Its tables are read by name, so it
+    opens, and its reuse queries answer as a fresh build's do."""
+    rng = np.random.default_rng(9)
+    lines = rng.integers(0, 900, size=20_000).astype(np.int64) * 7
+    trace = make_trace(list(range(len(lines))), lines,
+                       n_instructions=len(lines))
+    store = ArtifactStore(root=tmp_path / "store", enabled=True)
+    key = {"artifact": "trace-index-spill", "trace_fingerprint": "ten"}
+    tables = reference_tables(lines, every_table=True)
+    assert len(tables) == 10
+    store.save_arrays(key, tables, label="trace-index-spill")
+    opened = TraceIndex.open(trace, store, key)
+    assert opened.mapped
+    assert_matches_reference(opened, reference_tables(lines), "ten tables")
+    fresh = TraceIndex(trace)
+    for _ in range(20):
+        limit = int(rng.integers(1, len(lines) + 1))
+        positions = rng.integers(0, limit, size=200)
+        for got, want in zip(opened.batch_await_reuse(positions, limit),
+                             fresh.batch_await_reuse(positions, limit)):
+            assert np.array_equal(got, want), limit
+    opened.close()
 
 
 def test_spilled_build_without_store_falls_back_chunked(tmp_path):

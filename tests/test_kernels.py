@@ -51,9 +51,11 @@ from repro.trace.engines import (
     UniformWorkingSetEngine,
     WorkingSetComponent,
 )
-from repro.vff.index import TraceIndex, _PositionIndex
+from repro.util.units import CACHELINE_SHIFT, PAGE_SHIFT
+from repro.vff.index import TraceIndex
 from repro.vff.watchpoint import WatchpointEngine
 from tests.conftest import make_small_workload
+from tests.test_record import make_trace
 
 
 def engine_traces(seed, n):
@@ -611,20 +613,29 @@ class TestGapProfileKernel:
     """The batched RSW primitive behind CoolSim's gap profiling."""
 
     def test_successors_and_ranks_brute_force(self):
+        """The lines' successors and the pages' ranks a build makes, on
+        every backend, against a per-access walk."""
         for name, lines, _ in engine_traces(seed=71, n=500):
-            index = _PositionIndex(lines)
-            succ = index.successors()
-            ranks = index.ranks()
+            trace = make_trace(list(range(len(lines))), lines,
+                               n_instructions=len(lines))
             last_seen = {}
             seen_count = {}
             expected_succ = np.full(lines.shape[0], -1, dtype=np.int64)
+            expected_ranks = np.empty(lines.shape[0], dtype=np.int64)
             for i, line in enumerate(lines.tolist()):
                 if line in last_seen:
                     expected_succ[last_seen[line]] = i
                 last_seen[line] = i
-                assert ranks[i] == seen_count.get(line, 0), name
-                seen_count[line] = seen_count.get(line, 0) + 1
-            assert np.array_equal(succ, expected_succ), name
+                page = line >> (PAGE_SHIFT - CACHELINE_SHIFT)
+                expected_ranks[i] = seen_count.get(page, 0)
+                seen_count[page] = expected_ranks[i] + 1
+            for backend in kernels.BACKENDS:
+                with kernels.use_backend(backend):
+                    index = TraceIndex(trace)
+                assert np.array_equal(index.lines.successors,
+                                      expected_succ), (name, backend)
+                assert np.array_equal(index.pages.ranks,
+                                      expected_ranks), (name, backend)
 
     def test_batch_await_reuse_matches_scalar(self):
         workload = make_small_workload(seed=12, n_instructions=50_000)

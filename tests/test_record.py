@@ -54,12 +54,6 @@ def test_mem_fraction():
     assert trace.mem_fraction() == pytest.approx(0.25)
 
 
-def test_mem_page_derivation():
-    # Lines 0..63 share page 0; line 64 is page 1.
-    trace = make_trace([0, 1, 2], [0, 63, 64], n_instructions=3)
-    assert trace.mem_page.tolist() == [0, 0, 1]
-
-
 def test_instructions_between_accesses():
     trace = make_trace([2, 5, 9], [1, 2, 3], n_instructions=12)
     assert trace.instructions_between_accesses(0, 3) == 8

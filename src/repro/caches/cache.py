@@ -272,9 +272,7 @@ class SetAssocCache:
 
         LRU set lists are emptied in place (one C loop on the native
         backend), so a cache reused across regions allocates no set
-        list.  A snapshot of set references (the classifier's
-        MSHR-break rollback) lives only inside one region, so a flush
-        never reaches one.
+        list.
         """
         self.hits = 0
         self.misses = 0

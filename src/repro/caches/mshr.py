@@ -12,10 +12,12 @@ Time is measured in *access indices*: a miss occupies an entry for
 latency divided by the per-access cycle cost.
 
 :meth:`MSHRFile.lookup` and :meth:`MSHRFile.allocate` are the
-per-access scalar reference.  :meth:`MSHRFile.walk` runs a whole run of
-lookups and allocations in one compiled loop (native backend), the
-classifier's and SMARTS's residual-miss walk; the file keeps the state
-either way.
+per-access scalar reference.  Compiled loops (native backend) take the
+file as slot arrays (:meth:`MSHRFile.slots`) and hand it back
+(:meth:`MSHRFile.load_slots`): :meth:`MSHRFile.walk`, which now serves
+SMARTS's residual-miss walk only, and the classifier's LLC phase
+(:func:`repro.kernels.native.classify_llc`), which looks up and
+allocates between its LLC steps.  The file keeps the state either way.
 """
 
 import math
@@ -86,15 +88,30 @@ class MSHRFile:
         counters end exactly as the per-access calls leave them.  Native
         backend only.
         """
+        slot_lines, slot_deadlines, occupied = self.slots()
+        hit_mask, *counts = native.mshr_walk(
+            slot_lines, slot_deadlines, occupied, lines, positions,
+            allocate, self.window)
+        self.load_slots(slot_lines, slot_deadlines, *counts)
+        return hit_mask
+
+    def slots(self):
+        """The file as a compiled loop takes it: ``(slot_lines,
+        slot_deadlines, occupied)``, fresh int64 arrays with one slot
+        per MSHR, the outstanding entries first in insertion order."""
         outstanding = self._outstanding
         slot_lines = np.zeros(self.n_entries, dtype=np.int64)
         slot_deadlines = np.zeros(self.n_entries, dtype=np.int64)
         occupied = len(outstanding)
         slot_lines[:occupied] = list(outstanding)
         slot_deadlines[:occupied] = list(outstanding.values())
-        hit_mask, occupied, hits, allocations, failures = native.mshr_walk(
-            slot_lines, slot_deadlines, occupied, lines, positions,
-            allocate, self.window)
+        return slot_lines, slot_deadlines, occupied
+
+    def load_slots(self, slot_lines, slot_deadlines, occupied, hits,
+                   allocations, failures):
+        """Take back the slot arrays a compiled loop left with
+        ``occupied`` outstanding entries, and add its counts."""
+        outstanding = self._outstanding
         outstanding.clear()
         outstanding.update(zip(slot_lines[:occupied].tolist(),
                                slot_deadlines[:occupied].tolist()))
@@ -102,7 +119,6 @@ class MSHRFile:
         self.mshr_hits += hits
         self.allocations += allocations
         self.allocation_failures += failures
-        return hit_mask
 
     @property
     def occupancy(self):

@@ -12,19 +12,16 @@ knows only a *distribution* per load PC and must draw; DSW knows the
 exact reuse distance of the very line being accessed — this is where the
 accuracy gain of Figures 9/10 comes from.
 
-Both forms answer in outcome codes (:mod:`repro.caches.stats`): a
-per-access call returns one, and :meth:`DirectedCapacityPredictor.predict_many`
-an int8 array of them, which the classifier stores as is.
+The predictor answers in outcome codes (:mod:`repro.caches.stats`),
+one per call.  The compiled classifier reads it as a table instead
+(:meth:`DirectedCapacityPredictor.key_table`): the key lines and each
+one's StatStack stack distance, computed once per predictor, so the
+Analysts of a sweep, which share a region's predictor, share it too.
 """
 
 import numpy as np
 
-from repro.caches.stats import (
-    HIT_WARMING,
-    MISS_CAPACITY,
-    MISS_COLD,
-    MISS_CONFLICT,
-)
+from repro.caches.stats import HIT_WARMING, MISS_CAPACITY, MISS_COLD
 from repro.statmodel.statstack import StatStack
 
 #: Sentinel reuse distance for key lines never found in the warm-up
@@ -41,13 +38,7 @@ class DirectedCapacityPredictor:
         self.statstack = StatStack(vicinity_histogram)
         self.lookups = 0
         self.unknown_lines = 0
-        # The same table sorted by line, for predict_many's searchsorted.
-        n_keys = len(self.key_reuse_distances)
-        keys = np.fromiter(self.key_reuse_distances, np.int64, count=n_keys)
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._distances = np.fromiter(self.key_reuse_distances.values(),
-                                      np.int64, count=n_keys)[order]
+        self._key_table = None
 
     def __call__(self, pc, line, effective_llc_lines):
         self.lookups += 1
@@ -65,36 +56,29 @@ class DirectedCapacityPredictor:
             return MISS_CAPACITY
         return HIT_WARMING
 
-    def predict_many(self, lines, effective_lines, llc_lines):
-        """Outcomes of a batch of accesses, with the full-capacity recheck.
+    def key_table(self):
+        """``(keys, stack)``: the key lines ascending and each one's
+        stack distance, ``-1.0`` for a cold key — the table
+        :func:`repro.kernels.native.classify_llc` decides from exactly
+        as per-access calls decide.  Built on first use."""
+        if self._key_table is None:
+            n_keys = len(self.key_reuse_distances)
+            keys = np.fromiter(self.key_reuse_distances, np.int64,
+                               count=n_keys)
+            distances = np.fromiter(self.key_reuse_distances.values(),
+                                    np.int64, count=n_keys)
+            order = np.argsort(keys)
+            distances = distances[order]
+            stack = np.where(distances == COLD_DISTANCE, -1.0,
+                             self.statstack.stack_distance(distances))
+            self._key_table = keys[order], stack
+        return self._key_table
 
-        Element ``i`` is what the classifier derives from per-access
-        calls: ``self(pc, lines[i], effective_lines[i])``, and, for a
-        capacity miss under a stride-limited ``effective_lines[i] <
-        llc_lines``, a second call at ``llc_lines`` that turns the miss
-        into ``MISS_CONFLICT`` when the full cache would have held the
-        line.  The counters advance as those calls would advance them.
-        Returns an int8 array of outcome codes.
-        """
-        lines = np.asarray(lines, dtype=np.int64)
-        effective_lines = np.asarray(effective_lines, dtype=np.int64)
-        slot = np.searchsorted(self._keys, lines)
-        known = slot < self._keys.shape[0]
-        known[known] = self._keys[slot[known]] == lines[known]
-        distance = np.full(lines.shape[0], COLD_DISTANCE, dtype=np.int64)
-        distance[known] = self._distances[slot[known]]
-        warm = distance != COLD_DISTANCE
-        stack = np.full(lines.shape[0], np.inf)
-        stack[warm] = self.statstack.stack_distance(distance[warm])
-        capacity = warm & (stack >= effective_lines)
-        codes = np.full(lines.shape[0], MISS_COLD, dtype=np.int8)
-        codes[warm] = HIT_WARMING
-        codes[capacity] = MISS_CAPACITY
-        recheck = capacity & (effective_lines < llc_lines)
-        codes[recheck & (stack < llc_lines)] = MISS_CONFLICT
-        self.lookups += lines.shape[0] + int(np.count_nonzero(recheck))
-        self.unknown_lines += lines.shape[0] - int(np.count_nonzero(known))
-        return codes
+    def count_lookups(self, lookups, unknown_lines):
+        """Count decisions taken from :meth:`key_table` (rechecks
+        included) as the per-access calls would have counted them."""
+        self.lookups += lookups
+        self.unknown_lines += unknown_lines
 
     def predicted_stack_distance(self, line):
         """Expected stack distance for a key line (inf if cold/unknown)."""

@@ -1,10 +1,11 @@
 """Simulation kernels and backend selection.
 
 The hot paths — bulk LRU warming, the fused L1+LLC hierarchy warm,
-stack-distance profiling, emptying a cache's sets, walking a run of
-misses through the MSHRs, synthetic trace generation's kind, branch
-and mixture draws, and the in-RAM trace index build — exist in two
-equivalent implementations:
+a detailed region's classification past the L1 (LLC, MSHRs and
+capacity predictor), stack-distance profiling, emptying a cache's
+sets, walking a run of misses through the MSHRs, synthetic trace
+generation's kind, branch and mixture draws, and the in-RAM trace
+index build — exist in two equivalent implementations:
 
 * ``scalar`` — the original per-access Python loops, the numpy trace
   generator and the bounded index builder

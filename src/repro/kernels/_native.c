@@ -1,6 +1,6 @@
-/* Compiled kernel backend: the per-access loops of the cache and MSHR
- * hot paths, the per-instruction draws of synthetic generation, and the
- * in-RAM trace index build.
+/* Compiled kernel backend: the per-access loops of the cache, MSHR and
+ * classification hot paths, the per-instruction draws of synthetic
+ * generation, and the in-RAM trace index build.
  *
  * Each loop runs the per-access reference semantics of its Python
  * counterpart directly (one linear scan per access over at most
@@ -24,6 +24,12 @@
  *   mshr_walk(slot_lines, slot_deadlines, occupied, lines, positions,
  *             allocate, window)
  *       -> (hit_mask, occupied, hits, allocations, failures)
+ *   classify_llc(sets, mask, assoc, lines, positions, pcs, capacities,
+ *                full_capacity, slot_lines, slot_deadlines, occupied,
+ *                window, predictor)
+ *       -> (codes, outcome_positions, (llc_hits, llc_misses, warming),
+ *           (occupied, mshr_hits, allocations, failures),
+ *           (predicted, rechecks, unknown))
  *   stack_from_prev(prev) -> stack distances (int64, -1 for cold)
  *   draw_kinds(kind_capsule, branch_capsule, n, mem, store, branch,
  *              mispredict, offset)
@@ -35,6 +41,38 @@
  *   build_index(lines, page_shift)
  *       -> ((positions, keys, starts, successors),
  *           (positions, keys, starts, ranks))
+ *
+ * `sets` is the live list-of-lists representation of SetAssocCache
+ * (LRU at index 0).  A cache kernel first finds the sets its lines
+ * map to (a `set_view`), decodes only those into a flat slot array,
+ * runs, and writes each set it changed back into its list, reusing
+ * the int objects of the lines the set still holds: a set no line
+ * reaches is never read, so a call costs its batch, not the cache.
+ * `clear_sets` empties every list in place: a flush keeps each set's
+ * list object.
+ *
+ * The MSHR file comes in and goes out as slot arrays, its outstanding
+ * lines and deadlines in insertion order (`mshr_file`).  `mshr_lookup`
+ * and `mshr_allocate` are MSHRFile.lookup and MSHRFile.allocate;
+ * `mshr_walk` runs them over a run of accesses (SMARTS's residual
+ * misses), and `classify_llc` between its LLC steps.
+ *
+ * `classify_llc` is the classifier's LLC phase for one region and
+ * configuration: it takes the region's L1-miss substream through the
+ * lukewarm LLC in access order, as the scalar reference does past the
+ * L1.  An LLC hit updates recency; an outstanding miss is an MSHR hit
+ * and skips the fetch; a full set is a conflict miss; otherwise the
+ * capacity predictor decides at the access's stride-limited capacity,
+ * and a capacity miss at a capacity below the full one is asked again
+ * at the full capacity and becomes a conflict miss if that hits.
+ * Every outcome but a warming hit allocates an MSHR, and the line is
+ * then fetched.  The predictor is either the DSW key table, `(keys,
+ * stack)`: the key lines ascending and each one's StatStack stack
+ * distance (-1 for a cold key; a line outside the table is an unknown,
+ * cold one), or a Python callable `f(pc, line, capacity) -> code`,
+ * called once per decision in access order with the GIL held.  On any
+ * error nothing is written back: the sets are untouched and the MSHR
+ * slot arrays are the caller's copies.
  *
  * `draw_kinds` is one chunk of a phase: a double per instruction
  * classifies it (LOAD/STORE below `mem`, STORE below `store`, else
@@ -51,19 +89,6 @@
  * the one per-access table that granularity's queries read: each
  * access's next same-line position (-1 if none) and its rank among its
  * page's accesses.  Its tables equal `vff.index`'s bounded builder's.
- *
- * `sets` is the live list-of-lists representation of SetAssocCache
- * (LRU at index 0).  The warm kernels decode it into a flat slot
- * array, run, and write each touched set back as a *new* list: they
- * never mutate a set list, so a list of set references is an exact
- * snapshot (the classifier's MSHR-break rollback relies on it).
- * `clear_sets` is the one kernel that empties the lists in place: a
- * flush keeps every set's list object.
- *
- * `mshr_walk` runs MSHRFile.lookup for each access of a run, then
- * MSHRFile.allocate on a miss where `allocate` is set; the file's
- * outstanding entries come in and go out as slot arrays in insertion
- * order.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -76,71 +101,341 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* -- list-of-lists <-> flat slot array -------------------------------- */
+/* Outcome codes (repro.caches.stats). */
+#define HIT_MSHR 1
+#define MISS_CONFLICT 2
+#define MISS_CAPACITY 4
+#define MISS_COLD 5
+#define HIT_WARMING 6
+
+/* 0 when `arr` is a contiguous 1-d array of `type`, else -1 with a
+ * TypeError naming it. */
+static int
+check_vector(PyArrayObject *arr, int type, const char *name)
+{
+    PyArray_Descr *descr;
+
+    if (PyArray_TYPE(arr) == type && PyArray_IS_C_CONTIGUOUS(arr)
+            && PyArray_NDIM(arr) == 1)
+        return 0;
+    descr = PyArray_DescrFromType(type);
+    PyErr_Format(PyExc_TypeError, "%s must be a contiguous 1-d %s array",
+                 name, descr != NULL ? descr->typeobj->tp_name : "?");
+    Py_XDECREF(descr);
+    return -1;
+}
+
+/* -- int64 hash table ---------------------------------------------------- */
+
+/* Open-addressing table of distinct int64 keys, linear probing.
+ * `vals[h]` is 0 for an empty slot.  Nothing is ever deleted, so every
+ * slot on a present key's probe path is occupied.  Transients come
+ * from PyMem_RawMalloc, so tracemalloc sees them and no GIL is needed. */
+typedef struct {
+    npy_int64 *keys;
+    npy_int64 *vals;
+    npy_intp capacity;          /* a power of two, at least 2 */
+    int shift;                  /* 64 - log2(capacity) */
+    npy_intp size;
+} line_table;
 
 static int
-load_sets(PyObject *sets, npy_int64 *slots, npy_intp *occ,
-          npy_intp n_sets, npy_intp assoc)
+line_table_init(line_table *t, npy_intp capacity)
 {
-    npy_intp s, j, m;
+    int bits = 1;
 
-    for (s = 0; s < n_sets; s++) {
-        PyObject *entries = PyList_GET_ITEM(sets, s);
+    while (((npy_intp)1 << bits) < capacity)
+        bits++;
+    t->capacity = (npy_intp)1 << bits;
+    t->shift = 64 - bits;
+    t->size = 0;
+    t->keys = PyMem_RawMalloc(sizeof(npy_int64) * (size_t)t->capacity);
+    t->vals = PyMem_RawCalloc((size_t)t->capacity, sizeof(npy_int64));
+    return t->keys != NULL && t->vals != NULL ? 0 : -1;
+}
+
+static void
+line_table_free(line_table *t)
+{
+    PyMem_RawFree(t->keys);
+    PyMem_RawFree(t->vals);
+    t->keys = t->vals = NULL;
+}
+
+/* The slot holding `key`, or the empty slot where it belongs. */
+static inline npy_intp
+line_table_find(const line_table *t, npy_int64 key)
+{
+    npy_intp mask = t->capacity - 1;
+    /* Fibonacci hashing: the top bits of the product spread sequential
+     * keys over the table. */
+    npy_intp h = (npy_intp)(((npy_uint64)key * 0x9E3779B97F4A7C15ULL)
+                            >> t->shift);
+
+    while (t->vals[h] != 0 && t->keys[h] != key)
+        h = (h + 1) & mask;
+    return h;
+}
+
+/* Double the capacity, rehashing every key; -1 when out of memory. */
+static int
+line_table_grow(line_table *t)
+{
+    line_table bigger;
+    npy_intp h, to;
+
+    if (line_table_init(&bigger, t->capacity * 2) < 0) {
+        line_table_free(&bigger);
+        return -1;
+    }
+    for (h = 0; h < t->capacity; h++) {
+        if (t->vals[h] == 0)
+            continue;
+        to = line_table_find(&bigger, t->keys[h]);
+        bigger.keys[to] = t->keys[h];
+        bigger.vals[to] = t->vals[h];
+    }
+    bigger.size = t->size;
+    line_table_free(t);
+    *t = bigger;
+    return 0;
+}
+
+/* -- the sets a batch reaches ------------------------------------------ */
+
+/* A batch's view of a cache's set lists: the sets its lines map to,
+ * each decoded into one row of `assoc` slots (LRU first).  A batch of
+ * fewer lines than a quarter of the sets numbers its rows in
+ * first-reach order through a hash table, so the view is sized by the
+ * batch alone; a longer one indexes its rows by set, which costs
+ * O(n_sets) = O(4n) to allocate and saves a probe per access. */
+typedef struct {
+    PyObject *sets;             /* borrowed: the cache's list of lists */
+    npy_int64 mask;
+    npy_intp assoc;
+    int dense;                  /* each set is its own row */
+    line_table rows;            /* otherwise: set -> its row + 1 */
+    npy_intp n_reached;
+    npy_int64 *reached;         /* the reached sets (by row order) */
+    npy_int64 *slots;           /* rows of `assoc` lines */
+    npy_intp *occ;              /* valid ways per row */
+    unsigned char *dirty;       /* the row changed: write it back */
+} set_view;
+
+static void
+set_view_close(set_view *v)
+{
+    line_table_free(&v->rows);
+    PyMem_RawFree(v->reached);
+    PyMem_RawFree(v->slots);
+    PyMem_RawFree(v->occ);
+    PyMem_RawFree(v->dirty);
+    v->reached = v->slots = NULL;
+    v->occ = NULL;
+    v->dirty = NULL;
+}
+
+/* The row of the `k`-th reached set. */
+static inline npy_intp
+reached_row(const set_view *v, npy_intp k)
+{
+    return v->dense ? (npy_intp)v->reached[k] : k;
+}
+
+/* The row of the set `line` maps to; the set must be in the view. */
+static inline npy_intp
+set_view_row(const set_view *v, npy_int64 line)
+{
+    if (v->dense)
+        return (npy_intp)(line & v->mask);
+    return (npy_intp)v->rows.vals[line_table_find(&v->rows,
+                                                  line & v->mask)] - 1;
+}
+
+/* Find the sets `lines` reach (no GIL needed), then decode each of
+ * them; -1 with an exception set (the view is then closed). */
+static int
+set_view_open(set_view *v, PyObject *sets, npy_int64 mask, npy_intp assoc,
+              const npy_int64 *lines, npy_intp n)
+{
+    npy_intp n_sets = PyList_GET_SIZE(sets);
+    npy_intp bound = n < n_sets ? n : n_sets;
+    npy_intp n_rows, i, k, j, m;
+
+    memset(v, 0, sizeof(*v));
+    v->sets = sets;
+    v->mask = mask;
+    v->assoc = assoc;
+    v->dense = 4 * n >= n_sets;
+    n_rows = v->dense ? n_sets : bound;
+    v->reached = PyMem_RawMalloc(sizeof(npy_int64) * (size_t)(bound + 1));
+    v->slots = PyMem_RawMalloc(sizeof(npy_int64)
+                               * (size_t)(n_rows * assoc + 1));
+    v->occ = PyMem_RawMalloc(sizeof(npy_intp) * (size_t)(n_rows + 1));
+    v->dirty = PyMem_RawCalloc((size_t)n_rows + 1, 1);
+    if (v->reached == NULL || v->slots == NULL || v->occ == NULL
+            || v->dirty == NULL
+            || (!v->dense && line_table_init(&v->rows, 2 * bound) < 0)) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+
+    Py_BEGIN_ALLOW_THREADS
+    {
+        npy_int64 *reached = v->reached;
+        npy_intp count = 0;
+
+        if (v->dense) {
+            /* `dirty` marks the reached sets until the loop starts;
+             * once every set is reached the rest cannot add one.  The
+             * sets are then listed in order, so decoding and writing
+             * back walk the set lists in memory order. */
+            unsigned char *mark = v->dirty;
+
+            for (i = 0; i < n && count < n_sets; i++) {
+                npy_int64 s = lines[i] & mask;
+
+                count += !mark[s];
+                mark[s] = 1;
+            }
+            for (count = k = 0; k < n_sets; k++) {
+                if (mark[k]) {
+                    mark[k] = 0;
+                    reached[count++] = k;
+                }
+            }
+        } else {
+            line_table rows = v->rows;
+
+            for (i = 0; i < n; i++) {
+                npy_int64 s = lines[i] & mask;
+                npy_intp h = line_table_find(&rows, s);
+
+                if (rows.vals[h] == 0) {
+                    rows.keys[h] = s;
+                    reached[count] = s;
+                    rows.vals[h] = ++count;
+                }
+            }
+        }
+        v->n_reached = count;
+    }
+    Py_END_ALLOW_THREADS
+
+    for (k = 0; k < v->n_reached; k++) {
+        PyObject *entries = PyList_GET_ITEM(sets, v->reached[k]);
+        npy_int64 *base = v->slots + reached_row(v, k) * assoc;
+
         if (!PyList_Check(entries)) {
             PyErr_SetString(PyExc_TypeError,
                             "cache sets must be lists of lines");
-            return -1;
+            goto fail;
         }
         m = PyList_GET_SIZE(entries);
         if (m > assoc) {
             PyErr_SetString(PyExc_ValueError,
                             "set holds more lines than the associativity");
-            return -1;
+            goto fail;
         }
-        occ[s] = m;
+        v->occ[reached_row(v, k)] = m;
         for (j = 0; j < m; j++) {
-            npy_int64 line = PyLong_AsLongLong(PyList_GET_ITEM(entries, j));
-            if (line == -1 && PyErr_Occurred())
-                return -1;
-            slots[s * assoc + j] = line;
+            base[j] = PyLong_AsLongLong(PyList_GET_ITEM(entries, j));
+            if (base[j] == -1 && PyErr_Occurred())
+                goto fail;
         }
     }
     return 0;
+
+fail:
+    set_view_close(v);
+    return -1;
 }
 
+/* Write every changed row back into its set's list.  A line the list
+ * already holds keeps its int object, and a list of the row's length
+ * is updated in place, so a row costs the lines it gained.  LRU steps
+ * keep most lines in order, so each line is looked for from just past
+ * the previous one's old slot. */
 static int
-store_sets(PyObject *sets, const npy_int64 *slots, const npy_intp *occ,
-           const unsigned char *dirty, npy_intp n_sets, npy_intp assoc)
+set_view_store(const set_view *v)
 {
-    npy_intp s, j;
+    npy_intp k, j, q, t, at, m, m0;
+    npy_int64 *held = PyMem_RawMalloc(sizeof(npy_int64) * (size_t)v->assoc);
+    PyObject **items = PyMem_RawMalloc(sizeof(PyObject *)
+                                       * (size_t)v->assoc);
+    int status = -1;
 
-    for (s = 0; s < n_sets; s++) {
-        PyObject *entries;
-
-        if (!dirty[s])
-            continue;
-        entries = PyList_New(occ[s]);
-        if (entries == NULL)
-            return -1;
-        for (j = 0; j < occ[s]; j++) {
-            PyObject *item = PyLong_FromLongLong(slots[s * assoc + j]);
-            if (item == NULL) {
-                Py_DECREF(entries);
-                return -1;
-            }
-            PyList_SET_ITEM(entries, j, item);
-        }
-        if (PyList_SetItem(sets, s, entries) < 0)
-            return -1;
+    if (held == NULL || items == NULL) {
+        PyErr_NoMemory();
+        goto done;
     }
-    return 0;
+    for (k = 0; k < v->n_reached; k++) {
+        npy_intp r = reached_row(v, k);
+        const npy_int64 *row = v->slots + r * v->assoc;
+        PyObject *entries = PyList_GET_ITEM(v->sets, v->reached[k]);
+
+        if (!v->dirty[r])
+            continue;
+        m = v->occ[r];
+        /* A set list a predictor callback replaced or overfilled since
+         * the decode lends no objects: the row gets a new list. */
+        m0 = PyList_Check(entries) && PyList_GET_SIZE(entries) <= v->assoc
+            ? PyList_GET_SIZE(entries) : 0;
+        for (q = 0; q < m0; q++) {
+            held[q] = PyLong_AsLongLong(PyList_GET_ITEM(entries, q));
+            if (held[q] == -1 && PyErr_Occurred())
+                goto done;
+        }
+        for (j = at = 0; j < m; j++) {
+            for (t = 0, q = at; t < m0 && held[q] != row[j]; t++)
+                q = q + 1 < m0 ? q + 1 : 0;
+            if (t < m0) {
+                at = q + 1 < m0 ? q + 1 : 0;
+                items[j] = PyList_GET_ITEM(entries, q);
+                Py_INCREF(items[j]);
+            } else if ((items[j] = PyLong_FromLongLong(row[j])) == NULL) {
+                while (j-- > 0)
+                    Py_DECREF(items[j]);
+                goto done;
+            }
+        }
+        if (m == m0) {
+            for (j = 0; j < m; j++) {
+                PyObject *old = PyList_GET_ITEM(entries, j);
+
+                PyList_SET_ITEM(entries, j, items[j]);
+                Py_DECREF(old);
+            }
+        } else {
+            PyObject *fresh = PyList_New(m);
+
+            if (fresh == NULL) {
+                for (j = 0; j < m; j++)
+                    Py_DECREF(items[j]);
+                goto done;
+            }
+            for (j = 0; j < m; j++)
+                PyList_SET_ITEM(fresh, j, items[j]);
+            if (PyList_SetItem(v->sets, (Py_ssize_t)v->reached[k],
+                               fresh) < 0)
+                goto done;
+        }
+    }
+    status = 0;
+
+done:
+    PyMem_RawFree(held);
+    PyMem_RawFree(items);
+    return status;
 }
 
-/* One LRU access against a flat slot array.  Returns 1 on hit. */
+/* -- LRU steps on one row ---------------------------------------------- */
+
+/* Make `line` the MRU line of a row holding `m` lines; 1 if it was
+ * there (a hit), else 0 and the row is unchanged. */
 static inline int
-lru_access(npy_int64 *base, npy_intp *occ, npy_intp assoc, npy_int64 line)
+lru_hit(npy_int64 *base, npy_intp m, npy_int64 line)
 {
-    npy_intp m = *occ;
     npy_intp j;
 
     for (j = 0; j < m; j++) {
@@ -151,6 +446,16 @@ lru_access(npy_int64 *base, npy_intp *occ, npy_intp assoc, npy_int64 line)
             return 1;
         }
     }
+    return 0;
+}
+
+/* Fill an absent `line` as MRU, evicting the LRU line of a full row. */
+static inline void
+lru_fill(npy_int64 *base, npy_intp *occ, npy_intp assoc, npy_int64 line)
+{
+    npy_intp m = *occ;
+    npy_intp j;
+
     if (m >= assoc) {
         for (j = 0; j < m - 1; j++)
             base[j] = base[j + 1];
@@ -159,7 +464,28 @@ lru_access(npy_int64 *base, npy_intp *occ, npy_intp assoc, npy_int64 line)
         base[m] = line;
         *occ = m + 1;
     }
+}
+
+/* One LRU access: SetAssocCache.access.  Returns 1 on a hit. */
+static inline int
+lru_access(npy_int64 *base, npy_intp *occ, npy_intp assoc, npy_int64 line)
+{
+    if (lru_hit(base, *occ, line))
+        return 1;
+    lru_fill(base, occ, assoc, line);
     return 0;
+}
+
+/* 0 when `sets` has `mask + 1` lists and `assoc` is positive, else -1
+ * with a ValueError. */
+static int
+check_geometry(PyObject *sets, long long mask, long long assoc)
+{
+    if (assoc > 0 && PyList_GET_SIZE(sets) == (npy_intp)(mask + 1))
+        return 0;
+    PyErr_SetString(PyExc_ValueError,
+                    "set count must equal mask + 1 with assoc > 0");
+    return -1;
 }
 
 /* -- warm_lru ---------------------------------------------------------- */
@@ -169,48 +495,26 @@ warm_lru(PyObject *self, PyObject *args)
 {
     PyObject *sets;
     PyArrayObject *lines_arr;
-    long long mask_ll, assoc_ll;
+    long long mask, assoc_ll;
     int want_info;
-    npy_intp n_sets, assoc, n, i;
-    npy_int64 mask;
-    npy_int64 *slots = NULL, *lines, *occ_out = NULL;
-    npy_intp *occ = NULL;
-    unsigned char *dirty = NULL, *mask_out = NULL;
+    npy_intp assoc, n, i;
+    npy_int64 *lines, *occ_out = NULL;
+    unsigned char *mask_out = NULL;
     PyArrayObject *hit_mask = NULL, *occupancy = NULL;
     long long hits = 0;
+    set_view view;
     PyObject *result = NULL;
 
     if (!PyArg_ParseTuple(args, "O!O!LLp", &PyList_Type, &sets,
                           &PyArray_Type, &lines_arr,
-                          &mask_ll, &assoc_ll, &want_info))
+                          &mask, &assoc_ll, &want_info))
         return NULL;
-    n_sets = PyList_GET_SIZE(sets);
-    mask = (npy_int64)mask_ll;
+    if (check_geometry(sets, mask, assoc_ll) < 0
+            || check_vector(lines_arr, NPY_INT64, "lines") < 0)
+        return NULL;
     assoc = (npy_intp)assoc_ll;
-    if (assoc <= 0 || n_sets != (npy_intp)(mask + 1)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "set count must equal mask + 1 with assoc > 0");
-        return NULL;
-    }
-    if (PyArray_TYPE(lines_arr) != NPY_INT64
-            || !PyArray_IS_C_CONTIGUOUS(lines_arr)
-            || PyArray_NDIM(lines_arr) != 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "lines must be a contiguous 1-d int64 array");
-        return NULL;
-    }
     n = PyArray_DIM(lines_arr, 0);
     lines = (npy_int64 *)PyArray_DATA(lines_arr);
-
-    slots = malloc(sizeof(npy_int64) * (size_t)(n_sets * assoc));
-    occ = calloc((size_t)n_sets, sizeof(npy_intp));
-    dirty = calloc((size_t)n_sets, 1);
-    if (slots == NULL || occ == NULL || dirty == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (load_sets(sets, slots, occ, n_sets, assoc) < 0)
-        goto done;
 
     if (want_info) {
         npy_intp dims[1] = {n};
@@ -221,37 +525,39 @@ warm_lru(PyObject *self, PyObject *args)
         mask_out = (unsigned char *)PyArray_DATA(hit_mask);
         occ_out = (npy_int64 *)PyArray_DATA(occupancy);
     }
+    if (set_view_open(&view, sets, (npy_int64)mask, assoc, lines, n) < 0)
+        goto done;
 
     Py_BEGIN_ALLOW_THREADS
-    for (i = 0; i < n; i++) {
-        npy_int64 line = lines[i];
-        npy_intp s = (npy_intp)(line & mask);
-        int hit;
+    {
+        /* A copy whose address never escapes stays in registers. */
+        const set_view v = view;
 
-        if (want_info)
-            occ_out[i] = (npy_int64)occ[s];
-        hit = lru_access(slots + s * assoc, &occ[s], assoc, line);
-        dirty[s] = 1;
-        if (hit) {
-            hits++;
+        for (i = 0; i < n; i++) {
+            npy_int64 line = lines[i];
+            npy_intp r = set_view_row(&v, line);
+
             if (want_info)
-                mask_out[i] = 1;
+                occ_out[i] = (npy_int64)v.occ[r];
+            v.dirty[r] = 1;
+            if (lru_access(v.slots + r * assoc, &v.occ[r], assoc, line)) {
+                hits++;
+                if (want_info)
+                    mask_out[i] = 1;
+            }
         }
     }
     Py_END_ALLOW_THREADS
 
-    if (store_sets(sets, slots, occ, dirty, n_sets, assoc) < 0)
-        goto done;
-
-    if (want_info)
-        result = Py_BuildValue("(LOO)", hits, hit_mask, occupancy);
-    else
-        result = Py_BuildValue("(LOO)", hits, Py_None, Py_None);
+    if (set_view_store(&view) == 0) {
+        if (want_info)
+            result = Py_BuildValue("(LOO)", hits, hit_mask, occupancy);
+        else
+            result = Py_BuildValue("(LOO)", hits, Py_None, Py_None);
+    }
+    set_view_close(&view);
 
 done:
-    free(slots);
-    free(occ);
-    free(dirty);
     Py_XDECREF(hit_mask);
     Py_XDECREF(occupancy);
     return result;
@@ -264,99 +570,71 @@ warm_hierarchy(PyObject *self, PyObject *args)
 {
     PyObject *l1_sets, *llc_sets;
     PyArrayObject *lines_arr;
-    long long l1_mask_ll, l1_assoc_ll, llc_mask_ll, llc_assoc_ll;
-    npy_intp l1_n_sets, llc_n_sets, l1_assoc, llc_assoc, n, i;
-    npy_int64 l1_mask, llc_mask;
-    npy_int64 *l1_slots = NULL, *llc_slots = NULL, *lines;
-    npy_intp *l1_occ = NULL, *llc_occ = NULL;
-    unsigned char *l1_dirty = NULL, *llc_dirty = NULL;
+    long long l1_mask, l1_assoc_ll, llc_mask, llc_assoc_ll;
+    npy_intp l1_assoc, llc_assoc, n, i;
+    npy_int64 *lines;
     long long l1_hits = 0, llc_hits = 0;
+    set_view l1, llc;
     PyObject *result = NULL;
 
     if (!PyArg_ParseTuple(args, "O!O!O!LLLL",
                           &PyList_Type, &l1_sets,
                           &PyList_Type, &llc_sets,
                           &PyArray_Type, &lines_arr,
-                          &l1_mask_ll, &l1_assoc_ll,
-                          &llc_mask_ll, &llc_assoc_ll))
+                          &l1_mask, &l1_assoc_ll,
+                          &llc_mask, &llc_assoc_ll))
         return NULL;
-    l1_n_sets = PyList_GET_SIZE(l1_sets);
-    llc_n_sets = PyList_GET_SIZE(llc_sets);
-    l1_mask = (npy_int64)l1_mask_ll;
-    llc_mask = (npy_int64)llc_mask_ll;
+    if (check_geometry(l1_sets, l1_mask, l1_assoc_ll) < 0
+            || check_geometry(llc_sets, llc_mask, llc_assoc_ll) < 0
+            || check_vector(lines_arr, NPY_INT64, "lines") < 0)
+        return NULL;
     l1_assoc = (npy_intp)l1_assoc_ll;
     llc_assoc = (npy_intp)llc_assoc_ll;
-    if (l1_assoc <= 0 || llc_assoc <= 0
-            || l1_n_sets != (npy_intp)(l1_mask + 1)
-            || llc_n_sets != (npy_intp)(llc_mask + 1)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "set count must equal mask + 1 with assoc > 0");
-        return NULL;
-    }
-    if (PyArray_TYPE(lines_arr) != NPY_INT64
-            || !PyArray_IS_C_CONTIGUOUS(lines_arr)
-            || PyArray_NDIM(lines_arr) != 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "lines must be a contiguous 1-d int64 array");
-        return NULL;
-    }
     n = PyArray_DIM(lines_arr, 0);
     lines = (npy_int64 *)PyArray_DATA(lines_arr);
 
-    l1_slots = malloc(sizeof(npy_int64) * (size_t)(l1_n_sets * l1_assoc));
-    llc_slots = malloc(sizeof(npy_int64) * (size_t)(llc_n_sets * llc_assoc));
-    l1_occ = calloc((size_t)l1_n_sets, sizeof(npy_intp));
-    llc_occ = calloc((size_t)llc_n_sets, sizeof(npy_intp));
-    l1_dirty = calloc((size_t)l1_n_sets, 1);
-    llc_dirty = calloc((size_t)llc_n_sets, 1);
-    if (l1_slots == NULL || llc_slots == NULL || l1_occ == NULL
-            || llc_occ == NULL || l1_dirty == NULL || llc_dirty == NULL) {
-        PyErr_NoMemory();
-        goto done;
+    /* The LLC view holds the LLC sets of every line, a superset of
+     * those the L1 misses reach; only the reached ones are written. */
+    if (set_view_open(&l1, l1_sets, (npy_int64)l1_mask, l1_assoc,
+                      lines, n) < 0)
+        return NULL;
+    if (set_view_open(&llc, llc_sets, (npy_int64)llc_mask, llc_assoc,
+                      lines, n) < 0) {
+        set_view_close(&l1);
+        return NULL;
     }
-    if (load_sets(l1_sets, l1_slots, l1_occ, l1_n_sets, l1_assoc) < 0)
-        goto done;
-    if (load_sets(llc_sets, llc_slots, llc_occ, llc_n_sets, llc_assoc) < 0)
-        goto done;
 
     Py_BEGIN_ALLOW_THREADS
-    for (i = 0; i < n; i++) {
-        npy_int64 line = lines[i];
-        npy_intp s1 = (npy_intp)(line & l1_mask);
-        npy_intp s2;
+    {
+        /* Copies whose addresses never escape stay in registers. */
+        const set_view a = l1, b = llc;
 
-        l1_dirty[s1] = 1;
-        if (lru_access(l1_slots + s1 * l1_assoc, &l1_occ[s1],
-                       l1_assoc, line)) {
-            l1_hits++;
-            continue;
+        for (i = 0; i < n; i++) {
+            npy_int64 line = lines[i];
+            npy_intp r = set_view_row(&a, line);
+
+            a.dirty[r] = 1;
+            if (lru_access(a.slots + r * l1_assoc, &a.occ[r], l1_assoc,
+                           line)) {
+                l1_hits++;
+                continue;
+            }
+            /* L1 miss: the fill happened inside lru_access; the LLC
+             * sees exactly the L1-miss substream, as in the interleaved
+             * loop. */
+            r = set_view_row(&b, line);
+            b.dirty[r] = 1;
+            if (lru_access(b.slots + r * llc_assoc, &b.occ[r], llc_assoc,
+                           line))
+                llc_hits++;
         }
-        /* L1 miss: the fill happened inside lru_access; the LLC sees
-         * exactly the L1-miss substream, as in the interleaved loop. */
-        s2 = (npy_intp)(line & llc_mask);
-        llc_dirty[s2] = 1;
-        if (lru_access(llc_slots + s2 * llc_assoc, &llc_occ[s2],
-                       llc_assoc, line))
-            llc_hits++;
     }
     Py_END_ALLOW_THREADS
 
-    if (store_sets(l1_sets, l1_slots, l1_occ, l1_dirty,
-                   l1_n_sets, l1_assoc) < 0)
-        goto done;
-    if (store_sets(llc_sets, llc_slots, llc_occ, llc_dirty,
-                   llc_n_sets, llc_assoc) < 0)
-        goto done;
-
-    result = Py_BuildValue("(LL)", l1_hits, llc_hits);
-
-done:
-    free(l1_slots);
-    free(llc_slots);
-    free(l1_occ);
-    free(llc_occ);
-    free(l1_dirty);
-    free(llc_dirty);
+    if (set_view_store(&l1) == 0 && set_view_store(&llc) == 0)
+        result = Py_BuildValue("(LL)", l1_hits, llc_hits);
+    set_view_close(&l1);
+    set_view_close(&llc);
     return result;
 }
 
@@ -386,73 +664,139 @@ clear_sets(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* -- mshr_walk ---------------------------------------------------------- */
+/* -- MSHR file --------------------------------------------------------- */
 
-/* 0 when `arr` is a contiguous 1-d array of `type`, else -1 with a
- * TypeError naming it. */
+/* An MSHR file over the caller's slot arrays: `occupied` outstanding
+ * lines and their deadlines, in insertion order, as MSHRFile keeps
+ * its dict.  The counters start at zero: they are this call's. */
+typedef struct {
+    npy_int64 *lines;
+    npy_int64 *deadlines;
+    npy_intp capacity;
+    npy_intp occupied;
+    npy_int64 window;
+    npy_int64 next_expiry;      /* nothing expires before it */
+    long long hits, allocations, failures;
+} mshr_file;
+
 static int
-check_vector(PyArrayObject *arr, int type, const char *name)
+mshr_open(mshr_file *f, PyArrayObject *slot_lines,
+          PyArrayObject *slot_deadlines, long long occupied,
+          long long window)
 {
-    PyArray_Descr *descr;
+    npy_intp j;
 
-    if (PyArray_TYPE(arr) == type && PyArray_IS_C_CONTIGUOUS(arr)
-            && PyArray_NDIM(arr) == 1)
-        return 0;
-    descr = PyArray_DescrFromType(type);
-    PyErr_Format(PyExc_TypeError, "%s must be a contiguous 1-d %s array",
-                 name, descr != NULL ? descr->typeobj->tp_name : "?");
-    Py_XDECREF(descr);
-    return -1;
+    if (check_vector(slot_lines, NPY_INT64, "slot_lines") < 0
+            || check_vector(slot_deadlines, NPY_INT64,
+                            "slot_deadlines") < 0)
+        return -1;
+    memset(f, 0, sizeof(*f));
+    f->capacity = PyArray_DIM(slot_lines, 0);
+    if (PyArray_DIM(slot_deadlines, 0) != f->capacity || occupied < 0
+            || occupied > f->capacity || window <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "MSHR slots: mismatched lengths, occupancy beyond "
+                        "the slots, or a non-positive window");
+        return -1;
+    }
+    f->lines = (npy_int64 *)PyArray_DATA(slot_lines);
+    f->deadlines = (npy_int64 *)PyArray_DATA(slot_deadlines);
+    f->occupied = (npy_intp)occupied;
+    f->window = (npy_int64)window;
+    f->next_expiry = NPY_MAX_INT64;
+    for (j = 0; j < f->occupied; j++)
+        if (f->deadlines[j] < f->next_expiry)
+            f->next_expiry = f->deadlines[j];
+    return 0;
 }
+
+/* MSHRFile.lookup: drop every entry due by `now`, keeping insertion
+ * order, then look `line` up.  Returns 1 on an MSHR hit. */
+static inline int
+mshr_lookup(mshr_file *f, npy_int64 line, npy_int64 now)
+{
+    npy_intp j;
+
+    if (now >= f->next_expiry) {
+        npy_intp kept = 0;
+
+        f->next_expiry = NPY_MAX_INT64;
+        for (j = 0; j < f->occupied; j++) {
+            if (f->deadlines[j] > now) {
+                f->lines[kept] = f->lines[j];
+                f->deadlines[kept] = f->deadlines[j];
+                if (f->deadlines[j] < f->next_expiry)
+                    f->next_expiry = f->deadlines[j];
+                kept++;
+            }
+        }
+        f->occupied = kept;
+    }
+    for (j = 0; j < f->occupied; j++) {
+        if (f->lines[j] == line) {
+            f->hits++;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* MSHRFile.allocate after a missed lookup at the same `now`: take a
+ * free slot until `now + window`, or count a failure. */
+static inline void
+mshr_allocate(mshr_file *f, npy_int64 line, npy_int64 now)
+{
+    if (f->occupied >= f->capacity) {
+        f->failures++;
+        return;
+    }
+    f->lines[f->occupied] = line;
+    f->deadlines[f->occupied] = now + f->window;
+    if (now + f->window < f->next_expiry)
+        f->next_expiry = now + f->window;
+    f->occupied++;
+    f->allocations++;
+}
+
+/* -- mshr_walk ---------------------------------------------------------- */
 
 static PyObject *
 mshr_walk(PyObject *self, PyObject *args)
 {
     PyArrayObject *slot_lines_arr, *slot_deadlines_arr;
     PyArrayObject *lines_arr, *positions_arr, *allocate_arr;
-    PyArrayObject *hit_mask = NULL;
-    long long occupied_ll, window_ll;
-    npy_intp capacity, m, n, i, j, dims[1];
-    npy_int64 *slot_lines, *slot_deadlines, *lines, *positions;
-    npy_int64 window, next_expiry;
+    PyArrayObject *hit_mask;
+    long long occupied, window;
+    npy_intp n, i, dims[1];
+    npy_int64 *lines, *positions;
     const unsigned char *allocate;
     unsigned char *hits_out;
-    long long hits = 0, allocations = 0, failures = 0;
+    mshr_file file;
 
     if (!PyArg_ParseTuple(args, "O!O!LO!O!O!L",
                           &PyArray_Type, &slot_lines_arr,
                           &PyArray_Type, &slot_deadlines_arr,
-                          &occupied_ll,
+                          &occupied,
                           &PyArray_Type, &lines_arr,
                           &PyArray_Type, &positions_arr,
                           &PyArray_Type, &allocate_arr,
-                          &window_ll))
+                          &window))
         return NULL;
-    if (check_vector(slot_lines_arr, NPY_INT64, "slot_lines") < 0
-            || check_vector(slot_deadlines_arr, NPY_INT64,
-                            "slot_deadlines") < 0
+    if (mshr_open(&file, slot_lines_arr, slot_deadlines_arr, occupied,
+                  window) < 0
             || check_vector(lines_arr, NPY_INT64, "lines") < 0
             || check_vector(positions_arr, NPY_INT64, "positions") < 0
             || check_vector(allocate_arr, NPY_BOOL, "allocate") < 0)
         return NULL;
-    capacity = PyArray_DIM(slot_lines_arr, 0);
     n = PyArray_DIM(lines_arr, 0);
-    if (PyArray_DIM(slot_deadlines_arr, 0) != capacity
-            || occupied_ll < 0 || occupied_ll > capacity
-            || PyArray_DIM(positions_arr, 0) != n
-            || PyArray_DIM(allocate_arr, 0) != n || window_ll <= 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "mshr_walk: mismatched lengths, occupancy beyond "
-                        "the slots, or a non-positive window");
+    if (PyArray_DIM(positions_arr, 0) != n
+            || PyArray_DIM(allocate_arr, 0) != n) {
+        PyErr_SetString(PyExc_ValueError, "mshr_walk: mismatched lengths");
         return NULL;
     }
-    slot_lines = (npy_int64 *)PyArray_DATA(slot_lines_arr);
-    slot_deadlines = (npy_int64 *)PyArray_DATA(slot_deadlines_arr);
     lines = (npy_int64 *)PyArray_DATA(lines_arr);
     positions = (npy_int64 *)PyArray_DATA(positions_arr);
     allocate = (const unsigned char *)PyArray_DATA(allocate_arr);
-    m = (npy_intp)occupied_ll;
-    window = (npy_int64)window_ll;
 
     dims[0] = n;
     hit_mask = (PyArrayObject *)PyArray_ZEROS(1, dims, NPY_BOOL, 0);
@@ -461,55 +805,267 @@ mshr_walk(PyObject *self, PyObject *args)
     hits_out = (unsigned char *)PyArray_DATA(hit_mask);
 
     Py_BEGIN_ALLOW_THREADS
-    /* The earliest outstanding deadline: nothing expires before it. */
-    next_expiry = NPY_MAX_INT64;
-    for (j = 0; j < m; j++)
-        if (slot_deadlines[j] < next_expiry)
-            next_expiry = slot_deadlines[j];
     for (i = 0; i < n; i++) {
-        npy_int64 line = lines[i];
-        npy_int64 now = positions[i];
-
-        if (now >= next_expiry) {
-            /* Drop every entry due by now, keeping insertion order. */
-            npy_intp kept = 0;
-
-            next_expiry = NPY_MAX_INT64;
-            for (j = 0; j < m; j++) {
-                if (slot_deadlines[j] > now) {
-                    slot_lines[kept] = slot_lines[j];
-                    slot_deadlines[kept] = slot_deadlines[j];
-                    if (slot_deadlines[j] < next_expiry)
-                        next_expiry = slot_deadlines[j];
-                    kept++;
-                }
-            }
-            m = kept;
-        }
-        for (j = 0; j < m && slot_lines[j] != line; j++)
-            ;
-        if (j < m) {
-            hits++;
+        if (mshr_lookup(&file, lines[i], positions[i]))
             hits_out[i] = 1;
-            continue;
-        }
-        if (!allocate[i])
-            continue;
-        if (m >= capacity) {
-            failures++;
-            continue;
-        }
-        slot_lines[m] = line;
-        slot_deadlines[m] = now + window;
-        if (now + window < next_expiry)
-            next_expiry = now + window;
-        m++;
-        allocations++;
+        else if (allocate[i])
+            mshr_allocate(&file, lines[i], positions[i]);
     }
     Py_END_ALLOW_THREADS
 
-    return Py_BuildValue("(NnLLL)", hit_mask, m, hits, allocations,
-                         failures);
+    return Py_BuildValue("(NnLLL)", hit_mask, file.occupied, file.hits,
+                         file.allocations, file.failures);
+}
+
+/* -- classify_llc ------------------------------------------------------- */
+
+/* The DSW key table: key lines ascending, each one's stack distance. */
+typedef struct {
+    const npy_int64 *keys;
+    const double *stack;
+    npy_intp n;
+    long long rechecks, unknown;
+} key_table;
+
+/* The DSW decision for `line` at `capacity`, with the full-capacity
+ * recheck: DirectedCapacityPredictor's calls, as the classifier makes
+ * them. */
+static inline int
+key_table_predict(key_table *t, npy_int64 line, npy_int64 capacity,
+                  npy_int64 full_capacity)
+{
+    npy_intp lo = 0, hi = t->n;
+    double stack;
+
+    while (lo < hi) {
+        npy_intp mid = lo + (hi - lo) / 2;
+
+        if (t->keys[mid] < line)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (lo == t->n || t->keys[lo] != line) {
+        t->unknown++;
+        return MISS_COLD;
+    }
+    stack = t->stack[lo];
+    if (stack < 0)
+        return MISS_COLD;
+    if (!(stack >= (double)capacity))
+        return HIT_WARMING;
+    if (capacity < full_capacity) {
+        t->rechecks++;
+        if (!(stack >= (double)full_capacity))
+            return MISS_CONFLICT;
+    }
+    return MISS_CAPACITY;
+}
+
+/* One call of a Python predictor; its outcome code, or -1 with an
+ * exception set when it raises or answers no outcome code. */
+static int
+call_predictor(PyObject *predict, npy_int64 pc, npy_int64 line,
+               npy_int64 capacity)
+{
+    PyObject *call_args[3], *out;
+    long code = -1;
+    int k;
+
+    call_args[0] = PyLong_FromLongLong(pc);
+    call_args[1] = PyLong_FromLongLong(line);
+    call_args[2] = PyLong_FromLongLong(capacity);
+    out = (call_args[0] == NULL || call_args[1] == NULL
+           || call_args[2] == NULL)
+        ? NULL : PyObject_Vectorcall(predict, call_args, 3, NULL);
+    for (k = 0; k < 3; k++)
+        Py_XDECREF(call_args[k]);
+    if (out == NULL)
+        return -1;
+    code = PyLong_AsLong(out);
+    Py_DECREF(out);
+    if (code == -1 && PyErr_Occurred())
+        return -1;
+    if (code < 0 || code > HIT_WARMING) {
+        PyErr_Format(PyExc_ValueError,
+                     "capacity predictor answered %ld, not an outcome code",
+                     code);
+        return -1;
+    }
+    return (int)code;
+}
+
+/* The Python predictor's decision, with the full-capacity recheck. */
+static int
+callback_predict(PyObject *predict, npy_int64 pc, npy_int64 line,
+                 npy_int64 capacity, npy_int64 full_capacity)
+{
+    int code = call_predictor(predict, pc, line, capacity);
+
+    if (code == MISS_CAPACITY && capacity < full_capacity) {
+        int full = call_predictor(predict, pc, line, full_capacity);
+
+        if (full < 0)
+            return -1;
+        if (full == HIT_WARMING)
+            return MISS_CONFLICT;
+    }
+    return code;
+}
+
+static PyObject *
+classify_llc(PyObject *self, PyObject *args)
+{
+    PyObject *sets, *predictor, *predict = NULL, *result = NULL;
+    PyArrayObject *lines_arr, *positions_arr, *pcs_arr, *capacities_arr;
+    PyArrayObject *slot_lines_arr, *slot_deadlines_arr;
+    PyArrayObject *codes_arr = NULL, *resolved_arr = NULL;
+    long long mask, assoc_ll, full_ll, occupied, window;
+    long long llc_hits = 0, llc_misses = 0, warming = 0, predicted = 0;
+    npy_intp assoc, n, i, k = 0, dims[1];
+    const npy_int64 *lines, *positions, *pcs, *capacities;
+    npy_int8 *codes;
+    npy_int64 *resolved;
+    npy_int64 full_capacity;
+    key_table table = {NULL, NULL, 0, 0, 0};
+    mshr_file file;
+    set_view view;
+    PyThreadState *released = NULL;
+    int failed = 0;
+
+    if (!PyArg_ParseTuple(args, "O!LLO!O!O!O!LO!O!LLO",
+                          &PyList_Type, &sets, &mask, &assoc_ll,
+                          &PyArray_Type, &lines_arr,
+                          &PyArray_Type, &positions_arr,
+                          &PyArray_Type, &pcs_arr,
+                          &PyArray_Type, &capacities_arr, &full_ll,
+                          &PyArray_Type, &slot_lines_arr,
+                          &PyArray_Type, &slot_deadlines_arr,
+                          &occupied, &window, &predictor))
+        return NULL;
+    if (check_geometry(sets, mask, assoc_ll) < 0
+            || mshr_open(&file, slot_lines_arr, slot_deadlines_arr,
+                         occupied, window) < 0
+            || check_vector(lines_arr, NPY_INT64, "lines") < 0
+            || check_vector(positions_arr, NPY_INT64, "positions") < 0
+            || check_vector(pcs_arr, NPY_INT64, "pcs") < 0
+            || check_vector(capacities_arr, NPY_INT64, "capacities") < 0)
+        return NULL;
+    n = PyArray_DIM(lines_arr, 0);
+    if (PyArray_DIM(positions_arr, 0) != n || PyArray_DIM(pcs_arr, 0) != n
+            || PyArray_DIM(capacities_arr, 0) != n) {
+        PyErr_SetString(PyExc_ValueError, "classify_llc: mismatched lengths");
+        return NULL;
+    }
+    if (PyTuple_Check(predictor)) {
+        PyArrayObject *keys_arr, *stack_arr;
+
+        if (!PyArg_ParseTuple(predictor, "O!O!", &PyArray_Type, &keys_arr,
+                              &PyArray_Type, &stack_arr)
+                || check_vector(keys_arr, NPY_INT64, "keys") < 0
+                || check_vector(stack_arr, NPY_FLOAT64, "stack") < 0)
+            return NULL;
+        if (PyArray_DIM(stack_arr, 0) != PyArray_DIM(keys_arr, 0)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "one stack distance per key line required");
+            return NULL;
+        }
+        table.keys = (const npy_int64 *)PyArray_DATA(keys_arr);
+        table.stack = (const double *)PyArray_DATA(stack_arr);
+        table.n = PyArray_DIM(keys_arr, 0);
+    } else if (PyCallable_Check(predictor)) {
+        predict = predictor;
+    } else {
+        PyErr_SetString(PyExc_TypeError,
+                        "predictor must be a (keys, stack) table or callable");
+        return NULL;
+    }
+    assoc = (npy_intp)assoc_ll;
+    full_capacity = (npy_int64)full_ll;
+    lines = (const npy_int64 *)PyArray_DATA(lines_arr);
+    positions = (const npy_int64 *)PyArray_DATA(positions_arr);
+    pcs = (const npy_int64 *)PyArray_DATA(pcs_arr);
+    capacities = (const npy_int64 *)PyArray_DATA(capacities_arr);
+
+    codes = PyMem_RawMalloc((size_t)n + 1);
+    resolved = PyMem_RawMalloc(sizeof(npy_int64) * (size_t)(n + 1));
+    if (codes == NULL || resolved == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (set_view_open(&view, sets, (npy_int64)mask, assoc, lines, n) < 0)
+        goto done;
+
+    /* With the key table nothing in the loop needs the GIL. */
+    if (predict == NULL)
+        released = PyEval_SaveThread();
+    for (i = 0; i < n; i++) {
+        npy_int64 line = lines[i], now = positions[i];
+        npy_intp r = set_view_row(&view, line);
+        npy_int64 *base = view.slots + r * assoc;
+        int code;
+
+        if (lru_hit(base, view.occ[r], line)) {
+            view.dirty[r] = 1;
+            llc_hits++;
+            continue;
+        }
+        if (mshr_lookup(&file, line, now)) {
+            code = HIT_MSHR;        /* delayed hit: no fetch */
+        } else {
+            if (view.occ[r] >= assoc) {
+                code = MISS_CONFLICT;
+            } else {
+                predicted++;
+                code = predict == NULL
+                    ? key_table_predict(&table, line, capacities[i],
+                                        full_capacity)
+                    : callback_predict(predict, pcs[i], line, capacities[i],
+                                       full_capacity);
+                if (code < 0) {
+                    failed = 1;
+                    break;
+                }
+            }
+            if (code == HIT_WARMING)
+                warming++;
+            else
+                mshr_allocate(&file, line, now);
+            lru_fill(base, &view.occ[r], assoc, line);
+            view.dirty[r] = 1;
+            llc_misses++;
+        }
+        codes[k] = (npy_int8)code;
+        resolved[k] = now;
+        k++;
+    }
+    if (released != NULL)
+        PyEval_RestoreThread(released);
+
+    if (!failed) {
+        dims[0] = k;
+        codes_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT8, 0);
+        resolved_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+        if (codes_arr != NULL && resolved_arr != NULL
+                && set_view_store(&view) == 0) {
+            memcpy(PyArray_DATA(codes_arr), codes, (size_t)k);
+            memcpy(PyArray_DATA(resolved_arr), resolved,
+                   sizeof(npy_int64) * (size_t)k);
+            result = Py_BuildValue(
+                "(OO(LLL)(nLLL)(LLL))", codes_arr, resolved_arr,
+                llc_hits, llc_misses, warming,
+                file.occupied, file.hits, file.allocations, file.failures,
+                predicted, table.rechecks, table.unknown);
+        }
+    }
+    set_view_close(&view);
+
+done:
+    PyMem_RawFree(codes);
+    PyMem_RawFree(resolved);
+    Py_XDECREF(codes_arr);
+    Py_XDECREF(resolved_arr);
+    return result;
 }
 
 /* -- stack_from_prev (Bennett-Kruskal over a Fenwick tree) ------------- */
@@ -914,81 +1470,6 @@ done:
 
 /* -- build_index (the in-RAM trace index) ------------------------------ */
 
-/* Open-addressing table of distinct lines, linear probing, grown at
- * half load.  `vals[h]` is 0 for an empty slot; pass 1 stores each
- * line's access count there, and the sort replaces it with the line's
- * sorted slot plus one.  Nothing is ever deleted, so every slot on a
- * present line's probe path is occupied. */
-typedef struct {
-    npy_int64 *keys;
-    npy_int64 *vals;
-    npy_intp capacity;          /* a power of two */
-    int shift;                  /* 64 - log2(capacity) */
-    npy_intp size;
-} line_table;
-
-static int
-line_table_init(line_table *t, npy_intp capacity)
-{
-    int bits = 0;
-
-    while (((npy_intp)1 << bits) < capacity)
-        bits++;
-    t->capacity = (npy_intp)1 << bits;
-    t->shift = 64 - bits;
-    t->size = 0;
-    t->keys = PyMem_RawMalloc(sizeof(npy_int64) * (size_t)t->capacity);
-    t->vals = PyMem_RawCalloc((size_t)t->capacity, sizeof(npy_int64));
-    return t->keys != NULL && t->vals != NULL ? 0 : -1;
-}
-
-static void
-line_table_free(line_table *t)
-{
-    PyMem_RawFree(t->keys);
-    PyMem_RawFree(t->vals);
-    t->keys = t->vals = NULL;
-}
-
-/* The slot holding `line`, or the empty slot where it belongs. */
-static inline npy_intp
-line_table_find(const line_table *t, npy_int64 line)
-{
-    npy_intp mask = t->capacity - 1;
-    /* Fibonacci hashing: the top bits of the product spread sequential
-     * lines over the table. */
-    npy_intp h = (npy_intp)(((npy_uint64)line * 0x9E3779B97F4A7C15ULL)
-                            >> t->shift);
-
-    while (t->vals[h] != 0 && t->keys[h] != line)
-        h = (h + 1) & mask;
-    return h;
-}
-
-/* Double the capacity, rehashing every line; -1 when out of memory. */
-static int
-line_table_grow(line_table *t)
-{
-    line_table bigger;
-    npy_intp h, to;
-
-    if (line_table_init(&bigger, t->capacity * 2) < 0) {
-        line_table_free(&bigger);
-        return -1;
-    }
-    for (h = 0; h < t->capacity; h++) {
-        if (t->vals[h] == 0)
-            continue;
-        to = line_table_find(&bigger, t->keys[h]);
-        bigger.keys[to] = t->keys[h];
-        bigger.vals[to] = t->vals[h];
-    }
-    bigger.size = t->size;
-    line_table_free(t);
-    *t = bigger;
-    return 0;
-}
-
 static int
 compare_int64(const void *a, const void *b)
 {
@@ -1031,6 +1512,8 @@ build_index(PyObject *self, PyObject *args)
     }
     n = PyArray_DIM(lines_arr, 0);
     lines = (const npy_int64 *)PyArray_DATA(lines_arr);
+    /* Pass 1 keeps each line's access count in its table slot; the
+     * sort replaces it with the line's sorted slot plus one. */
     if (line_table_init(&table, 8) < 0) {
         PyErr_NoMemory();
         goto done;
@@ -1181,6 +1664,12 @@ static PyMethodDef native_methods[] = {
      "mshr_walk(slot_lines, slot_deadlines, occupied, lines, positions, "
      "allocate, window) -> "
      "(hit_mask, occupied, hits, allocations, failures)"},
+    {"classify_llc", classify_llc, METH_VARARGS,
+     "classify_llc(sets, mask, assoc, lines, positions, pcs, capacities, "
+     "full_capacity, slot_lines, slot_deadlines, occupied, window, "
+     "predictor) -> (codes, outcome_positions, (llc_hits, llc_misses, "
+     "warming), (occupied, mshr_hits, allocations, failures), "
+     "(predicted, rechecks, unknown))"},
     {"stack_from_prev", stack_from_prev, METH_VARARGS,
      "stack_from_prev(prev) -> stack distances (-1 for cold accesses)"},
     {"draw_kinds", draw_kinds, METH_VARARGS,

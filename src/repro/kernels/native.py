@@ -172,7 +172,9 @@ def warm_lru(state_sets, lines, mask, assoc, want_access_info=False):
 
     ``state_sets`` holds each set's resident lines LRU->MRU (the
     representation of :class:`~repro.caches.cache.SetAssocCache`) and is
-    updated in place to the post-batch state; ``mask`` is
+    updated in place to the post-batch state: only the sets the batch
+    reaches are read, and each one it changed is rewritten in place
+    (lines it still holds keep their int objects); ``mask`` is
     ``n_sets - 1``.  Returns ``(hits, hit_mask, occupancy_before)``:
     the per-access hit mask and the set's valid ways before each access,
     in batch order, when ``want_access_info``, else ``None`` for both.
@@ -225,6 +227,44 @@ def mshr_walk(slot_lines, slot_deadlines, occupied, lines, positions,
         np.ascontiguousarray(positions, dtype=np.int64),
         np.ascontiguousarray(allocate, dtype=bool),
         int(window))
+
+
+def classify_llc(state_sets, mask, assoc, lines, positions, pcs,
+                 capacities, full_capacity, slot_lines, slot_deadlines,
+                 occupied, window, predictor):
+    """A region's L1-miss substream through the lukewarm LLC and the
+    MSHRs, in access order, in one C loop: the classifier's LLC phase.
+
+    Per access (``lines``, at region position ``positions``): an LLC
+    hit updates recency; an outstanding miss is an MSHR hit and skips
+    the fetch; a full set is a conflict miss; otherwise ``predictor``
+    decides at the access's ``capacities`` entry, and a capacity miss
+    below ``full_capacity`` is asked again at ``full_capacity`` and
+    becomes a conflict miss if that hits.  Every outcome but a warming
+    hit allocates an MSHR; then the line is fetched.
+
+    ``predictor`` is the DSW key table ``(keys, stack)`` — key lines
+    ascending and each one's stack distance, ``-1`` for a cold key —
+    or a callable ``f(pc, line, capacity) -> code`` called once per
+    decision in order.  ``state_sets`` is updated as
+    :func:`warm_lru` updates it, and the MSHR file's slot arrays (see
+    :func:`mshr_walk`) in place, but neither on an error, a raising
+    predictor included.  Returns ``(codes, outcome_positions,
+    (llc_hits, llc_misses, warming_hits), (occupied, mshr_hits,
+    allocations, failures), (predicted, rechecks, unknown))``: the
+    int8 code and position of every access past the LLC, the LLC's
+    counter deltas and the warming hits, the MSHR file's occupancy and
+    counts, and how many decisions the predictor made, how many of
+    them the key table rechecked and how many lines it did not hold.
+    """
+    return _native.classify_llc(
+        state_sets, int(mask), int(assoc),
+        np.ascontiguousarray(lines, dtype=np.int64),
+        np.ascontiguousarray(positions, dtype=np.int64),
+        np.ascontiguousarray(pcs, dtype=np.int64),
+        np.ascontiguousarray(capacities, dtype=np.int64),
+        int(full_capacity), slot_lines, slot_deadlines, int(occupied),
+        int(window), predictor)
 
 
 def draw_kinds(kind_rng, branch_rng, n, mem_threshold, store_threshold,

@@ -28,20 +28,16 @@ not depend on the LLC: the L1 hit masks of the detailed warming and of
 the region (batch LRU kernel), and every L1 miss's dominant stride from
 one stride query over the region (the detector observes every access
 whatever its outcome).  The per-LLC phase then warms the LLC with the
-warming tail's L1 misses, runs the region's L1-miss substream through
-the LLC kernel, and turns the strides into stride-limited capacities.
-The residual accesses — those that reach the MSHR and predictor — go
-in runs that start at the accesses that could hit an outstanding miss
-(MSHR suspects): per run the predictor answers once (``predict_many``,
-the DSW predictor) or once per residual in order (CoolSim's Bernoulli
-draws), and one compiled walk (:meth:`~repro.caches.mshr.MSHRFile.walk`)
-takes the run through the MSHRs.  The one sequential wrinkle is an
-MSHR hit, which *skips* the LLC fetch the kernel assumed: the kernel
-run is valid up to that access, so the LLC state is rolled back, the
-accepted prefix replayed, and the stream resumed after the skipped
-access.  MSHR hits require a line to be evicted within its own miss
-window, so in practice this costs nothing — and the scalar path
-remains bit-identical and selectable by flag.
+warming tail's L1 misses and turns the strides into stride-limited
+capacities, and one compiled loop per region
+(:func:`~repro.kernels.native.classify_llc`) takes the region's
+L1-miss substream through the LLC, the MSHRs and the predictor in
+access order, exactly as the scalar reference does past the L1: an
+MSHR hit skips its fetch in both.  The DSW predictor goes in as its
+key table (``DirectedCapacityPredictor.key_table``: sorted key lines
+and their stack distances); any other predictor is called back once
+per decision, in order, so its random draws and counters end exactly
+as the scalar path leaves them.
 
 A classifier builds its front end on its own L1 and stride detector
 unless it is handed one: the Analysts of a design-space sweep share
@@ -67,6 +63,7 @@ from repro.caches.stats import (
     MISS_CAPACITY,
     MISS_CONFLICT,
 )
+from repro.kernels import native
 
 
 def _warm_head(l1, l1_window_lines, llc_window_lines):
@@ -136,8 +133,10 @@ class WarmingClassifier:
     capacity_predictor:
         ``f(pc, line, effective_llc_lines) -> code`` returning one of the
         outcome codes ``MISS_CAPACITY``, ``MISS_COLD`` or ``HIT_WARMING``
-        (``MISS_COHERENCE`` too, when thread-aware); an optional
-        ``predict_many`` answers a run with an int8 code array.
+        (``MISS_COHERENCE`` too, when thread-aware).  A predictor with a
+        ``key_table()`` (the DSW one) is read from that table by the
+        compiled LLC phase instead of being called; any other is called
+        once per decision, in access order, on every path.
     stride_detector:
         Optional :class:`~repro.statmodel.assoc.StrideDetector` for the
         limited-associativity conflict model.
@@ -278,56 +277,34 @@ class WarmingClassifier:
         return ClassifiedRegion(lines.shape[0], outcomes, outcome_instr,
                                 llc_hits)
 
-    # -- vectorized two-phase path -----------------------------------------
+    # -- compiled two-phase path ------------------------------------------
 
     def _classify_region_vector(self, lines, pcs, instr_offsets):
         llc = self.lukewarm.llc
         # Front end: the L1 sees every access unconditionally.
         candidates, strides = self._front().region(lines, pcs)
-        effective = self._effective_lines(strides)
-
-        # LLC phase: the LLC sees the L1-miss substream (hits update
-        # recency, classified misses fetch) *except* MSHR hits.  A region
-        # whose accesses all hit the L1 has no block.
-        codes = [np.empty(0, dtype=np.int8)]
-        resolved = [np.empty(0, dtype=np.int64)]
-        llc_hits = 0
-        start = 0
-        while start < candidates.shape[0]:
-            block = candidates[start:]
-            # The kernels replace a touched set's list instead of
-            # mutating it, so the set references alone are an exact
-            # snapshot: no set's contents need copying.
-            saved_sets = list(llc._sets)
-            saved_hits, saved_misses = llc.hits, llc.misses
-            block_hits, block_mask, block_occ = llc.warm_profile(
-                lines[block])
-
-            residual = np.flatnonzero(~block_mask)
-            positions = block[residual]
-            block_codes, mshr_break = self._resolve_residuals(
-                positions, lines[positions], pcs[positions],
-                effective[start + residual],
-                block_occ[residual] >= llc.assoc)
-            codes.append(block_codes)
-            resolved.append(positions[:block_codes.shape[0]])
-            llc_hits += int(np.count_nonzero(block_codes == HIT_WARMING))
-            if mshr_break is None:
-                llc_hits += block_hits
-                break
-            # The access at the break skipped the LLC; everything before
-            # it went through as assumed.  Roll back, replay the
-            # accepted prefix, resume after the skipped access.
-            llc._sets[:] = saved_sets
-            llc.hits, llc.misses = saved_hits, saved_misses
-            skipped = int(residual[mshr_break])
-            accepted_hits, _, _ = llc.warm_profile(lines[block[:skipped]])
-            llc_hits += accepted_hits
-            start += skipped + 1
-
-        return ClassifiedRegion(lines.shape[0], np.concatenate(codes),
-                                instr_offsets[np.concatenate(resolved)],
-                                llc_hits)
+        # LLC phase: the L1-miss substream, in one compiled loop.
+        predictor = self.capacity_predictor
+        key_table = getattr(predictor, "key_table", None)
+        slot_lines, slot_deadlines, occupied = self.mshr.slots()
+        (codes, positions, (hits, misses, warming), mshr_counts,
+         (predicted, rechecks, unknown)) = native.classify_llc(
+            llc._sets, llc._mask, llc.assoc, lines[candidates], candidates,
+            pcs[candidates], self._effective_lines(strides),
+            llc.config.n_lines, slot_lines, slot_deadlines, occupied,
+            self.mshr.window,
+            predictor if key_table is None else key_table())
+        llc.hits += hits
+        llc.misses += misses
+        self.mshr.load_slots(slot_lines, slot_deadlines, *mshr_counts)
+        if key_table is not None:
+            predictor.count_lookups(predicted + rechecks, unknown)
+        s = telemetry.session()
+        if s is not None:
+            s.count("classify.predict.callback" if key_table is None
+                    else "classify.predict.table", predicted)
+        return ClassifiedRegion(lines.shape[0], codes,
+                                instr_offsets[positions], hits + warming)
 
     def _effective_lines(self, strides):
         """Stride-limited LLC capacity of each L1 miss, given its
@@ -341,72 +318,6 @@ class WarmingClassifier:
             config.n_sets // np.gcd(strides[strided], config.n_sets)
             * (config.n_lines // config.n_sets))
         return effective
-
-    def _resolve_residuals(self, positions, lines, pcs, effective,
-                           set_full):
-        """Walk one block's residual accesses through the MSHRs in order.
-
-        Returns ``(codes, mshr_break)``: the outcome code of every
-        residual up to the first MSHR hit (``HIT_MSHR`` last), and that
-        hit's index (None if the block has none).  Only an MSHR suspect
-        can hit, so the residuals go in runs that each start at a
-        suspect (or the block's first residual): the run's head is
-        looked up, and if it misses the predictor resolves the whole
-        run and one compiled walk takes the run through the MSHRs.  The
-        predictor is thus asked about exactly the accesses the
-        per-access walk would have asked it about, in the same order.
-        """
-        n_res = positions.shape[0]
-        codes = np.empty(n_res, dtype=np.int8)
-        if n_res == 0:
-            return codes, None
-        heads = np.union1d(self._mshr_suspects(positions, lines), [0])
-        bounds = np.append(heads, n_res).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if self.mshr.lookup(int(lines[lo]), int(positions[lo])):
-                codes[lo] = HIT_MSHR
-                return codes[:lo + 1], lo
-            run = self._run_outcomes(lines[lo:hi], pcs[lo:hi],
-                                     effective[lo:hi], set_full[lo:hi])
-            # No access past the head can hit, so the walk's hit mask
-            # is empty.
-            self.mshr.walk(lines[lo:hi], positions[lo:hi],
-                           run != HIT_WARMING)
-            codes[lo:hi] = run
-        return codes, None
-
-    def _run_outcomes(self, lines, pcs, effective, set_full):
-        """Outcome codes of a run of residuals that miss the MSHRs: a
-        conflict miss in a full set, else the capacity predictor's — one
-        ``predict_many`` call, or one call per residual in order."""
-        llc_lines = self.lukewarm.llc.config.n_lines
-        run = np.full(lines.shape[0], MISS_CONFLICT, dtype=np.int8)
-        open_ = ~set_full
-        predict_many = getattr(self.capacity_predictor, "predict_many", None)
-        if predict_many is not None:
-            if open_.any():
-                run[open_] = predict_many(lines[open_], effective[open_],
-                                          llc_lines)
-            return run
-        pcs_list = pcs.tolist()
-        lines_list = lines.tolist()
-        effective_list = effective.tolist()
-        for k in np.flatnonzero(open_).tolist():
-            run[k] = self._capacity_outcome(pcs_list[k], lines_list[k],
-                                            effective_list[k], llc_lines)
-        return run
-
-    def _mshr_suspects(self, positions, lines):
-        """Residual indices whose access might hit an outstanding miss:
-        its line is outstanding already, or missed earlier in the block
-        less than an MSHR window before."""
-        suspect = np.isin(lines, list(self.mshr._outstanding))
-        order = np.argsort(lines, kind="stable")
-        repeat = ((lines[order[1:]] == lines[order[:-1]])
-                  & (positions[order[1:]] - positions[order[:-1]]
-                     < self.mshr.window))
-        suspect[order[1:][repeat]] = True
-        return np.flatnonzero(suspect)
 
     def _beyond_lukewarm(self, line, pc, llc_lines, n_sets):
         # Conflict: the referenced set is full in the lukewarm cache.

@@ -19,8 +19,8 @@ order from the trace start, so every access before the miss has been
 simulated.  The scalar reference walks every access and keeps the set
 of lines seen.  Both return a
 :class:`~repro.caches.stats.ClassifiedRegion` of outcome codes.  Unlike
-the DSW classifier there is no rollback wrinkle — the scalar loop
-touches the LLC *before* the MSHR lookup, so the LLC substream is
+the DSW classifier, whose MSHR hits skip the LLC fetch, the scalar
+loop touches the LLC *before* the MSHR lookup, so the LLC substream is
 exactly the L1-miss substream either way and the two paths are
 bit-identical by construction (enforced in ``tests/test_kernels.py``).
 """

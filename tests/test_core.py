@@ -176,9 +176,11 @@ def test_directed_predictor_decisions():
     assert predictor.unknown_lines == 1
 
 
-def test_directed_predictor_predict_many_matches_calls():
-    """The batch form equals per-access calls plus the classifier's
-    full-capacity recheck, element by element and counter by counter."""
+def test_directed_predictor_key_table_matches_calls():
+    """The key table decides as per-access calls plus the classifier's
+    full-capacity recheck do, element by element, under the compiled
+    LLC phase's rule; ``count_lookups`` then leaves the counters where
+    those calls leave them."""
     rng = np.random.default_rng(4)
     vicinity = ReuseHistogram()
     vicinity.add_many(rng.integers(0, 200, 300).tolist())
@@ -187,31 +189,55 @@ def test_directed_predictor_predict_many_matches_calls():
     keys = np.arange(400, dtype=np.int64) * 3
     distances = rng.integers(0, 8000, keys.shape[0])
     distances[::7] = COLD_DISTANCE
-    table = dict(zip(keys.tolist(), distances.tolist()))
+    table = dict(zip(keys[::-1].tolist(), distances[::-1].tolist()))
     lines = rng.integers(0, 1300, 600)          # a third are not keys
     llc_lines = 512
     effective = rng.choice([512, 256, 64, 32], 600)
 
     batch = DirectedCapacityPredictor(table, vicinity)
     single = DirectedCapacityPredictor(table, vicinity)
-    expected = []
+    table_keys, stack = batch.key_table()
+    assert batch.key_table()[1] is stack            # built once
+    assert table_keys.tolist() == keys.tolist()     # ascending
+    assert stack.dtype == np.float64
+
+    def decide(line, capacity):
+        """``(code, rechecked, unknown)``: the compiled loop's rule."""
+        slot = int(np.searchsorted(table_keys, line))
+        if slot == table_keys.shape[0] or table_keys[slot] != line:
+            return MISS_COLD, 0, 1
+        if stack[slot] < 0:
+            return MISS_COLD, 0, 0
+        if not stack[slot] >= capacity:
+            return HIT_WARMING, 0, 0
+        if capacity < llc_lines:
+            if not stack[slot] >= llc_lines:
+                return MISS_CONFLICT, 1, 0
+            return MISS_CAPACITY, 1, 0
+        return MISS_CAPACITY, 0, 0
+
+    expected, got, rechecks, unknown = [], [], 0, 0
     for line, capacity in zip(lines.tolist(), effective.tolist()):
         outcome = single(0, line, capacity)
         if (outcome == MISS_CAPACITY and capacity < llc_lines
                 and single(0, line, llc_lines) == HIT_WARMING):
             outcome = MISS_CONFLICT
         expected.append(outcome)
-    got = batch.predict_many(lines, effective, llc_lines).tolist()
+        code, rechecked, missing = decide(line, capacity)
+        got.append(code)
+        rechecks += rechecked
+        unknown += missing
+    batch.count_lookups(len(got) + rechecks, unknown)
     assert got == expected
     assert (batch.lookups, batch.unknown_lines) == \
         (single.lookups, single.unknown_lines)
     assert set(expected) == {HIT_WARMING, MISS_CAPACITY, MISS_COLD,
                              MISS_CONFLICT}
-    assert single.unknown_lines > 0
-    assert batch.predict_many([], [], llc_lines).tolist() == []
-    empty = DirectedCapacityPredictor({}, vicinity)
-    assert empty.predict_many([5], [10], 10).tolist() == [MISS_COLD]
-    assert (empty.lookups, empty.unknown_lines) == (1, 1)
+    assert single.unknown_lines > 0 and rechecks > 0
+    empty_keys, empty_stack = DirectedCapacityPredictor(
+        {}, vicinity).key_table()
+    assert (empty_keys.dtype, empty_stack.dtype) == (np.int64, np.float64)
+    assert empty_keys.shape == empty_stack.shape == (0,)
 
 
 def test_directed_predictor_stack_distance():

@@ -21,6 +21,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import kernels
 from repro.caches.cache import CacheConfig, SetAssocCache
@@ -34,6 +35,11 @@ from repro.caches.stats import (
     LABELS,
     MISS_CAPACITY,
     MISS_COLD,
+)
+from repro.core.coherence import (
+    CacheTopology,
+    KeyAccessOrigin,
+    ThreadAwareCapacityPredictor,
 )
 from repro.core.warming import COLD_DISTANCE, DirectedCapacityPredictor
 from repro.kernels import native
@@ -230,14 +236,14 @@ def bernoulli_predictor(seed):
     return predict
 
 
-def directed_predictor(lines, seed):
+def directed_predictor(lines, seed, max_distance=5000):
     """A DSW predictor over the footprint of ``lines``: most lines get a
     reuse distance on either side of the LLC size, some are cold and
     some are not key lines at all (unknown)."""
     rng = np.random.default_rng(seed)
     footprint = np.unique(lines)
     keys = footprint[rng.random(footprint.shape[0]) < 0.9]
-    distances = rng.integers(0, 5000, keys.shape[0])
+    distances = rng.integers(0, max_distance, keys.shape[0])
     distances[rng.random(keys.shape[0]) < 0.1] = COLD_DISTANCE
     vicinity = ReuseHistogram()
     vicinity.add_many(rng.integers(0, 120, 140).tolist())
@@ -941,6 +947,263 @@ class TestNativeBackend:
                     hierarchy.mem_misses,
                 )
         assert counts["native"] == counts["scalar"]
+
+
+def thread_aware_predictor(lines, seed):
+    """A coherence-aware predictor over the footprint of ``lines``: a
+    per-call predictor (no key table) whose remote writers turn some
+    accesses into coherence misses."""
+    rng = np.random.default_rng(seed)
+    footprint = np.unique(lines)
+    keys = footprint[rng.random(footprint.shape[0]) < 0.9].tolist()
+    distances = rng.integers(0, 400, len(keys))
+    distances[rng.random(len(keys)) < 0.1] = COLD_DISTANCE
+    writers = rng.integers(-1, 3, len(keys))
+    origins = {
+        line: KeyAccessOrigin(int(distance),
+                              None if writer < 0 else int(writer),
+                              bool(rng.random() < 0.5))
+        for line, distance, writer in zip(keys, distances.tolist(),
+                                          writers.tolist())}
+    vicinity = ReuseHistogram()
+    vicinity.add_many(rng.integers(0, 40, 60).tolist())
+    return ThreadAwareCapacityPredictor(
+        origins, vicinity, CacheTopology({0: 0, 1: 0, 2: 1}),
+        reader_thread=0)
+
+
+#: Every kind of predictor the compiled LLC phase meets: the DSW key
+#: table (with stack distances around a tiny LLC's size), a stateful
+#: per-call draw, and a per-call coherence predictor.
+KERNEL_PREDICTORS = {
+    "bernoulli": PREDICTORS["bernoulli"],
+    "directed": lambda lines, seed: directed_predictor(lines, seed,
+                                                       max_distance=60),
+    "thread-aware": thread_aware_predictor,
+}
+
+
+def kernel_predictor_state(predictor):
+    """Every counter a predictor keeps, wrapped ones included."""
+    base = getattr(predictor, "_base", None)
+    return (predictor_state(predictor),
+            getattr(predictor, "coherence_misses", None),
+            getattr(predictor, "constructive_hits", None),
+            None if base is None else predictor_state(base))
+
+
+def classifier_state(classifier):
+    """The lukewarm caches, MSHR file and stride detector, in order."""
+    llc, mshr = classifier.lukewarm.llc, classifier.mshr
+    return (
+        [list(entries) for entries in llc._sets], llc.hits, llc.misses,
+        classifier.lukewarm.l1d._sets,
+        list(mshr._outstanding.items()), mshr.mshr_hits, mshr.allocations,
+        mshr.allocation_failures,
+        classifier.stride_detector._deltas,
+        classifier.stride_detector._last_line,
+    )
+
+
+@requires_native
+class TestClassifyLLCKernel:
+    """``native.classify_llc``: the vector path's whole LLC phase."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_sets=st.sampled_from([1, 2, 4]), assoc=st.integers(1, 4),
+           mshrs=st.integers(1, 8), window=st.integers(1, 30),
+           predictor=st.sampled_from(sorted(KERNEL_PREDICTORS)),
+           warm=st.integers(0, 24), stride=st.sampled_from([2, 3, 4]),
+           seed=st.integers(0, 2 ** 16), n=st.integers(1, 120))
+    def test_matches_scalar_reference(self, n_sets, assoc, mshrs, window,
+                                      predictor, warm, stride, seed, n):
+        # A full set stays full, so the predictor is asked only while
+        # the (barely warmed) LLC fills.  Pc 0 mostly strides, and the
+        # detector comes trained on its stride (as CoolSim carries one
+        # across regions), so its first misses already meet the
+        # stride-limited capacity and the full-capacity recheck.
+        rng = np.random.default_rng(seed)
+        footprint = int(rng.integers(2, 3 * n_sets * assoc + 6))
+        lines = rng.integers(0, footprint, warm + n)
+        pcs = np.where(rng.random(lines.shape[0]) < 0.6, 0,
+                       rng.integers(1, 3, lines.shape[0]))
+        walk = pcs == 0
+        lines[walk] = np.arange(np.count_nonzero(walk)) * stride % (
+            4 * footprint)
+        lines += 1 << 20
+        instr = np.arange(lines.shape[0], dtype=np.int64) * 2
+        # A one-line L1: nearly every access reaches the LLC.
+        hierarchy = HierarchyConfig(
+            l1d=CacheConfig(64, assoc=1), l1i=CacheConfig(64, assoc=1),
+            llc=CacheConfig(n_sets * assoc * 64, assoc=assoc))
+        outputs = {}
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                detector = StrideDetector()
+                detector.observe_many(np.zeros(6, dtype=np.int64),
+                                      np.arange(6) * stride)
+                classifier = WarmingClassifier(
+                    hierarchy,
+                    capacity_predictor=KERNEL_PREDICTORS[predictor](
+                        lines, seed),
+                    stride_detector=detector, mshrs=mshrs,
+                    mshr_window=window)
+                classifier.warm_detailed(lines[:warm])
+                region = classifier.classify_region(
+                    lines[warm:], pcs[warm:], instr[warm:])
+                outputs[backend] = (
+                    region.stats.counts, region.outcomes.tolist(),
+                    region.outcome_instr.tolist(), region.llc_hits,
+                    classifier_state(classifier),
+                    kernel_predictor_state(classifier.capacity_predictor),
+                )
+        assert outputs["native"] == outputs["scalar"]
+
+    def test_one_kernel_call_per_region(self, monkeypatch):
+        """A vector-path region's LLC phase is one ``classify_llc``
+        call: no LLC warm pass and no MSHR walk."""
+        calls = {"classify": 0, "mshr_walk": 0, "llc_warm": 0}
+        real_classify, real_warm = native.classify_llc, native.warm_lru
+
+        def classify_spy(*args):
+            calls["classify"] += 1
+            return real_classify(*args)
+
+        def walk_spy(*args):
+            calls["mshr_walk"] += 1
+            raise AssertionError("the classifier walked the MSHRs")
+
+        _, lines, pcs = next(engine_traces(seed=3, n=2400))
+        instr = np.arange(lines.shape[0], dtype=np.int64)
+        with kernels.use_backend("native"):
+            classifier = WarmingClassifier(
+                TestClassifyKernel.HIERARCHY,
+                capacity_predictor=directed_predictor(lines, 1),
+                stride_detector=StrideDetector())
+            classifier.warm_detailed(lines[:400], lines[250:400])
+
+            def warm_spy(sets, *args, **kwargs):
+                calls["llc_warm"] += sets is classifier.lukewarm.llc._sets
+                return real_warm(sets, *args, **kwargs)
+
+            monkeypatch.setattr(native, "classify_llc", classify_spy)
+            monkeypatch.setattr(native, "mshr_walk", walk_spy)
+            monkeypatch.setattr(native, "warm_lru", warm_spy)
+            region = classifier.classify_region(lines[400:], pcs[400:],
+                                                instr[400:])
+        assert region.stats.counts["mshr_hit"] + region.stats.counts[
+            "capacity_miss"] > 0
+        assert calls == {"classify": 1, "mshr_walk": 0, "llc_warm": 0}
+
+    def test_raising_predictor_leaves_state(self):
+        """A predictor that raises mid-region propagates, and the LLC
+        sets (their list objects too), its counters and the MSHRs stay
+        as they were before the region."""
+        rng = np.random.default_rng(5)
+        lines = rng.integers(0, 4000, 900) + (1 << 20)
+        pcs = np.zeros(lines.shape[0], dtype=np.int64)
+        instr = np.arange(lines.shape[0], dtype=np.int64)
+        draws = {"left": 40}
+
+        def predict(pc, line, effective_llc_lines):
+            draws["left"] -= 1
+            if draws["left"] < 0:
+                raise RuntimeError("predictor failed")
+            return MISS_CAPACITY if line % 3 else HIT_WARMING
+
+        with kernels.use_backend("native"):
+            classifier = WarmingClassifier(
+                TestClassifyKernel.ROOMY, capacity_predictor=predict,
+                stride_detector=StrideDetector(), mshrs=8, mshr_window=400)
+            classifier.warm_detailed(lines[:100])
+            classifier.classify_region(lines[100:130], pcs[100:130],
+                                       instr[100:130])
+            assert classifier.mshr.occupancy > 0
+            before = classifier_state(classifier)[:8]
+            objects = list(classifier.lukewarm.llc._sets)
+            with pytest.raises(RuntimeError, match="predictor failed"):
+                classifier.classify_region(lines[130:], pcs[130:],
+                                           instr[130:])
+        assert draws["left"] < 0
+        assert classifier_state(classifier)[:8] == before
+        assert all(now is then for now, then in
+                   zip(classifier.lukewarm.llc._sets, objects))
+
+
+@requires_native
+class TestSetView:
+    """The cache kernels decode and write back only the sets their
+    batch reaches."""
+
+    #: Garbage no decoder accepts: more lines than the ways, not ints.
+    POISON = ("not a line", 1 << 70, None)
+
+    def poisoned(self, sets, reached):
+        """Poison every set outside ``reached``; their list objects."""
+        lists = {}
+        for k in range(len(sets)):
+            if k not in reached:
+                sets[k] = list(self.POISON)
+                lists[k] = sets[k]
+        return lists
+
+    def assert_untouched(self, sets, lists):
+        for k, entries in lists.items():
+            assert sets[k] is entries
+            assert entries == list(self.POISON)
+
+    @pytest.mark.parametrize("n_sets", [8, 4096])
+    def test_warm_lru_skips_unreached_sets(self, n_sets):
+        # 8 sets take the view indexed by set, 4096 the hashed one.
+        config = CacheConfig(n_sets * 2 * 64, assoc=2)
+        lines = np.asarray([0, 1, 0, n_sets + 1, 2 * n_sets + 1, 1],
+                           dtype=np.int64)
+        reference = SetAssocCache(config)
+        reference.warm_scalar(lines)
+        ref_counts = reference.warm_profile(lines[::-1].copy())
+        cache = SetAssocCache(config)
+        lists = self.poisoned(cache._sets, reached={0, 1})
+        with kernels.use_backend("native"):
+            cache.warm(lines)
+            hits, mask, occupancy = cache.warm_profile(lines[::-1].copy())
+        assert (hits, mask.tolist(), occupancy.tolist()) == (
+            ref_counts[0], ref_counts[1].tolist(), ref_counts[2].tolist())
+        assert cache._sets[:2] == reference._sets[:2]
+        self.assert_untouched(cache._sets, lists)
+
+    def test_warm_hierarchy_skips_unreached_sets(self):
+        config = HierarchyConfig(
+            l1d=CacheConfig(2 * 2 * 64, assoc=2),
+            l1i=CacheConfig(2 * 2 * 64, assoc=2),
+            llc=CacheConfig(1024 * 4 * 64, assoc=4))
+        lines = np.asarray([0, 2, 4, 6, 0, 3, 1024, 2048], dtype=np.int64)
+        reference = CacheHierarchy(config)
+        with kernels.use_backend("scalar"):
+            reference.warm(lines)
+        hierarchy = CacheHierarchy(config)
+        lists = self.poisoned(hierarchy.llc._sets, reached={0, 2, 3, 4, 6})
+        with kernels.use_backend("native"):
+            hierarchy.warm(lines)
+        assert hierarchy.l1d._sets == reference.l1d._sets
+        for k in (0, 2, 3, 4, 6):
+            assert hierarchy.llc._sets[k] == reference.llc._sets[k]
+        self.assert_untouched(hierarchy.llc._sets, lists)
+
+    def test_classify_llc_skips_unreached_sets(self):
+        config = HierarchyConfig(
+            l1d=CacheConfig(64, assoc=1), l1i=CacheConfig(64, assoc=1),
+            llc=CacheConfig(2048 * 2 * 64, assoc=2))
+        lines = np.asarray([5, 7, 5, 2053, 7, 5], dtype=np.int64)
+        with kernels.use_backend("native"):
+            classifier = WarmingClassifier(
+                config, capacity_predictor=bernoulli_predictor(0))
+            lists = self.poisoned(classifier.lukewarm.llc._sets,
+                                  reached={5, 7})
+            region = classifier.classify_region(
+                lines, np.zeros(6, dtype=np.int64),
+                np.arange(6, dtype=np.int64))
+        assert region.stats.total == 6
+        self.assert_untouched(classifier.lukewarm.llc._sets, lists)
 
 
 class TestNativeFallback:

@@ -7,7 +7,7 @@ consumed twice,
 
 * ``live`` — :class:`~repro.live.runner.LiveRunner` over a chunked
   producer: all four strategies refined incrementally at each of the
-  four watermarks, index epochs spilled through a store, per-watermark
+  four watermarks, index epochs spilled beside a store, per-watermark
   wall latency recorded;
 * ``batch`` — the from-scratch reference: materialize the whole trace,
   then run each strategy once at the final plan.

@@ -45,9 +45,10 @@ suite.
 pipe, or a native container a producer keeps appending — through the
 incremental warming engine: every completed inter-region gap seals a
 watermark whose strategy estimates are bit-identical to a from-scratch
-batch run over the same prefix.  Watermark artifacts are published
-under watermark-versioned keys; ``cache ls``/``gc``/``stats`` group
-them by lineage and reclaim superseded watermarks.
+batch run over the same prefix.  Watermark results and warm-up
+bundles are published under watermark-versioned keys; ``cache
+ls``/``gc``/``stats`` group them by lineage and reclaim superseded
+watermarks.
 
 ``trace`` ingests external memory traces (ChampSim binary,
 Valgrind-Lackey text, generic CSV) into native streamable containers;

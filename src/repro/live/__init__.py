@@ -11,10 +11,10 @@ the new prefix completes — producing estimates that are bit-identical
 to a from-scratch batch run over the same prefix
 (``tests/test_live_equivalence.py`` is the pin).
 
-Watermark artifacts (sealed index epochs, warm-up bundles, strategy
-results) are published to the artifact store under
-watermark-versioned keys (:mod:`repro.live.artifacts`); ``cache gc``
-reclaims the superseded ones.
+Warm-up bundles and strategy results are published to the artifact
+store under watermark-versioned keys (:mod:`repro.live.artifacts`);
+``cache gc`` reclaims the superseded ones.  Sealed index epochs stay
+in the index builder's spill files.
 """
 
 from repro.live.feed import (

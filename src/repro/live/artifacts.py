@@ -16,7 +16,7 @@ The watermark is additionally encoded into the blob *label*
 (``live:<kind>:<lineage12>#<k>``) so maintenance —
 :func:`sweep_superseded`, ``cache ls``/``gc`` — can group and reclaim
 superseded watermarks from the disk census alone, without decoding a
-single payload.
+single payload.  Index epochs are never published: nothing reads one back.
 """
 
 import re
@@ -24,7 +24,7 @@ import re
 from repro.store.fingerprint import fingerprint
 
 #: Artifact kinds a live run publishes per watermark.
-LIVE_KINDS = ("index", "warmup", "result")
+LIVE_KINDS = ("warmup", "result")
 
 _LABEL_RE = re.compile(
     r"^live:(?P<kind>[a-z]+):(?P<lineage>[0-9a-f]{12})#(?P<wm>\d+)$")
@@ -106,20 +106,22 @@ def watermark_census(store):
 
 def superseded_entries(store):
     """Yield ``(digest, bytes)`` of every live entry whose lineage has a
-    higher watermark on disk (per kind; the top watermark survives)."""
-    for entries in watermark_census(store).values():
-        top = max(watermark for watermark, _, _ in entries)
+    higher watermark on disk (per kind; the top watermark survives), and
+    of every entry of a kind no live run publishes any more."""
+    for (kind, _), entries in watermark_census(store).items():
+        top = (max(watermark for watermark, _, _ in entries)
+               if kind in LIVE_KINDS else None)
         for watermark, digest, size in entries:
-            if watermark < top:
+            if top is None or watermark < top:
                 yield digest, size
 
 
 def sweep_superseded(store):
     """Delete superseded watermark artifacts; ``(removed, bytes)``.
 
-    A result/bundle/index for watermark ``k`` is strictly contained in
-    its lineage's watermark ``k+1`` — the incremental path never reads
-    an old watermark back, so superseded entries are pure garbage.
+    A result or bundle for watermark ``k`` is strictly contained in its
+    lineage's watermark ``k+1``; the incremental path never reads an old
+    watermark (or an older version's index epoch) back: pure garbage.
     """
     removed = 0
     reclaimed = 0

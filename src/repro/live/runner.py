@@ -213,15 +213,13 @@ class LiveRunner:
             store=store, seed=seed)
 
         mode = spill if spill is not None else index_spill_mode()
-        # streaming workload: "auto" spills whenever a store is
-        # available, "always" demands one, "never" keeps tables on the
-        # heap (the same builder a batch build_spilled runs, with or
-        # without a store).
-        spill_store = (store if store is not None and store.enabled
-                       and mode != "never" else None)
+        # A streaming workload: "auto" and "always" spill beside an
+        # enabled store, "never" keeps the index tables on the heap.
+        index_dir = None
+        if store is not None and store.enabled and mode != "never":
+            index_dir = spill_dir if spill_dir is not None else store.root
         self.writer = TraceStreamWriter(spill_dir=spill_dir)
-        self.builder = LiveIndexBuilder(store=spill_store,
-                                        spill_dir=spill_dir)
+        self.builder = LiveIndexBuilder(index_dir)
         self.lineage = artifacts.live_lineage(
             self.workload.name, self.workload.seed, self.gap_instructions,
             self.region_instructions, self.warming_instructions,
@@ -286,14 +284,7 @@ class LiveRunner:
             views = dict(self.writer.snapshot_views())
             content_fp = fingerprint_arrays(views)
             trace = Trace(name=self.workload.name, **views)
-            index_key = None
-            index_label = artifacts.live_label("index", self.lineage,
-                                               watermark)
-            if self.builder.store is not None:
-                index_key = artifacts.live_key(
-                    "index", self.lineage, watermark, content_fp)
-            index = self.builder.seal(trace, key=index_key,
-                                      label=index_label)
+            index = self.builder.seal(trace)
             self.workload._cell.value = trace
             self._index_cell.value = index
 
@@ -313,8 +304,6 @@ class LiveRunner:
             telemetry.counter("live.watermarks")
 
             published = self._publish(watermark, content_fp, results)
-            if index_key is not None:
-                published["index"] = self.store.digest(index_key)
         return LiveWatermark(
             watermark=watermark,
             instructions=watermark * self.gap_instructions,

@@ -28,12 +28,12 @@ Two construction paths exist:
   at every watermark; a batch build (:meth:`TraceIndex.build_spilled`,
   and ``TraceIndex(trace)`` under ``scalar`` or without a compiler) is
   one append of the whole trace and one seal, the reference the
-  compiled build is tested against.  With a store the tables are
-  written to spill files, published as an uncompressed npz and served
-  back as read-only memory maps (:meth:`TraceIndex.open`): queries then
-  touch only the table pages the watchpoints direct them to, so a
-  strategy run's resident set scales with the sampled regions rather
-  than the trace length.
+  compiled build is tested against.  With a spill directory an epoch
+  stays in the builder's spill files as read-only memory maps (a
+  spilled batch build is published to the store and served from it,
+  :meth:`TraceIndex.open`): queries then touch only the table pages the
+  watchpoints direct them to, so a strategy run's resident set scales
+  with the sampled regions rather than the trace length.
 """
 
 import os
@@ -353,10 +353,9 @@ class _GrowColumn:
 
     def detach(self):
         """Move heap rows to a fresh buffer, so views taken before stop
-        seeing later patches (file-backed views are copied by whoever
-        keeps them)."""
-        if self._path is None:
-            self._move(self._capacity)
+        seeing later patches (a spilled epoch keeps a frozen copy of a
+        file-backed column instead)."""
+        self._move(self._capacity)
 
     def append(self, values):
         values = np.asarray(values, dtype=np.int64)
@@ -383,6 +382,13 @@ class _GrowColumn:
 
 
 _NOT_APPENDED = "the prefix snapshot's pending accesses differ from the feed"
+
+
+def _read_only(table):
+    """``table`` reopened read-only when it is a spill map: the writable
+    map's pages leave the process with it (shared maps need no flush)."""
+    return (np.load(table.filename, mmap_mode="r")
+            if isinstance(table, np.memmap) else table)
 
 
 class LiveIndexBuilder:
@@ -418,29 +424,27 @@ class LiveIndexBuilder:
       run heads) in order, so that part of a seal is one sequential
       merge over the sorted pending destinations.
 
-    With a store the two per-access columns live in growable spill
-    files and sealed epochs spill through the existing
-    ``save_arrays``/``put_stream`` path (the columns stream straight
-    into the blob), so the builder's resident set stays O(chunk +
+    With a ``spill_dir`` the two per-access columns live in growable
+    spill files in the builder's scratch (``live-index-*``), and each
+    seal writes its epoch there: the position tables and a frozen copy
+    of the successors, served read-only (the append-only ranks are a
+    view of the live column).  The next seal deletes them once merged,
+    so the scratch holds one epoch and the resident set stays O(chunk +
     pending + unique keys) while the feed grows without bound.
     """
 
     _GRANULARITIES = tuple(_PER_ACCESS)
 
-    def __init__(self, store=None, spill_dir=None, chunk_accesses=None):
-        self.store = store if store is not None and store.enabled else None
+    def __init__(self, spill_dir=None, chunk_accesses=None):
         self.chunk_accesses = (default_chunk_accesses()
                                if chunk_accesses is None
                                else max(1, int(chunk_accesses)))
         self.n_accesses = 0
         self._scratch = None
-        directory = None
-        if self.store is not None or spill_dir is not None:
-            parent = spill_dir if spill_dir is not None else self.store.root
-            os.makedirs(parent, exist_ok=True)
+        if spill_dir is not None:
+            os.makedirs(spill_dir, exist_ok=True)
             self._scratch = register_scratch(
-                tempfile.mkdtemp(prefix="live-index-", dir=parent))
-            directory = self._scratch
+                tempfile.mkdtemp(prefix="live-index-", dir=spill_dir))
         self._keys = {}
         self._counts = {}
         self._sealed_counts = {}
@@ -450,14 +454,16 @@ class LiveIndexBuilder:
             self._counts[name] = np.empty(0, dtype=np.int64)
             self._sealed_counts[name] = np.empty(0, dtype=np.int64)
             # Spilled as lines_succ.bin and pages_rank.bin.
-            self._columns[name] = _GrowColumn(directory,
+            self._columns[name] = _GrowColumn(self._scratch,
                                               f"{name}_{table[:4]}")
         #: Each line's latest position, for patching its successor.
         self._prev_pos = np.empty(0, dtype=np.int64)
-        #: Accesses and per-granularity positions table of the previous
-        #: sealed epoch.
+        #: Accesses and tables (by name) of the last sealed epoch, and
+        #: the spill files it wrote.
         self._n_sealed = 0
-        self._sealed = {}
+        self.sealed = {}
+        self._n_epochs = 0
+        self._epoch_files = []
         #: True while a heap epoch holds views of the heap columns.
         self._columns_shared = False
         self._peak_transient = 0
@@ -534,18 +540,18 @@ class LiveIndexBuilder:
         # column), and a handful of per-distinct-key ones.
         return 3 * column.nbytes + 8 * unique.nbytes
 
-    def seal(self, trace, key=None, label="live-index"):
+    def seal(self, trace):
         """Materialize the index for the prefix consumed so far.
 
         ``trace`` is the prefix snapshot: ``trace.n_accesses`` must
         equal the accesses appended, and the seal reads the accesses
         appended since the previous epoch back from ``trace.mem_line``
         (``ValueError`` if they are not what was appended).  With a
-        store and ``key`` the tables are published via ``save_arrays``
-        and served back memory-mapped, otherwise they stay
-        heap-resident.  Returns a :class:`TraceIndex` bit-identical to
-        a from-scratch build of the same prefix, with the epoch's
-        :class:`IndexBuildStats` as its ``build_stats``.
+        spill directory the epoch's tables are read-only memory maps of
+        the builder's spill files, otherwise heap arrays.  Returns a
+        :class:`TraceIndex` bit-identical to a from-scratch build of the
+        same prefix, with the epoch's :class:`IndexBuildStats` as its
+        ``build_stats``.
         """
         t0 = time.perf_counter()
         n = self.n_accesses
@@ -553,31 +559,31 @@ class LiveIndexBuilder:
             raise ValueError(
                 f"prefix snapshot has {trace.n_accesses} accesses, "
                 f"builder consumed {n}")
-        spill_dir = None
-        if self.store is not None and key is not None:
-            spill_dir = register_scratch(tempfile.mkdtemp(
-                prefix="live-seal-", dir=self.store.root))
-        try:
-            tables = {}
-            for name in self._GRANULARITIES:
-                self._seal_granularity(name, trace.mem_line, spill_dir,
-                                       tables)
-            stats = IndexBuildStats(
-                n_accesses=n,
-                chunk_accesses=self.chunk_accesses,
-                n_chunks=-(-(n - self._n_sealed) // self.chunk_accesses),
-                peak_transient_bytes=self._peak_transient,
-                key_state_bytes=self._prev_pos.nbytes + int(sum(
-                    self._keys[g].nbytes + self._counts[g].nbytes
-                    + self._sealed_counts[g].nbytes
-                    + tables[f"{g}_starts"].nbytes
-                    for g in self._GRANULARITIES)),
-                table_bytes=int(sum(t.nbytes for t in tables.values())))
-            index = self._publish(trace, tables, key, label)
-        finally:
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
-                unregister_scratch(spill_dir)
+        tables, files = {}, []
+        for name in self._GRANULARITIES:
+            self._seal_granularity(name, trace.mem_line, tables, files)
+        stats = IndexBuildStats(
+            n_accesses=n,
+            chunk_accesses=self.chunk_accesses,
+            n_chunks=-(-(n - self._n_sealed) // self.chunk_accesses),
+            peak_transient_bytes=self._peak_transient,
+            key_state_bytes=self._prev_pos.nbytes + int(sum(
+                self._keys[g].nbytes + self._counts[g].nbytes
+                + self._sealed_counts[g].nbytes
+                + tables[f"{g}_starts"].nbytes
+                for g in self._GRANULARITIES)),
+            table_bytes=int(sum(t.nbytes for t in tables.values())))
+        # The merges have read the previous epoch; maps still held keep
+        # its pages.
+        for path in self._epoch_files:
+            os.remove(path)
+        self._epoch_files = files
+        self._n_epochs += 1
+        # Heap columns are detached at the next append.
+        self._columns_shared = self._scratch is None
+        self._sealed_counts = {g: c.copy() for g, c in self._counts.items()}
+        self._n_sealed, self.sealed = n, tables
+        index = TraceIndex.from_tables(trace, tables)
         index.build_stats = stats
         self._peak_transient = 0
         s = telemetry.session()
@@ -586,19 +592,26 @@ class LiveIndexBuilder:
             s.count("live.index.seals")
         return index
 
-    def _seal_granularity(self, name, mem_line, spill_dir, tables):
+    def _epoch_table(self, table, n, files):
+        """A fresh int64 table of ``n`` rows for this epoch: a writable
+        map of a new spill file listed in ``files``, else (no spill
+        directory, or no rows: an empty file cannot be mapped) heap."""
+        if self._scratch is None or not n:
+            return np.empty(n, dtype=np.int64)
+        path = os.path.join(self._scratch,
+                            f"epoch{self._n_epochs}-{table}.npy")
+        files.append(path)
+        return np.lib.format.open_memmap(path, mode="w+", dtype=np.int64,
+                                         shape=(n,))
+
+    def _seal_granularity(self, name, mem_line, tables, files):
         n, n_prev = self.n_accesses, self._n_sealed
         chunk = self.chunk_accesses
         keys_now = self._keys[name]
         sealed = self._sealed_counts[name]
         starts_now = np.zeros(keys_now.shape[0] + 1, dtype=np.int64)
         np.cumsum(self._counts[name], out=starts_now[1:])
-        if spill_dir is None or not n:
-            positions = np.empty(n, dtype=np.int64)
-        else:
-            positions = np.lib.format.open_memmap(
-                os.path.join(spill_dir, name + "_positions.npy"),
-                mode="w+", dtype=np.int64, shape=(n,))
+        positions = self._epoch_table(f"{name}_positions", n, files)
 
         # Counting sort: the pending accesses take the tail slots of
         # their key's run in position order, behind per-key cursors.
@@ -633,7 +646,7 @@ class LiveIndexBuilder:
             pending = self._counts[name] - sealed
             dest = np.repeat(np.cumsum(sealed), pending)
             dest += np.arange(n - n_prev, dtype=np.int64)
-            prev = self._sealed[name]
+            prev = self.sealed[f"{name}_positions"]
             taken_lo = 0
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)
@@ -646,37 +659,21 @@ class LiveIndexBuilder:
             # dest, the mask and its negation, and one window of dest.
             self._hold(dest.nbytes + 10 * min(n, chunk))
 
+        column = self._columns[name].view(n)
+        if name == "lines" and self._scratch is not None:
+            # Later appends patch the live successors.
+            frozen = self._epoch_table("lines_successors", n, files)
+            frozen[:] = column
+            column = _read_only(frozen)
         tables[f"{name}_keys"] = keys_now
         tables[f"{name}_starts"] = starts_now
-        tables[f"{name}_positions"] = positions
-        tables[f"{name}_{_PER_ACCESS[name]}"] = self._columns[name].view(n)
-
-    def _publish(self, trace, tables, key, label):
-        published = None
-        if self.store is not None and key is not None:
-            self.store.save_arrays(key, tables, label=label)
-            published = self.store.load_mapped(key, label=label)
-        if published is not None:
-            tables = published
-        else:
-            # Heap epoch (no store/key, or a dropped publish): copy the
-            # spill and file-backed column memmaps, so the epoch
-            # survives the spill cleanup and later patches; heap
-            # columns are detached at the next append instead.
-            tables = {name: (np.array(table) if isinstance(table, np.memmap)
-                             else table)
-                      for name, table in tables.items()}
-            self._columns_shared = True
-        for name in self._GRANULARITIES:
-            self._sealed[name] = tables[f"{name}_positions"]
-            self._sealed_counts[name] = self._counts[name].copy()
-        self._n_sealed = self.n_accesses
-        return TraceIndex.from_tables(trace, tables)
+        tables[f"{name}_positions"] = _read_only(positions)
+        tables[f"{name}_{_PER_ACCESS[name]}"] = column
 
     def close(self):
         for column in self._columns.values():
             column.close()
-        self._sealed = {}
+        self.sealed = {}
         if self._scratch is not None:
             shutil.rmtree(self._scratch, ignore_errors=True)
             unregister_scratch(self._scratch)
@@ -759,25 +756,36 @@ class TraceIndex:
         The build is one :class:`LiveIndexBuilder` append of the whole
         trace and one seal, so peak construction RSS is O(chunk +
         unique keys), not O(accesses).  With an enabled ``store`` the
-        tables are constructed in spill files next to it (same
-        filesystem — ``/tmp`` may be RAM-backed), streamed into an
-        uncompressed-npz blob under ``key`` and served back as
-        read-only memory maps.  With a missing or disabled store (or a
-        dropped publish) the tables stay on the heap and ``key`` is
-        unused.
+        builder spills next to it (same filesystem — ``/tmp`` may be
+        RAM-backed), and the sealed tables are streamed into an
+        uncompressed-npz blob under ``key``, shared by content across
+        processes, and served back as read-only memory maps.  With a
+        missing or disabled store (or a dropped publish) the tables
+        stay on the heap and ``key`` is unused.
         """
         if store is not None:
             existing = cls.open(trace, store, key)
             if existing is not None:
                 return existing
         t0 = time.perf_counter()
-        with LiveIndexBuilder(store, chunk_accesses=chunk_accesses) \
+        spill_dir = store.root if getattr(store, "enabled", False) else None
+        with LiveIndexBuilder(spill_dir, chunk_accesses=chunk_accesses) \
                 as builder:
             builder.append(trace.mem_line)
-            index = builder.seal(trace, key, label="trace-index-spill")
+            index = builder.seal(trace)
+            stats = index.build_stats
+            if spill_dir is not None:
+                tables = builder.sealed
+                store.save_arrays(key, tables, label="trace-index-spill")
+                published = store.load_mapped(key, label="trace-index-spill")
+                if published is None:
+                    # A dropped publish: heap copies outlive the scratch.
+                    published = {name: np.array(table)
+                                 for name, table in tables.items()}
+                index = cls.from_tables(trace, published)
+                index.build_stats = stats
         s = telemetry.session()
         if s is not None:
-            stats = index.build_stats
             s.add_time("index.build", time.perf_counter() - t0)
             s.count("index.build.chunks", stats.n_chunks)
             s.event("index.build", asdict(stats))

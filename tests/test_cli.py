@@ -379,7 +379,7 @@ def test_cache_watermark_views(capsys, tmp_path):
     # stats: superseded watermark entries are counted...
     assert main(["cache", "stats", "--dir", str(cache), "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert stats["live_superseded"] == 2        # index + result at wm 1
+    assert stats["live_superseded"] == 1        # the result at wm 1
     # ...ls: every live entry names its lineage and watermark...
     assert main(["cache", "ls", "--dir", str(cache), "--json"]) == 0
     entries = json.loads(capsys.readouterr().out)
@@ -389,7 +389,7 @@ def test_cache_watermark_views(capsys, tmp_path):
     # ...gc: superseded entries are reclaimed, latest survives.
     assert main(["cache", "gc", "--dir", str(cache), "--json"]) == 0
     swept = json.loads(capsys.readouterr().out)
-    assert swept["superseded_removed"] == 2
+    assert swept["superseded_removed"] == 1
     assert swept["reclaimed_bytes"] > 0
     assert main(["cache", "stats", "--dir", str(cache), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["live_superseded"] == 0
@@ -397,3 +397,36 @@ def test_cache_watermark_views(capsys, tmp_path):
     remaining = [e for e in json.loads(capsys.readouterr().out)
                  if e["watermark"] is not None]
     assert {e["watermark"] for e in remaining} == {2}
+
+
+def test_cache_gc_reclaims_retired_index_epochs(capsys, tmp_path):
+    """Index epochs an older version published beside each watermark's
+    results count as superseded at every watermark: one ``cache gc``
+    removes them all, the top result stays, and a second removes
+    nothing."""
+    from repro.live import artifacts
+    from repro.store import ArtifactStore
+
+    _, feed, _ = _live_fixture(tmp_path)
+    cache = tmp_path / "cache"
+    assert main(["live", "run", "--feed", str(feed),
+                 "--store", str(cache)] + _LIVE_ARGS) == 0
+    capsys.readouterr()
+    store = ArtifactStore(root=cache, enabled=True)
+    [(_, lineage)] = artifacts.watermark_census(store)
+    for watermark in (1, 2):
+        store.save_arrays({"artifact": "live-index", "watermark": watermark},
+                          {"lines_positions": np.arange(watermark)},
+                          label=artifacts.live_label("index", lineage,
+                                                     watermark))
+    assert main(["cache", "stats", "--dir", str(cache), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["live_superseded"] == 3
+    assert main(["cache", "gc", "--dir", str(cache), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["superseded_removed"] == 3
+    assert main(["cache", "ls", "--dir", str(cache), "--json"]) == 0
+    remaining = [(e["label"], e["watermark"])
+                 for e in json.loads(capsys.readouterr().out)]
+    assert remaining == [(f"live:result:{lineage}#2", 2)]
+    assert main(["cache", "gc", "--dir", str(cache), "--json"]) == 0
+    swept = json.loads(capsys.readouterr().out)
+    assert swept["superseded_removed"] == swept["removed"] == 0

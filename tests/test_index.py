@@ -559,15 +559,11 @@ def _no_fault_plan(monkeypatch):
     clear_plan()
 
 
-@pytest.mark.parametrize("mode", ["published", "heap", "dropped"])
-def test_live_builder_seals_match_reference(mode, tmp_path, _no_fault_plan):
-    """Every seal equals the reference on its prefix, however the feed
-    was chunked and whatever the builder's window, and no sealed epoch
-    changes as later appends patch the live successor column.
-    ``published`` streams the live columns into a store blob;
-    ``dropped`` loses that publish to ENOSPC, so the seal falls back to
-    heap copies."""
-    multi_window = set()
+def _live_feeds():
+    """Four random feeds, each with its append cuts, the appends after
+    which a seal falls and the build window.  Odd feeds fold whole
+    appends at once; even ones split every seal's pending accesses into
+    several windows."""
     for seed in range(4):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1_000, 4_000))
@@ -578,41 +574,118 @@ def test_live_builder_seals_match_reference(mode, tmp_path, _no_fault_plan):
         seal_after = set(rng.choice(len(bounds) - 1, size=6,
                                     replace=False).tolist())
         seal_after.add(len(bounds) - 2)
-        # Odd streams fold whole appends at once; even ones split every
-        # seal's pending accesses into several windows.
         chunk = int(rng.integers(1, 700) if seed % 2 else
                     rng.integers(1, 40))
-        store = (None if mode == "heap" else
-                 ArtifactStore(root=tmp_path / f"store-{seed}", enabled=True))
+        yield seed, lines, bounds, seal_after, chunk
+
+
+def _epoch_names(spill_dir):
+    return sorted(path.name for path in spill_dir.glob("live-index-*/epoch*"))
+
+
+@pytest.mark.parametrize("mode", ["spilled", "heap"])
+def test_live_builder_seals_match_reference(mode, tmp_path):
+    """Every seal equals the reference on its prefix, however the feed
+    was chunked and whatever the builder's window, and no sealed epoch
+    changes as later appends patch the live successor column.
+    ``spilled`` keeps each epoch in the builder's spill files as
+    read-only maps (the successors a frozen copy), and its scratch
+    holds one epoch; ``heap`` detaches the heap columns at the next
+    append."""
+    multi_window = set()
+    for seed, lines, bounds, seal_after, chunk in _live_feeds():
+        spill_dir = tmp_path / f"spill-{seed}" if mode == "spilled" else None
         sealed = []
-        with LiveIndexBuilder(store=store, chunk_accesses=chunk) as builder:
+        with LiveIndexBuilder(spill_dir, chunk_accesses=chunk) as builder:
             for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 builder.append(lines[lo:hi])
                 if i not in seal_after:
                     continue
-                if mode == "dropped":
-                    inject("store.write:enospc@n=1")
                 trace = make_trace(list(range(hi)), lines[:hi],
                                    n_instructions=hi)
                 pending = hi - (sealed[-1][2] if sealed else 0)
                 if pending > chunk:
                     multi_window.add("later" if sealed else "first")
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    index = builder.seal(
-                        trace, key=None if store is None
-                        else {"seed": seed, "accesses": hi})
-                assert index.mapped == (mode == "published")
+                index = builder.seal(trace)
+                assert index.mapped == (mode == "spilled")
+                if spill_dir is not None:
+                    assert index.lines._positions.mode == "r"
+                    assert index.lines.successors.mode == "r"
+                    epoch = len(sealed)
+                    assert _epoch_names(spill_dir) == [
+                        f"epoch{epoch}-{table}.npy" for table in (
+                            "lines_positions", "lines_successors",
+                            "pages_positions")]
                 assert index.build_stats.n_chunks == -(-pending // chunk)
-                if mode == "dropped":
-                    assert store.write_errors == len(sealed) + 1
                 reference = reference_tables(lines[:hi])
                 assert_matches_reference(index, reference, (mode, seed, hi))
                 sealed.append((index, reference, hi))
             for index, reference, hi in sealed:
                 assert_matches_reference(index, reference,
                                          (mode, seed, hi, "after appends"))
+        if spill_dir is not None:
+            assert not list(spill_dir.iterdir())
     assert multi_window == {"first", "later"}
+
+
+@pytest.mark.parametrize("mode", ["published", "dropped"])
+def test_spilled_builds_publish_or_fall_back(mode, tmp_path,
+                                             _no_fault_plan):
+    """A spilled batch build of every sealed prefix of the same feeds
+    equals the reference.  ``published`` streams the sealed tables into
+    a store blob and serves them back mapped; ``dropped`` loses that
+    publish to ENOSPC, so the build falls back to heap copies.  Either
+    way the builder's scratch is gone and every index still answers
+    after later builds."""
+    for seed, lines, bounds, seal_after, chunk in _live_feeds():
+        store = ArtifactStore(root=tmp_path / f"store-{seed}", enabled=True)
+        built = []
+        for i, hi in enumerate(bounds[1:]):
+            if i not in seal_after:
+                continue
+            if mode == "dropped":
+                inject("store.write:enospc@n=1")
+            trace = make_trace(list(range(hi)), lines[:hi],
+                               n_instructions=hi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                index = TraceIndex.build_spilled(
+                    trace, store, {"seed": seed, "accesses": hi},
+                    chunk_accesses=chunk)
+            assert index.mapped == (mode == "published")
+            assert index.build_stats.n_chunks == -(-hi // chunk)
+            if mode == "dropped":
+                assert store.write_errors == len(built) + 1
+            reference = reference_tables(lines[:hi])
+            assert_matches_reference(index, reference, (mode, seed, hi))
+            built.append((index, reference, hi))
+        assert not list((tmp_path / f"store-{seed}").glob("live-*"))
+        for index, reference, hi in built:
+            assert_matches_reference(index, reference,
+                                     (mode, seed, hi, "after later builds"))
+
+
+@pytest.mark.parametrize("mode", ["spilled", "heap"])
+def test_seals_with_nothing_pending_match_reference(mode, tmp_path):
+    """An epoch with no accesses, and a second seal with no append since
+    the first, equal the reference.  An empty table cannot be a map (an
+    empty file cannot be mapped), so the empty epoch is heap arrays."""
+    lines = np.arange(500, dtype=np.int64) % 37 * 70
+    spill_dir = tmp_path if mode == "spilled" else None
+    with LiveIndexBuilder(spill_dir, chunk_accesses=64) as builder:
+        empty = builder.seal(make_trace([], lines[:0], n_instructions=1))
+        assert not empty.mapped
+        assert empty.build_stats.n_chunks == 0
+        builder.append(lines)
+        trace = make_trace(list(range(500)), lines, n_instructions=500)
+        first = builder.seal(trace)
+        again = builder.seal(trace)
+        assert again.build_stats.n_chunks == 0
+        builder.append(lines[:0])
+        assert_matches_reference(empty, reference_tables(lines[:0]), mode)
+        for index in (first, again):
+            assert index.mapped == (mode == "spilled")
+            assert_matches_reference(index, reference_tables(lines), mode)
 
 
 @pytest.mark.parametrize("sealed_before", [False, True])

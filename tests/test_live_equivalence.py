@@ -375,7 +375,7 @@ class TestWatermarkArtifacts:
                 as runner:
             watermarks = runner.run(chunk_trace(full_trace, CHUNK))
             lineage = runner.lineage
-        # Every watermark published its result and index epoch...
+        # Every watermark published its result...
         for w in watermarks:
             key = artifacts.live_key("result", lineage, w.watermark,
                                      w.content_fp, strategy="SMARTS")
@@ -383,12 +383,12 @@ class TestWatermarkArtifacts:
             assert loaded is not None
             assert _identity(loaded) == _identity(w.results["SMARTS"])
         census = artifacts.watermark_census(store)
-        assert {kind for kind, _ in census} == {"index", "result"}
+        assert {kind for kind, _ in census} == {"result"}
         for entries in census.values():
             assert sorted(wm for wm, _, _ in entries) == [1, 2]
         # ...and the sweep keeps exactly the top watermark per lineage.
         removed, reclaimed = artifacts.sweep_superseded(store)
-        assert removed == 2 and reclaimed > 0
+        assert removed == 1 and reclaimed > 0
         for entries in artifacts.watermark_census(store).values():
             assert [wm for wm, _, _ in entries] == [2]
         # Idempotent once clean.
@@ -398,6 +398,28 @@ class TestWatermarkArtifacts:
         assert store.load(artifacts.live_key(
             "result", lineage, top.watermark, top.content_fp,
             strategy="SMARTS")) is not None
+
+    def test_spilled_epochs_stay_in_the_builder(self, tmp_path, full_trace):
+        """With a store and ``spill="always"`` every watermark's index is
+        mapped from the builder's spill, never published: the store
+        holds results and warm-up bundles only, and the builder's
+        scratch one epoch."""
+        store = ArtifactStore(root=tmp_path / "cache", enabled=True)
+        with LiveRunner(GAP, HIERARCHY, name="small", seed=SEED,
+                        store=store, spill="always") as runner:
+            for w in runner.feed(chunk_trace(full_trace, CHUNK)):
+                assert runner.context.index.mapped, w.watermark
+                assert "index" not in w.published, w.published
+                scratch = list((tmp_path / "cache").glob("live-index-*"))
+                assert len(scratch) == 1
+                assert sorted(path.name for path in
+                              scratch[0].glob("epoch*")) == [
+                    f"epoch{w.watermark - 1}-{table}.npy" for table in (
+                        "lines_positions", "lines_successors",
+                        "pages_positions")]
+        census = artifacts.watermark_census(store)
+        assert {kind for kind, _ in census} == {"result", "warmup"}
+        assert not list((tmp_path / "cache").glob("live-*"))
 
 
 # -- bounded RSS over an unbounded feed ---------------------------------------

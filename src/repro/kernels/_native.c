@@ -1,6 +1,7 @@
 /* Compiled kernel backend: the per-access loops of the cache, MSHR and
  * classification hot paths, the per-instruction draws of synthetic
- * generation, and the in-RAM trace index build.
+ * generation, the in-RAM trace index build and a live index's segment
+ * merge.
  *
  * Each loop runs the per-access reference semantics of its Python
  * counterpart directly (one linear scan per access over at most
@@ -41,6 +42,9 @@
  *   build_index(lines, page_shift)
  *       -> ((positions, keys, starts, successors),
  *           (positions, keys, starts, ranks))
+ *   merge_runs(older_positions, older_keys, older_starts,
+ *              newer_positions, newer_keys, newer_starts, out)
+ *       -> (keys, starts)
  *
  * `sets` is the live list-of-lists representation of SetAssocCache
  * (LRU at index 0).  A cache kernel first finds the sets its lines
@@ -89,6 +93,15 @@
  * the one per-access table that granularity's queries read: each
  * access's next same-line position (-1 if none) and its rank among its
  * page's accesses.  Its tables equal `vff.index`'s bounded builder's.
+ *
+ * `merge_runs` merges two adjacent time-ordered segments of a live
+ * index at one granularity: every older position precedes every newer
+ * one, so each key's merged run is its older run followed by its newer
+ * run.  One walk of the two ascending key tables counts the merged
+ * keys, a second writes the runs into `out` (the caller's table, a
+ * spill map or heap) in key order, so the positions are read and
+ * written once, sequentially.  It equals `vff.index._merge_runs`'s
+ * numpy merge, the `scalar` reference.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1649,6 +1662,123 @@ done:
     return result;
 }
 
+/* -- merge_runs (a live index's segment merge) ------------------------- */
+
+/* 0 when a segment's run starts are a valid grouping of its `n`
+ * positions: `n_keys + 1` entries rising from 0 to `n`. */
+static int
+check_runs(const npy_int64 *starts, npy_intp n_keys, npy_intp n,
+           const char *name)
+{
+    npy_intp k;
+
+    if (starts[0] != 0 || starts[n_keys] != n)
+        goto bad;
+    for (k = 0; k < n_keys; k++)
+        if (starts[k + 1] < starts[k])
+            goto bad;
+    return 0;
+bad:
+    PyErr_Format(PyExc_ValueError,
+                 "merge_runs: %s starts are not a grouping of its "
+                 "positions", name);
+    return -1;
+}
+
+static PyObject *
+merge_runs(PyObject *self, PyObject *args)
+{
+    static const char *names[7] = {
+        "older positions", "older keys", "older starts",
+        "newer positions", "newer keys", "newer starts", "out"};
+    PyArrayObject *arr[7];
+    const npy_int64 *a_pos, *a_keys, *a_starts, *b_pos, *b_keys, *b_starts;
+    npy_int64 *out, *keys, *starts;
+    npy_intp na, nb, i, j, k, w, x, dims[1];
+    PyArrayObject *keys_arr = NULL, *starts_arr = NULL;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!", &PyArray_Type, &arr[0],
+                          &PyArray_Type, &arr[1], &PyArray_Type, &arr[2],
+                          &PyArray_Type, &arr[3], &PyArray_Type, &arr[4],
+                          &PyArray_Type, &arr[5], &PyArray_Type, &arr[6]))
+        return NULL;
+    for (i = 0; i < 7; i++)
+        if (check_vector(arr[i], NPY_INT64, names[i]) < 0)
+            return NULL;
+    if (!PyArray_ISWRITEABLE(arr[6])) {
+        PyErr_SetString(PyExc_ValueError, "merge_runs: out is read-only");
+        return NULL;
+    }
+    na = PyArray_DIM(arr[1], 0);
+    nb = PyArray_DIM(arr[4], 0);
+    if (PyArray_DIM(arr[2], 0) != na + 1 || PyArray_DIM(arr[5], 0) != nb + 1
+            || PyArray_DIM(arr[6], 0)
+               != PyArray_DIM(arr[0], 0) + PyArray_DIM(arr[3], 0)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "merge_runs: table lengths disagree");
+        return NULL;
+    }
+    a_pos = (const npy_int64 *)PyArray_DATA(arr[0]);
+    a_keys = (const npy_int64 *)PyArray_DATA(arr[1]);
+    a_starts = (const npy_int64 *)PyArray_DATA(arr[2]);
+    b_pos = (const npy_int64 *)PyArray_DATA(arr[3]);
+    b_keys = (const npy_int64 *)PyArray_DATA(arr[4]);
+    b_starts = (const npy_int64 *)PyArray_DATA(arr[5]);
+    out = (npy_int64 *)PyArray_DATA(arr[6]);
+    if (check_runs(a_starts, na, PyArray_DIM(arr[0], 0), "older") < 0
+            || check_runs(b_starts, nb, PyArray_DIM(arr[3], 0), "newer") < 0)
+        return NULL;
+
+    /* The merged key count: one walk of the two ascending key tables. */
+    for (i = j = k = 0; i < na || j < nb; k++) {
+        if (j >= nb || (i < na && a_keys[i] < b_keys[j]))
+            i++;
+        else if (i >= na || b_keys[j] < a_keys[i])
+            j++;
+        else
+            i++, j++;
+    }
+    dims[0] = k;
+    keys_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    dims[0] = k + 1;
+    starts_arr = (PyArrayObject *)PyArray_EMPTY(1, dims, NPY_INT64, 0);
+    if (keys_arr == NULL || starts_arr == NULL)
+        goto done;
+    keys = (npy_int64 *)PyArray_DATA(keys_arr);
+    starts = (npy_int64 *)PyArray_DATA(starts_arr);
+
+    /* The same walk, writing each merged key's older run, then its
+     * newer run, in key order. */
+    Py_BEGIN_ALLOW_THREADS
+    for (i = j = k = w = 0; i < na || j < nb; k++) {
+        int take_a = j >= nb || (i < na && a_keys[i] <= b_keys[j]);
+        int take_b = i >= na || (j < nb && b_keys[j] <= a_keys[i]);
+
+        keys[k] = take_a ? a_keys[i] : b_keys[j];
+        starts[k] = w;
+        if (take_a) {
+            for (x = a_starts[i]; x < a_starts[i + 1]; x++)
+                out[w++] = a_pos[x];
+            i++;
+        }
+        if (take_b) {
+            for (x = b_starts[j]; x < b_starts[j + 1]; x++)
+                out[w++] = b_pos[x];
+            j++;
+        }
+    }
+    starts[k] = w;
+    Py_END_ALLOW_THREADS
+
+    result = Py_BuildValue("(OO)", keys_arr, starts_arr);
+
+done:
+    Py_XDECREF(keys_arr);
+    Py_XDECREF(starts_arr);
+    return result;
+}
+
 /* -- module ------------------------------------------------------------ */
 
 static PyMethodDef native_methods[] = {
@@ -1686,6 +1816,9 @@ static PyMethodDef native_methods[] = {
     {"build_index", build_index, METH_VARARGS,
      "build_index(lines, page_shift) -> ((positions, keys, starts, "
      "successors), (positions, keys, starts, ranks))"},
+    {"merge_runs", merge_runs, METH_VARARGS,
+     "merge_runs(older_positions, older_keys, older_starts, "
+     "newer_positions, newer_keys, newer_starts, out) -> (keys, starts)"},
     {NULL, NULL, 0, NULL},
 };
 

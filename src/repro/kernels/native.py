@@ -345,6 +345,20 @@ def build_index(lines, page_shift):
                                int(page_shift))
 
 
+
+def merge_runs(older, newer, out):
+    """Merge two adjacent time-ordered index segments into ``out``.
+
+    ``older`` and ``newer`` are ``(positions, keys, starts)`` of one
+    granularity, every older position before every newer one; ``out``
+    is the writable int64 table their merged positions fill (a spill
+    map or heap).  Returns the merged ``(keys, starts)``; each key's run
+    in ``out`` is its older run followed by its newer run.  Raises
+    ``ValueError`` when the tables do not fit together.
+    """
+    return _native.merge_runs(*(np.ascontiguousarray(t, dtype=np.int64)
+                                for t in (*older, *newer)), out)
+
 def reuse_and_stack_distances_native(lines):
     """Exact ``(reuse, stack)`` distances via the compiled Fenwick loop.
 

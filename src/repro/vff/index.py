@@ -24,18 +24,35 @@ Two construction paths exist:
   accesses in windows of ``chunk_accesses`` — grouping each window by
   key through :func:`_group_by_key`, which packs key and position into
   one int64 so that a plain sort yields the stable order — and seals
-  the eight tables for the prefix consumed so far.  A live feed seals
-  at every watermark; a batch build (:meth:`TraceIndex.build_spilled`,
-  and ``TraceIndex(trace)`` under ``scalar`` or without a compiler) is
-  one append of the whole trace and one seal, the reference the
-  compiled build is tested against.  With a spill directory an epoch
-  stays in the builder's spill files as read-only memory maps (a
-  spilled batch build is published to the store and served from it,
+  an index of the prefix consumed so far.  A live feed seals at every
+  watermark; a batch build (:meth:`TraceIndex.build_spilled`, and
+  ``TraceIndex(trace)`` under ``scalar`` or without a compiler) is one
+  append of the whole trace and one seal, the reference the compiled
+  build is tested against.  With a spill directory an epoch stays in
+  the builder's spill files as read-only memory maps (a spilled batch
+  build is published to the store and served from it,
   :meth:`TraceIndex.open`): queries then touch only the table pages the
   watchpoints direct them to, so a strategy run's resident set scales
   with the sampled regions rather than the trace length.
+
+A seal writes only what its watermark appended: the grouped tables of
+the pending accesses, as one more time-ordered *segment*.  The two
+newest segments merge whenever they hold equally many seals (Bentley
+and Saxe's logarithmic method), so a live epoch is at most
+``floor(log2 k) + 1`` segments after ``k`` seals and each access is
+rewritten at most ``ceil(log2 k)`` times.  Every query splits over
+time — counts add, the latest last access and the earliest first
+access win — so a :class:`_SegmentedIndex` answers as the one-segment
+index of its prefix would.  A batch build, the compiled build and an
+opened spilled index are one segment, a plain :class:`_PositionIndex`
+with the eight tables.  The lines' successors of a live epoch are a
+view of the builder's live column: later appends patch an entry that
+read -1 to a position past the epoch's end, which
+:meth:`TraceIndex.batch_await_reuse` reads as "no successor in this
+prefix".
 """
 
+import bisect
 import os
 import shutil
 import tempfile
@@ -134,7 +151,8 @@ def _insert_keys(keys, unique, *columns):
 
 
 class _PositionIndex:
-    """Sorted access positions grouped by key (line or page).
+    """Sorted access positions grouped by key (line or page): one
+    segment.
 
     ``_positions`` lists every access position grouped by key, each
     key's run ascending; ``_keys`` holds the distinct keys ascending and
@@ -143,6 +161,8 @@ class _PositionIndex:
     table its queries read: the lines' ``successors`` (each access's
     next same-line position, -1 if none) and the pages' ``ranks`` (how
     many same-page accesses precede each access); the other is None.
+    A segment of a live epoch (:class:`_SegmentedIndex`) holds the
+    positions of its own span of the prefix and no per-access table.
     """
 
     @classmethod
@@ -162,6 +182,11 @@ class _PositionIndex:
                             else _as_int64(successors))
         index.ranks = None if ranks is None else _as_int64(ranks)
         return index
+
+    @property
+    def mapped(self):
+        """True when the positions table is a memory-mapped view."""
+        return isinstance(self._positions, np.memmap)
 
     def positions(self, key):
         """Ascending access positions of ``key`` (empty if unseen)."""
@@ -266,18 +291,164 @@ class _PositionIndex:
         return counts, last
 
 
+class _SegmentedIndex:
+    """A live epoch's positions at one granularity, split by time.
+
+    ``segments`` are :class:`_PositionIndex` parts, oldest first;
+    segment ``s`` holds the positions in ``[bounds[s], bounds[s + 1])``.
+    Every query decomposes over the segments its window overlaps and
+    runs the one-segment code on each: counts add, the newest segment
+    with a hit gives the last position and the oldest the first.  So
+    each answer, on every backend, equals the one the one-segment index
+    of the same prefix gives.  ``successors``/``ranks`` are the epoch's
+    per-access table, as on a :class:`_PositionIndex`.
+    """
+
+    def __init__(self, segments, bounds, successors=None, ranks=None):
+        self.segments = list(segments)
+        self.bounds = [int(edge) for edge in bounds]
+        self.successors = successors
+        self.ranks = ranks
+
+    @property
+    def mapped(self):
+        return any(segment.mapped for segment in self.segments)
+
+    def _spanning(self, lo, hi):
+        """The segments holding positions between ``lo`` and ``hi``, in
+        either order (an inverted window counts negatively, as
+        :meth:`_PositionIndex.count_in` does), oldest first."""
+        lo, hi = sorted((int(lo), int(hi)))
+        first = max(0, bisect.bisect_right(self.bounds, lo) - 1)
+        return self.segments[first:bisect.bisect_left(self.bounds, hi)]
+
+    def positions(self, key):
+        return np.concatenate([segment.positions(key)
+                               for segment in self.segments])
+
+    def count_in(self, key, lo, hi):
+        return sum(segment.count_in(key, lo, hi)
+                   for segment in self._spanning(lo, hi))
+
+    def last_in(self, key, lo, hi):
+        for segment in reversed(self._spanning(lo, hi)):
+            last = segment.last_in(key, lo, hi)
+            if last >= 0:
+                return last
+        return -1
+
+    def first_in(self, key, lo, hi):
+        for segment in self._spanning(lo, hi):
+            first = segment.first_in(key, lo, hi)
+            if first >= 0:
+                return first
+        return -1
+
+    def first_positions(self, keys):
+        """Oldest segment first; a key found there is settled."""
+        keys = np.asarray(keys, dtype=np.int64)
+        first = np.full(keys.shape[0], -1, dtype=np.int64)
+        todo = np.arange(keys.shape[0])
+        for segment in self.segments:
+            if not todo.size:
+                break
+            found = segment.first_positions(keys[todo])
+            hit = found >= 0
+            first[todo[hit]] = found[hit]
+            todo = todo[~hit]
+        return first
+
+    def batch_counts_and_last(self, keys, lo, hi):
+        """Each overlapped segment's window query, summed; the newest
+        hit is the largest position, so the last positions combine by
+        maximum (-1 loses)."""
+        keys = np.asarray(keys, dtype=np.int64)
+        counts = np.zeros(keys.shape[0], dtype=np.int64)
+        last = np.full(keys.shape[0], -1, dtype=np.int64)
+        if hi > lo:
+            for segment in self._spanning(lo, hi):
+                seg_counts, seg_last = segment.batch_counts_and_last(
+                    keys, lo, hi)
+                counts += seg_counts
+                np.maximum(last, seg_last, out=last)
+        return counts, last
+
+
+def _merge_runs(older, newer, out, chunk):
+    """Merge two adjacent segments of one granularity into ``out``.
+
+    Every position of ``older`` precedes every one of ``newer``, so a
+    key's merged run is its ``older`` run followed by its ``newer`` run.
+    Returns ``(keys, starts, held)``: the merged key table, its run
+    starts and the largest transient bytes the merge held.  On the
+    ``native`` backend it is one compiled walk of the two key tables
+    (``kernels.native.merge_runs``).  The reference, under ``scalar``,
+    is the numpy merge: ``newer`` takes the tail slots of each run (a
+    scatter) and ``older`` fills the heads in order, over windows of
+    whole keys holding at most ``chunk`` rows (a key with more is its
+    own window, two contiguous copies).  Either way the transients are
+    O(chunk + unique keys).
+    """
+    if kernels.get_backend() == "native":
+        keys, starts = kernels.native.merge_runs(
+            (older._positions, older._keys, older._starts),
+            (newer._positions, newer._keys, newer._starts), out)
+        return keys, starts, keys.nbytes + starts.nbytes
+    keys = np.union1d(older._keys, newer._keys)
+    at_old = np.searchsorted(keys, older._keys)
+    at_new = np.searchsorted(keys, newer._keys)
+    head = np.zeros(keys.shape[0], dtype=np.int64)
+    head[at_old] = np.diff(older._starts)
+    counts = head.copy()
+    counts[at_new] += np.diff(newer._starts)
+    starts = np.zeros(keys.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    # Where each key's newer run begins.
+    tail = starts[:-1] + head
+    held = 0
+    k = 0
+    while k < keys.shape[0]:
+        row_lo = int(starts[k])
+        k_hi = max(k + 1, int(np.searchsorted(starts, row_lo + chunk,
+                                              side="right")) - 1)
+        window = out[row_lo:starts[k_hi]]
+        o_lo, o_hi = np.searchsorted(at_old, (k, k_hi)).tolist()
+        w_lo, w_hi = np.searchsorted(at_new, (k, k_hi)).tolist()
+        old = older._positions[older._starts[o_lo]:older._starts[o_hi]]
+        runs = newer._starts[w_lo:w_hi + 1]
+        new = newer._positions[runs[0]:runs[-1]]
+        if k_hi == k + 1:
+            window[:old.shape[0]] = old
+            window[old.shape[0]:] = new
+        else:
+            dest = np.repeat(tail[at_new[w_lo:w_hi]] - runs[:-1] - row_lo,
+                             np.diff(runs))
+            dest += np.arange(runs[0], runs[-1], dtype=np.int64)
+            window[dest] = new
+            taken = np.zeros(window.shape[0], dtype=bool)
+            taken[dest] = True
+            window[~taken] = old
+            # dest and the arange, the mask and its negation.
+            held = max(held, 2 * dest.nbytes + 2 * taken.nbytes)
+        k = k_hi
+    # keys, the two slot arrays, head, counts, starts and tail.
+    return keys, starts, held + 7 * keys.nbytes
+
+
 @dataclass
 class IndexBuildStats:
     """What a bounded build materialized, for bounded-RSS proofs.
 
     ``peak_transient_bytes`` is the largest sum of in-RAM temporaries
-    any single fold or seal window held at once — the builder's working
-    set beyond the (spillable) output tables and the O(unique keys)
-    per-key state.  A seal over a previous epoch also holds its pending
-    accesses' destinations (O(pending)) while it merges.
-    ``table_bytes`` counts the eight sealed tables: four O(accesses)
-    ones (each granularity's positions and its one per-access table)
-    and the O(unique keys) keys and starts.
+    any single fold, seal or merge window held at once — the builder's
+    working set beyond the (spillable) output tables and the O(unique
+    keys) per-key state.  ``table_bytes`` counts the epoch's tables:
+    each granularity's positions (over all its segments) and its one
+    per-access table, O(accesses) each, and the O(unique keys) keys
+    and starts of every segment.  ``n_segments`` is how many
+    time-ordered segments each granularity of the epoch holds, and
+    ``rows_written`` how many position rows the seal wrote per
+    granularity: its new segment plus every merge it made.
     """
 
     n_accesses: int
@@ -286,6 +457,8 @@ class IndexBuildStats:
     peak_transient_bytes: int
     key_state_bytes: int
     table_bytes: int
+    n_segments: int
+    rows_written: int
 
 
 def default_chunk_accesses():
@@ -351,12 +524,6 @@ class _GrowColumn:
         if capacity > self._capacity:
             self._move(capacity)
 
-    def detach(self):
-        """Move heap rows to a fresh buffer, so views taken before stop
-        seeing later patches (a spilled epoch keeps a frozen copy of a
-        file-backed column instead)."""
-        self._move(self._capacity)
-
     def append(self, values):
         values = np.asarray(values, dtype=np.int64)
         self.reserve(self.rows + values.shape[0])
@@ -368,8 +535,8 @@ class _GrowColumn:
         self._data[idx] = values
 
     def view(self, n):
-        """Live (mutable-underneath) view of the first ``n`` rows —
-        copy or :meth:`detach` before keeping across further appends."""
+        """Live view of the first ``n`` rows: later patches show
+        through it (until a heap column grows into a new buffer)."""
         return self._data[:n]
 
     def close(self):
@@ -391,6 +558,28 @@ def _read_only(table):
             if isinstance(table, np.memmap) else table)
 
 
+def _remove_files(paths):
+    for path in paths:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+
+
+@dataclass
+class _Segment:
+    """The accesses ``[lo, hi)`` that ``seals`` seals appended, grouped
+    by key at each granularity (``parts``: :class:`_PositionIndex`
+    tables without a per-access table), and the spill files holding
+    their positions."""
+
+    lo: int
+    hi: int
+    seals: int
+    parts: dict
+    files: list
+
+
 class LiveIndexBuilder:
     """Bounded append/seal builder of the index tables.
 
@@ -399,9 +588,10 @@ class LiveIndexBuilder:
     the previous epoch sealed, and the lines' last-occurrence
     positions) plus one live per-access column per granularity, the one
     its queries read: the lines' successors and the pages' ranks.
-    :meth:`seal` materializes the eight tables for the prefix consumed
-    so far — bit-identical to the compiled in-RAM build of that prefix.
-    A batch build is one append and one seal; it is also the in-RAM
+    :meth:`seal` indexes the prefix consumed so far, answering every
+    query as the compiled in-RAM build of that prefix does.  A batch
+    build is one append and one seal: one segment, whose eight tables
+    are bit-identical to the compiled build's.  It is also the in-RAM
     build under the ``scalar`` backend.
 
     Invariants that make the seal cheap and exact:
@@ -410,27 +600,33 @@ class LiveIndexBuilder:
       within its page's run counts only earlier accesses), so they are
       computed once at append time;
     * line *successors* are appended provisionally (``-1``) and patched
-      in place when the line's next access arrives — at a seal taken at
-      the stream position every entry is either a real in-prefix
-      successor or ``-1``, exactly the batch semantics;
+      in place when the line's next access arrives, always to a later
+      position: at a seal every entry is a real in-prefix successor or
+      ``-1``, exactly the batch semantics, and an entry that later
+      appends patch lands past the epoch's end.  So an epoch serves the
+      live column itself; it reads an entry at or past its end as
+      ``-1``;
     * the builder keeps no copy of the accesses: a seal reads the ones
       appended since the previous epoch (the *pending* accesses) back
-      from the prefix snapshot it is given.  They take the tail slots
-      of their key's run, filled by a counting sort window by window
-      behind per-key cursors that start past what the previous epoch
-      sealed; every cursor must end at its run end, or the snapshot is
-      not the appended feed;
-    * the previous epoch's positions table fills every other slot (the
-      run heads) in order, so that part of a seal is one sequential
-      merge over the sorted pending destinations.
+      from the prefix snapshot it is given and groups them into a new
+      segment by a counting sort, window by window, behind per-key
+      cursors; a window key with no pending accesses, or a run that
+      would overflow its key's pending count, means the snapshot is not
+      the appended feed;
+    * segments merge like a binary counter: while the two newest hold
+      equally many seals they become one (:func:`_merge_runs`, one
+      sequential pass), so over ``k`` seals an access is rewritten at
+      most ``ceil(log2 k)`` times after its segment's first write, and
+      at most ``floor(log2 k) + 1`` segments are live.
 
     With a ``spill_dir`` the two per-access columns live in growable
     spill files in the builder's scratch (``live-index-*``), and each
-    seal writes its epoch there: the position tables and a frozen copy
-    of the successors, served read-only (the append-only ranks are a
-    view of the live column).  The next seal deletes them once merged,
-    so the scratch holds one epoch and the resident set stays O(chunk +
-    pending + unique keys) while the feed grows without bound.
+    segment's two positions tables in files there
+    (``segment<lo>-<hi>-{lines,pages}_positions.npy``), served
+    read-only.  A merge deletes the files of the segments it merged
+    (maps a held epoch still has keep their pages), so the scratch
+    holds the live segments and the two columns, and the resident set
+    stays O(chunk + unique keys) while the feed grows without bound.
     """
 
     _GRANULARITIES = tuple(_PER_ACCESS)
@@ -458,14 +654,9 @@ class LiveIndexBuilder:
                                               f"{name}_{table[:4]}")
         #: Each line's latest position, for patching its successor.
         self._prev_pos = np.empty(0, dtype=np.int64)
-        #: Accesses and tables (by name) of the last sealed epoch, and
-        #: the spill files it wrote.
+        #: The live segments, oldest first, and the accesses they hold.
+        self._segments = []
         self._n_sealed = 0
-        self.sealed = {}
-        self._n_epochs = 0
-        self._epoch_files = []
-        #: True while a heap epoch holds views of the heap columns.
-        self._columns_shared = False
         self._peak_transient = 0
 
     def _hold(self, nbytes):
@@ -480,14 +671,8 @@ class LiveIndexBuilder:
         if m == 0:
             return
         telemetry.counter("live.index.chunks")
-        columns = self._columns.values()
-        if self._columns_shared:
-            # A heap epoch reads these rows; the patches below must not.
-            for column in columns:
-                column.detach()
-            self._columns_shared = False
         n0 = self.n_accesses
-        for column in columns:
+        for column in self._columns.values():
             column.reserve(n0 + m)
         for lo in range(0, m, self.chunk_accesses):
             lines = np.asarray(mem_line[lo:lo + self.chunk_accesses],
@@ -541,50 +726,56 @@ class LiveIndexBuilder:
         return 3 * column.nbytes + 8 * unique.nbytes
 
     def seal(self, trace):
-        """Materialize the index for the prefix consumed so far.
+        """Index the prefix consumed so far.
 
         ``trace`` is the prefix snapshot: ``trace.n_accesses`` must
         equal the accesses appended, and the seal reads the accesses
         appended since the previous epoch back from ``trace.mem_line``
-        (``ValueError`` if they are not what was appended).  With a
-        spill directory the epoch's tables are read-only memory maps of
-        the builder's spill files, otherwise heap arrays.  Returns a
-        :class:`TraceIndex` bit-identical to a from-scratch build of the
-        same prefix, with the epoch's :class:`IndexBuildStats` as its
-        ``build_stats``.
+        (``ValueError``, the builder unchanged, if they are not what was
+        appended).  They become one more segment, and the newest
+        segments merge while they hold equally many seals.  With a
+        spill directory the positions are read-only memory maps of the
+        builder's spill files, otherwise heap arrays.  Returns a
+        :class:`TraceIndex` that answers every query as a from-scratch
+        build of the same prefix, with the epoch's
+        :class:`IndexBuildStats` as its ``build_stats``.
         """
         t0 = time.perf_counter()
-        n = self.n_accesses
+        n, n_prev = self.n_accesses, self._n_sealed
         if int(trace.n_accesses) != n:
             raise ValueError(
                 f"prefix snapshot has {trace.n_accesses} accesses, "
                 f"builder consumed {n}")
-        tables, files = {}, []
-        for name in self._GRANULARITIES:
-            self._seal_granularity(name, trace.mem_line, tables, files)
-        stats = IndexBuildStats(
+        rows = 0
+        if n > n_prev:
+            segments = self._segments
+            segments.append(self._new_segment(trace.mem_line))
+            self._sealed_counts = {g: c.copy()
+                                   for g, c in self._counts.items()}
+            self._n_sealed = n
+            rows = n - n_prev
+            while (len(segments) > 1
+                   and segments[-1].seals == segments[-2].seals):
+                segments[-2:] = [self._merge(*segments[-2:])]
+                rows += segments[-1].hi - segments[-1].lo
+        index = self._epoch(trace)
+        parts = [part for segment in self._segments
+                 for part in segment.parts.values()]
+        grouped = sum(part._keys.nbytes + part._starts.nbytes
+                      for part in parts)
+        index.build_stats = IndexBuildStats(
             n_accesses=n,
             chunk_accesses=self.chunk_accesses,
-            n_chunks=-(-(n - self._n_sealed) // self.chunk_accesses),
+            n_chunks=-(-(n - n_prev) // self.chunk_accesses),
             peak_transient_bytes=self._peak_transient,
-            key_state_bytes=self._prev_pos.nbytes + int(sum(
+            key_state_bytes=self._prev_pos.nbytes + grouped + int(sum(
                 self._keys[g].nbytes + self._counts[g].nbytes
                 + self._sealed_counts[g].nbytes
-                + tables[f"{g}_starts"].nbytes
                 for g in self._GRANULARITIES)),
-            table_bytes=int(sum(t.nbytes for t in tables.values())))
-        # The merges have read the previous epoch; maps still held keep
-        # its pages.
-        for path in self._epoch_files:
-            os.remove(path)
-        self._epoch_files = files
-        self._n_epochs += 1
-        # Heap columns are detached at the next append.
-        self._columns_shared = self._scratch is None
-        self._sealed_counts = {g: c.copy() for g, c in self._counts.items()}
-        self._n_sealed, self.sealed = n, tables
-        index = TraceIndex.from_tables(trace, tables)
-        index.build_stats = stats
+            table_bytes=grouped + 2 * 8 * n + int(sum(
+                part._positions.nbytes for part in parts)),
+            n_segments=len(self._segments),
+            rows_written=rows)
         self._peak_transient = 0
         s = telemetry.session()
         if s is not None:
@@ -592,88 +783,141 @@ class LiveIndexBuilder:
             s.count("live.index.seals")
         return index
 
-    def _epoch_table(self, table, n, files):
-        """A fresh int64 table of ``n`` rows for this epoch: a writable
-        map of a new spill file listed in ``files``, else (no spill
-        directory, or no rows: an empty file cannot be mapped) heap."""
-        if self._scratch is None or not n:
-            return np.empty(n, dtype=np.int64)
-        path = os.path.join(self._scratch,
-                            f"epoch{self._n_epochs}-{table}.npy")
+    def _epoch(self, trace):
+        """The index over the live segments, each granularity with its
+        live per-access column: one segment is a plain
+        :class:`_PositionIndex`, several a :class:`_SegmentedIndex`."""
+        n = self.n_accesses
+        bounds = [0] + [segment.hi for segment in self._segments]
+        parts = {}
+        for name, table in _PER_ACCESS.items():
+            column = {table: self._columns[name].view(n)}
+            segments = [segment.parts[name] for segment in self._segments]
+            if len(segments) > 1:
+                parts[name] = _SegmentedIndex(segments, bounds, **column)
+                continue
+            if segments:
+                tables = (segments[0]._positions, segments[0]._keys,
+                          segments[0]._starts)
+            else:
+                # An empty table cannot be a map (an empty file cannot
+                # be mapped): no accesses yet is heap arrays.
+                tables = (np.empty(0, dtype=np.int64),
+                          np.empty(0, dtype=np.int64),
+                          np.zeros(1, dtype=np.int64))
+            parts[name] = _PositionIndex.from_tables(*tables, **column)
+        return TraceIndex._of(trace, parts["lines"], parts["pages"])
+
+    def _table(self, table, lo, hi, files, fill=None):
+        """A fresh positions table for the segment ``[lo, hi)``, holding
+        ``fill`` when its rows are known up front: a writable map of a
+        new spill file listed in ``files``, else heap (``fill`` itself)."""
+        rows = hi - lo
+        if self._scratch is None:
+            return np.empty(rows, dtype=np.int64) if fill is None else fill
+        path = os.path.join(self._scratch, f"segment{lo}-{hi}-{table}.npy")
         files.append(path)
-        return np.lib.format.open_memmap(path, mode="w+", dtype=np.int64,
-                                         shape=(n,))
+        # The file's pages are written (with zeros when the rows come
+        # later) before they are mapped: first touches of a hole through
+        # a writable map fault a page at a time and cost twice as much.
+        with open(path, "wb") as handle:
+            np.lib.format.write_array_header_1_0(handle, {
+                "descr": np.dtype(np.int64).str, "fortran_order": False,
+                "shape": (rows,)})
+            if fill is not None:
+                handle.write(fill)
+            else:
+                zeros = np.zeros(min(rows, 1 << 16), dtype=np.int64)
+                self._hold(zeros.nbytes)
+                for at in range(0, rows, zeros.shape[0]):
+                    handle.write(zeros[:rows - at])
+        return np.load(path, mmap_mode="r+")
 
-    def _seal_granularity(self, name, mem_line, tables, files):
-        n, n_prev = self.n_accesses, self._n_sealed
-        chunk = self.chunk_accesses
-        keys_now = self._keys[name]
-        sealed = self._sealed_counts[name]
-        starts_now = np.zeros(keys_now.shape[0] + 1, dtype=np.int64)
-        np.cumsum(self._counts[name], out=starts_now[1:])
-        positions = self._epoch_table(f"{name}_positions", n, files)
+    def _new_segment(self, mem_line):
+        """The pending accesses as a segment of one seal; on a
+        snapshot that is not the feed its files are removed."""
+        lo, hi = self._n_sealed, self.n_accesses
+        parts, files = {}, []
+        try:
+            for name in self._GRANULARITIES:
+                parts[name] = self._group_pending(name, mem_line, lo, hi,
+                                                  files)
+        except BaseException:
+            _remove_files(files)
+            raise
+        return _Segment(lo, hi, 1, parts, files)
 
-        # Counting sort: the pending accesses take the tail slots of
-        # their key's run in position order, behind per-key cursors.
-        cursors = starts_now[:-1] + sealed
-        for lo in range(n_prev, n, chunk):
-            keys = np.asarray(mem_line[lo:lo + chunk], dtype=np.int64)
+    def _group_pending(self, name, mem_line, lo, hi, files):
+        """Counting sort of the accesses ``[lo, hi)`` into their keys'
+        runs, in position order, behind per-key cursors."""
+        pending = self._counts[name] - self._sealed_counts[name]
+        present = np.flatnonzero(pending)
+        keys = self._keys[name][present]
+        starts = np.zeros(keys.shape[0] + 1, dtype=np.int64)
+        np.cumsum(pending[present], out=starts[1:])
+        ends = starts[1:]
+        cursors = starts[:-1].copy()
+        table = f"{name}_positions"
+        whole = hi - lo <= self.chunk_accesses
+        positions = None if whole else self._table(table, lo, hi, files)
+        for at in range(lo, hi, self.chunk_accesses):
+            window = np.asarray(mem_line[at:at + self.chunk_accesses],
+                                dtype=np.int64)
             if name == "pages":
-                keys = keys >> _PAGE_OF_LINE_SHIFT
-            order, unique, run_start, run_count = _group_by_key(keys)
-            run_slot = np.searchsorted(keys_now, unique)
-            if (run_slot[-1] == keys_now.shape[0]
-                    or not np.array_equal(keys_now[run_slot], unique)):
+                window = window >> _PAGE_OF_LINE_SHIFT
+            order, unique, run_start, run_count = _group_by_key(window)
+            run_slot = np.searchsorted(keys, unique)
+            if (run_slot[-1] == keys.shape[0]
+                    or not np.array_equal(keys[run_slot], unique)
+                    or np.any(cursors[run_slot] + run_count
+                              > ends[run_slot])):
                 raise ValueError(_NOT_APPENDED)
-            dest = np.repeat(cursors[run_slot] - run_start, run_count)
-            dest += np.arange(keys.shape[0], dtype=np.int64)
-            order += lo
-            positions[dest] = order
+            order += at
+            if whole:
+                # The window is the whole segment: its grouping is the
+                # table (every cursor sits at its own run start).
+                positions = self._table(table, lo, hi, files, fill=order)
+            else:
+                dest = np.repeat(cursors[run_slot] - run_start, run_count)
+                dest += np.arange(window.shape[0], dtype=np.int64)
+                positions[dest] = order
             cursors[run_slot] += run_count
             # The page shift (or a converted line window), the packed
             # sort key, order, dest and the arange, and per-distinct-key
             # arrays.
-            self._hold(_own_bytes(keys) + 4 * dest.nbytes
+            self._hold(_own_bytes(window) + 4 * order.nbytes
                        + 8 * unique.nbytes)
-        if not np.array_equal(cursors, starts_now[1:]):
-            raise ValueError(_NOT_APPENDED)
+        # The runs hold exactly the pending accesses and none overflowed,
+        # so every run is full.
+        return _PositionIndex.from_tables(_read_only(positions), keys,
+                                          starts)
 
-        if n_prev:
-            # Sequential merge: the previous epoch's table fills every
-            # slot the pending accesses did not take, in order.  In
-            # grouped order, pending access i of key k lands at i plus
-            # the sealed accesses of the keys up to k.
-            pending = self._counts[name] - sealed
-            dest = np.repeat(np.cumsum(sealed), pending)
-            dest += np.arange(n - n_prev, dtype=np.int64)
-            prev = self.sealed[f"{name}_positions"]
-            taken_lo = 0
-            for lo in range(0, n, chunk):
-                hi = min(n, lo + chunk)
-                taken_hi = int(np.searchsorted(dest, hi))
-                taken = np.zeros(hi - lo, dtype=bool)
-                taken[dest[taken_lo:taken_hi] - lo] = True
-                window = positions[lo:hi]
-                window[~taken] = prev[lo - taken_lo:hi - taken_hi]
-                taken_lo = taken_hi
-            # dest, the mask and its negation, and one window of dest.
-            self._hold(dest.nbytes + 10 * min(n, chunk))
-
-        column = self._columns[name].view(n)
-        if name == "lines" and self._scratch is not None:
-            # Later appends patch the live successors.
-            frozen = self._epoch_table("lines_successors", n, files)
-            frozen[:] = column
-            column = _read_only(frozen)
-        tables[f"{name}_keys"] = keys_now
-        tables[f"{name}_starts"] = starts_now
-        tables[f"{name}_positions"] = _read_only(positions)
-        tables[f"{name}_{_PER_ACCESS[name]}"] = column
+    def _merge(self, older, newer):
+        """``older`` and the adjacent ``newer`` as one segment; the
+        merged segments' files are removed."""
+        parts, files = {}, []
+        try:
+            for name in self._GRANULARITIES:
+                out = self._table(f"{name}_positions", older.lo, newer.hi,
+                                  files)
+                keys, starts, held = _merge_runs(
+                    older.parts[name], newer.parts[name], out,
+                    self.chunk_accesses)
+                self._hold(held)
+                parts[name] = _PositionIndex.from_tables(_read_only(out),
+                                                         keys, starts)
+        except BaseException:
+            _remove_files(files)
+            raise
+        # Maps a held epoch keeps still have their pages.
+        _remove_files(older.files + newer.files)
+        return _Segment(older.lo, newer.hi, older.seals + newer.seals,
+                        parts, files)
 
     def close(self):
         for column in self._columns.values():
             column.close()
-        self.sealed = {}
+        self._segments = []
         if self._scratch is not None:
             shutil.rmtree(self._scratch, ignore_errors=True)
             unregister_scratch(self._scratch)
@@ -720,20 +964,35 @@ class TraceIndex:
 
         ``tables`` maps names to the eight tables —
         ``{lines,pages}_{positions,keys,starts}``, ``lines_successors``
-        and ``pages_ranks`` — as :meth:`LiveIndexBuilder.seal` and
+        and ``pages_ranks`` — of one segment, as :meth:`tables` and
         :meth:`open` produce them.  Tables are looked up by name, so
         other members (the lines' ranks and pages' successors an older
         spilled index also holds) are ignored.
         """
-        index = cls.__new__(cls)
-        index.trace = trace
-        index.lines, index.pages = (
+        return cls._of(trace, *(
             _PositionIndex.from_tables(
                 tables[f"{name}_positions"], tables[f"{name}_keys"],
                 tables[f"{name}_starts"],
                 **{table: tables[f"{name}_{table}"]})
-            for name, table in _PER_ACCESS.items())
+            for name, table in _PER_ACCESS.items()))
+
+    @classmethod
+    def _of(cls, trace, lines, pages):
+        index = cls.__new__(cls)
+        index.trace, index.lines, index.pages = trace, lines, pages
         return index
+
+    def tables(self):
+        """The eight tables of a one-segment index, by name, in the
+        order a spilled index's blob holds them."""
+        tables = {}
+        for name, table in _PER_ACCESS.items():
+            part = getattr(self, name)
+            tables.update({f"{name}_keys": part._keys,
+                           f"{name}_starts": part._starts,
+                           f"{name}_positions": part._positions,
+                           f"{name}_{table}": getattr(part, table)})
+        return tables
 
     # -- spill / memory-mapped mode ---------------------------------------
 
@@ -775,7 +1034,7 @@ class TraceIndex:
             index = builder.seal(trace)
             stats = index.build_stats
             if spill_dir is not None:
-                tables = builder.sealed
+                tables = index.tables()
                 store.save_arrays(key, tables, label="trace-index-spill")
                 published = store.load_mapped(key, label="trace-index-spill")
                 if published is None:
@@ -794,8 +1053,7 @@ class TraceIndex:
     @property
     def mapped(self):
         """True when the position tables are memory-mapped views."""
-        return any(isinstance(part._positions, np.memmap)
-                   for part in (self.lines, self.pages)
+        return any(part.mapped for part in (self.lines, self.pages)
                    if part is not None)
 
     def close(self):
@@ -837,7 +1095,10 @@ class TraceIndex:
         page), and dangling watchpoints need one batched count of page
         accesses before the limit.  These two per-access tables, the
         lines' successors and the pages' ranks, are the only ones any
-        query reads.
+        query reads.  A live epoch's successors are the builder's live
+        column, where later appends patch an entry past the epoch's
+        end, so ``access_limit`` is clamped to the prefix: an entry at
+        or past it reads as no successor.
         """
         positions = np.asarray(positions, dtype=np.int64)
         n = positions.shape[0]
@@ -845,7 +1106,9 @@ class TraceIndex:
         stops = np.zeros(n, dtype=np.int64)
         if n == 0:
             return reuse, stops
-        succ = self.lines.successors[positions]
+        successors = self.lines.successors
+        access_limit = min(int(access_limit), successors.shape[0])
+        succ = successors[positions]
         resolved = (succ >= 0) & (succ < access_limit)
         page_ranks = self.pages.ranks
         reuse[resolved] = succ[resolved]

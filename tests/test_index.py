@@ -1,6 +1,8 @@
 """Tests for the trace position index (the profiling oracle)."""
 
 import itertools
+import math
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -343,8 +345,42 @@ def index_tables(index):
     return tables
 
 
-def assert_matches_reference(index, reference, context=""):
-    tables = index_tables(index)
+def segments_of(part):
+    """A granularity's time-ordered segments: a live epoch's
+    ``segments``, or the one segment every other index is."""
+    return getattr(part, "segments", [part])
+
+
+def epoch_tables(index):
+    """The eight tables a live epoch stands for: each granularity's
+    segments merged by key (by a stable sort of every segment's runs,
+    sharing no code with the builder's merge), and the lines'
+    successors with the entries at or past the prefix end, which later
+    appends patch, read as -1."""
+    n = index.lines.successors.shape[0]
+    tables = {}
+    for name, per_access in PER_ACCESS:
+        part = getattr(index, name)
+        segments = segments_of(part)
+        keys = np.concatenate([np.repeat(s._keys, np.diff(s._starts))
+                               for s in segments])
+        positions = np.concatenate([np.asarray(s._positions)
+                                    for s in segments])
+        in_order = np.lexsort((positions, keys))
+        unique, first = np.unique(keys[in_order], return_index=True)
+        per_row = np.array(getattr(part, per_access))
+        if per_access == "successors":
+            per_row[per_row >= n] = -1
+        tables.update({f"{name}_positions": positions[in_order],
+                       f"{name}_keys": unique,
+                       f"{name}_starts": np.append(first, n).astype(np.int64),
+                       f"{name}_{per_access}": per_row})
+    return tables
+
+
+def assert_matches_reference(index, reference, context="",
+                             tables_of=index_tables):
+    tables = tables_of(index)
     assert tuple(tables) == INDEX_TABLES
     for table in INDEX_TABLES:
         assert tables[table].dtype == np.int64, (context, table)
@@ -579,19 +615,28 @@ def _live_feeds():
         yield seed, lines, bounds, seal_after, chunk
 
 
-def _epoch_names(spill_dir):
-    return sorted(path.name for path in spill_dir.glob("live-index-*/epoch*"))
+def _scratch_names(spill_dir):
+    return sorted(path.name for path in spill_dir.glob("live-index-*/*"))
+
+
+def _segment_files(index):
+    """The spill file names of an epoch's segments."""
+    return sorted(os.path.basename(segment._positions.filename)
+                  for name, _ in PER_ACCESS
+                  for segment in segments_of(getattr(index, name)))
 
 
 @pytest.mark.parametrize("mode", ["spilled", "heap"])
 def test_live_builder_seals_match_reference(mode, tmp_path):
     """Every seal equals the reference on its prefix, however the feed
     was chunked and whatever the builder's window, and no sealed epoch
-    changes as later appends patch the live successor column.
-    ``spilled`` keeps each epoch in the builder's spill files as
-    read-only maps (the successors a frozen copy), and its scratch
-    holds one epoch; ``heap`` detaches the heap columns at the next
-    append."""
+    changes as later appends patch the live successor column: an epoch's
+    segments merged by key are the reference's grouped tables, and its
+    successors, a view of the live column, read the reference's once
+    the entries at or past the prefix end count as -1.  ``spilled``
+    keeps each segment in the builder's spill files as read-only maps,
+    and its scratch holds the live segments and the two live columns —
+    no successors copy; ``heap`` keeps them on the heap."""
     multi_window = set()
     for seed, lines, bounds, seal_after, chunk in _live_feeds():
         spill_dir = tmp_path / f"spill-{seed}" if mode == "spilled" else None
@@ -608,24 +653,192 @@ def test_live_builder_seals_match_reference(mode, tmp_path):
                     multi_window.add("later" if sealed else "first")
                 index = builder.seal(trace)
                 assert index.mapped == (mode == "spilled")
+                segments = segments_of(index.lines)
+                assert len(segments_of(index.pages)) == len(segments) \
+                    == index.build_stats.n_segments
                 if spill_dir is not None:
-                    assert index.lines._positions.mode == "r"
-                    assert index.lines.successors.mode == "r"
-                    epoch = len(sealed)
-                    assert _epoch_names(spill_dir) == [
-                        f"epoch{epoch}-{table}.npy" for table in (
-                            "lines_positions", "lines_successors",
-                            "pages_positions")]
+                    assert all(segment._positions.mode == "r"
+                               for name, _ in PER_ACCESS
+                               for segment in segments_of(
+                                   getattr(index, name)))
+                    assert _scratch_names(spill_dir) == sorted(
+                        _segment_files(index)
+                        + ["lines_succ.bin", "pages_rank.bin"])
                 assert index.build_stats.n_chunks == -(-pending // chunk)
                 reference = reference_tables(lines[:hi])
-                assert_matches_reference(index, reference, (mode, seed, hi))
+                assert_matches_reference(index, reference, (mode, seed, hi),
+                                         tables_of=epoch_tables)
                 sealed.append((index, reference, hi))
+            assert max(len(segments_of(index.lines))
+                       for index, _, _ in sealed) > 1
             for index, reference, hi in sealed:
                 assert_matches_reference(index, reference,
-                                         (mode, seed, hi, "after appends"))
+                                         (mode, seed, hi, "after appends"),
+                                         tables_of=epoch_tables)
         if spill_dir is not None:
             assert not list(spill_dir.iterdir())
     assert multi_window == {"first", "later"}
+
+
+def _reference_index(trace):
+    """The one-segment argsort oracle of ``trace``, as an index."""
+    return TraceIndex.from_tables(trace, reference_tables(trace.mem_line))
+
+
+def _assert_same_reuse(index, reference, positions, limits, context):
+    for backend, limit in itertools.product(kernels.BACKENDS, limits):
+        with kernels.use_backend(backend):
+            got = index.batch_await_reuse(positions, limit)
+            want = reference.batch_await_reuse(positions, limit)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (context, backend, limit)
+
+
+@pytest.mark.parametrize("mode", ["spilled", "heap"])
+def test_held_epoch_reads_patched_successors_as_absent(mode, tmp_path):
+    """A held epoch's successors are the builder's live column, and
+    later appends patch its last accesses' -1 entries to positions past
+    its end.  Its reuse queries answer as the reference index of its
+    prefix, at every position and at every limit up to and past its
+    ``n_accesses``: the limit is clamped to the prefix."""
+    rng = np.random.default_rng(3)
+    lines = rng.integers(0, 60, size=3_000).astype(np.int64) * 9
+    spill_dir = tmp_path if mode == "spilled" else None
+    held = []
+    with LiveIndexBuilder(spill_dir, chunk_accesses=256) as builder:
+        lo = 0
+        for hi in (700, 1_500, 2_300):
+            builder.append(lines[lo:hi])
+            lo = hi
+            trace = make_trace(list(range(hi)), lines[:hi],
+                               n_instructions=hi)
+            held.append((builder.seal(trace), trace))
+        builder.append(lines[lo:])
+        for index, trace in held:
+            n = trace.n_accesses
+            assert index.mapped == (mode == "spilled")
+            assert np.count_nonzero(index.lines.successors >= n) > 30
+            limits = sorted({0, 1, n // 3, n - 1, n, n + 1, n + 250,
+                             len(lines), 10 * len(lines)})
+            _assert_same_reuse(index, _reference_index(trace),
+                               np.arange(n), limits, (mode, n))
+
+
+@st.composite
+def live_seals(draw):
+    """A feed, the accesses after which it seals and the builder's
+    window: repeated keys across pages (negative ones included), seals
+    as close as one access apart, and windows of one access up."""
+    pool = draw(st.lists(st.integers(-2**40, 2**40), min_size=1,
+                         max_size=10, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    lines = np.asarray(pool, dtype=np.int64)[rng.integers(0, len(pool),
+                                                          size=n)]
+    seals = sorted(set(draw(st.lists(st.integers(1, n), min_size=1,
+                                     max_size=9))) | {n})
+    return lines, seals, draw(st.integers(1, 48))
+
+
+def _assert_answers_as_reference(index, trace, context):
+    """Every query of ``index`` equals the one-segment reference's."""
+    n = trace.n_accesses
+    lines = np.asarray(trace.mem_line, dtype=np.int64)
+    reference = _reference_index(trace)
+    edges = getattr(index.lines, "bounds", [0, n])
+    windows = {(0, n), (n // 2, n + 7), (n, n + 5), (-3, 2), (n, 0)}
+    for edge in edges:
+        windows |= {(edge - 1, edge + 1), (edge - 2, edge + 3),
+                    (edge, edge), (edge + 1, edge - 1), (0, edge),
+                    (edge, n + 1)}
+    windows = sorted(windows)
+    for name, keys in (("lines", lines),
+                       ("pages", lines >> _PAGE_OF_LINE_SHIFT)):
+        part, ref = getattr(index, name), getattr(reference, name)
+        assert len(segments_of(part)) == index.build_stats.n_segments
+        present = np.unique(keys)
+        query = np.concatenate([present, [present[-1] + 1, present[0] - 1],
+                                present[:1]])
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                for lo, hi in windows:
+                    for q in (query, query[:1], query[-2:-1]):
+                        for g, w in zip(part.batch_counts_and_last(q, lo, hi),
+                                        ref.batch_counts_and_last(q, lo, hi)):
+                            assert np.array_equal(g, w), \
+                                (context, name, backend, lo, hi)
+                assert np.array_equal(part.first_positions(query),
+                                      ref.first_positions(query))
+        for key in query.tolist():
+            assert np.array_equal(part.positions(key), ref.positions(key))
+            for lo, hi in windows:
+                for method in ("count_in", "last_in", "first_in"):
+                    assert getattr(part, method)(key, lo, hi) == \
+                        getattr(ref, method)(key, lo, hi), \
+                        (context, name, method, key, lo, hi)
+    limits = sorted({0, n // 2, n, n + 3} | set(edges))
+    _assert_same_reuse(index, reference, np.arange(n), limits, context)
+
+
+def test_segmented_epochs_answer_as_one_segment(tmp_path):
+    """At every seal of a random feed, and again after the feed's later
+    appends, the live epoch (however many segments it holds) answers
+    every query as the one-segment argsort reference of its prefix:
+    window queries straddling segment edges, empty, inverted or past the
+    prefix end, first positions of absent keys, the per-key queries and
+    the reuse queries, on every backend, spilled and on the heap."""
+    shapes = set()
+
+    @settings(max_examples=30, deadline=None)
+    @given(live_seals(), st.booleans())
+    def check(case, spilled):
+        lines, seals, chunk = case
+        spill_dir = tempfile.mkdtemp(dir=tmp_path) if spilled else None
+        held = []
+        with LiveIndexBuilder(spill_dir, chunk_accesses=chunk) as builder:
+            lo = 0
+            for hi in seals[:-1]:
+                builder.append(lines[lo:hi])
+                lo = hi
+                trace = make_trace(list(range(hi)), lines[:hi],
+                                   n_instructions=hi)
+                index = builder.seal(trace)
+                shapes.add(index.build_stats.n_segments)
+                _assert_answers_as_reference(index, trace, (hi, "sealed"))
+                held.append((index, trace))
+            builder.append(lines[lo:])
+            for index, trace in held:
+                _assert_answers_as_reference(
+                    index, trace, (trace.n_accesses, "after appends"))
+
+    check()
+    assert max(shapes) >= 3
+
+
+def test_segments_merge_logarithmically():
+    """After ``k`` seals each granularity holds one segment per set bit
+    of ``k`` (at most ``floor(log2 k) + 1``), and the position rows the
+    seals wrote — new segments plus merges — sum to at most
+    ``n * (ceil(log2 k) + 1)``, however unevenly the seals fall."""
+    rng = np.random.default_rng(8)
+    lines = rng.integers(0, 500, size=6_000).astype(np.int64) * 3
+    cuts = np.sort(rng.choice(np.arange(1, 6_000), size=39, replace=False))
+    written = 0
+    with LiveIndexBuilder(chunk_accesses=211) as builder:
+        lo = 0
+        for k, hi in enumerate([*cuts.tolist(), 6_000], start=1):
+            builder.append(lines[lo:hi])
+            lo = hi
+            stats = builder.seal(make_trace(list(range(hi)), lines[:hi],
+                                            n_instructions=hi)).build_stats
+            written += stats.rows_written
+            assert stats.n_segments == bin(k).count("1")
+            assert stats.n_segments <= math.floor(math.log2(k)) + 1
+            assert written <= hi * (math.ceil(math.log2(k)) + 1), k
+        # A seal with nothing pending writes nothing and merges nothing.
+        again = builder.seal(make_trace(list(range(6_000)), lines,
+                                        n_instructions=6_000)).build_stats
+        assert (again.rows_written, again.n_segments) == (0, stats.n_segments)
 
 
 @pytest.mark.parametrize("mode", ["published", "dropped"])

@@ -402,21 +402,29 @@ class TestWatermarkArtifacts:
     def test_spilled_epochs_stay_in_the_builder(self, tmp_path, full_trace):
         """With a store and ``spill="always"`` every watermark's index is
         mapped from the builder's spill, never published: the store
-        holds results and warm-up bundles only, and the builder's
-        scratch one epoch."""
+        holds results and warm-up bundles only.  The builder's scratch
+        holds the live segments' positions and the two live columns,
+        no successors copy: the epoch's successors are the live column
+        itself."""
         store = ArtifactStore(root=tmp_path / "cache", enabled=True)
         with LiveRunner(GAP, HIERARCHY, name="small", seed=SEED,
                         store=store, spill="always") as runner:
             for w in runner.feed(chunk_trace(full_trace, CHUNK)):
-                assert runner.context.index.mapped, w.watermark
+                index = runner.context.index
+                assert index.mapped, w.watermark
                 assert "index" not in w.published, w.published
                 scratch = list((tmp_path / "cache").glob("live-index-*"))
                 assert len(scratch) == 1
-                assert sorted(path.name for path in
-                              scratch[0].glob("epoch*")) == [
-                    f"epoch{w.watermark - 1}-{table}.npy" for table in (
-                        "lines_positions", "lines_successors",
-                        "pages_positions")]
+                # Merged like a binary counter: one whole-prefix segment
+                # at watermarks 1 and 2.
+                segment = f"segment0-{index.trace.n_accesses}"
+                assert sorted(path.name for path in scratch[0].iterdir()) \
+                    == ["lines_succ.bin", "pages_rank.bin",
+                        f"{segment}-lines_positions.npy",
+                        f"{segment}-pages_positions.npy"]
+                assert index.build_stats.n_segments == 1
+                assert index.lines.successors.filename == str(
+                    scratch[0] / "lines_succ.bin")
         census = artifacts.watermark_census(store)
         assert {kind for kind, _ in census} == {"result", "warmup"}
         assert not list((tmp_path / "cache").glob("live-*"))

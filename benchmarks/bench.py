@@ -52,7 +52,9 @@ Usage::
 
 ``--quick`` (or ``REPRO_BENCH_PROFILE=quick``) shrinks every suite to
 smoke size — the profile the CI perf gate runs on every push.  The
-committed ``BENCH_*.json`` files use the full profile.  With
+committed ``BENCH_*.json`` files use the full profile; a quick run
+writes (and folds its own history into) the same names under the
+git-ignored ``.benchmarks/``, so it never replaces a committed record.  With
 ``REPRO_TELEMETRY`` enabled each suite runs under a ``phase.bench.*``
 span, so ``python -m repro telemetry report`` profiles the bench run
 itself.
@@ -163,8 +165,12 @@ def active_profile():
             else "full")
 
 
-def result_path(suite):
-    return REPO_ROOT / SUITES[suite]["result"]
+def result_path(suite, profile=None):
+    """The record of ``suite``: the committed root for the full profile,
+    the git-ignored ``.benchmarks/`` for the quick one."""
+    quick = (profile or active_profile()) == "quick"
+    return (REPO_ROOT / ".benchmarks" if quick else REPO_ROOT) \
+        / SUITES[suite]["result"]
 
 
 def _history_from(prior, suite):
@@ -213,7 +219,8 @@ def write_suite(suite, metrics, profile=None):
     perf trajectory survives regeneration.  Returns the full document.
     """
     profile = profile or active_profile()
-    path = result_path(suite)
+    path = result_path(suite, profile)
+    path.parent.mkdir(parents=True, exist_ok=True)
     prior = None
     if path.exists():
         try:

@@ -1,8 +1,8 @@
 """Figure 13: working-set curves (MPKI vs LLC size).
 
 Paper: DeLorean tracks the SMARTS reference; lbm shows knees (positions
-compressed by the scaled gap — see EXPERIMENTS.md), cactusADM and
-leslie3d decline smoothly without a pronounced knee.
+compressed by the scaled gap — see :mod:`repro.experiments.paper`),
+cactusADM and leslie3d decline smoothly without a pronounced knee.
 """
 
 import numpy as np

@@ -21,8 +21,9 @@ Quickstart::
     delorean = DeLorean().run(workload, plan, config)
     print(delorean.cpi, reference.cpi, delorean.speedup_over(reference))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+See README.md for the system inventory; :mod:`repro.experiments.paper`
+holds the paper's numbers, and ``python -m repro all`` prints every
+table and figure beside them.
 """
 
 from repro.trace import (

@@ -3,8 +3,8 @@
 Matches Table 1: split 64 KiB 2-way L1s and a unified 8-way LLC, 64 B
 lines everywhere.  The instruction side carries no traffic in our
 synthetic traces (they have no fetch stream), so L1-I exists for
-configuration completeness and reports zero accesses; this is recorded in
-DESIGN.md as part of the workload substitution.
+configuration completeness and reports zero accesses; README's layout
+notes record this as part of the workload substitution.
 
 ``warm`` is the functional-warming hot path: it inlines the L1-D and LLC
 LRU updates into one interleaved loop, compiled under the native kernel
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro import kernels, telemetry
 from repro.caches.cache import CacheConfig, SetAssocCache
 from repro.kernels import native
+from repro.trace.spec import DEFAULT_SCALE
 from repro.util.units import KIB, MIB
 
 
@@ -165,17 +166,17 @@ class CacheHierarchy:
         self.mem_misses = 0
 
 
-def paper_hierarchy(llc_paper_bytes=8 * MIB, scale=1.0 / 64.0,
+def paper_hierarchy(llc_paper_bytes=8 * MIB, scale=DEFAULT_SCALE,
                     l1_scale=0.25):
     """Table 1 hierarchy at a paper-equivalent LLC size and model scale.
 
-    The paper's 1 MiB–512 MiB 8-way LLC scales by ``scale`` (DESIGN.md
-    §6: 8 MiB paper -> 128 KiB model at the default 1/64).  The 64 KiB
-    L1s scale by the milder ``l1_scale``: what must be preserved for the
-    lukewarm-cache mechanics is the ratio between the benchmarks' hot
-    sets and the L1 — scaling the L1 all the way to 1 KiB would push
-    every hot-set hit out to the LLC and inflate baseline CPI far above
-    the paper's.
+    The paper's 1 MiB–512 MiB 8-way LLC scales by ``scale``
+    (:mod:`repro.sampling.plan`: 8 MiB paper -> 128 KiB model at 1/64).
+    The 64 KiB L1s scale by the milder ``l1_scale``: what must be
+    preserved for the lukewarm-cache mechanics is the ratio between the
+    benchmarks' hot sets and the L1 — scaling the L1 all the way to
+    1 KiB would push every hot-set hit out to the LLC and inflate
+    baseline CPI far above the paper's.
     """
     l1_bytes = max(1 * KIB, int(64 * KIB * l1_scale))
     llc_bytes = max(4 * KIB, int(llc_paper_bytes * scale))

@@ -38,8 +38,7 @@ class AnalystPass:
     name = "analyst"
 
     def __init__(self, context, machine, hierarchy_config,
-                 processor_config=None, prefetcher_factory=None,
-                 mshr_window=24):
+                 processor_config=None, prefetcher_factory=None):
         self.processor_config = processor_config or ProcessorConfig()
         self.core_model = IntervalCoreModel(self.processor_config)
         #: The run's :class:`~repro.core.context.ExecutionContext`.
@@ -50,8 +49,7 @@ class AnalystPass:
         #: Every region's classifier: :meth:`run_region` restarts it.
         self.classifier = WarmingClassifier(
             hierarchy_config, capacity_predictor=None,
-            mshrs=self.processor_config.mshrs_l1d, mshr_window=mshr_window,
-            seed=context.seed)
+            mshrs=self.processor_config.mshrs_l1d, seed=context.seed)
 
     def new_front_end(self):
         """A :class:`~repro.sampling.classify.RegionFrontEnd` for one

@@ -55,14 +55,11 @@ class DeLorean(StrategyBase):
     vicinity_rng = "delorean-vicinity"
 
     def __init__(self, processor_config=None, explorer_specs=DEFAULT_EXPLORERS,
-                 vicinity_density=DEFAULT_DENSITY, vicinity_boost=200.0,
-                 prefetcher=False, mshr_window=24):
+                 vicinity_density=DEFAULT_DENSITY, prefetcher=False):
         super().__init__(processor_config)
         self.explorer_specs = tuple(explorer_specs)
         self.vicinity_density = float(vicinity_density)
-        self.vicinity_boost = float(vicinity_boost)
         self.prefetcher_enabled = prefetcher
-        self.mshr_window = mshr_window
 
     def run(self, workload, plan, hierarchy_config, index=None, seed=0,
             store=None, context=None):
@@ -87,8 +84,7 @@ class DeLorean(StrategyBase):
         :class:`DeLoreanRun` fed from it over every region."""
         bundle = WarmupPipeline(
             self.vicinity_rng, context, plan, self.explorer_specs,
-            self.vicinity_density, self.vicinity_boost,
-            CostMeter(scale=plan.scale)).run_all()
+            self.vicinity_density, CostMeter(scale=plan.scale)).run_all()
         run = DeLoreanRun(self, context, plan, hierarchy_configs,
                           bundle=bundle)
         for spec in plan.regions():
@@ -101,7 +97,6 @@ class DeLorean(StrategyBase):
             processor_config=self.processor_config,
             prefetcher_factory=((lambda: StridePrefetcher(n_streams=8))
                                 if self.prefetcher_enabled else None),
-            mshr_window=self.mshr_window,
         )
 
     def _assemble_result(self, run, plan):
@@ -190,8 +185,7 @@ class DeLoreanRun:
         self.recorded = bundle
         self.warmup = None if bundle is not None else IncrementalWarmup(
             strategy.vicinity_rng, context, strategy.explorer_specs,
-            strategy.vicinity_density, strategy.vicinity_boost,
-            self.base_meter, plan.footprint_scale)
+            strategy.vicinity_density, self.base_meter, plan)
         self.analysts = [
             strategy._analyst(context, config,
                               context.machine(self.base_meter.fork()))

@@ -71,12 +71,9 @@ class DesignSpaceExploration(DeLorean):
     vicinity_rng = "dse-vicinity"
 
     def __init__(self, processor_config=None, explorer_specs=DEFAULT_EXPLORERS,
-                 vicinity_density=DEFAULT_DENSITY, vicinity_boost=200.0,
-                 mshr_window=24):
+                 vicinity_density=DEFAULT_DENSITY):
         super().__init__(processor_config, explorer_specs=explorer_specs,
-                         vicinity_density=vicinity_density,
-                         vicinity_boost=vicinity_boost,
-                         mshr_window=mshr_window)
+                         vicinity_density=vicinity_density)
 
     def begin(self, context, plan, hierarchy_config):
         """A sweep has no refinable (live) form: :meth:`run` it."""

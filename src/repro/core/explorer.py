@@ -21,7 +21,8 @@ In the paper the windows are 5 M / 50 M / 100 M / 1 B instructions before
 the region (the last one spanning the whole gap).  On scaled traces the
 *model* windows are gap fractions chosen to preserve the band structure
 relative to the 30 k-instruction warming window, while *costs* are
-charged at the paper's window sizes (DESIGN.md §6).
+charged at the paper's window sizes (both from the run's
+:class:`~repro.sampling.plan.SamplingPlan`).
 """
 
 from dataclasses import dataclass, field
@@ -73,27 +74,22 @@ class ExplorerChain:
 
     name = "explorers"
 
-    def __init__(self, machines, specs=DEFAULT_EXPLORERS,
-                 vicinity_samplers=None, footprint_scale=1.0 / 64.0):
+    def __init__(self, machines, plan, specs=DEFAULT_EXPLORERS,
+                 vicinity_samplers=None):
         if len(machines) != len(specs):
             raise ValueError("one VirtualMachine per ExplorerSpec required")
         self.machines = list(machines)
+        self.plan = plan
         self.specs = list(specs)
         self.vicinity_samplers = vicinity_samplers
-        #: Per-page/per-line event rates on a scaled trace run hotter by
-        #: 1/footprint_scale; stop projections multiply by it (DESIGN §6).
-        self.footprint_scale = float(footprint_scale)
 
     def _window(self, spec, region_spec, trace):
         """One Explorer's window geometry for one region:
         ``(access_lo, access_hi, model_window_instructions)``."""
-        gap = region_spec.region_start - region_spec.warmup_start
-        window_instr = max(1, int(round(gap * spec.model_gap_fraction)))
-        window_start = max(region_spec.warmup_start,
-                           region_spec.region_start - window_instr)
+        start, model_window = self.plan.explorer_window(spec, region_spec)
         access_lo, access_hi = trace.access_range(
-            window_start, region_spec.region_start)
-        return access_lo, access_hi, region_spec.region_start - window_start
+            start, region_spec.region_start)
+        return access_lo, access_hi, model_window
 
     def plan_regions(self, region_specs, scout_reports):
         """Every Explorer's window profile for each region.
@@ -180,17 +176,17 @@ class ExplorerChain:
     def _charge(self, machine, spec, region_spec, profile, model_window):
         """Charge this Explorer's pass over one gap at paper geometry."""
         meter = machine.meter
-        paper_gap = (region_spec.gap_instructions * meter.scale)
-        paper_window = min(spec.paper_instructions, paper_gap)
+        paper_gap = self.plan.paper_gap(region_spec)
+        paper_window = self.plan.paper_window(spec, region_spec)
         # Fast-forward to the window start, then profile the window.
         meter.fast_forward(paper_gap - paper_window, scaled=False)
         if spec.functional:
             meter.atomic(paper_window, scaled=False)
         else:
             meter.fast_forward(paper_window, scaled=False)
-            stop_projection = (paper_window / max(model_window, 1)
-                               * self.footprint_scale)
             meter.watchpoint_stops(
-                profile.total_stops * stop_projection, scaled=False)
+                profile.total_stops
+                * self.plan.stop_projection(paper_window, model_window),
+                scaled=False)
         meter.watchpoint_setups(
             len(profile.last_access) + len(profile.unresolved), scaled=False)

@@ -29,12 +29,10 @@ class NaiveDirectedWarming(StrategyBase):
 
     name = "NaiveDSW"
 
-    def __init__(self, processor_config=None, vicinity_density=DEFAULT_DENSITY,
-                 vicinity_boost=1000.0, mshr_window=24):
+    def __init__(self, processor_config=None,
+                 vicinity_density=DEFAULT_DENSITY):
         super().__init__(processor_config)
         self.vicinity_density = float(vicinity_density)
-        self.vicinity_boost = float(vicinity_boost)
-        self.mshr_window = mshr_window
 
     def begin(self, context, plan, hierarchy_config):
         """Start a refinable run (``refine`` per region, ``result`` at
@@ -56,7 +54,7 @@ class NaiveDirectedWarmingRun:
     def __init__(self, strategy, context, plan, hierarchy_config):
         self.strategy = strategy
         self.context = context
-        self.footprint_scale = plan.footprint_scale
+        self.plan = plan
         self.meter = CostMeter(scale=plan.scale)
         # Two logical phases of the same process: identify key lines
         # (requires a first pass to the region), then profile the entire
@@ -67,13 +65,11 @@ class NaiveDirectedWarmingRun:
         self.scout = ScoutPass(context, self.scout_machine)
         rng = context.rng("naive-dsw")
         self.sampler = VicinitySampler(
-            self.profile_machine, density=strategy.vicinity_density,
-            density_boost=strategy.vicinity_boost, rng=rng,
-            footprint_scale=plan.footprint_scale)
+            self.profile_machine, plan, density=strategy.vicinity_density,
+            rng=rng, naive=True)
         self.analyst = AnalystPass(
             context, self.analyst_machine, hierarchy_config,
-            processor_config=strategy.processor_config,
-            mshr_window=strategy.mshr_window)
+            processor_config=strategy.processor_config)
         self.regions = []
         self.total_stops = 0
 
@@ -90,9 +86,9 @@ class NaiveDirectedWarmingRun:
         # Watchpoints stay armed across the whole paper-scale gap:
         # charge the full window's stop traffic (footprint-projected,
         # like the Explorers' charges).
-        paper_gap = spec.gap_instructions * self.meter.scale
-        projection = (paper_gap / max(spec.gap_instructions, 1)
-                      * self.footprint_scale)
+        paper_gap = self.plan.paper_gap(spec)
+        projection = self.plan.stop_projection(paper_gap,
+                                               spec.gap_instructions)
         self.profile_machine.meter.fast_forward(paper_gap, scaled=False)
         self.profile_machine.meter.watchpoint_setups(len(watched),
                                                      scaled=False)

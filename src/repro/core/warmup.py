@@ -36,6 +36,7 @@ from repro.core.explorer import ExplorerChain
 from repro.core.scout import ScoutPass
 from repro.core.vicinity import VicinitySampler
 from repro.core.warming import DirectedCapacityPredictor
+from repro.sampling.plan import VICINITY_BOOST
 from repro.statmodel.histogram import ReuseHistogram
 from repro.vff.costmodel import TimeLedger
 
@@ -145,14 +146,13 @@ class WarmupPipeline:
     """
 
     def __init__(self, rng_label, context, plan, explorer_specs,
-                 vicinity_density, vicinity_boost, base_meter):
+                 vicinity_density, base_meter):
         self.rng_label = rng_label
         self.context = context
         self.workload = context.workload
         self.plan = plan
         self.explorer_specs = tuple(explorer_specs)
         self.vicinity_density = float(vicinity_density)
-        self.vicinity_boost = float(vicinity_boost)
         self.base_meter = base_meter
         self.seed = context.seed
         self.store = context.store
@@ -165,7 +165,7 @@ class WarmupPipeline:
             "plan": plan,
             "explorers": list(self.explorer_specs),
             "vicinity_density": self.vicinity_density,
-            "vicinity_boost": self.vicinity_boost,
+            "vicinity_boost": VICINITY_BOOST,
             "seed": self.seed,
         }
         # Imported traces are addressed purely by content — the registry
@@ -185,8 +185,7 @@ class WarmupPipeline:
         if self.bundle is None:
             warmup = IncrementalWarmup(
                 self.rng_label, self.context, self.explorer_specs,
-                self.vicinity_density, self.vicinity_boost,
-                self.base_meter, self.plan.footprint_scale)
+                self.vicinity_density, self.base_meter, self.plan)
             for spec in self.plan.regions():
                 warmup.refine(spec)
             self.bundle = warmup.bundle()
@@ -209,8 +208,7 @@ class IncrementalWarmup:
     """
 
     def __init__(self, rng_label, context, explorer_specs,
-                 vicinity_density, vicinity_boost, base_meter,
-                 footprint_scale):
+                 vicinity_density, base_meter, plan):
         self.explorer_specs = tuple(explorer_specs)
         self.scout_machine = context.machine(base_meter.fork())
         self.explorer_machines = [context.machine(base_meter.fork())
@@ -218,15 +216,13 @@ class IncrementalWarmup:
         self.machines = [self.scout_machine] + self.explorer_machines
         rng = context.rng(rng_label)
         self.samplers = [
-            VicinitySampler(machine, density=float(vicinity_density),
-                            density_boost=float(vicinity_boost), rng=rng,
-                            footprint_scale=footprint_scale)
+            VicinitySampler(machine, plan, density=float(vicinity_density),
+                            rng=rng)
             for machine in self.explorer_machines]
         self.scout = ScoutPass(context, self.scout_machine)
-        self.chain = ExplorerChain(self.explorer_machines,
+        self.chain = ExplorerChain(self.explorer_machines, plan,
                                    self.explorer_specs,
-                                   vicinity_samplers=self.samplers,
-                                   footprint_scale=footprint_scale)
+                                   vicinity_samplers=self.samplers)
         self.regions = []
 
     def refine(self, spec):

@@ -31,7 +31,7 @@ class ProcessorConfig:
     btb_entries: int = 4096
 
     # Caches (paper-equivalent sizes; the hierarchy itself lives in
-    # repro.caches and is scaled per DESIGN.md §6)
+    # repro.caches and is scaled per repro.sampling.plan)
     l1i_bytes: int = 64 * KIB
     l1d_bytes: int = 64 * KIB
     l1_assoc: int = 2

@@ -6,7 +6,8 @@ The heavy lifting lives in :class:`~repro.experiments.runner.SuiteRunner`
 produce the rows each paper exhibit reports, and
 :mod:`~repro.experiments.report` renders them as text tables and ASCII
 charts.  :mod:`~repro.experiments.paper` records the paper's published
-numbers for side-by-side comparison (see EXPERIMENTS.md).
+numbers for side-by-side comparison (``python -m repro all`` prints
+every exhibit beside them).
 """
 
 from repro.experiments.config import ExperimentConfig

@@ -15,7 +15,8 @@ class ExperimentConfig:
     10 B instructions, 30 k detailed warming, LLC 1-512 MiB.  Scaled run:
     same regions, gap shrunk to ``n_instructions / n_regions``, all
     footprints (working sets, caches, warming window) scaled by
-    ``footprint_scale``; cost projection documented in DESIGN.md §6.
+    ``footprint_scale``; :mod:`repro.sampling.plan` derives the cost
+    projection.
     """
 
     n_instructions: int = 6_000_000

@@ -2,7 +2,8 @@
 
 Values transcribed from the text and figures of Nikoleris et al.,
 MICRO-52 2019.  Where a figure gives only per-benchmark bars, the
-qualitative expectation is recorded instead (see EXPERIMENTS.md).
+qualitative expectation is recorded instead; ``python -m repro all``
+prints every exhibit beside these numbers.
 """
 
 # Section 6.1 / Figure 5 — simulation speed.

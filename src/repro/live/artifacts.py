@@ -30,22 +30,17 @@ _LABEL_RE = re.compile(
     r"^live:(?P<kind>[a-z]+):(?P<lineage>[0-9a-f]{12})#(?P<wm>\d+)$")
 
 
-def live_lineage(name, seed, gap_instructions, region_instructions,
-                 warming_instructions, paper_gap_instructions,
-                 footprint_scale, hierarchy_config, strategies):
+def live_lineage(name, seed, gap_plan, hierarchy_config, strategies):
     """Fingerprint of the run identity shared by every watermark.
 
-    ``strategies`` maps each name to its strategy instance.
+    ``gap_plan`` is the plan of one gap, which every watermark's plan
+    repeats; ``strategies`` maps each name to its strategy instance.
     """
     return fingerprint({
         "artifact": "live-lineage",
         "name": str(name),
         "seed": int(seed),
-        "gap_instructions": int(gap_instructions),
-        "region_instructions": int(region_instructions),
-        "warming_instructions": int(warming_instructions),
-        "paper_gap_instructions": int(paper_gap_instructions),
-        "footprint_scale": float(footprint_scale),
+        "plan": gap_plan,
         "hierarchy": hierarchy_config,
         "strategies": {name: _strategy_identity(strategy)
                        for name, strategy in strategies.items()},

@@ -34,7 +34,7 @@ Machines capture their trace/index at construction, so the runner hands
 them long-lived proxies whose target is swapped at each watermark.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import telemetry
 from repro.core.context import ExecutionContext, index_spill_mode
@@ -48,6 +48,7 @@ from repro.sampling.plan import (
 )
 from repro.store.fingerprint import fingerprint_arrays
 from repro.trace.record import Trace
+from repro.trace.spec import DEFAULT_SCALE
 from repro.traceio.container import TraceStreamWriter
 from repro.vff.index import LiveIndexBuilder
 
@@ -192,18 +193,20 @@ class LiveRunner:
                  region_instructions=PAPER_REGION_INSTRUCTIONS,
                  warming_instructions=PAPER_WARMING_INSTRUCTIONS,
                  paper_gap_instructions=PAPER_GAP_INSTRUCTIONS,
-                 footprint_scale=1.0 / 64.0, spill_dir=None):
+                 footprint_scale=DEFAULT_SCALE, spill_dir=None):
         self.gap_instructions = int(gap_instructions)
         self.hierarchy_config = hierarchy_config
         self.strategies = dict(strategies if strategies is not None
                                else default_strategies())
-        self.region_instructions = int(region_instructions)
-        self.warming_instructions = int(warming_instructions)
-        self.paper_gap_instructions = int(paper_gap_instructions)
-        self.footprint_scale = float(footprint_scale)
-        # Validates the geometry (gap must cover region + detailed
+        # One gap's plan, which every watermark's plan repeats; building
+        # it validates the geometry (the gap must cover region + detailed
         # warming) before the feed starts.
-        self.plan_for(1)
+        self._gap_plan = SamplingPlan(
+            n_instructions=self.gap_instructions, n_regions=1,
+            region_instructions=int(region_instructions),
+            warming_instructions=int(warming_instructions),
+            paper_gap_instructions=int(paper_gap_instructions),
+            footprint_scale=float(footprint_scale))
 
         self.workload = LiveWorkload(name=name, seed=seed)
         self._index_cell = _Cell()
@@ -221,9 +224,7 @@ class LiveRunner:
         self.writer = TraceStreamWriter(spill_dir=spill_dir)
         self.builder = LiveIndexBuilder(index_dir)
         self.lineage = artifacts.live_lineage(
-            self.workload.name, self.workload.seed, self.gap_instructions,
-            self.region_instructions, self.warming_instructions,
-            self.paper_gap_instructions, self.footprint_scale,
+            self.workload.name, self.workload.seed, self._gap_plan,
             hierarchy_config, self.strategies)
         self.runs = None
         self.watermark = 0
@@ -242,14 +243,9 @@ class LiveRunner:
         watermark = int(watermark)
         if watermark <= 0:
             raise ValueError("watermark must be positive")
-        return SamplingPlan(
-            n_instructions=watermark * self.gap_instructions,
-            n_regions=watermark,
-            region_instructions=self.region_instructions,
-            warming_instructions=self.warming_instructions,
-            paper_gap_instructions=self.paper_gap_instructions,
-            footprint_scale=self.footprint_scale,
-        )
+        return replace(self._gap_plan,
+                       n_instructions=watermark * self.gap_instructions,
+                       n_regions=watermark)
 
     # -- feeding -------------------------------------------------------------
 

@@ -47,12 +47,10 @@ class Smarts(StrategyBase):
 
     name = "SMARTS"
 
-    def __init__(self, processor_config=None, prefetcher=False,
-                 mshr_window=24):
+    def __init__(self, processor_config=None, prefetcher=False):
         super().__init__(processor_config)
         self.core_model = IntervalCoreModel(self.processor_config)
         self.prefetcher_enabled = prefetcher
-        self.mshr_window = mshr_window
 
     def begin(self, context, plan, hierarchy_config):
         """Start a refinable run: ``refine(spec)`` per region, then
@@ -70,8 +68,7 @@ class Smarts(StrategyBase):
         lines = np.asarray(window.lines)
         pcs = np.asarray(window.pcs)
         instr = window.rel_instr()
-        mshr = MSHRFile(self.processor_config.mshrs_l1d,
-                        window=self.mshr_window)
+        mshr = MSHRFile(self.processor_config.mshrs_l1d)
         outcomes = []
         outcome_instr = []
         llc_hits = 0
@@ -122,8 +119,7 @@ class Smarts(StrategyBase):
         cold = (index.lines.first_positions(lines[misses])
                 == window.lo + misses)
 
-        mshr = MSHRFile(self.processor_config.mshrs_l1d,
-                        window=self.mshr_window)
+        mshr = MSHRFile(self.processor_config.mshrs_l1d)
         mshr_hit = mshr.walk(lines[misses], misses,
                              np.ones(misses.shape[0], dtype=bool))
         outcomes = np.where(cold, MISS_COLD, MISS_CAPACITY).astype(np.int8)

@@ -15,7 +15,8 @@ that the algorithms under study actually consume:
 
 Component sizes are expressed in **paper-equivalent bytes**; building a
 workload applies the experiment's cache/footprint scale (default 1/64 —
-see DESIGN.md §6) so model caches and model working sets shrink together.
+see the scale model of :mod:`repro.sampling.plan`) so model caches and
+model working sets shrink together.
 
 A component with ``n`` model lines referenced with probability ``w`` by a
 workload with memory fraction ``m`` has a mean per-line revisit interval
@@ -511,7 +512,7 @@ def spec2006_suite(n_instructions=1_000_000, seed=0, scale=DEFAULT_SCALE,
     ----------
     n_instructions:
         Trace length per benchmark (paper: 10 B; scaled runs default 1 M —
-        DESIGN.md §6 explains what is preserved under scaling).
+        :mod:`repro.sampling.plan` explains what scaling preserves).
     seed:
         Top-level seed; each benchmark derives independent streams.
     scale:

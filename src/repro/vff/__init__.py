@@ -10,7 +10,7 @@ virtual machine* with an explicit host cost model:
   :class:`~repro.vff.costmodel.CostMeter` — charge modeled host time per
   instruction (by execution mode) and per event (watchpoint stops, state
   transfers), with paper-scale projection for gap-proportional quantities
-  (DESIGN.md §6).
+  (the scale model of :mod:`repro.sampling.plan`).
 * :class:`~repro.vff.index.TraceIndex` — per-line and per-page access
   position indices; the oracle that tells us which watchpoint stops a
   real run would have taken.

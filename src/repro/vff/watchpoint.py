@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro import telemetry
+from repro import kernels, telemetry
 
 
 @dataclass
@@ -147,29 +147,32 @@ class WatchpointEngine:
         return self.index.batch_await_reuse(access_positions, access_limit)
 
     def resolve_samples(self, access_positions, access_limit, keep_dangling,
-                        stop_cap, scale, footprint_scale):
-        """Resolve a batch of sampled watchpoints in one pass.
-
-        The batched form of the per-sample RSW loop of CoolSim's gap
-        profiling and vicinity sampling: every watchpoint armed at a
-        sorted sampled position runs until its line's next access or
-        ``access_limit`` (:meth:`await_next_reuse_many`).  A sample's
-        projected stops are ``min(stops, stop_cap)`` when it found its
-        reuse; a dangling one waits out the rest of the gap, whose
-        paper equivalent is ``min(stops * scale * footprint_scale,
-        stop_cap)`` (DESIGN.md §6); the batch total adds them in
-        sample order, as the loop adds them.  ``keep_dangling`` is the
-        caller's censoring rule: which samples, if dangling, still
-        count as cold.  Returns :class:`SampledReuses`.
+                        plan):
+        """Resolve a batch of sampled watchpoints (CoolSim's gap
+        profiling, vicinity sampling): each, armed at a sorted sampled
+        position, runs until its line's next access or ``access_limit``
+        — in one batch (:meth:`await_next_reuse_many`), or on
+        ``scalar`` one at a time (:meth:`await_next_reuse`, the
+        reference).  ``plan`` projects each sample's stops, summed in
+        sample order; ``keep_dangling`` is the plan's censoring rule.
+        Returns :class:`SampledReuses`.
         """
         positions = np.asarray(access_positions, dtype=np.int64)
-        reuses, stops = self.await_next_reuse_many(positions, access_limit)
+        if kernels.get_backend() == "scalar":
+            lines = self.index.trace.mem_line
+            pairs = [self.await_next_reuse(int(lines[pos]), pos,
+                                           access_limit)
+                     for pos in positions.tolist()]
+            reuses = np.array([reuse for reuse, _ in pairs], dtype=np.int64)
+            stops = np.array([stop for _, stop in pairs], dtype=np.int64)
+        else:
+            reuses, stops = self.await_next_reuse_many(positions,
+                                                       access_limit)
         found = reuses >= 0
-        projected = np.where(
-            found, np.minimum(stops, stop_cap),
-            np.minimum(stops * scale * footprint_scale, stop_cap))
-        # np.cumsum accumulates in order, so the float total equals the
-        # loop's; a pairwise np.sum could differ in the last bits.
+        projected = plan.projected_stops(found, stops)
+        # np.cumsum accumulates in order, so the float total equals a
+        # per-sample loop's; a pairwise np.sum could differ in the last
+        # bits.
         total = float(np.cumsum(np.concatenate(([0.0], projected)))[-1])
         return SampledReuses(
             reuses=reuses,

@@ -96,7 +96,7 @@ def test_explorer_chain_resolves_all_warm_lines(small_workload, small_plan,
                                                 small_index):
     machines = machines_for(small_workload, small_plan, small_index, 5)
     scout = scout_for(small_workload, small_index, machines[0])
-    chain = ExplorerChain(machines[1:], DEFAULT_EXPLORERS)
+    chain = ExplorerChain(machines[1:], small_plan, DEFAULT_EXPLORERS)
     spec = small_plan.regions()[1]
     report = scout.run_region(spec)
     result = chain.run_region(spec, report)
@@ -118,7 +118,7 @@ def test_explorer_engagement_monotone(small_workload, small_plan,
                                       small_index):
     machines = machines_for(small_workload, small_plan, small_index, 5)
     scout = scout_for(small_workload, small_index, machines[0])
-    chain = ExplorerChain(machines[1:], DEFAULT_EXPLORERS)
+    chain = ExplorerChain(machines[1:], small_plan, DEFAULT_EXPLORERS)
     spec = small_plan.regions()[2]
     report = scout.run_region(spec)
     result = chain.run_region(spec, report)
@@ -133,14 +133,14 @@ def test_explorer_spec_mismatch_rejected(small_workload, small_plan,
                                          small_index):
     machines = machines_for(small_workload, small_plan, small_index, 2)
     with pytest.raises(ValueError):
-        ExplorerChain(machines, DEFAULT_EXPLORERS)
+        ExplorerChain(machines, small_plan, DEFAULT_EXPLORERS)
 
 
 # -- vicinity -------------------------------------------------------------------
 
 def test_vicinity_sampler_collects(small_workload, small_plan, small_index):
     machine = machines_for(small_workload, small_plan, small_index, 1)[0]
-    sampler = VicinitySampler(machine, density=1e-4, density_boost=100,
+    sampler = VicinitySampler(machine, small_plan, density=5e-5,
                               rng=np.random.default_rng(0))
     histogram = ReuseHistogram()
     trace = small_workload.trace
@@ -156,7 +156,8 @@ def test_vicinity_sampler_collects(small_workload, small_plan, small_index):
 
 def test_vicinity_empty_window(small_workload, small_plan, small_index):
     machine = machines_for(small_workload, small_plan, small_index, 1)[0]
-    sampler = VicinitySampler(machine, rng=np.random.default_rng(0))
+    sampler = VicinitySampler(machine, small_plan,
+                              rng=np.random.default_rng(0))
     histogram = ReuseHistogram()
     assert sampler.sample_window(histogram, 10, 10, 20, 5e6, 1000) == 0
 

@@ -497,7 +497,8 @@ class TestExplorerPlanBatch:
         workload, index, region_specs, reports = self._scouted()
         chain = ExplorerChain(
             [VirtualMachine(workload.trace, index=index)
-             for _ in DEFAULT_EXPLORERS])
+             for _ in DEFAULT_EXPLORERS],
+            SamplingPlan(n_instructions=90_000, n_regions=3))
         outputs = {}
         for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
@@ -848,8 +849,9 @@ class TestScoutVicinityBatch:
             with kernels.use_backend(backend):
                 machine = VirtualMachine(workload.trace, index=index)
                 sampler = VicinitySampler(
-                    machine, density=1e-3, density_boost=50.0,
-                    rng=np.random.default_rng(7))
+                    machine, SamplingPlan(n_instructions=60_000,
+                                          n_regions=3),
+                    density=2.5e-4, rng=np.random.default_rng(7))
                 histogram = ReuseHistogram()
                 taken = sampler.sample_window(
                     histogram, n_accesses // 8, n_accesses // 2,

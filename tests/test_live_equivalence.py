@@ -224,7 +224,7 @@ class TestWarmupBundleEquivalence:
                 "delorean-vicinity",
                 ExecutionContext(workload, seed=SEED, store=batch_store),
                 plan, strategy.explorer_specs, strategy.vicinity_density,
-                strategy.vicinity_boost, CostMeter(scale=plan.scale)).bundle
+                CostMeter(scale=plan.scale)).bundle
             assert recorded is not None
             assert _bundle_fields(published) == _bundle_fields(recorded), \
                 w.watermark

@@ -200,6 +200,22 @@ def test_bench_behavior_suite_roundtrip(tmp_path, monkeypatch):
     assert len(regressions) == 2
 
 
+def test_quick_bench_record_leaves_the_committed_one_alone(tmp_path,
+                                                          monkeypatch):
+    bench = _bench()
+    monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
+    committed = tmp_path / "BENCH_behavior.json"
+    full = bench.write_suite("behavior", {"derived": {"x.error_rate": 0.1}},
+                             profile="full")
+    before = committed.read_bytes()
+    quick = bench.write_suite("behavior", {"derived": {"x.error_rate": 0.2}},
+                              profile="quick")
+    assert committed.read_bytes() == before
+    assert quick["history"] == [] and full["profile"] == "full"
+    record = tmp_path / ".benchmarks" / "BENCH_behavior.json"
+    assert json.loads(record.read_text())["gate"] == {"x.error_rate": 0.2}
+
+
 # -- RunReport derived metrics and HTML ------------------------------------
 
 def _run_dir(tmp_path, counters):

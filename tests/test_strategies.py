@@ -5,6 +5,7 @@ import pytest
 from repro.caches.hierarchy import paper_hierarchy
 from repro.caches.stats import HIT_WARMING, LABELS
 from repro.sampling.coolsim import CoolSim
+from repro.sampling.plan import COOLSIM_BOOST
 from repro.sampling.smarts import Smarts
 
 
@@ -91,8 +92,7 @@ def test_coolsim_sample_count_projection(small_workload, small_plan,
                            index=small_index, seed=2)
     model = result.extras["collected_model_samples"]
     paper = result.extras["collected_reuse_distances"]
-    boost = CoolSim().density_boost
-    assert paper == pytest.approx(model / boost * small_plan.scale)
+    assert paper == pytest.approx(model / COOLSIM_BOOST * small_plan.scale)
 
 
 def test_strategy_result_summary(small_workload, small_plan, small_index,

@@ -392,16 +392,17 @@ def test_sampled_watchpoint_counts_match_per_sample_tally(backend,
     with kernels.use_backend(backend):
         context = ExecutionContext(workload, index=TraceIndex(trace))
         machine = context.machine()
-        spec = SamplingPlan(n_instructions=90_000, n_regions=3).regions()[1]
+        plan = SamplingPlan(n_instructions=90_000, n_regions=3)
+        spec = plan.regions()[1]
         CoolSim()._profile_gap(context, machine, spec, PerPCReuseStats(),
                                StrideDetector(), np.random.default_rng(1),
-                               1.0 / 64.0)
+                               plan)
         gap_mid = (spec.warmup_start + spec.region_start) // 2
         coolsim = _tally(samples,
                          lambda position: trace.mem_instr[position] < gap_mid)
         samples.clear()
         n = trace.n_accesses
-        VicinitySampler(machine, density=1e-3, density_boost=50.0,
+        VicinitySampler(machine, plan, density=2.5e-4,
                         rng=np.random.default_rng(7)).sample_window(
             ReuseHistogram(), n // 8, n // 2, (3 * n) // 4,
             paper_window_instructions=5e6, model_window_instructions=30_000)
